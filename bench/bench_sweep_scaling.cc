@@ -38,7 +38,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -263,11 +262,9 @@ int main() {
   const char* budget_env = std::getenv("SWEEP_MEM_BUDGET_MB");
   const char* keep_env = std::getenv("SWEEP_KEEP_SHARDS");
   const char* json_env = std::getenv("BENCH_SWEEP_JSON");
-  // Scheduler toggle matrix (DESIGN.md §12): SWEEP_SCHEDULER=heap|wheel
-  // and SWEEP_BATCH=0|1 pin the ordering backend and the ACK-train batch
-  // delivery mode, so CI's equivalence gate and A/B perf runs can drive
-  // every combination through one binary. Defaults match RunOptions.
-  const char* sched_env = std::getenv("SWEEP_SCHEDULER");
+  // SWEEP_BATCH=0|1 pins the ACK-train batch delivery mode (DESIGN.md
+  // §12) so A/B perf runs can drive both sides through one binary. The
+  // default matches RunOptions.
   const char* batch_env = std::getenv("SWEEP_BATCH");
   const int connections = conn_env ? std::atoi(conn_env) : 2000;
   const std::vector<int> thread_counts =
@@ -286,11 +283,6 @@ int main() {
   opts.seed = 20110501;
   opts.bounded_stats = bounded;
   opts.pool_connections = pool;
-  if (sched_env != nullptr) {
-    opts.scheduler = std::string_view(sched_env) == "heap"
-                         ? sim::SchedulerBackend::kHeap
-                         : sim::SchedulerBackend::kWheel;
-  }
   if (batch_env != nullptr) opts.batch_delivery = std::atoi(batch_env) != 0;
 
   // Parallel speedup numbers are only meaningful when the machine has
@@ -461,7 +453,6 @@ int main() {
                "  \"hardware_concurrency\": %u,\n"
                "  \"speedup_meaningful\": %s,\n"
                "  \"speedup_nulled_reason\": %s,\n"
-               "  \"scheduler\": \"%s\",\n"
                "  \"batch_delivery\": %s,\n"
                "  \"bounded_stats\": %s,\n"
                "  \"pool_connections\": %s,\n"
@@ -480,8 +471,6 @@ int main() {
                    : "\"hardware_concurrency == 1: every thread count "
                      "serializes onto one core, so speedup_vs_serial "
                      "would be scheduling noise, not scaling\"",
-               opts.scheduler == sim::SchedulerBackend::kWheel ? "wheel"
-                                                               : "heap",
                opts.batch_delivery ? "true" : "false",
                bounded ? "true" : "false", pool ? "true" : "false",
                serial_conns_per_sec, digests_match ? "true" : "false",

@@ -2,8 +2,7 @@
 // flight recorder detached and attached (RunOptions::trace), verifying
 // the aggregates are byte-identical both ways and reporting the
 // wall-clock delta. Emits machine-readable BENCH_TRACE.json so future
-// PRs can track the enabled-tracing tax (acceptance: <= 10% per-ACK;
-// a PRR_TRACING=OFF build must show ~0 records and ~0 overhead).
+// PRs can track the enabled-tracing tax (acceptance: <= 10% per-ACK).
 //
 // Two costs are reported SEPARATELY (they are different mechanisms and
 // regress independently):
@@ -147,8 +146,7 @@ int main() {
   opts.seed = 20110501;
   opts.threads = 1;  // serial: overhead unobscured by scheduling
 
-  std::printf("tracing compiled %s, %d connections, best of %d\n\n",
-              obs::trace_compiled_in() ? "IN" : "OUT", connections, repeats);
+  std::printf("%d connections, best of %d\n\n", connections, repeats);
 
   // Store capture under the headline sweep policy. Capture necessarily
   // attaches the per-shard ring to every connection (the policy decides
@@ -300,7 +298,6 @@ int main() {
       body, sizeof(body),
       "{\n"
       "  \"benchmark\": \"trace_overhead\",\n"
-      "  \"trace_compiled_in\": %s,\n"
       "  \"connections\": %d,\n"
       "  \"repeats\": %d,\n"
       "  \"seconds_trace_off\": %.4f,\n"
@@ -320,7 +317,7 @@ int main() {
       "  \"micro_records_per_conn\": %llu,\n"
       "  \"aggregates_identical\": %s\n"
       "}\n",
-      obs::trace_compiled_in() ? "true" : "false", connections, repeats,
+      connections, repeats,
       off.seconds, on.seconds, overhead_pct,
       static_cast<unsigned long long>(on.records), ns_per_record,
       store.seconds, store_pct, store_opts.capture.c_str(),

@@ -10,9 +10,7 @@
 //   3. the table's JSON serialization is identical at threads 1/4/8 and
 //      with tracing on or off (the deterministic-merge contract).
 //
-// Exits non-zero on the first mismatch, printing what diverged. In
-// builds with PRR_TRACING=OFF there is nothing to reconcile (episode
-// collection is a no-op); the gate prints a skip line and passes.
+// Exits non-zero on the first mismatch, printing what diverged.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -20,7 +18,6 @@
 
 #include "exp/experiment.h"
 #include "obs/episodes.h"
-#include "obs/flight_recorder.h"
 #include "workload/web_workload.h"
 
 using namespace prr;
@@ -125,12 +122,6 @@ void reconcile_counters(const exp::ArmResult& r, const char* tag) {
 }  // namespace
 
 int main() {
-  if (!obs::trace_compiled_in()) {
-    std::printf("episode_gate: tracing compiled out (PRR_TRACING=OFF); "
-                "episode tables are empty by design -- skipping.\n");
-    return 0;
-  }
-
   workload::WebWorkload pop;
   const std::vector<exp::ArmConfig> arms = {exp::ArmConfig::prr_arm(),
                                             exp::ArmConfig::rfc3517_arm(),

@@ -64,12 +64,10 @@ void BM_PrrOnAck(benchmark::State& state) {
 BENCHMARK(BM_PrrOnAck);
 
 // Steady-state event churn: schedule + fire (the Link/Timer pattern)
-// and a timer-style reschedule, on a warm queue pinned to the heap
-// backend (BM_TimerWheel* below are the wheel counterparts). Both must
-// report allocs_per_op == 0 — the slot map recycles storage.
+// and a timer-style reschedule, on a warm queue. Both must report
+// allocs_per_op == 0 — the slot map recycles storage.
 void BM_EventSchedule(benchmark::State& state) {
   prr::sim::EventQueue q;
-  q.set_backend(prr::sim::SchedulerBackend::kHeap);
   int64_t now_us = 0;
   uint64_t fired = 0;
   // Warm the slot and heap vectors with a standing population.
@@ -96,7 +94,6 @@ BENCHMARK(BM_EventSchedule);
 
 void BM_EventReschedule(benchmark::State& state) {
   prr::sim::EventQueue q;
-  q.set_backend(prr::sim::SchedulerBackend::kHeap);
   uint64_t fired = 0;
   prr::sim::EventId id =
       q.schedule(prr::sim::Time::microseconds(1), [&fired] { ++fired; });
@@ -109,64 +106,6 @@ void BM_EventReschedule(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
 }
 BENCHMARK(BM_EventReschedule);
-
-// Timing-wheel counterparts of the two queue benches above: the same
-// schedule+fire churn and the same timer-style reschedule, explicitly on
-// the wheel backend, with a standing far-future population so overflow
-// levels (and the cascades that drain them) are exercised rather than
-// just level 0. Reschedule is the wheel's headline O(1) case — the RTO
-// re-armed on every ACK relinks one intrusive node instead of leaving a
-// stale heap entry behind. Both must report allocs_per_op == 0.
-void BM_TimerWheelSchedule(benchmark::State& state) {
-  prr::sim::EventQueue q;
-  q.set_backend(prr::sim::SchedulerBackend::kWheel);
-  int64_t now_us = 0;
-  uint64_t fired = 0;
-  std::vector<prr::sim::EventId> standing;
-  for (int i = 0; i < 64; ++i) {
-    standing.push_back(q.schedule(
-        prr::sim::Time::microseconds(1'000'000'000 + i), [&fired] {
-          ++fired;
-        }));
-  }
-  AllocsPerOp allocs(state);
-  for (auto _ : state) {
-    q.schedule(prr::sim::Time::microseconds(now_us + 10),
-               [&fired] { ++fired; });
-    ++now_us;
-    while (!q.empty() &&
-           q.next_time() <= prr::sim::Time::microseconds(now_us)) {
-      q.run_next();
-    }
-  }
-  benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_TimerWheelSchedule);
-
-void BM_TimerWheelReschedule(benchmark::State& state) {
-  prr::sim::EventQueue q;
-  q.set_backend(prr::sim::SchedulerBackend::kWheel);
-  uint64_t fired = 0;
-  // A standing timer population spread across wheel levels, so the
-  // rescheduled timer's unlink/link happens in realistically occupied
-  // slots (not a degenerate empty wheel).
-  std::vector<prr::sim::EventId> standing;
-  for (int i = 0; i < 64; ++i) {
-    standing.push_back(q.schedule(
-        prr::sim::Time::microseconds(int64_t{1} << (10 + i % 20)),
-        [&fired] { ++fired; }));
-  }
-  prr::sim::EventId id =
-      q.schedule(prr::sim::Time::microseconds(1), [&fired] { ++fired; });
-  int64_t at = 1;
-  AllocsPerOp allocs(state);
-  for (auto _ : state) {
-    id = q.reschedule(id, prr::sim::Time::microseconds(++at));
-    benchmark::DoNotOptimize(id);
-  }
-  benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_TimerWheelReschedule);
 
 // ACK-train delivery through a Link: `train` back-to-back 40-byte ACKs
 // enter a fast link whose propagation delay holds them all in flight at
@@ -359,10 +298,9 @@ BENCHMARK(BM_FlightRecorderWrite);
 // The same 100 kB connection as BM_ConnectionRun/0, with the full
 // observability stack attached (flight recorder on the sender and the
 // fault injector path, wire tap, timer tracing). Compare against
-// BM_ConnectionRun/0 for the enabled-tracing overhead; under a
-// PRR_TRACING=OFF build records_per_iter reports ~0 and the two must
-// match to the noise floor. BENCH_TRACE.json (bench_trace_overhead)
-// records the sweep-level version of this comparison.
+// BM_ConnectionRun/0 for the enabled-tracing overhead; BENCH_TRACE.json
+// (bench_trace_overhead) records the sweep-level version of this
+// comparison.
 void BM_ConnectionRunTraced(benchmark::State& state) {
   uint64_t records = 0;
   // One ring for the whole run, cleared per connection — the same shape

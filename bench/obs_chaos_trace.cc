@@ -7,14 +7,11 @@
 //   3. a forced-quarantine connection carries a flight-recorder tail
 //      whose Perfetto trace-event JSON parses and names the invariant
 //      violation, and replay reproduces it.
-// Under a PRR_TRACING=OFF build the sweep still runs; the trace-content
-// assertions relax to "no records were written".
 #include <cstdio>
 #include <string>
 
 #include "bench_common.h"
 #include "exp/scenarios.h"
-#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "workload/web_workload.h"
 
@@ -65,12 +62,7 @@ void reconcile(const std::string& scenario, const exp::ArmResult& r) {
   check(obs::json_valid(json), scenario + ": registry JSON does not parse");
 
   const uint64_t written = counter_value(r, "obs.trace.records_written");
-  if (obs::trace_compiled_in()) {
-    check(written > 0, scenario + ": tracing on but 0 records written");
-  } else {
-    check(written == 0, scenario + ": tracing compiled out but records "
-                        "were written");
-  }
+  check(written > 0, scenario + ": tracing on but 0 records written");
 }
 
 }  // namespace
@@ -81,9 +73,6 @@ int main() {
       "registry totals must reconcile with ArmResult aggregates under "
       "every chaos regime, and quarantine trace tails must export valid "
       "Perfetto JSON");
-
-  std::printf("tracing compiled %s\n\n",
-              obs::trace_compiled_in() ? "IN" : "OUT");
 
   util::Table t({"scenario", "acks checked", "violations", "quarantined",
                  "trace records", "registry bytes"});
@@ -142,18 +131,14 @@ int main() {
       const std::string json = rec.trace_json();
       check(obs::json_valid(json),
             "quarantine Perfetto JSON does not parse");
-      if (obs::trace_compiled_in()) {
-        check(!rec.trace_tail.empty(), "quarantine record has no trace tail");
-        check(json.find("\"name\":\"invariant\"") != std::string::npos,
-              "quarantine trace lacks the invariant-violation record");
-      }
+      check(!rec.trace_tail.empty(), "quarantine record has no trace tail");
+      check(json.find("\"name\":\"invariant\"") != std::string::npos,
+            "quarantine trace lacks the invariant-violation record");
       exp::Experiment experiment(pop, opts);
       const exp::ReplayResult replay =
           experiment.replay(exp::ArmConfig::prr_arm(), rec);
       check(replay.reproduced(rec), "replay did not reproduce the failure");
-      if (obs::trace_compiled_in()) {
-        check(!replay.trace_tail.empty(), "replay produced no trace tail");
-      }
+      check(!replay.trace_tail.empty(), "replay produced no trace tail");
     }
     std::printf("forced-quarantine artifact chain: %s\n",
                 g_failures == 0 ? "ok" : "FAILED");

@@ -23,8 +23,6 @@
 //
 // Runs under chaos (ChaosSpec::everything) so the records exercise RTO
 // interruptions, undo and aborts. Exits non-zero on the first mismatch.
-// With PRR_TRACING=OFF rings carry no instrumentation, so stores are
-// structurally valid but empty; the gate prints a skip line and passes.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -180,18 +178,6 @@ int main() {
     std::string err;
     GATE_CHECK(obs::StoreReader::open(ref_path, &reader, &err),
                "reopen reference store: %s\n", err.c_str());
-  }
-
-  if (!obs::trace_compiled_in()) {
-    std::remove(ref_path.c_str());
-    if (g_failures > 0) {
-      std::printf("query_gate: %d check(s) FAILED\n", g_failures);
-      return 1;
-    }
-    std::printf("query_gate: tracing compiled out (PRR_TRACING=OFF); "
-                "stores are empty by design -- structural checks passed, "
-                "skipping reconciliation.\n");
-    return 0;
   }
 
   // --- 3. episodes_from_store == live episode table -------------------

@@ -2,14 +2,13 @@
 // the event-dispatch machinery is invisible to results. It runs the
 // standard three-arm Web sweep under every combination of
 //
-//   scheduler        heap | wheel      (RunOptions::scheduler)
 //   delivery         per-event | batch (RunOptions::batch_delivery)
 //   threads          1 | 4 | 8
 //   tracing          off | on
 //
-// and fails unless all 24 combinations produce bit-identical aggregate
-// digests. The unit-level differential tests (tests/test_timing_wheel.cc)
-// check pop order on synthetic traces; this gate checks the same
+// and fails unless all 12 combinations produce bit-identical aggregate
+// digests. The unit-level tests (tests/test_batch_delivery.cc) check
+// delivery order on synthetic link traces; this gate checks the same
 // property end-to-end through real TCP dynamics, where a single swapped
 // same-timestamp event would change retransmit counts or transmit-time
 // sums and therefore the digest.
@@ -65,19 +64,15 @@ int main() {
   const std::vector<exp::ArmConfig> arms = bench::three_way_arms();
 
   struct Combo {
-    sim::SchedulerBackend scheduler;
     bool batch;
     int threads;
     bool trace;
   };
   std::vector<Combo> combos;
-  for (const sim::SchedulerBackend sched :
-       {sim::SchedulerBackend::kHeap, sim::SchedulerBackend::kWheel}) {
-    for (const bool batch : {false, true}) {
-      for (const int threads : {1, 4, 8}) {
-        for (const bool trace : {false, true}) {
-          combos.push_back(Combo{sched, batch, threads, trace});
-        }
+  for (const bool batch : {false, true}) {
+    for (const int threads : {1, 4, 8}) {
+      for (const bool trace : {false, true}) {
+        combos.push_back(Combo{batch, threads, trace});
       }
     }
   }
@@ -95,15 +90,11 @@ int main() {
     opts.connections = connections;
     opts.seed = seed;
     opts.threads = c.threads;
-    opts.scheduler = c.scheduler;
     opts.batch_delivery = c.batch;
     opts.trace = c.trace;
     const uint64_t d = digest(exp::run_arms(pop, arms, opts));
-    const char* sched_name =
-        c.scheduler == sim::SchedulerBackend::kWheel ? "wheel" : "heap";
-    std::printf("  %-5s %-9s threads=%d trace=%d  digest 0x%016" PRIx64
-                "%s\n",
-                sched_name, c.batch ? "batch" : "per-event", c.threads,
+    std::printf("  %-9s threads=%d trace=%d  digest 0x%016" PRIx64 "%s\n",
+                c.batch ? "batch" : "per-event", c.threads,
                 c.trace ? 1 : 0, d,
                 !have_reference || d == reference ? "" : "  MISMATCH");
     if (!have_reference) {
@@ -116,8 +107,8 @@ int main() {
 
   if (!ok) {
     std::fprintf(stderr,
-                 "FAIL: aggregate digests differ across scheduler/"
-                 "delivery/thread/tracing combos — dispatch machinery "
+                 "FAIL: aggregate digests differ across delivery/"
+                 "thread/tracing combos — dispatch machinery "
                  "leaked into results\n");
     return 1;
   }

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "obs/flight_recorder.h"
 #include "workload/video_workload.h"
 #include "workload/web_workload.h"
 
@@ -16,48 +15,13 @@ using namespace prr;
 
 namespace {
 
-// The seven counters Table 3 is built from. Primary source is the
-// episode table (derived purely from trace records); in builds with
-// tracing compiled out it falls back to the tcp::Metrics accumulator.
-// The two agree exactly — bench/episode_gate asserts it — so the
-// printed numbers are identical either way.
-struct Table3Counts {
-  uint64_t fast_retransmits = 0;
-  uint64_t fast_recovery_events = 0;
-  uint64_t dsacks_received = 0;
-  uint64_t retransmits_total = 0;
-  uint64_t lost_fast_retransmits = 0;
-  uint64_t lost_retransmits_detected = 0;
-  uint64_t undo_events = 0;
-};
-
-Table3Counts counts_for(const exp::ArmResult& r) {
-  Table3Counts c;
-  if (obs::trace_compiled_in()) {
-    const auto& s = r.episodes.stream();
-    c.fast_retransmits = s.fast_retransmits;
-    c.fast_recovery_events = r.episodes.total();
-    c.dsacks_received = s.dsacks_received;
-    c.retransmits_total = s.retransmits_total;
-    c.lost_fast_retransmits = s.lost_fast_retransmits;
-    c.lost_retransmits_detected = s.lost_retransmits_detected;
-    c.undo_events = s.undo_events;
-  } else {
-    const auto& m = r.metrics;
-    c.fast_retransmits = m.fast_retransmits;
-    c.fast_recovery_events = m.fast_recovery_events;
-    c.dsacks_received = m.dsacks_received;
-    c.retransmits_total = m.retransmits_total;
-    c.lost_fast_retransmits = m.lost_fast_retransmits;
-    c.lost_retransmits_detected = m.lost_retransmits_detected;
-    c.undo_events = m.undo_events;
-  }
-  return c;
-}
-
+// Every counter is read from the episode table, which is derived purely
+// from trace records; bench/episode_gate asserts it agrees exactly with
+// the tcp::Metrics accumulator.
 void print_dc(const char* name, const exp::ArmResult& r,
               const char* paper_col[5]) {
-  const Table3Counts m = counts_for(r);
+  const auto& m = r.episodes.stream();
+  const uint64_t fr_events = r.episodes.total();
   auto ratio = [](uint64_t a, uint64_t b) {
     return b == 0 ? std::string("-")
                   : util::Table::fmt(static_cast<double>(a) /
@@ -71,18 +35,18 @@ void print_dc(const char* name, const exp::ArmResult& r,
   };
   util::Table t({"metric", "paper", "measured"});
   t.add_row({"Fast retransmits / FR event", paper_col[0],
-             ratio(m.fast_retransmits, m.fast_recovery_events)});
+             ratio(m.fast_retransmits, fr_events)});
   t.add_row({"DSACKs / FR event", paper_col[1],
-             ratio_pct(m.dsacks_received, m.fast_recovery_events)});
+             ratio_pct(m.dsacks_received, fr_events)});
   t.add_row({"DSACKs / retransmit", paper_col[2],
              ratio_pct(m.dsacks_received, m.retransmits_total)});
   t.add_row({"Lost fast retransmits / FR event", paper_col[3],
-             ratio_pct(m.lost_fast_retransmits, m.fast_recovery_events)});
+             ratio_pct(m.lost_fast_retransmits, fr_events)});
   t.add_row({"Lost retransmits / retransmit", paper_col[4],
              ratio_pct(m.lost_retransmits_detected, m.retransmits_total)});
   std::printf("---- %s ----\n", name);
   std::printf("FR events: %llu, undo events: %llu\n",
-              (unsigned long long)m.fast_recovery_events,
+              (unsigned long long)fr_events,
               (unsigned long long)m.undo_events);
   std::printf("%s\n", t.to_string().c_str());
 }

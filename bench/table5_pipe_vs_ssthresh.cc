@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "obs/flight_recorder.h"
 #include "workload/web_workload.h"
 
 using namespace prr;
@@ -26,30 +25,21 @@ int main() {
   opts.threads = 0;  // parallel sweep: byte-identical to serial
   opts.collect_episodes = true;
   exp::ArmResult r = exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  // Episode table primary, RecoveryLog fallback when tracing is compiled
-  // out; the mirrored accessors make the numbers identical either way.
-  const bool use_episodes = obs::trace_compiled_in();
   const auto& tab = r.episodes;
-  const auto& log = r.recovery_log;
 
-  const double below = use_episodes ? tab.fraction_start_below_ssthresh()
-                                    : log.fraction_start_below_ssthresh();
-  const double equal = use_episodes ? tab.fraction_start_equal_ssthresh()
-                                    : log.fraction_start_equal_ssthresh();
-  const double above = use_episodes ? tab.fraction_start_above_ssthresh()
-                                    : log.fraction_start_above_ssthresh();
+  const double below = tab.fraction_start_below_ssthresh();
+  const double equal = tab.fraction_start_equal_ssthresh();
+  const double above = tab.fraction_start_above_ssthresh();
   util::Table modes({"mode at entry", "paper", "measured"});
   modes.add_row({"pipe < ssthresh  [slow start part]", "32%",
                  util::Table::fmt_pct(below)});
   modes.add_row({"pipe == ssthresh", "13%", util::Table::fmt_pct(equal)});
   modes.add_row({"pipe > ssthresh  [proportional part]", "45%",
                  util::Table::fmt_pct(above)});
-  std::printf("recovery events: %zu\n%s\n",
-              use_episodes ? tab.finished() : log.count(),
+  std::printf("recovery events: %zu\n%s\n", tab.finished(),
               modes.to_string().c_str());
 
-  util::Samples s = use_episodes ? tab.pipe_minus_ssthresh_segs()
-                                 : log.pipe_minus_ssthresh_segs();
+  util::Samples s = tab.pipe_minus_ssthresh_segs();
   util::Table q({"quantile", "paper [segs]", "measured [segs]"});
   const char* paper_vals[] = {"-338 (min)", "-10", "+1", "+11",
                               "+144 (max)"};

@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "obs/flight_recorder.h"
 #include "workload/web_workload.h"
 
 using namespace prr;
@@ -25,11 +24,7 @@ int main() {
   opts.threads = 0;  // parallel sweep: byte-identical to serial
   opts.collect_episodes = true;
   exp::ArmResult r = exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  // Episode table primary, RecoveryLog fallback (tracing compiled out);
-  // the mirrored accessor makes the numbers identical either way.
-  util::Samples s = obs::trace_compiled_in()
-                        ? r.episodes.cwnd_minus_ssthresh_exit_segs()
-                        : r.recovery_log.cwnd_minus_ssthresh_exit_segs();
+  util::Samples s = r.episodes.cwnd_minus_ssthresh_exit_segs();
 
   util::Table t({"quantile [%]", "paper [segs]", "measured [segs]"});
   const char* paper[] = {"-8", "-3", "0", "0", "0", "0", "0", "0"};

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "obs/flight_recorder.h"
 #include "workload/web_workload.h"
 
 using namespace prr;
@@ -29,11 +28,7 @@ int main() {
   util::Table t({"arm", "q10", "q25", "q50", "q75", "q90", "q95", "q99",
                  "frac < 3 segs"});
   for (const auto& r : results) {
-    // Episode table primary, RecoveryLog fallback (tracing compiled
-    // out); the mirrored accessor makes the numbers identical either way.
-    util::Samples s = obs::trace_compiled_in()
-                          ? r.episodes.cwnd_after_exit_segs()
-                          : r.recovery_log.cwnd_after_exit_segs();
+    util::Samples s = r.episodes.cwnd_after_exit_segs();
     auto row = bench::quantile_row(r.name, s, qs, 0);
     row.push_back(util::Table::fmt_pct(s.fraction_below(3.0)));
     t.add_row(row);

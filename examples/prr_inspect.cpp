@@ -22,15 +22,11 @@
 //
 // `episodes` and `dump` also take --store FILE (a .prrstore written by a
 // captured sweep, DESIGN.md §14): the same analyses run offline from the
-// persisted records — no re-simulation, and no tracing requirement in
-// the inspecting binary.
+// persisted records — no re-simulation.
 //
 // Arms: prr (default), rfc3517, linux. Defaults: 2000 connections,
 // seed 42 — matching exp::RunOptions, so episode counts line up with
 // the other examples out of the box.
-//
-// Requires tracing compiled in (-DPRR_TRACING=ON, the default); prints
-// a skip message otherwise.
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -301,8 +297,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Store-backed paths first: they need neither a sweep nor tracing in
-  // this binary (records were captured by whoever wrote the store).
+  // Store-backed paths first: they need no sweep (records were captured
+  // by whoever wrote the store).
   if (!store_path.empty()) {
     if (cmd == "diff") {
       std::printf("diff re-runs two arms live and cannot use --store\n");
@@ -323,13 +319,6 @@ int main(int argc, char** argv) {
       return cmd_dump_store(reader, static_cast<uint64_t>(conn));
     }
     return usage();
-  }
-
-  if (!obs::trace_compiled_in()) {
-    std::printf("prr_inspect: tracing compiled out (PRR_TRACING=OFF); "
-                "rebuild with tracing (or pass --store) to use the "
-                "inspector.\n");
-    return 0;
   }
 
   workload::WebWorkload base;

@@ -359,11 +359,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "sweep requires --out PREFIX\n");
       return usage();
     }
-    if (!obs::trace_compiled_in()) {
-      std::printf("prr_query: tracing compiled out (PRR_TRACING=OFF); "
-                  "stores would be empty. Rebuild with tracing.\n");
-      return 0;
-    }
     opts.store_path = out_file;
     opts.capture = capture;
     std::vector<exp::ArmConfig> arms;

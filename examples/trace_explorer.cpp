@@ -156,12 +156,6 @@ int main(int argc, char** argv) {
               (unsigned long long)recorder.total_written(),
               (unsigned long long)recorder.dropped());
 
-  if (!obs::trace_compiled_in()) {
-    std::printf("built with PRR_TRACING=OFF -- the recorder stays empty "
-                "and this walkthrough has nothing to show.\n");
-    return 0;
-  }
-
   std::printf("first records of the fast-recovery episode:\n");
   std::size_t shown = 0;
   bool in_recovery = false;

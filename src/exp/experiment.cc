@@ -301,9 +301,8 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
       local_sim.emplace();
     }
     sim::Simulator& sim = arena ? arena->sim : *local_sim;
-    // Scheduler backend and batch delivery are per-run toggles; the queue
-    // is empty here (fresh or just reset), which set_scheduler requires.
-    sim.set_scheduler(opts.scheduler);
+    // Batch delivery is a per-run toggle, set while the queue is empty
+    // (fresh or just reset).
     sim.set_batch_delivery(opts.batch_delivery);
 
     tcp::Metrics* metrics = result != nullptr ? &result->metrics : nullptr;
@@ -324,6 +323,19 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
                          conn_rng.fork(101), metrics, rlog);
     }
     tcp::Connection& conn = arena ? *arena->conn : *local_conn;
+    // The recorder is detached when the connection ends, normally or by
+    // throwing. A pooled Connection outlives the shard's recorder, and a
+    // timer still armed at the end would otherwise trace its cancel (on
+    // the next reset() or the arena's destruction) into another
+    // connection's ring or into a recorder that no longer exists.
+    struct RecorderDetach {
+      tcp::Connection* conn;
+      ~RecorderDetach() {
+        if (conn == nullptr) return;
+        conn->sender().set_recorder(nullptr, 0);
+        conn->path().set_recorder(nullptr, 0);
+      }
+    } recorder_detach{recorder ? &conn : nullptr};
     if (recorder) {
       conn.sender().set_recorder(recorder, static_cast<uint32_t>(id));
     }

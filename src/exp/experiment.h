@@ -98,12 +98,11 @@ struct QuarantineRecord {
   std::vector<tcp::InvariantViolation> violations;
   std::string exception;  // non-empty if the connection threw
   // Tail of the connection's flight recorder at the moment of failure
-  // (newest RunOptions::trace_tail_records records, oldest first). Empty
-  // in builds with tracing compiled out.
+  // (newest RunOptions::trace_tail_records records, oldest first).
   std::vector<obs::TraceRecord> trace_tail;
   // Recovery episodes reconstructed from the trace tail (ledgers kept):
   // the last one is the culprit — the episode in flight, or closest to,
-  // the moment of failure. Empty when tracing is compiled out.
+  // the moment of failure.
   std::vector<obs::RecoveryEpisode> episodes;
 
   std::string summary() const;
@@ -134,9 +133,9 @@ struct ArmResult {
   tcp::Metrics metrics;
   stats::RecoveryLog recovery_log;
   // Structured recovery episodes derived from each connection's trace
-  // stream (populated only with RunOptions::collect_episodes and tracing
-  // compiled in). Reconciles bit-exactly with `recovery_log` and
-  // `metrics` — bench/episode_gate enforces it.
+  // stream (populated only with RunOptions::collect_episodes).
+  // Reconciles bit-exactly with `recovery_log` and `metrics` —
+  // bench/episode_gate enforces it.
   obs::EpisodeTable episodes;
   stats::LatencyTracker latency;
   sim::Time total_network_transmit_time;
@@ -250,13 +249,6 @@ struct RunOptions {
   bool pool_connections = true;
 
   // --- serial hot path (DESIGN.md §12) ---
-  // Ordering backend for each connection's event queue. kWheel (the
-  // compiled default unless PRR_SCHEDULER_WHEEL_DEFAULT=0) is the O(1)
-  // hierarchical timing wheel; kHeap is the 4-ary min-heap. Pop order —
-  // and therefore every aggregate and digest — is byte-identical between
-  // them (the differential tests in tests/test_timing_wheel.cc and the
-  // bench/scheduler_equivalence_gate enforce it).
-  sim::SchedulerBackend scheduler = sim::kDefaultSchedulerBackend;
   // ACK-train batch delivery + coalesced timer rearms: links deliver
   // contiguous runs of propagating segments per queue event (the clock
   // still advances to each segment's own timestamp before its hook) and
@@ -277,8 +269,7 @@ struct RunOptions {
   int64_t inject_violation_connection = -1;
   uint64_t inject_violation_on_ack = 1;
 
-  // Attach a flight recorder to every connection (a no-op statement per
-  // instrumentation site in builds with PRR_TRACING=OFF). Checked and
+  // Attach a flight recorder to every connection. Checked and
   // replayed connections get a recorder regardless, so quarantine
   // artifacts always carry their event tail. Tracing never changes the
   // simulation: aggregates stay byte-identical with it on or off.
@@ -287,9 +278,9 @@ struct RunOptions {
   uint32_t trace_tail_records = 256;   // tail kept on quarantine/replay
   // Fold every connection's trace stream into ArmResult::episodes (a
   // recorder is attached regardless of `trace`, so the table is
-  // identical with tracing on or off; a no-op when tracing is compiled
-  // out). Episodes are built from a listener on the recorder, so ring
-  // wrap cannot cost episodes on long connections.
+  // identical with tracing on or off). Episodes are built from a
+  // listener on the recorder, so ring wrap cannot cost episodes on long
+  // connections.
   bool collect_episodes = false;
   // --- trace store (DESIGN.md §14) ---
   // When non-empty, persist selected connections' trace rings to a
@@ -333,7 +324,7 @@ struct ReplayResult {
   bool all_acked = false;
   uint64_t acks_checked = 0;
   // Recorder tail from the replayed connection (always captured on a
-  // failing replay; empty when tracing is compiled out).
+  // failing replay).
   std::vector<obs::TraceRecord> trace_tail;
 
   // The replay saw the same failure class the original run recorded.

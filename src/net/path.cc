@@ -47,7 +47,6 @@ void Path::reset(Config config, sim::Rng rng) {
 }
 
 void Path::send_data(Segment&& seg) {
-#if PRR_TRACE_ENABLED
   if (recorder_ != nullptr) {
     uint16_t flags = 0;
     if (seg.is_retransmit) flags |= obs::kWireFlagRetransmit;
@@ -61,7 +60,6 @@ void Path::send_data(Segment&& seg) {
         static_cast<uint8_t>(seg.sacks.size()), flags, seg.seq, seg.len,
         seg.rwnd));
   }
-#endif
   if (wire_tap) wire_tap(seg, /*is_ack=*/false, sim_.now());
   data_link_->send(std::move(seg));
 }
@@ -72,14 +70,12 @@ void Path::send_ack(Segment&& seg) {
     stalled_ack_ = std::move(seg);  // newest ACK supersedes the held one
     return;
   }
-#if PRR_TRACE_ENABLED
   if (recorder_ != nullptr) {
     recorder_->write(obs::make_record(
         sim_.now(), trace_conn_id_, obs::TraceType::kWireAck,
         static_cast<uint8_t>(seg.sacks.size()), 0, seg.ack, seg.len,
         seg.rwnd));
   }
-#endif
   if (wire_tap) wire_tap(seg, /*is_ack=*/true, sim_.now());
   ack_mangler_->on_ack(std::move(seg));
 }

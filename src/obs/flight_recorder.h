@@ -8,9 +8,8 @@
 // first via `operator[]` or take the last N via `tail()`.
 //
 // Instrumentation sites use the PRR_TRACE macro rather than calling
-// write() directly: under -DPRR_TRACE_ENABLED=0 the whole statement —
-// including argument evaluation — compiles away, which is what keeps
-// the "tracing compiled out" build at zero overhead.
+// write() directly: the record's arguments are evaluated only when a
+// recorder is attached.
 #pragma once
 
 #include <cstddef>
@@ -22,24 +21,12 @@
 
 namespace prr::obs {
 
-#ifndef PRR_TRACE_ENABLED
-#define PRR_TRACE_ENABLED 1
-#endif
-
-constexpr bool trace_compiled_in() { return PRR_TRACE_ENABLED != 0; }
-
-#if PRR_TRACE_ENABLED
 // rec is a FlightRecorder*; the remaining arguments are forwarded to
 // make_record and are evaluated only when a recorder is attached.
 #define PRR_TRACE(rec, ...)                                   \
   do {                                                        \
     if (rec) (rec)->write(::prr::obs::make_record(__VA_ARGS__)); \
   } while (0)
-#else
-#define PRR_TRACE(rec, ...) \
-  do {                      \
-  } while (0)
-#endif
 
 class FlightRecorder {
  public:

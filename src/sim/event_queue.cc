@@ -78,15 +78,6 @@ uint32_t EventQueue::acquire_slot() {
 
 void EventQueue::push_entry(Time at, uint64_t seq, uint32_t slot,
                             uint32_t gen) {
-  if (backend_ == SchedulerBackend::kWheel) {
-    // The wheel keeps one intrusive node per slot index: a reschedule
-    // unlinks the old position here (O(1)); a fresh schedule finds the
-    // node already detached and this is a cheap no-op.
-    wheel_.remove_if_linked(slot);
-    wheel_.insert(slot, at.ns(), seq);
-    return;
-  }
-  (void)gen;
   // Reschedule-heavy patterns (a timer re-armed on every ACK) leave
   // stale entries that are only dropped lazily when their old time is
   // reached. If they ever dominate, rebuild the heap from the live
@@ -100,14 +91,6 @@ void EventQueue::push_entry(Time at, uint64_t seq, uint32_t slot,
   }
   heap_.push_back(HeapEntry{at, seq, slot, gen});
   sift_up(heap_.size() - 1);
-}
-
-void EventQueue::set_backend(SchedulerBackend b) {
-  assert(live_ == 0 && "backend switch requires an empty queue");
-  if (b == backend_) return;
-  heap_.clear();
-  wheel_.clear();
-  backend_ = b;
 }
 
 EventId EventQueue::schedule(Time at, EventCallback fn) {
@@ -129,8 +112,7 @@ EventId EventQueue::reschedule(EventId id, Time at) {
   Slot* s = live_slot(id);
   if (s == nullptr) return kInvalidEventId;
   // Re-sequencing under a fresh generation makes the old heap entry
-  // stale in place (the wheel relinks its node instead); the callback
-  // and the slot are untouched.
+  // stale in place; the callback and the slot are untouched.
   bump_gen(*s);
   push_entry(at, next_seq_++, id_index(id), s->gen);
   return make_id(s->gen, id_index(id));
@@ -147,9 +129,6 @@ EventId EventQueue::reschedule_with_seq(EventId id, Time at, uint64_t seq) {
 void EventQueue::cancel(EventId id) {
   Slot* s = live_slot(id);
   if (s == nullptr) return;  // fired/cancelled/never-issued: true no-op
-  if (backend_ == SchedulerBackend::kWheel) {
-    wheel_.remove_if_linked(id_index(id));
-  }
   s->fn.reset();  // release captures now, not at lazy heap pop
   s->live = false;
   bump_gen(*s);
@@ -158,8 +137,7 @@ void EventQueue::cancel(EventId id) {
   --live_;
   // With nothing pending, every remaining heap entry is stale — drop
   // them all now (capacity is kept) rather than waiting for lazy pops
-  // that may never come. The wheel unlinked eagerly, so it is already
-  // structurally empty.
+  // that may never come.
   if (live_ == 0) heap_.clear();
 }
 
@@ -174,7 +152,6 @@ void EventQueue::clear() {
     free_head_ = i;
   }
   heap_.clear();
-  wheel_.clear();
   live_ = 0;
   next_seq_ = 1;
 }
@@ -187,23 +164,12 @@ void EventQueue::drop_stale_head() const {
 
 Time EventQueue::next_time() const {
   if (live_ == 0) return Time::infinite();
-  if (backend_ == SchedulerBackend::kWheel) {
-    const TimingWheel::MinRef* m = wheel_.find_min();
-    assert(m != nullptr);
-    return Time::nanoseconds(m->at);
-  }
   drop_stale_head();
   return heap_.empty() ? Time::infinite() : heap_.front().at;
 }
 
 bool EventQueue::next_is_after(Time at, uint64_t seq) const {
   if (live_ == 0) return true;
-  if (backend_ == SchedulerBackend::kWheel) {
-    const TimingWheel::MinRef* m = wheel_.find_min();
-    assert(m != nullptr);
-    if (Time::nanoseconds(m->at) != at) return Time::nanoseconds(m->at) > at;
-    return m->seq > seq;
-  }
   drop_stale_head();
   if (heap_.empty()) return true;
   const HeapEntry& head = heap_.front();
@@ -212,22 +178,11 @@ bool EventQueue::next_is_after(Time at, uint64_t seq) const {
 }
 
 Time EventQueue::run_next() {
-  Time at;
-  uint32_t slot;
-  if (backend_ == SchedulerBackend::kWheel) {
-    const TimingWheel::MinRef* m = wheel_.find_min();
-    assert(m != nullptr);
-    at = Time::nanoseconds(m->at);
-    slot = m->idx;
-    wheel_.pop_found();
-  } else {
-    drop_stale_head();
-    assert(!heap_.empty());
-    const HeapEntry head = heap_.front();
-    pop_head();
-    at = head.at;
-    slot = head.slot;
-  }
+  drop_stale_head();
+  assert(!heap_.empty());
+  const HeapEntry head = heap_.front();
+  pop_head();
+  const uint32_t slot = head.slot;
 
   Slot& s = slots_[slot];
   // Move the callback out before releasing the slot: the callback may
@@ -238,10 +193,10 @@ Time EventQueue::run_next() {
   s.next_free = free_head_;
   free_head_ = slot;
   --live_;
-  if (live_ == 0) heap_.clear();  // wheel already structurally empty
+  if (live_ == 0) heap_.clear();
 
   fn();
-  return at;
+  return head.at;
 }
 
 }  // namespace prr::sim

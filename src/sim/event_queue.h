@@ -1,33 +1,19 @@
 // Event queue built for allocation-free steady-state operation: a
 // generation-tagged slot map holds the callbacks (free-listed slots, so
 // schedule/fire/cancel recycle storage instead of allocating), and a
-// pluggable ordering backend provides (time, seq) ordering — equal times
-// fire in scheduling order via the seq tie-breaker, exactly as the
+// 4-ary min-heap of (time, seq, slot, gen) entries orders them. Equal
+// times fire in scheduling order via the seq tie-breaker, exactly as the
 // original heap-of-std::function design did.
-//
-// Two backends exist, selectable per queue while empty (DESIGN.md §12):
-//   kHeap  — 4-ary min-heap of (time, seq, slot, gen) entries.
-//   kWheel — hierarchical timing wheel (sim/timing_wheel.h): O(1)
-//            schedule/cancel/reschedule via intrusive per-slot lists
-//            with the same global seq tie-break, overflow levels
-//            cascading on advance. Cancels unlink eagerly, so the wheel
-//            holds no stale entries and never churns memory under
-//            reschedule-heavy timer traffic.
-// Both implement the identical strict total order (time, seq), so pop
-// order is byte-identical between them (asserted by the differential
-// tests in tests/test_timing_wheel.cc). The compile-time default comes
-// from the PRR_SCHEDULER_WHEEL_DEFAULT CMake option; RunOptions can
-// override it per run.
 //
 // An EventId packs (generation << 32 | slot index). The generation bumps
 // whenever the slot's pending event is fired, cancelled or rescheduled,
 // so a stale id can never touch a recycled slot: cancel() and
 // reschedule() are O(1) array probes that no-op on dead ids. Heap
 // entries whose generation no longer matches their slot are skipped
-// lazily on pop; wheel entries are unlinked eagerly instead. Callbacks are util::InlineFunction, so the typical
+// lazily on pop. Callbacks are util::InlineFunction, so the typical
 // capture (`this` plus a slot index or a Time) lives inside the slot —
 // no per-event heap allocation anywhere in the schedule/fire/cancel
-// cycle once the slot and backend vectors have reached steady capacity.
+// cycle once the slot and heap vectors have reached steady capacity.
 //
 // Batch-delivery support (DESIGN.md §12): take_seq() hands out the next
 // FIFO sequence number without scheduling, and schedule_with_seq() /
@@ -42,7 +28,6 @@
 #include <vector>
 
 #include "sim/time.h"
-#include "sim/timing_wheel.h"
 #include "util/inline_function.h"
 
 namespace prr::sim {
@@ -53,17 +38,6 @@ inline constexpr EventId kInvalidEventId = 0;
 // 48 bytes of inline capture space: enough for a std::function being
 // forwarded, or `this` + a couple of words, with headroom.
 using EventCallback = util::InlineFunction<void(), 48>;
-
-enum class SchedulerBackend : uint8_t { kHeap, kWheel };
-
-#ifdef PRR_SCHEDULER_WHEEL_DEFAULT
-inline constexpr SchedulerBackend kDefaultSchedulerBackend =
-    PRR_SCHEDULER_WHEEL_DEFAULT ? SchedulerBackend::kWheel
-                                : SchedulerBackend::kHeap;
-#else
-inline constexpr SchedulerBackend kDefaultSchedulerBackend =
-    SchedulerBackend::kWheel;
-#endif
 
 class EventQueue {
  public:
@@ -102,14 +76,9 @@ class EventQueue {
   // cannot overtake any queued event.
   bool next_is_after(Time at, uint64_t seq) const;
 
-  // Selects the ordering backend. Only callable while the queue is empty
-  // (construction, or between clear() and the first schedule).
-  void set_backend(SchedulerBackend b);
-  SchedulerBackend backend() const { return backend_; }
-
   // Drops every pending event and restarts the FIFO sequence counter, so
   // the queue behaves exactly like a freshly constructed one (equal-time
-  // tie-breaking included) while keeping slot and backend capacity. Live
+  // tie-breaking included) while keeping slot and heap capacity. Live
   // slots get their generation bumped, so any EventId issued before
   // clear() — including Timer handles held by pooled objects — goes
   // stale and cancel()/reschedule() on it is a safe no-op.
@@ -159,16 +128,13 @@ class EventQueue {
 
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNilIndex;
-  // kHeap backend: 4-ary min-heap on (at, seq) — shallower and more
+  // 4-ary min-heap on (at, seq) — shallower and more
   // cache-friendly than the binary std::push_heap/pop_heap it replaces,
   // with the identical pop order ((at, seq) is a strict total order, so
   // every correct heap agrees on it). Entries for cancelled/rescheduled
   // events go stale in place and are dropped lazily; live_ counts the
   // real pending events so size() and empty() stay exact.
   mutable std::vector<HeapEntry> heap_;
-  // kWheel backend (mutable: peeking may cascade overflow slots).
-  mutable TimingWheel wheel_;
-  SchedulerBackend backend_ = kDefaultSchedulerBackend;
   std::size_t live_ = 0;
   uint64_t next_seq_ = 1;
 };

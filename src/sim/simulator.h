@@ -43,9 +43,6 @@ class Simulator {
   // Set before the run (idle simulator); per-event and batch mode are
   // observation-equivalent, so this is a performance toggle only.
   void set_batch_delivery(bool on) { batch_delivery_ = on; }
-  // Ordering backend for the event queue; only while no events pending.
-  void set_scheduler(SchedulerBackend b) { queue_.set_backend(b); }
-  SchedulerBackend scheduler() const { return queue_.backend(); }
 
   // Draws the next FIFO seq without scheduling (see EventQueue::take_seq).
   uint64_t take_seq() { return queue_.take_seq(); }
@@ -89,10 +86,10 @@ class Simulator {
 
   // Returns the simulator to its freshly-constructed state (clock at
   // zero, no pending events, no profiler tap) while keeping the event
-  // queue's slot/backend capacity and the configured scheduler and
-  // batch-delivery mode. EventIds issued before reset() are stale
-  // afterwards and safe to cancel/reschedule (no-ops), which is what
-  // lets pooled Timers survive across connections.
+  // queue's slot/heap capacity and the configured batch-delivery mode.
+  // EventIds issued before reset() are stale afterwards and safe to
+  // cancel/reschedule (no-ops), which is what lets pooled Timers survive
+  // across connections.
   void reset();
 
   // Self-profiling tap (obs::SelfProfiler): when set, step() wall-clock

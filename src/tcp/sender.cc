@@ -157,7 +157,6 @@ void Sender::set_recorder(obs::FlightRecorder* recorder, uint32_t conn_id) {
   recorder_ = recorder;
   conn_id_ = conn_id;
   traced_state_ = state_;
-#if PRR_TRACE_ENABLED
   const struct {
     sim::Timer* timer;
     uint8_t id;
@@ -180,7 +179,6 @@ void Sender::set_recorder(obs::FlightRecorder* recorder, uint32_t conn_id) {
                 id, 0, static_cast<uint64_t>(expiry.ns()));
     });
   }
-#endif
 }
 
 void Sender::write(uint64_t bytes) {
@@ -377,7 +375,6 @@ void Sender::process_ack(const net::Segment& ack) {
   if (ack.rwnd != 0) peer_rwnd_ = ack.rwnd;
   if (ack.ack < snd_una_) return;  // ancient ACK: ignore
 
-#if PRR_TRACE_ENABLED
   if (recorder_ != nullptr) {
     for (const net::SackBlock& blk : ack.sacks) {
       recorder_->write(obs::make_record(sim_.now(), conn_id_,
@@ -390,7 +387,6 @@ void Sender::process_ack(const net::Segment& ack) {
                                         ack.dsack->start, ack.dsack->end));
     }
   }
-#endif
 
   burst_in_progress_ = 0;
 
@@ -508,7 +504,6 @@ void Sender::process_ack(const net::Segment& ack) {
   }
   maybe_arm_persist();
 
-#if PRR_TRACE_ENABLED
   if (recorder_ != nullptr) {
     recorder_->write(obs::make_record(
         sim_.now(), conn_id_, obs::TraceType::kAck,
@@ -525,7 +520,6 @@ void Sender::process_ack(const net::Segment& ack) {
       }
     }
   }
-#endif
 
   if (on_post_ack_hook) on_post_ack_hook(ack);
 }

@@ -68,7 +68,7 @@ struct CampaignFailure {
   std::vector<std::string> kinds;  // failure signature (sorted, unique)
   std::string summary;             // human-readable original finding
   // Perfetto JSON of the original quarantine's trace tail (empty for
-  // cross-arm divergences and in builds with tracing compiled out);
+  // cross-arm divergences);
   // excluded from summary_json() so the summary stays deterministic
   // across trace configurations.
   std::string trace_json;

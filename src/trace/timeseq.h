@@ -36,8 +36,6 @@ class TimeSeqTrace {
   // Subscribes to the connection's flight recorder via its Instrument:
   // kTransmit, kUnaAdvance, and kSackSeen records become TraceEvents as
   // they are written. The trace must outlive the instrumented traffic.
-  // (Requires a tracing-enabled build — with PRR_TRACING=OFF the
-  // recorder receives no sender records and the trace stays empty.)
   void attach(obs::Instrument& instrument);
 
   void record(TraceEvent e) { events_.push_back(e); }

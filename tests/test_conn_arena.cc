@@ -6,11 +6,18 @@
 // populations alike, serial and parallel.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <map>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "exp/experiment.h"
 #include "exp/scenarios.h"
+#include "obs/store/store_format.h"
+#include "obs/store/store_reader.h"
 #include "workload/video_workload.h"
 #include "workload/web_workload.h"
 
@@ -126,6 +133,64 @@ TEST(ConnArena, PooledEqualsFreshTraced) {
   opts.trace = true;
   opts.collect_episodes = true;
   expect_identical(run(pop, opts, false), run(pop, opts, true));
+}
+
+// Video connections cut off by per_connection_limit end with their RTO
+// still armed. The pooled arena's Sender outlives the recorder of its
+// connection range, so the cancel of that timer on the next reset() (or
+// on the arena's destruction after the sweep) must not be traced: not
+// into the next connection's ring, and not into a recorder that is
+// gone (a use-after-scope under ASan). Stores captured with policy
+// "all" must be byte-identical pooled and fresh.
+TEST(ConnArena, PooledEqualsFreshCapturedWithArmedTimers) {
+  workload::VideoWorkload pop;
+  RunOptions opts;
+  opts.connections = 24;
+  opts.seed = 14;
+  opts.per_connection_limit = sim::Time::seconds(3);
+  opts.capture = "all";
+
+  auto store_bytes = [&](bool pool) {
+    RunOptions o = opts;
+    o.store_path = testing::TempDir() + "prr_arena_armed_" +
+                   (pool ? "pooled" : "fresh") + ".prrstore";
+    run(pop, o, pool);
+    const std::string path =
+        obs::store_path_for_arm(o.store_path, ArmConfig::prr_arm().name);
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    return std::make_pair(path, bytes);
+  };
+  const auto [fresh_path, fresh] = store_bytes(false);
+  const auto [pooled_path, pooled] = store_bytes(true);
+  ASSERT_FALSE(fresh.empty());
+  EXPECT_TRUE(fresh == pooled) << "store bytes differ, pooled vs fresh";
+
+  // The case must really occur: some connection's last record for a
+  // timer is its arming, with no fire or cancel after it.
+  obs::StoreReader reader;
+  std::string err;
+  ASSERT_TRUE(obs::StoreReader::open(fresh_path, &reader, &err)) << err;
+  int ended_armed = 0;
+  for (const uint64_t conn : reader.connections()) {
+    std::vector<obs::TraceRecord> recs;
+    ASSERT_TRUE(reader.read_connection(conn, &recs));
+    std::map<uint8_t, obs::TraceType> last_op;  // timer id -> last op
+    for (const obs::TraceRecord& r : recs) {
+      if (r.type == obs::TraceType::kTimerSchedule ||
+          r.type == obs::TraceType::kTimerFire ||
+          r.type == obs::TraceType::kTimerCancel) {
+        last_op[r.a] = r.type;
+      }
+    }
+    for (const auto& [timer, op] : last_op) {
+      if (op == obs::TraceType::kTimerSchedule) ++ended_armed;
+    }
+  }
+  EXPECT_GT(ended_armed, 0);
+  std::remove(fresh_path.c_str());
+  std::remove(pooled_path.c_str());
 }
 
 }  // namespace

@@ -191,54 +191,109 @@ TEST(EventQueue, RescheduleKeepsFifoParityWithCancelPlusSchedule) {
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
 }
 
-// Differential test: the slot-map queue against a naive sorted-vector
+// Differential test: the slot-map queue against a naive unordered-vector
 // model, through a long randomized schedule/cancel/reschedule/run
-// workload including stale ids and equal-time groups.
+// workload including stale ids, equal-time groups, delays spanning
+// 0 .. 2^55 ns, and batch delivery's pre-drawn seqs (take_seq, then
+// schedule_with_seq / reschedule_with_seq later — i.e. inserts that
+// arrive out of global seq order). next_time() and next_is_after() are
+// checked against the model after every step.
 TEST(EventQueue, RandomizedDifferentialAgainstNaiveModel) {
   struct ModelEvent {
-    int64_t at_ms;
+    int64_t at_ns;
     uint64_t seq;
     int tag;
   };
+  // Mostly near, sometimes very far, often ties (0 or a repeated delay).
+  static constexpr int64_t kDelays[] = {
+      0, 0, 1, 1, 7, 63, 64, 65, 1000, 1000, 4095, 4096,
+      1'000'000, 262'144, 1'000'000'000, 40'000'000'000,
+      (int64_t{1} << 40), (int64_t{1} << 55)};
   std::mt19937_64 rng(20110501);
   for (int round = 0; round < 20; ++round) {
     EventQueue q;
     std::vector<ModelEvent> model;  // unordered; popped by (at, seq)
-    uint64_t next_seq = 1;
+    uint64_t next_seq = 1;          // mirrors the queue's FIFO counter
+    int64_t now_ns = 0;             // time of the last fired event
     // Live (queue id, model seq) pairs plus retired ids for stale probes.
     std::vector<std::pair<EventId, uint64_t>> live;
     std::vector<EventId> stale;
+    // Seqs drawn with take_seq() and not yet used.
+    std::vector<uint64_t> stashed;
     std::vector<int> queue_fired, model_fired;
     int next_tag = 0;
 
-    auto model_pop = [&]() {
+    auto draw_at = [&]() {
+      // Half the time an absolute time in a small window, so equal-time
+      // groups form; otherwise now + a delay from the wide spread.
+      if (rng() % 2 == 0) {
+        return static_cast<int64_t>(rng() % 16) * 1'000'000;
+      }
+      return now_ns + kDelays[rng() % std::size(kDelays)];
+    };
+    auto model_min = [&]() {
       std::size_t best = 0;
       for (std::size_t i = 1; i < model.size(); ++i) {
-        if (model[i].at_ms < model[best].at_ms ||
-            (model[i].at_ms == model[best].at_ms &&
+        if (model[i].at_ns < model[best].at_ns ||
+            (model[i].at_ns == model[best].at_ns &&
              model[i].seq < model[best].seq)) {
           best = i;
         }
       }
+      return best;
+    };
+    auto model_pop = [&]() {
+      const std::size_t best = model_min();
       ModelEvent e = model[best];
       model.erase(model.begin() + static_cast<std::ptrdiff_t>(best));
       return e;
     };
+    auto schedule = [&](int64_t at_ns, uint64_t seq, bool pre_drawn) {
+      const int tag = next_tag++;
+      auto fn = [&queue_fired, tag] { queue_fired.push_back(tag); };
+      const EventId id =
+          pre_drawn ? q.schedule_with_seq(Time::nanoseconds(at_ns), seq, fn)
+                    : q.schedule(Time::nanoseconds(at_ns), fn);
+      model.push_back({at_ns, seq, tag});
+      live.emplace_back(id, seq);
+    };
+    auto reschedule = [&](std::size_t i, int64_t at_ns, uint64_t seq,
+                          bool pre_drawn) {
+      const EventId moved =
+          pre_drawn
+              ? q.reschedule_with_seq(live[i].first, Time::nanoseconds(at_ns),
+                                      seq)
+              : q.reschedule(live[i].first, Time::nanoseconds(at_ns));
+      ASSERT_NE(moved, kInvalidEventId);
+      stale.push_back(live[i].first);
+      for (auto& e : model) {
+        if (e.seq == live[i].second) {
+          e.at_ns = at_ns;
+          e.seq = seq;
+        }
+      }
+      live[i] = {moved, seq};
+    };
 
-    for (int step = 0; step < 400; ++step) {
+    for (int step = 0; step < 1000; ++step) {
       const uint64_t action = rng() % 100;
-      if (action < 45 || live.empty()) {
-        // Schedule. Times collide on purpose (mod 16) to exercise FIFO.
-        const int64_t at_ms = static_cast<int64_t>(rng() % 16);
-        const int tag = next_tag++;
-        EventId id = q.schedule(Time::milliseconds(at_ms),
-                                [&queue_fired, tag] {
-                                  queue_fired.push_back(tag);
-                                });
-        model.push_back({at_ms, next_seq, tag});
-        live.emplace_back(id, next_seq);
-        ++next_seq;
-      } else if (action < 60) {
+      if (action < 8) {
+        // Pre-draw a seq; a later step materializes it.
+        EXPECT_EQ(q.take_seq(), next_seq);
+        stashed.push_back(next_seq++);
+      } else if (action < 16 && !stashed.empty()) {
+        // Materialize a pre-drawn seq as a schedule or a reschedule.
+        const std::size_t k = rng() % stashed.size();
+        const uint64_t seq = stashed[k];
+        stashed.erase(stashed.begin() + static_cast<std::ptrdiff_t>(k));
+        if (rng() % 2 == 0 || live.empty()) {
+          schedule(draw_at(), seq, /*pre_drawn=*/true);
+        } else {
+          reschedule(rng() % live.size(), draw_at(), seq, /*pre_drawn=*/true);
+        }
+      } else if (action < 45 || live.empty()) {
+        schedule(draw_at(), next_seq++, /*pre_drawn=*/false);
+      } else if (action < 58) {
         // Cancel a live event.
         const std::size_t i = rng() % live.size();
         q.cancel(live[i].first);
@@ -248,42 +303,47 @@ TEST(EventQueue, RandomizedDifferentialAgainstNaiveModel) {
           return e.seq == seq;
         });
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-      } else if (action < 72) {
+      } else if (action < 70) {
         // Reschedule a live event: same tag, new time, fresh seq.
-        const std::size_t i = rng() % live.size();
-        const int64_t at_ms = static_cast<int64_t>(rng() % 16);
-        EventId moved = q.reschedule(live[i].first, Time::milliseconds(at_ms));
-        ASSERT_NE(moved, kInvalidEventId);
-        stale.push_back(live[i].first);
-        for (auto& e : model) {
-          if (e.seq == live[i].second) {
-            e.at_ms = at_ms;
-            e.seq = next_seq;
-          }
-        }
-        live[i] = {moved, next_seq};
-        ++next_seq;
-      } else if (action < 82 && !stale.empty()) {
-        // Poke with stale ids: cancel and reschedule must both no-op.
+        reschedule(rng() % live.size(), draw_at(), next_seq++,
+                   /*pre_drawn=*/false);
+      } else if (action < 80 && !stale.empty()) {
+        // Poke with stale ids: every mutator must no-op.
         const EventId id = stale[rng() % stale.size()];
         q.cancel(id);
         EXPECT_EQ(q.reschedule(id, Time::milliseconds(1)), kInvalidEventId);
+        EXPECT_EQ(q.reschedule_with_seq(id, Time::milliseconds(1), 1),
+                  kInvalidEventId);
       } else if (!q.empty()) {
         // Run the earliest event; drop it from the live set.
         const Time t = q.run_next();
         const ModelEvent e = model_pop();
         model_fired.push_back(e.tag);
-        EXPECT_EQ(t.ms(), e.at_ms);
+        EXPECT_EQ(t.ns(), e.at_ns);
+        now_ns = e.at_ns;
         std::erase_if(live, [&](const auto& p) { return p.second == e.seq; });
       }
+      if (HasFatalFailure()) return;
       ASSERT_EQ(q.size(), model.size());
       ASSERT_EQ(q.empty(), model.empty());
-      if (!model.empty()) {
-        int64_t best = model[0].at_ms;
-        for (const auto& e : model) best = std::min(best, e.at_ms);
-        ASSERT_EQ(q.next_time().ms(), best);
-      } else {
+      if (model.empty()) {
         ASSERT_TRUE(q.next_time().is_infinite());
+        ASSERT_TRUE(q.next_is_after(Time::nanoseconds(now_ns), next_seq));
+        continue;
+      }
+      const ModelEvent& head = model[model_min()];
+      ASSERT_EQ(q.next_time().ns(), head.at_ns);
+      // Probe next_is_after() at and around the head key, where the
+      // strict (at, seq) comparison flips.
+      for (const int64_t dt : {-1, 0, 1}) {
+        for (const int64_t ds : {-1, 0, 1}) {
+          const int64_t at = head.at_ns + dt;
+          const uint64_t seq = head.seq + static_cast<uint64_t>(ds);
+          const bool want =
+              head.at_ns != at ? head.at_ns > at : head.seq > seq;
+          ASSERT_EQ(q.next_is_after(Time::nanoseconds(at), seq), want)
+              << "probe (" << at << ", " << seq << ")";
+        }
       }
     }
     // Drain.
@@ -291,7 +351,7 @@ TEST(EventQueue, RandomizedDifferentialAgainstNaiveModel) {
       const Time t = q.run_next();
       const ModelEvent e = model_pop();
       model_fired.push_back(e.tag);
-      EXPECT_EQ(t.ms(), e.at_ms);
+      EXPECT_EQ(t.ns(), e.at_ns);
     }
     EXPECT_EQ(queue_fired, model_fired);
   }

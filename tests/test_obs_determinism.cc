@@ -81,13 +81,10 @@ TEST(ObsDeterminism, AggregatesIdenticalTracingOnOrOff) {
   // The deterministic registry sections are also unaffected by tracing.
   EXPECT_EQ(r_off.registry.find_counter("tcp.retransmits_total")->value(),
             r_on.registry.find_counter("tcp.retransmits_total")->value());
-  if (obs::trace_compiled_in()) {
-    ASSERT_NE(r_on.registry.find_counter("obs.trace.records_written"),
-              nullptr);
-    EXPECT_GT(
-        r_on.registry.find_counter("obs.trace.records_written")->value(),
-        0u);
-  }
+  ASSERT_NE(r_on.registry.find_counter("obs.trace.records_written"),
+            nullptr);
+  EXPECT_GT(r_on.registry.find_counter("obs.trace.records_written")->value(),
+            0u);
 }
 
 TEST(ObsDeterminism, TracedAggregatesAndRegistryThreadCountInvariant) {
@@ -162,29 +159,23 @@ TEST(ObsDeterminism, QuarantineCarriesTraceTail) {
 
   const std::string json = rec.trace_json();
   EXPECT_TRUE(obs::json_valid(json)) << json;
-  if (obs::trace_compiled_in()) {
-    ASSERT_FALSE(rec.trace_tail.empty());
-    // The tail ends at the failure: its last records include the
-    // invariant-violation record the checker wrote.
-    bool saw_violation = false;
-    for (const auto& t : rec.trace_tail) {
-      if (t.type == obs::TraceType::kInvariant) saw_violation = true;
-      EXPECT_EQ(t.conn, 11u);
-    }
-    EXPECT_TRUE(saw_violation);
-    EXPECT_NE(json.find("\"name\":\"invariant\""), std::string::npos);
-  } else {
-    EXPECT_TRUE(rec.trace_tail.empty());
+  ASSERT_FALSE(rec.trace_tail.empty());
+  // The tail ends at the failure: its last records include the
+  // invariant-violation record the checker wrote.
+  bool saw_violation = false;
+  for (const auto& t : rec.trace_tail) {
+    if (t.type == obs::TraceType::kInvariant) saw_violation = true;
+    EXPECT_EQ(t.conn, 11u);
   }
+  EXPECT_TRUE(saw_violation);
+  EXPECT_NE(json.find("\"name\":\"invariant\""), std::string::npos);
 
   // Replay reproduces the failure and returns the same tail shape.
   exp::Experiment experiment(pop, opts);
   const exp::ReplayResult replay =
       experiment.replay(exp::ArmConfig::prr_arm(), rec);
   EXPECT_TRUE(replay.reproduced(rec));
-  if (obs::trace_compiled_in()) {
-    EXPECT_FALSE(replay.trace_tail.empty());
-  }
+  EXPECT_FALSE(replay.trace_tail.empty());
 }
 
 }  // namespace

@@ -26,12 +26,6 @@ constexpr uint32_t kMss = 1000;
 
 class EpisodeBuilderTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!trace_compiled_in()) {
-      GTEST_SKIP() << "tracing compiled out (PRR_TRACING=OFF)";
-    }
-  }
-
   void make(tcp::RecoveryKind kind) {
     tcp::SenderConfig cfg;
     cfg.mss = kMss;
@@ -193,12 +187,6 @@ TEST_F(EpisodeBuilderTest, StreamEndMidRecoveryTruncates) {
 
 class EpisodeSweepTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!trace_compiled_in()) {
-      GTEST_SKIP() << "tracing compiled out (PRR_TRACING=OFF)";
-    }
-  }
-
   static exp::RunOptions base_opts() {
     exp::RunOptions opts;
     opts.connections = 600;

@@ -112,14 +112,9 @@ TEST(TraceMacro, NullRecorderIsANoOpAndSkipsArgumentEvaluation) {
   FlightRecorder ring(4);
   rec = &ring;
   PRR_TRACE(rec, sim::Time::zero(), 0, TraceType::kAck, 0, 0, arg());
-  if (trace_compiled_in()) {
-    EXPECT_EQ(evaluated, 1);
-    EXPECT_EQ(ring.total_written(), 1u);
-    EXPECT_EQ(ring[0].f[0], 7u);
-  } else {
-    EXPECT_EQ(evaluated, 0);
-    EXPECT_EQ(ring.total_written(), 0u);
-  }
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_EQ(ring.total_written(), 1u);
+  EXPECT_EQ(ring[0].f[0], 7u);
 }
 
 TEST(TraceRecord, DescribeNamesEveryType) {

@@ -448,9 +448,6 @@ exp::RunOptions store_opts(const std::string& store_name) {
 }
 
 TEST(StoreLive, RecordsMatchTraceConnection) {
-  if (!obs::trace_compiled_in()) {
-    GTEST_SKIP() << "tracing compiled out (PRR_TRACING=OFF)";
-  }
   workload::WebWorkload pop;
   const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
   exp::RunOptions opts = store_opts("live_diff.prrstore");
@@ -479,9 +476,6 @@ TEST(StoreLive, RecordsMatchTraceConnection) {
 }
 
 TEST(StoreLive, EpisodesFromStoreReconcile) {
-  if (!obs::trace_compiled_in()) {
-    GTEST_SKIP() << "tracing compiled out (PRR_TRACING=OFF)";
-  }
   workload::WebWorkload pop;
   const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
   exp::RunOptions opts = store_opts("episodes.prrstore");
@@ -556,9 +550,6 @@ TEST(StoreLive, MergeOfRangeShardsIsByteIdentical) {
 }
 
 TEST(StoreLive, AggregateAndSeriesQueries) {
-  if (!obs::trace_compiled_in()) {
-    GTEST_SKIP() << "tracing compiled out (PRR_TRACING=OFF)";
-  }
   workload::WebWorkload pop;
   const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
   exp::RunOptions opts = store_opts("query.prrstore");

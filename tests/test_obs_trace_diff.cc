@@ -75,14 +75,7 @@ class ScriptedArm {
   std::unique_ptr<tcp::Sender> sender_;
 };
 
-class TraceDiffTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!trace_compiled_in()) {
-      GTEST_SKIP() << "tracing compiled out (PRR_TRACING=OFF)";
-    }
-  }
-};
+class TraceDiffTest : public ::testing::Test {};
 
 TEST_F(TraceDiffTest, SingleLossPrrVsRfc3517DivergesAtEntryRetransmit) {
   ScriptedArm prr(tcp::RecoveryKind::kPrr);

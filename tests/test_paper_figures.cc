@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "exp/scenarios.h"
-#include "obs/trace_record.h"
 
 namespace prr::exp {
 namespace {
@@ -59,7 +58,6 @@ TEST(Fig2, LinuxEndsRecoveryWithTinyWindowAndSlowStarts) {
 
 TEST(Fig2, Rfc3517ShowsHalfRttSilenceAfterFirstRetransmit) {
   // The time-sequence trace is fed from the flight recorder.
-  if (!obs::trace_compiled_in()) GTEST_SKIP() << "tracing compiled out";
   FigureRun run = run_figure_scenario(FigureScenario::fig2(
       RecoveryKind::kRfc3517));
   const auto retx = run.trace.retransmits();
@@ -136,11 +134,9 @@ TEST(Fig4, PrrBanksSendingOpportunitiesAcrossAppStall) {
   EXPECT_EQ(run.metrics.timeouts_total, 0u);
   EXPECT_EQ(run.metrics.fast_recovery_events, 1u);
   EXPECT_EQ(run.metrics.retransmits_total, 1u);
-  if (obs::trace_compiled_in()) {  // the trace is recorder-fed
-    const int burst = run.trace.max_burst(2_ms);
-    EXPECT_GE(burst, 2);   // the bank is released as a small burst
-    EXPECT_LE(burst, 21);  // bounded: not the whole window at once
-  }
+  const int burst = run.trace.max_burst(2_ms);
+  EXPECT_GE(burst, 2);   // the bank is released as a small burst
+  EXPECT_LE(burst, 21);  // bounded: not the whole window at once
   ASSERT_GE(run.recovery_log.count(), 1u);
   EXPECT_GE(run.recovery_log.events()[0].max_burst_segments, 2u);
 }
@@ -154,7 +150,6 @@ TEST(Fig4, SecondWriteDeliveredPromptlyDespiteStall) {
 
 TEST(Scenarios, TracesAreNonEmptyAndRenderable) {
   // The time-sequence trace is fed from the flight recorder.
-  if (!obs::trace_compiled_in()) GTEST_SKIP() << "tracing compiled out";
   FigureRun run = run_figure_scenario(FigureScenario::fig2(
       RecoveryKind::kPrr));
   EXPECT_GT(run.trace.events().size(), 30u);
