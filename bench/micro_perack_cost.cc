@@ -4,7 +4,8 @@
 // factors matter. Also benchmarks a full simulated connection with the
 // invariant checker detached vs attached: detached must cost nothing
 // (the checker is attach-only), attached costs one indirect call plus
-// the checks per ACK.
+// the checks per ACK. BM_RngFirstDraw/BM_RngPrime price a fresh
+// per-connection RNG stream up to its first value.
 #include <benchmark/benchmark.h>
 
 #include "core/prr.h"
@@ -13,6 +14,7 @@
 #include "net/segment.h"
 #include "obs/flight_recorder.h"
 #include "obs/instrument.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "tcp/connection.h"
 #include "tcp/invariants.h"
@@ -242,6 +244,41 @@ void BM_ScoreboardCounters(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScoreboardCounters)->Arg(32)->Arg(128)->Arg(512);
+
+// Cost of a fresh per-connection stream up to its first value: fork,
+// seed what the first draw reads, twist once. Every sampled connection
+// pays this for each stream that draws.
+void BM_RngFirstDraw(benchmark::State& state) {
+  const prr::sim::Rng root(20110501);
+  uint64_t stream = 0;
+  AllocsPerOp allocs(state);
+  for (auto _ : state) {
+    prr::sim::Rng r = root.fork(++stream);
+    benchmark::DoNotOptimize(r.uniform());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngFirstDraw);
+
+// N fresh streams seeded in one lockstep group (Rng::prime), then one
+// draw from each. Compare the per-stream rate against BM_RngFirstDraw.
+void BM_RngPrime(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const prr::sim::Rng root(20110501);
+  uint64_t stream = 0;
+  AllocsPerOp allocs(state);
+  for (auto _ : state) {
+    prr::sim::Rng r[4] = {root.fork(++stream), root.fork(++stream),
+                          root.fork(++stream), root.fork(++stream)};
+    prr::sim::Rng::prime({&r[0], n > 1 ? &r[1] : nullptr,
+                          n > 2 ? &r[2] : nullptr, n > 3 ? &r[3] : nullptr});
+    for (std::size_t k = 0; k < n; ++k) {
+      benchmark::DoNotOptimize(r[k].uniform());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_RngPrime)->DenseRange(1, 4);
 
 // Full connection (100 kB over a clean 10 Mbps / 40 ms path), with the
 // invariant checker off (Arg 0) vs attached (Arg 1). Arg 0 must match

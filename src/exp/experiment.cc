@@ -350,30 +350,40 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
       profiler.attach(conn.sender());
     }
 
-    // Network impairments, seeded independently of the arm. Clean paths
-    // (the common case in pooled sweeps) skip the composite allocation
-    // entirely.
+    // Network impairments, seeded independently of the arm. The path
+    // streams that will draw are seeded in one lockstep group. Clean
+    // paths (the common case in pooled sweeps) skip the composite
+    // allocation entirely.
     {
       const bool ge_loss =
           sample.loss.p_good_to_bad > 0 || sample.loss.loss_in_good > 0;
+      const bool reorder = sample.reorder_prob > 0;
+      sim::Rng loss_rng = conn_rng.fork(102);
+      sim::Rng reorder_rng = conn_rng.fork(103);
+      sim::Rng outage_rng = conn_rng.fork(104);
+      sim::Rng::prime(
+          {sample.ack_loss_prob > 0 ? &conn.path().ack_mangler().rng()
+                                    : nullptr,
+           ge_loss ? &loss_rng : nullptr, reorder ? &reorder_rng : nullptr,
+           sample.outages ? &outage_rng : nullptr});
       if (ge_loss || sample.outages) {
         auto composite = std::make_unique<net::CompositeLoss>();
         if (ge_loss) {
           composite->add(std::make_unique<net::GilbertElliottLoss>(
-              sample.loss, conn_rng.fork(102)));
+              sample.loss, loss_rng));
         }
         if (sample.outages) {
           composite->add(std::make_unique<net::OutageLoss>(
-              sim, sample.outage, conn_rng.fork(104)));
+              sim, sample.outage, outage_rng));
         }
         conn.path().data_link().set_loss_model(std::move(composite));
       }
-    }
-    if (sample.reorder_prob > 0) {
-      conn.path().data_link().set_reorder_model(
-          std::make_unique<net::RandomReorder>(
-              sample.reorder_prob, sample.reorder_min, sample.reorder_max,
-              conn_rng.fork(103)));
+      if (reorder) {
+        conn.path().data_link().set_reorder_model(
+            std::make_unique<net::RandomReorder>(
+                sample.reorder_prob, sample.reorder_min, sample.reorder_max,
+                reorder_rng));
+      }
     }
 
     // Time-varying path dynamics (chaos scenarios).

@@ -47,6 +47,10 @@ class AckMangler {
 
   void on_ack(Segment&& ack);
 
+  // The loss stream, for seeding it alongside the path's other streams
+  // (sim::Rng::prime); it draws only when ack_loss_probability > 0.
+  sim::Rng& rng() { return rng_; }
+
   uint64_t acks_seen() const { return acks_seen_; }
   uint64_t acks_forwarded() const { return acks_forwarded_; }
   uint64_t acks_dropped() const { return acks_dropped_; }

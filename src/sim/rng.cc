@@ -14,6 +14,55 @@ uint64_t splitmix64(uint64_t x) {
 }
 }  // namespace
 
+// W independent recurrences per step: each is a serial multiply chain,
+// so interleaving them costs about as much as running one.
+template <std::size_t W>
+void Mt64::prime_lockstep(Mt64* const* engines) {
+  uint64_t* x[W];
+  uint64_t v[W];
+  for (std::size_t k = 0; k < W; ++k) {
+    x[k] = engines[k]->x_;
+    v[k] = x[k][0];
+  }
+  for (unsigned j = 1; j <= kM; ++j) {
+    // Fully unrolled, so each chain lives in a register.
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < W; ++k) x[k][j] = v[k] = seed_step(v[k], j);
+  }
+  for (std::size_t k = 0; k < W; ++k) engines[k]->seeded_ = kM + 1;
+}
+
+void Mt64::prime(Mt64* const* engines, std::size_t n) {
+  // An engine short of x[kM] has not drawn (a draw seeds past it), so
+  // its prefix words are all untwisted and rewriting them from x[0] is
+  // exact.
+  Mt64* group[kPrimeWidth];
+  std::size_t w = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (engines[k]->seeded_ <= kM) group[w++] = engines[k];
+  }
+  switch (w) {
+    case 1: prime_lockstep<1>(group); break;
+    case 2: prime_lockstep<2>(group); break;
+    case 3: prime_lockstep<3>(group); break;
+    case 4: prime_lockstep<4>(group); break;
+  }
+}
+
+void Rng::prime(std::initializer_list<Rng*> rngs) {
+  Mt64* group[Mt64::kPrimeWidth];
+  std::size_t n = 0;
+  for (Rng* r : rngs) {
+    if (r == nullptr) continue;
+    group[n++] = &r->engine();
+    if (n == Mt64::kPrimeWidth) {
+      Mt64::prime(group, n);
+      n = 0;
+    }
+  }
+  Mt64::prime(group, n);
+}
+
 Rng Rng::fork(uint64_t stream) const {
   return Rng(splitmix64(seed_ ^ splitmix64(stream)));
 }

@@ -4,7 +4,10 @@
 // (common random numbers), mirroring the paper's paired A/B design.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <random>
@@ -12,23 +15,45 @@
 namespace prr::sim {
 
 // Drop-in replacement for std::mt19937_64 that emits the exact same
-// output stream but advances the 312-word state incrementally — one
-// twist per draw — instead of regenerating the whole block at once.
-// Forked per-connection streams draw a handful of values each, so the
-// batch engine wastes nearly all of its state-regeneration work; this
-// one does O(draws) twisting. Equivalence with the std engine is pinned
-// by a unit test and by the serial digest goldens.
+// output stream but does only the work its draws need.
+//
+// Twisting: the 312-word state advances one word per draw instead of
+// regenerating the whole block at once. Forked per-connection streams
+// draw a handful of values each, so the batch engine wastes nearly all
+// of its state-regeneration work; this one does O(draws) twisting.
+//
+// Prefix seeding: the seed recurrence x[j] = A*(x[j-1]^x[j-1]>>62) + j
+// is one serial multiply chain. Draw i < 156 reads only x[i], x[i+1] and
+// x[i+156], so the constructor writes x[0] alone and each draw first
+// extends the seeded prefix through x[i+156]: a stream's first draw runs
+// 156 recurrence steps, not 311, and each later draw one more. After 156
+// draws every word is seeded and the extension never runs again. prime()
+// seeds the prefix of several engines in one interleaved loop, so their
+// independent chains overlap in the pipeline.
+//
+// Copies take the cursor and the seeded prefix only; words past the
+// prefix hold nothing yet and are never read.
+//
+// Equivalence with the std engine is pinned by unit tests and by the
+// serial digest goldens.
 class Mt64 {
  public:
   using result_type = uint64_t;
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
 
-  explicit Mt64(uint64_t seed) {
-    x_[0] = seed;
-    for (unsigned i = 1; i < kN; ++i) {
-      x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+  explicit Mt64(uint64_t seed) { x_[0] = seed; }
+
+  Mt64(const Mt64& o) : pos_(o.pos_), seeded_(o.seeded_) {
+    std::memcpy(x_, o.x_, seeded_ * sizeof(uint64_t));
+  }
+  Mt64& operator=(const Mt64& o) {
+    if (this != &o) {
+      pos_ = o.pos_;
+      seeded_ = o.seeded_;
+      std::memcpy(x_, o.x_, seeded_ * sizeof(uint64_t));
     }
+    return *this;
   }
 
   result_type operator()() {
@@ -37,6 +62,8 @@ class Mt64 {
     // therefore each tempered output — matches std::mt19937_64.
     if (pos_ == kN) pos_ = 0;
     const unsigned i = pos_++;
+    // Only draws i < kM can find the prefix short, so i + kM < kN here.
+    if (seeded_ < kN) seed_to(i + kM + 1);
     unsigned i1 = i + 1;
     if (i1 == kN) i1 = 0;
     unsigned im = i + kM;
@@ -51,15 +78,39 @@ class Mt64 {
     return z;
   }
 
+  static constexpr std::size_t kPrimeWidth = 4;
+  // Seeds x[0..156] — everything the first draw reads — of each of the
+  // n <= kPrimeWidth engines, interleaving their recurrences. Engines
+  // already seeded that far are left alone, so priming is idempotent and
+  // may follow draws. Draw sequences are unchanged.
+  static void prime(Mt64* const* engines, std::size_t n);
+
  private:
   static constexpr unsigned kN = 312;
   static constexpr unsigned kM = 156;
+  static constexpr uint64_t kSeedMul = 6364136223846793005ULL;
   static constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
   static constexpr uint64_t kUpperMask = 0xFFFFFFFF80000000ULL;
   static constexpr uint64_t kLowerMask = 0x000000007FFFFFFFULL;
 
+  static uint64_t seed_step(uint64_t prev, unsigned j) {
+    return kSeedMul * (prev ^ (prev >> 62)) + j;
+  }
+
+  // Extends the seeded prefix to x[0, end). x[seeded_ - 1] is always an
+  // untwisted seed word: draw i twists x[i] only after seeding x[i+156].
+  void seed_to(unsigned end) {
+    uint64_t v = x_[seeded_ - 1];
+    for (unsigned j = seeded_; j < end; ++j) x_[j] = v = seed_step(v, j);
+    seeded_ = end;
+  }
+
+  template <std::size_t W>
+  static void prime_lockstep(Mt64* const* engines);
+
+  unsigned pos_ = kN;    // seeded state is "exhausted": first draw twists
+  unsigned seeded_ = 1;  // x[0, seeded_) are seed words or twisted ones
   uint64_t x_[kN];
-  unsigned pos_ = kN;  // seeded state is "exhausted": first draw twists
 };
 
 class Rng {
@@ -69,6 +120,11 @@ class Rng {
   Rng fork(uint64_t stream) const;
 
   uint64_t seed() const { return seed_; }
+
+  // Seeds, in one interleaved loop, the state each listed stream reads
+  // on its first draw (see Mt64::prime); null entries are skipped. List
+  // the streams that are about to draw: the values drawn are unchanged.
+  static void prime(std::initializer_list<Rng*> rngs);
 
   // The three distributions on the per-segment hot path (loss, reorder
   // and ACK-impairment draws) are open-coded bit-exact replicas of the
@@ -100,11 +156,11 @@ class Rng {
   double pareto(double scale, double shape);
 
  private:
-  // The 2.5 kB Mersenne Twister state is a pure function of seed_, so it
-  // is materialized only on the first draw. Many Rngs per connection are
-  // fork parents that never draw (common-random-numbers tree roots), and
-  // for those this skips the O(state) seeding entirely — with draw
-  // sequences unchanged for every stream that is actually sampled.
+  // The Mersenne Twister state is a pure function of seed_, so it is
+  // materialized only on the first draw or prime. Many Rngs per
+  // connection are fork parents that never draw (common-random-numbers
+  // tree roots); those never seed at all, and copying one copies only
+  // its seed.
   Mt64& engine() {
     if (!engine_) engine_.emplace(seed_);
     return *engine_;

@@ -15,6 +15,7 @@ void VideoWorkload::sample_into(sim::Rng rng, ConnectionSample& s) const {
   s.reset_keep_capacity();
   sim::Rng net_rng = rng.fork(1);
   sim::Rng app_rng = rng.fork(2);
+  sim::Rng::prime({&net_rng, &app_rng});
 
   const double rtt_ms = std::clamp(
       net_rng.lognormal_with_mean(params_.mean_rtt_ms, params_.rtt_sigma),

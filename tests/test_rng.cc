@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace prr::sim {
 namespace {
@@ -20,6 +21,103 @@ TEST(Mt64, MatchesStdMt19937_64Exactly) {
       ASSERT_EQ(ref(), lazy()) << "seed=" << seed << " draw " << i;
     }
   }
+}
+
+// A fresh engine seeds its state lazily, through x[i+156] before draw i,
+// and is fully seeded after draw 155. The draw counts straddle that
+// point and the first block wrap (draw 312 reads words twisted in this
+// block).
+TEST(Mt64, PrefixSeedingMatchesStdAroundSeedAndBlockEdges) {
+  for (uint64_t seed : {0ULL, 7ULL, 20110501ULL, 0xFFFFFFFFFFFFFFFFULL}) {
+    for (int draws : {155, 156, 157, 311, 312, 313}) {
+      std::mt19937_64 ref(seed);
+      Mt64 lazy(seed);
+      for (int i = 0; i < draws; ++i) {
+        ASSERT_EQ(ref(), lazy())
+            << "seed=" << seed << " draws=" << draws << " draw " << i;
+      }
+    }
+  }
+}
+
+// Draws `n` raw engine words (a full-range uniform_int returns the
+// engine output as is) from a copy of `rng`, leaving `rng` untouched.
+std::vector<uint64_t> draw_bits(Rng rng, int n) {
+  std::vector<uint64_t> out;
+  for (int i = 0; i < n; ++i) out.push_back(rng.uniform_int(0, ~0ULL));
+  return out;
+}
+
+// Priming seeds part of the state early; every stream must then draw the
+// same values, draw for draw, as an unprimed twin. Groups of 1-4 streams
+// (one lockstep group) and 5 (two groups), streams that already drew k
+// values, and streams primed twice, with or without draws between.
+TEST(Rng, PrimeLeavesEveryStreamUnchanged) {
+  const Rng root(20110501);
+  for (std::size_t width = 1; width <= 5; ++width) {
+    for (int k : {0, 1, 155, 156, 400}) {
+      std::vector<Rng> primed, twins;
+      for (std::size_t s = 0; s < width; ++s) {
+        primed.push_back(root.fork(s));
+        twins.push_back(root.fork(s));
+      }
+      // In groups of two or more, stream 0 stays fresh; the others have
+      // drawn k values (their twins too).
+      for (std::size_t s = width > 1 ? 1 : 0; s < width; ++s) {
+        for (int i = 0; i < k; ++i) {
+          primed[s].uniform();
+          twins[s].uniform();
+        }
+      }
+      std::vector<Rng*> ptrs;
+      for (Rng& r : primed) ptrs.push_back(&r);
+      switch (width) {
+        case 1: Rng::prime({ptrs[0]}); break;
+        case 2: Rng::prime({ptrs[0], nullptr, ptrs[1]}); break;
+        case 3: Rng::prime({ptrs[0], ptrs[1], ptrs[2]}); break;
+        case 4: Rng::prime({ptrs[0], ptrs[1], ptrs[2], ptrs[3]}); break;
+        case 5:
+          Rng::prime({ptrs[0], ptrs[1], ptrs[2], ptrs[3], ptrs[4]});
+          break;
+      }
+      // Primed twice: a no-op the second time.
+      Rng::prime({ptrs[0]});
+      for (std::size_t s = 0; s < width; ++s) {
+        ASSERT_EQ(draw_bits(twins[s], 700), draw_bits(primed[s], 700))
+            << "width=" << width << " k=" << k << " stream " << s;
+      }
+    }
+  }
+
+  // Primed, drawn from, primed again.
+  Rng a = root.fork(9), b = root.fork(9);
+  Rng::prime({&a});
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(b.uniform(), a.uniform());
+  Rng::prime({&a});
+  ASSERT_EQ(draw_bits(b, 700), draw_bits(a, 700));
+}
+
+// A copy takes only the cursor and the seeded prefix, so a copy taken
+// before materialization, inside the prefix, or after full seeding must
+// draw the same stream as its source.
+TEST(Rng, CopiesDrawIdenticalStreams) {
+  for (int k : {-1, 0, 1, 100, 155, 156, 157, 312, 400}) {
+    Rng src = Rng(42).fork(7);
+    if (k >= 0) Rng::prime({&src});  // k = -1: never materialized
+    for (int i = 0; i < k; ++i) src.uniform();
+    Rng copied(src);
+    Rng assigned(1);
+    assigned.uniform();  // assignment over a materialized engine
+    assigned = src;
+    const std::vector<uint64_t> expect = draw_bits(src, 700);
+    ASSERT_EQ(expect, draw_bits(copied, 700)) << "k=" << k;
+    ASSERT_EQ(expect, draw_bits(assigned, 700)) << "k=" << k;
+  }
+  // Unprimed, mid-prefix (seeded through x[i+156] only).
+  Rng src = Rng(42).fork(8);
+  for (int i = 0; i < 10; ++i) src.uniform();
+  Rng copied = src;
+  ASSERT_EQ(draw_bits(src, 700), draw_bits(copied, 700));
 }
 
 // The open-coded uniform/bernoulli/exponential fast paths must emit the
