@@ -3,14 +3,15 @@
 // each connection's trace stream — so they must agree bit-exactly with
 // the ground-truth accumulators the sender maintains directly:
 //
-//   1. every finished episode row == the stats::RecoveryLog event of the
-//      same index, field for field;
+//   1. the finished episode rows, as a stats::RecoveryLog, hold the
+//      sender's RecoveryLog events, in order (RecoveryEvent::operator==);
 //   2. the stream counters == the tcp::Metrics counters of the same
 //      name, and episodes.total() == metrics.fast_recovery_events;
 //   3. the table's JSON serialization is identical at threads 1/4/8 and
 //      with tracing on or off (the deterministic-merge contract).
 //
 // Exits non-zero on the first mismatch, printing what diverged.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -36,52 +37,18 @@ int g_failures = 0;
   } while (0)
 
 void reconcile_rows(const exp::ArmResult& r, const char* tag) {
-  const auto& events = r.recovery_log.events();
-  std::vector<const obs::EpisodeSummary*> finished;
-  for (const auto& row : r.episodes.rows()) {
-    if (row.finished()) finished.push_back(&row);
-  }
-  GATE_CHECK(finished.size() == events.size(),
+  const stats::RecoveryLog log = r.episodes.finished_log();
+  const auto& derived = log.events();
+  const auto& logged = r.recovery_log.events();
+  GATE_CHECK(derived.size() == logged.size(),
              "%s: %zu finished episodes vs %zu recovery-log events\n", tag,
-             finished.size(), events.size());
-  const std::size_t n =
-      finished.size() < events.size() ? finished.size() : events.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const obs::EpisodeSummary& ep = *finished[i];
-    const stats::RecoveryEvent& ev = events[i];
-    GATE_CHECK(ep.start_ns == ev.start.ns(), "%s[%zu]: start\n", tag, i);
-    GATE_CHECK(ep.end_ns == ev.end.ns(), "%s[%zu]: end\n", tag, i);
-    GATE_CHECK(ep.pipe_at_start == ev.pipe_at_start,
-               "%s[%zu]: pipe_at_start\n", tag, i);
-    GATE_CHECK(ep.ssthresh == ev.ssthresh, "%s[%zu]: ssthresh\n", tag, i);
-    GATE_CHECK(ep.cwnd_at_start == ev.cwnd_at_start,
-               "%s[%zu]: cwnd_at_start\n", tag, i);
-    GATE_CHECK(ep.cwnd_at_exit == ev.cwnd_at_exit,
-               "%s[%zu]: cwnd_at_exit (%llu vs %llu)\n", tag, i,
-               (unsigned long long)ep.cwnd_at_exit,
-               (unsigned long long)ev.cwnd_at_exit);
-    GATE_CHECK(ep.cwnd_after_exit == ev.cwnd_after_exit,
-               "%s[%zu]: cwnd_after_exit\n", tag, i);
-    GATE_CHECK(ep.pipe_at_exit == ev.pipe_at_exit, "%s[%zu]: pipe_at_exit\n",
-               tag, i);
-    GATE_CHECK(ep.mss == ev.mss, "%s[%zu]: mss\n", tag, i);
-    GATE_CHECK(ep.retransmits == ev.retransmits,
-               "%s[%zu]: retransmits (%llu vs %llu)\n", tag, i,
-               (unsigned long long)ep.retransmits,
-               (unsigned long long)ev.retransmits);
-    GATE_CHECK(ep.bytes_sent_during == ev.bytes_sent_during,
-               "%s[%zu]: bytes_sent_during\n", tag, i);
-    GATE_CHECK(ep.max_burst_segments == ev.max_burst_segments,
-               "%s[%zu]: max_burst_segments (%llu vs %llu)\n", tag, i,
-               (unsigned long long)ep.max_burst_segments,
-               (unsigned long long)ev.max_burst_segments);
-    GATE_CHECK(ep.interrupted_by_timeout() == ev.interrupted_by_timeout,
-               "%s[%zu]: interrupted_by_timeout\n", tag, i);
-    GATE_CHECK(ep.completed() == ev.completed, "%s[%zu]: completed\n", tag,
-               i);
-    GATE_CHECK(ep.slow_start_after == ev.slow_start_after,
-               "%s[%zu]: slow_start_after\n", tag, i);
-  }
+             derived.size(), logged.size());
+  const auto [d, l] = std::mismatch(derived.begin(), derived.end(),
+                                    logged.begin(), logged.end());
+  GATE_CHECK(d == derived.end() || l == logged.end(),
+             "%s[%zu]: finished episode differs from the recovery-log "
+             "event\n",
+             tag, static_cast<std::size_t>(d - derived.begin()));
 }
 
 void reconcile_counters(const exp::ArmResult& r, const char* tag) {

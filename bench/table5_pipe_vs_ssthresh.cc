@@ -25,21 +25,21 @@ int main() {
   opts.threads = 0;  // parallel sweep: byte-identical to serial
   opts.collect_episodes = true;
   exp::ArmResult r = exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  const auto& tab = r.episodes;
+  const stats::RecoveryLog log = r.episodes.finished_log();
 
-  const double below = tab.fraction_start_below_ssthresh();
-  const double equal = tab.fraction_start_equal_ssthresh();
-  const double above = tab.fraction_start_above_ssthresh();
+  const double below = log.fraction_start_below_ssthresh();
+  const double equal = log.fraction_start_equal_ssthresh();
+  const double above = log.fraction_start_above_ssthresh();
   util::Table modes({"mode at entry", "paper", "measured"});
   modes.add_row({"pipe < ssthresh  [slow start part]", "32%",
                  util::Table::fmt_pct(below)});
   modes.add_row({"pipe == ssthresh", "13%", util::Table::fmt_pct(equal)});
   modes.add_row({"pipe > ssthresh  [proportional part]", "45%",
                  util::Table::fmt_pct(above)});
-  std::printf("recovery events: %zu\n%s\n", tab.finished(),
+  std::printf("recovery events: %zu\n%s\n", log.count(),
               modes.to_string().c_str());
 
-  util::Samples s = tab.pipe_minus_ssthresh_segs();
+  util::Samples s = log.pipe_minus_ssthresh_segs();
   util::Table q({"quantile", "paper [segs]", "measured [segs]"});
   const char* paper_vals[] = {"-338 (min)", "-10", "+1", "+11",
                               "+144 (max)"};

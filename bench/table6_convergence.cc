@@ -24,7 +24,8 @@ int main() {
   opts.threads = 0;  // parallel sweep: byte-identical to serial
   opts.collect_episodes = true;
   exp::ArmResult r = exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  util::Samples s = r.episodes.cwnd_minus_ssthresh_exit_segs();
+  util::Samples s =
+      r.episodes.finished_log().cwnd_minus_ssthresh_exit_segs();
 
   util::Table t({"quantile [%]", "paper [segs]", "measured [segs]"});
   const char* paper[] = {"-8", "-3", "0", "0", "0", "0", "0", "0"};

@@ -28,7 +28,7 @@ int main() {
   util::Table t({"arm", "q10", "q25", "q50", "q75", "q90", "q95", "q99",
                  "frac < 3 segs"});
   for (const auto& r : results) {
-    util::Samples s = r.episodes.cwnd_after_exit_segs();
+    util::Samples s = r.episodes.finished_log().cwnd_after_exit_segs();
     auto row = bench::quantile_row(r.name, s, qs, 0);
     row.push_back(util::Table::fmt_pct(s.fraction_below(3.0)));
     t.add_row(row);

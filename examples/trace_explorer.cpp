@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   cfg.sender.handshake_rtt = sim::Time::milliseconds(50);
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(4),
                                           sim::Time::milliseconds(50), 100);
-  tcp::Connection conn(sim, cfg, sim::Rng(1), nullptr, nullptr);
+  tcp::Connection conn(sim, cfg, sim::Rng(1));
 
   obs::FlightRecorder recorder(1 << 14);
   obs::Instrument instrument(sim, conn, recorder, /*conn_id=*/0);

@@ -41,9 +41,9 @@ int main(int argc, char** argv) {
   cfg.path = net::Path::Config::symmetric(sample.bandwidth, sample.rtt,
                                           sample.queue_packets);
 
-  tcp::Metrics metrics;
   stats::RecoveryLog rlog;
-  tcp::Connection conn(sim, cfg, rng.fork(101), &metrics, &rlog);
+  tcp::Connection conn(sim, cfg, rng.fork(101), &rlog);
+  const tcp::Metrics& metrics = conn.sender().metrics();
   if (sample.loss.p_good_to_bad > 0) {
     conn.path().data_link().set_loss_model(
         std::make_unique<net::GilbertElliottLoss>(sample.loss,

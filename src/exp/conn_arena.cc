@@ -6,21 +6,11 @@ namespace prr::exp {
 
 void RegistryHandles::bind(obs::MetricsRegistry& reg) {
   owner = &reg;
-  data_segments_sent = reg.counter("tcp.data_segments_sent");
-  bytes_sent = reg.counter("tcp.bytes_sent");
-  retransmits_total = reg.counter("tcp.retransmits_total");
-  fast_retransmits = reg.counter("tcp.fast_retransmits");
-  timeouts_total = reg.counter("tcp.timeouts_total");
-  fast_recovery_events = reg.counter("tcp.fast_recovery_events");
-  undo_events = reg.counter("tcp.undo_events");
-  dsacks_received = reg.counter("tcp.dsacks_received");
-  connections_run = reg.counter("exp.connections_run");
   retransmits_per_conn = reg.histogram("tcp.retransmits_per_conn");
   timeouts_per_conn = reg.histogram("tcp.timeouts_per_conn");
   final_cwnd_bytes = reg.histogram("tcp.final_cwnd_bytes");
   conn_sim_time_ns = reg.histogram("exp.conn_sim_time_ns");
   max_conn_sim_time_ns = reg.gauge("exp.max_conn_sim_time_ns");
-  connections_aborted = nullptr;
   connections_completed = nullptr;
   trace_records_written = nullptr;
   trace_records_dropped = nullptr;

@@ -24,25 +24,19 @@
 
 namespace prr::exp {
 
-// Cached instrument pointers for one ArmResult's MetricsRegistry. The
-// registry is a name-keyed map with pointer-stable instruments; folding
-// a connection through cached handles replaces ~16 string-keyed lookups
-// (several past SSO size) per connection with pointer dereferences.
-// Conditionally-created instruments (abort/complete tallies, trace
-// accounting) stay lazy so a registry never grows an instrument the
-// uncached path would not have created.
+// Cached instrument pointers for one ArmResult's MetricsRegistry: the
+// per-connection instruments (histograms, the completion tally, trace
+// accounting). The registry is a name-keyed map with pointer-stable
+// instruments; folding a connection through cached handles replaces
+// string-keyed lookups (several past SSO size) per connection with
+// pointer dereferences. The counters that shadow ArmResult totals are
+// not here: run_arm writes them once per arm. Conditionally-created
+// instruments (completion tally, trace accounting) stay lazy so a
+// registry never grows an instrument the uncached path would not have
+// created.
 struct RegistryHandles {
   obs::MetricsRegistry* owner = nullptr;
 
-  obs::Counter* data_segments_sent = nullptr;
-  obs::Counter* bytes_sent = nullptr;
-  obs::Counter* retransmits_total = nullptr;
-  obs::Counter* fast_retransmits = nullptr;
-  obs::Counter* timeouts_total = nullptr;
-  obs::Counter* fast_recovery_events = nullptr;
-  obs::Counter* undo_events = nullptr;
-  obs::Counter* dsacks_received = nullptr;
-  obs::Counter* connections_run = nullptr;
   obs::LogHistogram* retransmits_per_conn = nullptr;
   obs::LogHistogram* timeouts_per_conn = nullptr;
   obs::LogHistogram* final_cwnd_bytes = nullptr;
@@ -50,7 +44,6 @@ struct RegistryHandles {
   obs::Gauge* max_conn_sim_time_ns = nullptr;
 
   // Lazily bound (see above).
-  obs::Counter* connections_aborted = nullptr;
   obs::Counter* connections_completed = nullptr;
   obs::Counter* trace_records_written = nullptr;
   obs::Counter* trace_records_dropped = nullptr;

@@ -52,11 +52,9 @@ void ArmResult::merge(ArmResult&& shard) {
 }
 
 double ArmResult::fraction_bytes_in_fast_recovery() const {
-  uint64_t in_fr = 0;
-  for (const auto& e : recovery_log.events()) in_fr += e.bytes_sent_during;
   return metrics.bytes_sent == 0
              ? 0
-             : static_cast<double>(in_fr) /
+             : static_cast<double>(recovery_log.bytes_sent_during()) /
                    static_cast<double>(metrics.bytes_sent);
 }
 
@@ -150,44 +148,51 @@ struct ConnectionOutcome {
   std::vector<obs::TraceRecord> trace_tail;  // captured only on failure
 };
 
-// Folds one finished connection into the arm's named-instrument view,
-// through pre-bound handles (RegistryHandles) so the sweep hot path pays
-// pointer dereferences instead of ~16 string-keyed map lookups per
-// connection. Every input is a deterministic function of (seed, id, arm),
-// and the registry merge is commutative per name, so the per-arm totals
-// below are byte-identical at any thread count and reconcile exactly with
-// the tcp::Metrics accumulator (`delta` is this connection's
-// contribution). The abort/complete tallies stay lazily created so the
-// registry's instrument set is exactly what the uncached path produced.
-void fold_connection_registry(RegistryHandles& h, const tcp::Metrics& delta,
-                              const tcp::Sender& sender, sim::Time ran_for) {
-  h.data_segments_sent->add(delta.data_segments_sent);
-  h.bytes_sent->add(delta.bytes_sent);
-  h.retransmits_total->add(delta.retransmits_total);
-  h.fast_retransmits->add(delta.fast_retransmits);
-  h.timeouts_total->add(delta.timeouts_total);
-  h.fast_recovery_events->add(delta.fast_recovery_events);
-  h.undo_events->add(delta.undo_events);
-  h.dsacks_received->add(delta.dsacks_received);
-  h.connections_run->inc();
-  if (sender.aborted()) {
-    if (!h.connections_aborted) {
-      h.connections_aborted = h.owner->counter("exp.connections_aborted");
-    }
-    h.connections_aborted->inc();
-  }
+// Folds one finished connection's distributions into the arm's
+// named-instrument view, through pre-bound handles (RegistryHandles) so
+// the sweep hot path pays pointer dereferences instead of string-keyed
+// map lookups per connection. Every input is a deterministic function of
+// (seed, id, arm), and the registry merge is commutative per name, so the
+// histograms are byte-identical at any thread count. The completion tally
+// stays lazily created so the registry's instrument set is exactly what
+// the uncached path produced.
+void fold_connection_registry(RegistryHandles& h, const tcp::Sender& sender,
+                              sim::Time ran_for) {
+  const tcp::Metrics& m = sender.metrics();
   if (sender.all_acked()) {
     if (!h.connections_completed) {
       h.connections_completed = h.owner->counter("exp.connections_completed");
     }
     h.connections_completed->inc();
   }
-  h.retransmits_per_conn->record(delta.retransmits_total);
-  h.timeouts_per_conn->record(delta.timeouts_total);
+  h.retransmits_per_conn->record(m.retransmits_total);
+  h.timeouts_per_conn->record(m.timeouts_total);
   h.final_cwnd_bytes->record(sender.cwnd_bytes());
   h.conn_sim_time_ns->record(static_cast<uint64_t>(ran_for.ns()));
   if (ran_for.ns() > h.max_conn_sim_time_ns->value()) {
     h.max_conn_sim_time_ns->set(ran_for.ns());
+  }
+}
+
+// The registry counters that shadow ArmResult totals, written once per
+// arm from the folded ledgers. Like the per-connection instruments, they
+// exist only once they have something to count: the totals once any
+// connection finished, the abort tally once one aborted.
+void write_registry_totals(ArmResult& r) {
+  if (r.connections_run == 0) return;
+  obs::MetricsRegistry& reg = r.registry;
+  const tcp::Metrics& m = r.metrics;
+  reg.counter("tcp.data_segments_sent")->add(m.data_segments_sent);
+  reg.counter("tcp.bytes_sent")->add(m.bytes_sent);
+  reg.counter("tcp.retransmits_total")->add(m.retransmits_total);
+  reg.counter("tcp.fast_retransmits")->add(m.fast_retransmits);
+  reg.counter("tcp.timeouts_total")->add(m.timeouts_total);
+  reg.counter("tcp.fast_recovery_events")->add(m.fast_recovery_events);
+  reg.counter("tcp.undo_events")->add(m.undo_events);
+  reg.counter("tcp.dsacks_received")->add(m.dsacks_received);
+  reg.counter("exp.connections_run")->add(r.connections_run);
+  if (m.connections_aborted > 0) {
+    reg.counter("exp.connections_aborted")->add(m.connections_aborted);
   }
 }
 
@@ -226,7 +231,7 @@ bool ring_saw_rto_interrupt(const obs::FlightRecorder& ring) {
 // unwinds.
 //
 // `capture`/`encoder` (both set or both null) enable trace-store capture:
-// at teardown the policy is evaluated over this connection's own deltas
+// at teardown the policy is evaluated over this connection's own counters
 // and, on keep, the ring is encoded into result->store.
 ConnectionOutcome run_one_connection(const workload::Population& pop,
                                      const ArmConfig& arm,
@@ -305,24 +310,34 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     // (fresh or just reset).
     sim.set_batch_delivery(opts.batch_delivery);
 
-    tcp::Metrics* metrics = result != nullptr ? &result->metrics : nullptr;
     stats::RecoveryLog* rlog =
         result != nullptr ? &result->recovery_log : nullptr;
     std::optional<tcp::Connection> local_conn;
     if (arena) {
       if (!arena->conn) {
         arena->conn.emplace(sim, make_connection_config(sample, arm),
-                            conn_rng.fork(101), metrics, rlog);
+                            conn_rng.fork(101), rlog);
       } else {
         arena->conn->reset(make_connection_config(sample, arm),
-                           conn_rng.fork(101), metrics, rlog);
+                           conn_rng.fork(101), rlog);
         arena->check_reset_state();
       }
     } else {
       local_conn.emplace(sim, make_connection_config(sample, arm),
-                         conn_rng.fork(101), metrics, rlog);
+                         conn_rng.fork(101), rlog);
     }
     tcp::Connection& conn = arena ? *arena->conn : *local_conn;
+    // The sender's ledger is folded into the arm once, when the
+    // connection ends, normally or by throwing: a throwing connection
+    // keeps the counts it reached.
+    struct LedgerFold {
+      const tcp::Sender& sender;
+      tcp::Metrics* arm;
+      ~LedgerFold() {
+        if (arm != nullptr) *arm += sender.metrics();
+      }
+    } ledger_fold{conn.sender(),
+                  result != nullptr ? &result->metrics : nullptr};
     // The recorder is detached when the connection ends, normally or by
     // throwing. A pooled Connection outlives the shard's recorder, and a
     // timer still armed at the end would otherwise trace its cancel (on
@@ -339,10 +354,6 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     if (recorder) {
       conn.sender().set_recorder(recorder, static_cast<uint32_t>(id));
     }
-    // Snapshot for the per-connection delta folded into the registry
-    // (the Metrics accumulator is shared across the shard).
-    const tcp::Metrics metrics_before =
-        result != nullptr ? result->metrics : tcp::Metrics{};
 
     obs::SelfProfiler profiler;
     if (opts.self_profile && result != nullptr) {
@@ -473,12 +484,11 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
       result->total_loss_recovery_time += conn.sender().loss_recovery_time();
       ++result->connections_run;
 
-      tcp::Metrics delta = result->metrics;
-      delta -= metrics_before;
       if (capturing) {
-        cap.timeouts = delta.timeouts_total;
-        cap.undo_events = delta.undo_events;
-        cap.retransmits = delta.retransmits_total;
+        const tcp::Metrics& m = conn.sender().metrics();
+        cap.timeouts = m.timeouts_total;
+        cap.undo_events = m.undo_events;
+        cap.retransmits = m.retransmits_total;
         cap.recovery_ms =
             static_cast<double>(conn.sender().loss_recovery_time().ms());
         cap.aborted = conn.sender().aborted();
@@ -488,7 +498,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
       if (handles.owner != &result->registry) {
         handles.bind(result->registry);
       }
-      fold_connection_registry(handles, delta, conn.sender(), sim.now());
+      fold_connection_registry(handles, conn.sender(), sim.now());
       if (recorder) {
         if (!handles.trace_records_written) {
           handles.trace_records_written =
@@ -693,6 +703,7 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
     run_connection_range(pop, arm, opts, first, first + n, result,
                          arena ? &*arena : nullptr, capture,
                          writer ? &*writer : nullptr);
+    write_registry_totals(result);
     finish_store();
     return result;
   }
@@ -702,8 +713,8 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
   // Each chunk accumulates into its own ArmResult shard; the StreamFolder
   // folds shards into `result` in chunk order — ascending connection-id
   // order, the serial aggregation bit for bit — while keeping only a
-  // bounded reorder window of shards alive, so sweep memory is
-  // O(threads + fold_window) regardless of n. The ceil in the chunk-size
+  // reorder window of 2 * threads shards alive, so sweep memory is
+  // O(threads) regardless of n. The ceil in the chunk-size
   // formula guarantees num_chunks <= threads * 8 (the floor form
   // degenerated to chunk_size 1 — one shard per connection — whenever
   // n < threads * 8).
@@ -711,9 +722,7 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
   const uint64_t chunk_size =
       std::max<uint64_t>(1, (n + target_chunks - 1) / target_chunks);
   const uint64_t num_chunks = (n + chunk_size - 1) / chunk_size;
-  const uint64_t window =
-      opts.fold_window > 0 ? opts.fold_window
-                           : 2 * static_cast<uint64_t>(threads);
+  const uint64_t window = 2 * static_cast<uint64_t>(threads);
   // The fold callback runs shards in ascending connection-id order, so
   // flushing each shard's captured blocks to the writer right there
   // reproduces the serial file byte for byte at any thread count.
@@ -747,6 +756,7 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
   pool.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
   for (auto& th : pool) th.join();
+  write_registry_totals(result);
   finish_store();
   return result;
 }

@@ -130,6 +130,8 @@ struct ConnOutcome {
 
 struct ArmResult {
   std::string name;
+  // Sum of the connections' sender ledgers (tcp::Sender::metrics), each
+  // folded once when its connection ends.
   tcp::Metrics metrics;
   stats::RecoveryLog recovery_log;
   // Structured recovery episodes derived from each connection's trace
@@ -173,12 +175,13 @@ struct ArmResult {
   uint64_t store_payload_bytes = 0;
 
   // Named-instrument view of the arm (DESIGN.md §8): per-connection
-  // counters/histograms under "tcp." and "exp.", recorder accounting
-  // under "obs.trace." (only when tracing ran), wall-clock profiles
-  // under "profile." (only with RunOptions::self_profile). The "tcp."
-  // and "exp." sections are deterministic — identical at any thread
-  // count and with tracing on or off — and the counter totals reconcile
-  // exactly with `metrics` (checked in CI by tools/obs_chaos_trace).
+  // histograms and arm totals under "tcp." and "exp.", recorder
+  // accounting under "obs.trace." (only when tracing ran), wall-clock
+  // profiles under "profile." (only with RunOptions::self_profile). The
+  // "tcp." and "exp." sections are deterministic — identical at any
+  // thread count and with tracing on or off. The counters that shadow
+  // `metrics` and `connections_run` are written from them once per arm,
+  // so they agree by construction.
   obs::MetricsRegistry registry;
 
   // Folds a shard covering a higher connection-id range into this one.
@@ -236,11 +239,6 @@ struct RunOptions {
   // approximations (stats::LatencyTracker/RecoveryLog docs). Off by
   // default so existing consumers of the raw vectors are unaffected.
   bool bounded_stats = false;
-  // Reorder window, in chunks, for the streaming shard fold (how far a
-  // worker may run ahead of the fold frontier). Live shard memory is
-  // O(fold_window + threads) regardless of connection count. 0 = auto
-  // (2 * threads).
-  uint64_t fold_window = 0;
   // Recycle one Simulator/Connection/ServerApp arena per worker across
   // connections (the reset() protocol) instead of constructing fresh
   // objects per connection. Behavior-identical — "fresh == reset by

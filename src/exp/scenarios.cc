@@ -56,8 +56,7 @@ FigureRun run_figure_scenario(const FigureScenario& scenario) {
       util::DataRate::mbps(scenario.link_mbps), scenario.rtt,
       /*queue_packets=*/200);
 
-  tcp::Connection conn(sim, cfg, sim::Rng(1), &run.metrics,
-                       &run.recovery_log);
+  tcp::Connection conn(sim, cfg, sim::Rng(1), &run.recovery_log);
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(scenario.original_drops,
                                                scenario.retransmit_drops));
@@ -105,6 +104,7 @@ FigureRun run_figure_scenario(const FigureScenario& scenario) {
     run.violations = checker->violations();
     run.acks_checked = checker->acks_checked();
   }
+  run.metrics = conn.sender().metrics();
   run.final_cwnd_bytes = conn.sender().cwnd_bytes();
   run.final_ssthresh_bytes = conn.sender().ssthresh_bytes();
   run.final_state = conn.sender().state();

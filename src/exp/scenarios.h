@@ -59,7 +59,7 @@ struct FigureScenario {
 
 struct FigureRun {
   trace::TimeSeqTrace trace;
-  tcp::Metrics metrics;              // the connection's local counters
+  tcp::Metrics metrics;              // the sender's ledger at the end
   stats::RecoveryLog recovery_log;
   uint64_t final_cwnd_bytes = 0;
   uint64_t final_ssthresh_bytes = 0;

@@ -233,85 +233,35 @@ void EpisodeTable::merge(const EpisodeTable& other) {
 
 namespace {
 
-// Table 5 compares pipe and ssthresh in whole segments, exactly as
-// stats::RecoveryLog does (integer division per operand).
-int seg_diff(const EpisodeSummary& s) {
-  const int64_t pipe_segs = static_cast<int64_t>(s.pipe_at_start / s.mss);
-  const int64_t ss_segs = static_cast<int64_t>(s.ssthresh / s.mss);
-  return static_cast<int>(pipe_segs - ss_segs);
+// A finished row as the sender's stats::RecoveryLog records it.
+stats::RecoveryEvent recovery_event(const EpisodeSummary& s) {
+  stats::RecoveryEvent e;
+  e.start = sim::Time::nanoseconds(s.start_ns);
+  e.end = sim::Time::nanoseconds(s.end_ns);
+  e.pipe_at_start = s.pipe_at_start;
+  e.ssthresh = s.ssthresh;
+  e.cwnd_at_start = s.cwnd_at_start;
+  e.cwnd_at_exit = s.cwnd_at_exit;
+  e.cwnd_after_exit = s.cwnd_after_exit;
+  e.pipe_at_exit = s.pipe_at_exit;
+  e.mss = s.mss;
+  e.retransmits = s.retransmits;
+  e.bytes_sent_during = s.bytes_sent_during;
+  e.max_burst_segments = s.max_burst_segments;
+  e.interrupted_by_timeout = s.interrupted_by_timeout();
+  e.completed = s.completed();
+  e.slow_start_after = s.slow_start_after;
+  return e;
 }
 
 }  // namespace
 
-double EpisodeTable::fraction_start_below_ssthresh() const {
-  if (finished_ == 0) return 0;
-  std::size_t n = 0;
-  for (const auto& s : rows_)
-    if (s.finished()) n += seg_diff(s) < 0;
-  return static_cast<double>(n) / static_cast<double>(finished_);
-}
-
-double EpisodeTable::fraction_start_equal_ssthresh() const {
-  if (finished_ == 0) return 0;
-  std::size_t n = 0;
-  for (const auto& s : rows_)
-    if (s.finished()) n += seg_diff(s) == 0;
-  return static_cast<double>(n) / static_cast<double>(finished_);
-}
-
-double EpisodeTable::fraction_start_above_ssthresh() const {
-  if (finished_ == 0) return 0;
-  std::size_t n = 0;
-  for (const auto& s : rows_)
-    if (s.finished()) n += seg_diff(s) > 0;
-  return static_cast<double>(n) / static_cast<double>(finished_);
-}
-
-util::Samples EpisodeTable::pipe_minus_ssthresh_segs() const {
-  util::Samples out;
-  for (const auto& s : rows_)
-    if (s.finished()) out.add(s.pipe_minus_ssthresh_segs());
-  return out;
-}
-
-util::Samples EpisodeTable::cwnd_minus_ssthresh_exit_segs() const {
-  util::Samples out;
-  for (const auto& s : rows_)
-    if (s.completed()) out.add(s.cwnd_minus_ssthresh_at_exit_segs());
-  return out;
-}
-
-util::Samples EpisodeTable::cwnd_after_exit_segs() const {
-  util::Samples out;
-  for (const auto& s : rows_)
-    if (s.completed()) out.add(s.cwnd_after_exit_segs());
-  return out;
-}
-
-util::Samples EpisodeTable::recovery_time_ms() const {
-  util::Samples out;
-  for (const auto& s : rows_)
-    if (s.finished()) out.add(s.duration().ms_d());
-  return out;
-}
-
-double EpisodeTable::fraction_slow_start_after() const {
-  std::size_t n = 0, denom = 0;
+stats::RecoveryLog EpisodeTable::finished_log() const {
+  stats::RecoveryLog log;
   for (const auto& s : rows_) {
-    if (!s.completed()) continue;
-    ++denom;
-    n += s.slow_start_after;
+    if (s.finished()) log.add(recovery_event(s));
   }
-  return denom == 0 ? 0
-                    : static_cast<double>(n) / static_cast<double>(denom);
-}
-
-double EpisodeTable::fraction_with_timeout() const {
-  if (finished_ == 0) return 0;
-  std::size_t n = 0;
-  for (const auto& s : rows_)
-    if (s.finished()) n += s.interrupted_by_timeout();
-  return static_cast<double>(n) / static_cast<double>(finished_);
+  return log;
 }
 
 namespace {

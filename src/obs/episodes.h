@@ -12,7 +12,9 @@
 // present in (or derivable from) the trace records the same code paths
 // emit, so an EpisodeTable built from the stream reconciles bit-exactly
 // with the RecoveryLog and tcp::Metrics counters (bench/episode_gate
-// enforces this at several thread counts, tracing on and off).
+// enforces this at several thread counts, tracing on and off). The
+// paper-table math has one home, stats::RecoveryLog: the table hands
+// its finished rows over as one (EpisodeTable::finished_log).
 //
 // Aggregation: each worker shard folds its connections into a private
 // EpisodeTable; shards merge in connection-id order, so rows, counters
@@ -26,14 +28,14 @@
 
 #include "obs/metrics_registry.h"
 #include "obs/trace_record.h"
-#include "util/quantiles.h"
+#include "stats/recovery_log.h"
 
 namespace prr::obs {
 
 // How an episode ended. kTruncated = the stream ended (end of run or of
 // the captured tail) with recovery still in progress; such episodes are
-// counted but excluded from the "finished" views that mirror the
-// stats::RecoveryLog (which only records finished events).
+// counted but excluded from EpisodeTable::finished_log (the
+// stats::RecoveryLog records only finished events).
 enum class EpisodeExit : uint8_t {
   kCompleted,       // snd.una reached the recovery point (kExitRecovery)
   kUndo,            // DSACK/Eifel undo reverted the episode (kUndo a=0)
@@ -89,19 +91,6 @@ struct EpisodeSummary {
   }
   sim::Time duration() const {
     return sim::Time::nanoseconds(end_ns - start_ns);
-  }
-  // Segment-denominated views, the exact arithmetic of
-  // stats::RecoveryEvent (paper tables are in segments).
-  double pipe_minus_ssthresh_segs() const {
-    return (static_cast<double>(pipe_at_start) -
-            static_cast<double>(ssthresh)) / mss;
-  }
-  double cwnd_minus_ssthresh_at_exit_segs() const {
-    return (static_cast<double>(cwnd_at_exit) -
-            static_cast<double>(ssthresh)) / mss;
-  }
-  double cwnd_after_exit_segs() const {
-    return static_cast<double>(cwnd_after_exit) / mss;
   }
 };
 
@@ -192,7 +181,7 @@ class EpisodeBuilder {
 
 // Per-arm aggregation of episode rows: deterministic merge across worker
 // shards (rows append in connection-id order; counters sum; histograms
-// bucket-sum), RecoveryLog-mirroring sample accessors for the paper
+// bucket-sum), the finished rows as a stats::RecoveryLog for the paper
 // tables, and log2-histogram percentiles for the JSON/CLI summaries.
 class EpisodeTable {
  public:
@@ -211,17 +200,9 @@ class EpisodeTable {
   std::size_t finished() const { return finished_; }
   std::size_t truncated() const { return rows_.size() - finished_; }
 
-  // --- exact mirrors of the stats::RecoveryLog accessors (same math,
-  // same event ordering, same filters), over finished rows ---
-  double fraction_start_below_ssthresh() const;
-  double fraction_start_equal_ssthresh() const;
-  double fraction_start_above_ssthresh() const;
-  util::Samples pipe_minus_ssthresh_segs() const;       // Table 5
-  util::Samples cwnd_minus_ssthresh_exit_segs() const;  // Table 6
-  util::Samples cwnd_after_exit_segs() const;           // Table 7
-  util::Samples recovery_time_ms() const;               // Fig 5
-  double fraction_slow_start_after() const;
-  double fraction_with_timeout() const;
+  // The finished rows, in order, as the (unbounded) stats::RecoveryLog
+  // the sender appends them to: the paper tables read its accessors.
+  stats::RecoveryLog finished_log() const;
 
   // Log2 summaries (built incrementally; percentiles via
   // LogHistogram::quantile interpolation).

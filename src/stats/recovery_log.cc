@@ -24,6 +24,7 @@ void RecoveryLog::add(RecoveryEvent e) {
     slow_start_after_ += e.slow_start_after;
   }
   timeout_ += e.interrupted_by_timeout;
+  bytes_sent_during_ += e.bytes_sent_during;
   const double dur_ms = e.duration().ms_d();
   duration_us_.record(dur_ms <= 0 ? 0
                                   : static_cast<uint64_t>(dur_ms * 1000.0));
@@ -39,6 +40,7 @@ void RecoveryLog::append(const RecoveryLog& other) {
   completed_ += other.completed_;
   slow_start_after_ += other.slow_start_after_;
   timeout_ += other.timeout_;
+  bytes_sent_during_ += other.bytes_sent_during_;
   duration_us_.merge(other.duration_us_);
   burst_.merge(other.burst_);
   if (!bounded_)

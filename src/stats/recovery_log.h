@@ -4,8 +4,9 @@
 // Like LatencyTracker, the log has an unbounded mode (every event kept,
 // exact quantiles) and a bounded mode for streaming sweeps (counters +
 // log2 histograms only, O(1) memory per arm). The classification
-// counters are maintained in both modes, so count() and the fraction_*
-// accessors report identical values either way.
+// counters and the bytes_sent_during() total are maintained in both
+// modes, so count(), bytes_sent_during() and the fraction_* accessors
+// report identical values either way.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,7 @@ struct RecoveryEvent {
   bool slow_start_after = false;   // exited with cwnd < ssthresh
 
   sim::Time duration() const { return end - start; }
+  bool operator==(const RecoveryEvent&) const = default;
   // Segment-denominated views (paper tables are in segments).
   double pipe_minus_ssthresh_segs() const {
     return (static_cast<double>(pipe_at_start) -
@@ -62,6 +64,8 @@ class RecoveryLog {
   // Total events observed in either mode (== events().size() when
   // unbounded).
   std::size_t count() const { return total_; }
+  // Sum of RecoveryEvent::bytes_sent_during over every event.
+  uint64_t bytes_sent_during() const { return bytes_sent_during_; }
 
   // Switches to bounded (counters + histograms) storage. Only valid
   // before the first add().
@@ -97,6 +101,7 @@ class RecoveryLog {
   uint64_t completed_ = 0;
   uint64_t slow_start_after_ = 0;
   uint64_t timeout_ = 0;
+  uint64_t bytes_sent_during_ = 0;
   util::Log2Histogram duration_us_;
   util::Log2Histogram burst_;
 };

@@ -5,14 +5,13 @@
 namespace prr::tcp {
 
 Connection::Connection(sim::Simulator& sim, ConnectionConfig config,
-                       sim::Rng rng, Metrics* metrics,
-                       stats::RecoveryLog* recovery_log)
+                       sim::Rng rng, stats::RecoveryLog* recovery_log)
     : config_(config) {
   path_ = std::make_unique<net::Path>(sim, config.path, rng);
   sender_ = std::make_unique<Sender>(
       sim, config.sender,
       [this](net::Segment&& seg) { path_->send_data(std::move(seg)); },
-      metrics, recovery_log);
+      recovery_log);
   receiver_ = std::make_unique<Receiver>(
       sim, config.receiver,
       [this](net::Segment&& seg) { path_->send_ack(std::move(seg)); });
@@ -20,19 +19,17 @@ Connection::Connection(sim::Simulator& sim, ConnectionConfig config,
       [this](net::Segment&& seg) { receiver_->on_data(seg); });
   path_->set_ack_sink(
       [this](net::Segment&& seg) { sender_->on_ack_segment(seg); });
-  if (metrics) ++metrics->connections;
 }
 
 void Connection::reset(ConnectionConfig config, sim::Rng rng,
-                       Metrics* metrics, stats::RecoveryLog* recovery_log) {
+                       stats::RecoveryLog* recovery_log) {
   config_ = config;
   // Same sub-object order as the constructor. The data/ACK sinks and the
   // send callbacks capture `this`/path_ which are stable across
   // recycling, so no rewiring is needed.
   path_->reset(config.path, rng);
-  sender_->reset(config.sender, metrics, recovery_log);
+  sender_->reset(config.sender, recovery_log);
   receiver_->reset(config.receiver);
-  if (metrics) ++metrics->connections;
 }
 
 }  // namespace prr::tcp

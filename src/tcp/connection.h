@@ -9,7 +9,6 @@
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "stats/recovery_log.h"
-#include "tcp/metrics.h"
 #include "tcp/receiver.h"
 #include "tcp/sender.h"
 
@@ -23,8 +22,9 @@ struct ConnectionConfig {
 
 class Connection {
  public:
+  // Counters land in sender().metrics(); recovery episodes are appended
+  // to `recovery_log` when it is set.
   Connection(sim::Simulator& sim, ConnectionConfig config, sim::Rng rng,
-             Metrics* metrics = nullptr,
              stats::RecoveryLog* recovery_log = nullptr);
 
   // Pool-recycle: rewires the whole connection (path, sender, receiver)
@@ -32,7 +32,7 @@ class Connection {
   // produce, keeping every buffer/timer/event-slot capacity. Must run
   // after the owning Simulator was reset and before any per-connection
   // wiring (recorder, loss models, checker, app) is attached.
-  void reset(ConnectionConfig config, sim::Rng rng, Metrics* metrics,
+  void reset(ConnectionConfig config, sim::Rng rng,
              stats::RecoveryLog* recovery_log);
 
   // Application write on the server side.

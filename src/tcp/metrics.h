@@ -1,6 +1,8 @@
 // SNMP-like counter set mirroring the Linux MIBs the paper reports
-// (Tables 2, 3, 8, 10 and the early-retransmit statistics of §6). One
-// Metrics instance aggregates an experiment arm; connections share it.
+// (Tables 2, 3, 8, 10 and the early-retransmit statistics of §6). Each
+// tcp::Sender owns one Metrics, the connection's ledger and the only
+// place its counters are written; an experiment arm's Metrics is the sum
+// of its connections' ledgers, folded once per connection.
 #pragma once
 
 #include <cstdint>
@@ -54,15 +56,11 @@ struct Metrics {
   uint64_t bad_acks_ignored = 0;    // ack > snd_nxt dropped (RFC 5961)
   uint64_t window_probes_sent = 0;  // zero-window probes (RFC 793)
 
-  // --- connections ---
+  // --- connections (a sender's own ledger always reads 1) ---
   uint64_t connections = 0;
   uint64_t connections_aborted = 0;
 
   Metrics& operator+=(const Metrics& o);
-  // Counter-wise difference; with a before-snapshot of a shared
-  // accumulator this recovers one connection's contribution (used to
-  // feed per-connection values into the obs::MetricsRegistry).
-  Metrics& operator-=(const Metrics& o);
   // Deterministic shard merge for the parallel experiment harness: all
   // fields are sums, so merging per-worker accumulators in any order
   // reproduces the serial counters exactly.

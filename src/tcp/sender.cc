@@ -28,11 +28,10 @@ constexpr std::size_t kRetxHistoryLimit = 512;
 }  // namespace
 
 Sender::Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
-               Metrics* metrics, stats::RecoveryLog* recovery_log)
+               stats::RecoveryLog* recovery_log)
     : sim_(sim),
       config_(config),
       send_(std::move(send)),
-      metrics_(metrics),
       recovery_log_(recovery_log),
       cc_(make_congestion_control(config.cc, config.mss,
                                   config.gaimd_alpha, config.gaimd_beta)),
@@ -49,11 +48,8 @@ Sender::Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
   reset_core_state();
 }
 
-void Sender::reset(SenderConfig config, Metrics* metrics,
-                   stats::RecoveryLog* recovery_log) {
+void Sender::reset(SenderConfig config, stats::RecoveryLog* recovery_log) {
   config_ = config;
-  metrics_ = metrics;
-  local_ = Metrics{};
   recovery_log_ = recovery_log;
   if (!reset_congestion_control(*cc_, config.cc, config.mss,
                                 config.gaimd_alpha, config.gaimd_beta)) {
@@ -88,6 +84,8 @@ void Sender::reset(SenderConfig config, Metrics* metrics,
 }
 
 void Sender::reset_core_state() {
+  metrics_ = Metrics{};
+  metrics_.connections = 1;
   state_ = TcpState::kOpen;
   snd_una_ = 0;
   snd_nxt_ = 0;
@@ -140,18 +138,6 @@ void Sender::reset_core_state() {
   }
 }
 
-// --- counter plumbing: every event bumps the per-connection counters and,
-// when present, the shared experiment-arm counters. ---
-#define COUNT(field)                 \
-  do {                               \
-    ++local_.field;                  \
-    if (metrics_) ++metrics_->field; \
-  } while (0)
-#define ADD(field, v)                  \
-  do {                                 \
-    local_.field += (v);               \
-    if (metrics_) metrics_->field += (v); \
-  } while (0)
 
 void Sender::set_recorder(obs::FlightRecorder* recorder, uint32_t conn_id) {
   recorder_ = recorder;
@@ -275,10 +261,10 @@ void Sender::transmit(uint64_t start, uint64_t end, bool retx) {
                               state_ == TcpState::kRecovery);
   }
 
-  COUNT(data_segments_sent);
-  ADD(bytes_sent, len);
+  ++metrics_.data_segments_sent;
+  metrics_.bytes_sent += len;
   if (retx) {
-    COUNT(retransmits_total);
+    ++metrics_.retransmits_total;
     ++retransmits_since_progress_;
     if (undo_valid_) {
       ++undo_retrans_;
@@ -287,16 +273,16 @@ void Sender::transmit(uint64_t start, uint64_t end, bool retx) {
     }
     switch (state_) {
       case TcpState::kRecovery:
-        COUNT(fast_retransmits);
+        ++metrics_.fast_retransmits;
         ++current_event_.retransmits;
         retransmitted_this_event_ = true;
         break;
       case TcpState::kLoss:
         if (rto_head_retransmit_pending_) {
-          COUNT(timeout_retransmits);
+          ++metrics_.timeout_retransmits;
           rto_head_retransmit_pending_ = false;
         } else {
-          COUNT(slow_start_retransmits);
+          ++metrics_.slow_start_retransmits;
         }
         break;
       default:
@@ -369,7 +355,7 @@ void Sender::process_ack(const net::Segment& ack) {
     // RFC 5961 §5: an ACK for data never sent is invalid — processing it
     // would teleport snd.una beyond snd.nxt. Drop it (its rwnd too: a
     // corrupted segment's fields are all untrustworthy).
-    COUNT(bad_acks_ignored);
+    ++metrics_.bad_acks_ignored;
     return;
   }
   if (ack.rwnd != 0) peer_rwnd_ = ack.rwnd;
@@ -399,10 +385,8 @@ void Sender::process_ack(const net::Segment& ack) {
       scoreboard_.on_ack(ack, sim_.now(), config_.detect_lost_retransmits);
 
   if (out.lost_retransmits_detected > 0) {
-    ADD(lost_retransmits_detected,
-        static_cast<uint64_t>(out.lost_retransmits_detected));
-    ADD(lost_fast_retransmits,
-        static_cast<uint64_t>(out.lost_fast_retransmits_detected));
+    metrics_.lost_retransmits_detected += out.lost_retransmits_detected;
+    metrics_.lost_fast_retransmits += out.lost_fast_retransmits_detected;
     PRR_TRACE(recorder_, sim_.now(), conn_id_,
               obs::TraceType::kLostRetransmit, 0, 0,
               static_cast<uint64_t>(out.lost_retransmits_detected),
@@ -429,7 +413,7 @@ void Sender::process_ack(const net::Segment& ack) {
     tlp_probe_outstanding_ = false;
     if (er_timer_.pending()) {
       er_timer_.stop();
-      COUNT(er_delayed_cancelled);
+      ++metrics_.er_delayed_cancelled;
     }
     PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kUnaAdvance,
               0, 0, snd_una_);
@@ -621,7 +605,7 @@ void Sender::maybe_enter_cwr(const net::Segment& ack) {
   cwr_flag_pending_ = true;
   ssthresh_ = cc_->ssthresh_after_loss(cwnd_);
   cwr_prr_.enter_recovery(snd_nxt_ - snd_una_, ssthresh_, config_.mss);
-  COUNT(ecn_cwr_events);
+  ++metrics_.ecn_cwr_events;
 }
 
 void Sender::process_cwr(const AckOutcome& out) {
@@ -672,7 +656,7 @@ void Sender::on_tlp_timer() {
   if (aborted_ || state_ != TcpState::kOpen) return;
   if (snd_una_ >= snd_nxt_) return;
   tlp_probe_outstanding_ = true;  // at most one probe per episode
-  COUNT(tlp_probes_sent);
+  ++metrics_.tlp_probes_sent;
   if (can_send_new()) {
     // Probe with new data: it advances snd.nxt and, if the tail was
     // lost, its SACK exposes the hole to fast recovery.
@@ -695,8 +679,8 @@ void Sender::enter_recovery(uint64_t delivered_on_trigger, bool via_er) {
   state_ = TcpState::kRecovery;
   note_transmit_state_change();
   tlp_timer_.stop();
-  COUNT(fast_recovery_events);
-  if (via_er) COUNT(er_triggered);
+  ++metrics_.fast_recovery_events;
+  if (via_er) ++metrics_.er_triggered;
   recovery_via_er_ = via_er;
   recovery_point_ = snd_nxt_;
   retransmitted_this_event_ = false;
@@ -812,7 +796,7 @@ void Sender::finish_recovery_event(bool completed, bool timeout) {
 
 void Sender::handle_dsack(const AckOutcome& out) {
   if (!out.saw_dsack) return;
-  COUNT(dsacks_received);
+  ++metrics_.dsacks_received;
   if (!config_.dsack_undo || !undo_valid_ || !out.dsack_block) return;
   // A DSACK covering a range we retransmitted means that retransmission
   // was spurious (the original arrived too).
@@ -820,7 +804,7 @@ void Sender::handle_dsack(const AckOutcome& out) {
   for (auto it = retx_history_.begin(); it != retx_history_.end(); ++it) {
     if (it->first >= blk.start && it->second <= blk.end) {
       retx_history_.erase(it);
-      COUNT(spurious_retransmits);
+      ++metrics_.spurious_retransmits;
       spurious_seen_ = true;
       if (undo_retrans_ > 0) --undo_retrans_;
       break;
@@ -843,11 +827,11 @@ void Sender::check_eifel(const net::Segment& ack, const AckOutcome& out) {
       static_cast<uint32_t>(out.acked_rexmit_tx_time->ms());
   if (ack.tsecr >= retx_tsval) return;
   if (state_ == TcpState::kRecovery && undo_valid_) {
-    COUNT(spurious_retransmits);
+    ++metrics_.spurious_retransmits;
     try_undo();
   } else if (state_ == TcpState::kLoss && frto_check_pending_) {
     frto_check_pending_ = false;
-    COUNT(spurious_retransmits);
+    ++metrics_.spurious_retransmits;
     undo_loss_state();
   }
 }
@@ -858,8 +842,8 @@ void Sender::undo_loss_state() {
   cwnd_ = prior_loss_cwnd_;
   ssthresh_ = prior_loss_ssthresh_;
   scoreboard_.clear_unretransmitted_loss_marks();
-  COUNT(spurious_rto_undone);
-  COUNT(undo_events);
+  ++metrics_.spurious_rto_undone;
+  ++metrics_.undo_events;
   PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kUndo, 1, 0,
             cwnd_, ssthresh_);
   state_ = scoreboard_.any_sacked() ? TcpState::kDisorder
@@ -873,11 +857,11 @@ void Sender::try_undo() {
   // congestion state (Eifel response via DSACK).
   cwnd_ = std::max(cwnd_, prior_cwnd_);
   ssthresh_ = prior_ssthresh_;
-  COUNT(undo_events);
+  ++metrics_.undo_events;
   PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kUndo, 0, 0,
             cwnd_, ssthresh_, scoreboard_.pipe(),
             static_cast<uint64_t>(current_event_.max_burst_segments));
-  if (recovery_via_er_) COUNT(er_spurious);
+  if (recovery_via_er_) ++metrics_.er_spurious;
   undo_valid_ = false;
   spurious_seen_ = false;
   if (state_ == TcpState::kRecovery) {
@@ -927,20 +911,20 @@ void Sender::on_rto() {
             state_ == TcpState::kRecovery
                 ? static_cast<uint64_t>(current_event_.max_burst_segments)
                 : 0);
-  COUNT(timeouts_total);
+  ++metrics_.timeouts_total;
   switch (state_) {
     case TcpState::kOpen:
-      COUNT(timeouts_in_open);
+      ++metrics_.timeouts_in_open;
       break;
     case TcpState::kDisorder:
-      COUNT(timeouts_in_disorder);
+      ++metrics_.timeouts_in_disorder;
       break;
     case TcpState::kRecovery:
-      COUNT(timeouts_in_recovery);
+      ++metrics_.timeouts_in_recovery;
       finish_recovery_event(/*completed=*/false, /*timeout=*/true);
       break;
     case TcpState::kLoss:
-      COUNT(timeouts_exp_backoff);
+      ++metrics_.timeouts_exp_backoff;
       break;
   }
 
@@ -964,7 +948,7 @@ void Sender::on_rto() {
     // tcp_check_sack_reneging → tcp_timeout_mark_lost path.
     [[maybe_unused]] const uint64_t forgotten =
         scoreboard_.forget_sack_marks();
-    COUNT(sack_reneg_events);
+    ++metrics_.sack_reneg_events;
     PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kSackReneg, 0,
               0, snd_una_, forgotten);
   }
@@ -1015,7 +999,7 @@ void Sender::on_persist_timer() {
   // RFC 793 window probe: one byte beyond the advertised window. The
   // probe is real stream data, so its ACK both advances the flow and
   // reports the current window.
-  COUNT(window_probes_sent);
+  ++metrics_.window_probes_sent;
   ++persist_backoff_;
   transmit(snd_nxt_, snd_nxt_ + 1, /*retx=*/false);
   snd_nxt_ += 1;
@@ -1023,8 +1007,8 @@ void Sender::on_persist_timer() {
 
 void Sender::abort_connection() {
   aborted_ = true;
-  ADD(failed_retransmits, retransmits_since_progress_);
-  COUNT(connections_aborted);
+  metrics_.failed_retransmits += retransmits_since_progress_;
+  ++metrics_.connections_aborted;
   PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kAbort, 0, 0,
             snd_una_, snd_nxt_);
   rto_timer_.stop();
@@ -1078,8 +1062,5 @@ sim::Time Sender::loss_recovery_time() const {
   if (in_loss_recovery_) t += sim_.now() - loss_since_;
   return t;
 }
-
-#undef COUNT
-#undef ADD
 
 }  // namespace prr::tcp

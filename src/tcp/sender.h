@@ -144,17 +144,16 @@ class Sender {
   using SendFn = std::function<void(net::Segment&&)>;
 
   Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
-         Metrics* metrics, stats::RecoveryLog* recovery_log);
+         stats::RecoveryLog* recovery_log);
 
   // Pool-recycle: returns the sender to the state a fresh construction
-  // with (config, metrics, recovery_log) would produce, keeping the send
+  // with (config, recovery_log) would produce, keeping the send
   // callback and all container/timer capacity. Every observer hook and
   // the flight-recorder attachment are cleared — per-connection wiring
   // (invariant checker, watchdog, app) captures objects that die with
   // the connection, so stale hooks must never survive into the next one.
   // Precondition: the owning Simulator has been reset.
-  void reset(SenderConfig config, Metrics* metrics,
-             stats::RecoveryLog* recovery_log);
+  void reset(SenderConfig config, stats::RecoveryLog* recovery_log);
 
   // ---- application interface ----
   // Appends `bytes` to the send buffer and transmits what the window
@@ -225,8 +224,10 @@ class Sender {
   const RtoEstimator& rto_estimator() const { return rto_est_; }
   const SenderConfig& config() const { return config_; }
   const RecoveryPolicy* recovery_policy() const { return policy_.get(); }
-  uint64_t retransmits() const { return local_.retransmits_total; }
-  const Metrics& local_metrics() const { return local_; }
+  uint64_t retransmits() const { return metrics_.retransmits_total; }
+  // This connection's counters: the only place the sender writes one.
+  // The harness folds it into the arm once, when the connection ends.
+  const Metrics& metrics() const { return metrics_; }
   // Cumulative time spent with unacknowledged data outstanding ("network
   // transmit time" in Table 10) and the part spent in Recovery/Loss.
   sim::Time network_transmit_time() const;
@@ -290,8 +291,7 @@ class Sender {
   sim::Simulator& sim_;
   SenderConfig config_;
   SendFn send_;
-  Metrics* metrics_;  // shared, may be null
-  Metrics local_;
+  Metrics metrics_;
   stats::RecoveryLog* recovery_log_;  // may be null
 
   // ---- hot per-ACK fields ----

@@ -95,7 +95,7 @@ void check_conservation(const tcp::Sender& sender,
   }
   // Transmission accounting: every byte past snd_una was put on the wire
   // at least once, so cumulative wire bytes cover [0, snd_nxt).
-  const auto& m = sender.local_metrics();
+  const auto& m = sender.metrics();
   const uint64_t wire = m.bytes_sent;
   if (wire < nxt) {
     std::snprintf(buf, sizeof(buf),

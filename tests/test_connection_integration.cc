@@ -64,8 +64,8 @@ TEST_P(ConnectionIntegration, TransfersAllDataExactlyOnce) {
   cfg.path.ack_mangler.ack_loss_probability = sc.ack_loss;
   cfg.path.ack_mangler.stretch_factor = sc.stretch;
 
-  Metrics metrics;
-  Connection conn(sim, cfg, rng, &metrics, nullptr);
+  Connection conn(sim, cfg, rng);
+  const Metrics& metrics = conn.sender().metrics();
   if (sc.data_loss > 0) {
     conn.path().data_link().set_loss_model(
         std::make_unique<net::BernoulliLoss>(sc.data_loss, rng.fork(1)));
@@ -113,8 +113,8 @@ TEST_P(ConnectionIntegration, ForwardProgressMatchesDelivery) {
   cfg.path.ack_mangler.ack_loss_probability = sc.ack_loss;
   cfg.path.ack_mangler.stretch_factor = sc.stretch;
 
-  Metrics metrics;
-  Connection conn(sim, cfg, rng, &metrics, nullptr);
+  Connection conn(sim, cfg, rng);
+  const Metrics& metrics = conn.sender().metrics();
   if (sc.data_loss > 0) {
     conn.path().data_link().set_loss_model(
         std::make_unique<net::BernoulliLoss>(sc.data_loss, rng.fork(1)));
@@ -163,8 +163,8 @@ TEST(ConnectionIntegration2, AbandonedClientAborts) {
   cfg.sender.max_rto_backoffs = 4;
   cfg.sender.handshake_rtt = 50_ms;
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(2), 50_ms);
-  Metrics metrics;
-  Connection conn(sim, cfg, rng, &metrics, nullptr);
+  Connection conn(sim, cfg, rng);
+  const Metrics& metrics = conn.sender().metrics();
   conn.write(50'000);
   sim.schedule_in(120_ms, [&conn] { conn.path().kill_client(); });
   sim.run(sim::Time::seconds(300));
@@ -180,9 +180,9 @@ TEST(ConnectionIntegration2, RecoveryLogAndMetricsConsistent) {
   ConnectionConfig cfg;
   cfg.sender.handshake_rtt = 60_ms;
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(3), 60_ms);
-  Metrics metrics;
   stats::RecoveryLog rlog;
-  Connection conn(sim, cfg, rng, &metrics, &rlog);
+  Connection conn(sim, cfg, rng, &rlog);
+  const Metrics& metrics = conn.sender().metrics();
   conn.path().data_link().set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.03, rng.fork(9)));
   conn.write(400'000);
@@ -192,9 +192,6 @@ TEST(ConnectionIntegration2, RecoveryLogAndMetricsConsistent) {
   uint64_t event_retx = 0;
   for (const auto& e : rlog.events()) event_retx += e.retransmits;
   EXPECT_EQ(event_retx, metrics.fast_retransmits);
-  // Connection-local counters equal the shared ones for a single conn.
-  EXPECT_EQ(conn.sender().local_metrics().retransmits_total,
-            metrics.retransmits_total);
 }
 
 TEST(ConnectionIntegration2, DelayedAckReceiverStillCompletes) {
@@ -205,7 +202,7 @@ TEST(ConnectionIntegration2, DelayedAckReceiverStillCompletes) {
   cfg.receiver.delack_timeout = 200_ms;  // sluggish client
   cfg.sender.handshake_rtt = 40_ms;
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(2), 40_ms);
-  Connection conn(sim, cfg, rng, nullptr, nullptr);
+  Connection conn(sim, cfg, rng);
   conn.write(1430);  // single segment: only the delack timer ACKs it
   sim.run(sim::Time::seconds(10));
   EXPECT_TRUE(conn.sender().all_acked());
@@ -218,7 +215,7 @@ TEST(ConnectionIntegration2, SmallReceiveWindowLimitsButCompletes) {
   cfg.receiver.rwnd = 5 * 1430;
   cfg.sender.handshake_rtt = 40_ms;
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(10), 40_ms);
-  Connection conn(sim, cfg, rng, nullptr, nullptr);
+  Connection conn(sim, cfg, rng);
   conn.write(100 * 1430);
 
   // Once the first ACK advertises the window, flight stays within it.

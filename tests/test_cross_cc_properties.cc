@@ -44,8 +44,8 @@ TEST_P(CrossCcTest, LossyTransferCompletes) {
   cfg.sender.handshake_rtt = 60_ms;
   cfg.path =
       net::Path::Config::symmetric(util::DataRate::mbps(6), 60_ms, 150);
-  Metrics m;
-  Connection conn(sim, cfg, sim::Rng(21), &m, nullptr);
+  Connection conn(sim, cfg, sim::Rng(21));
+  const Metrics& m = conn.sender().metrics();
   conn.path().data_link().set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.03, sim::Rng(22)));
   conn.write(500'000);
@@ -66,7 +66,7 @@ TEST_P(CrossCcTest, PrrExitsAtWhateverSsthreshTheCcChose) {
   cfg.path =
       net::Path::Config::symmetric(util::DataRate::mbps(6), 60_ms, 150);
   stats::RecoveryLog rlog;
-  Connection conn(sim, cfg, sim::Rng(23), nullptr, &rlog);
+  Connection conn(sim, cfg, sim::Rng(23), &rlog);
   conn.path().data_link().set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.02, sim::Rng(24)));
   conn.write(800'000);
@@ -114,7 +114,7 @@ TEST(CubicPrrIntegration, ProportionalRatioRoughlySevenOfTen) {
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(2.4),
                                           100_ms, 300);
   stats::RecoveryLog rlog;
-  Connection conn(sim, cfg, sim::Rng(31), nullptr, &rlog);
+  Connection conn(sim, cfg, sim::Rng(31), &rlog);
   // Drop exactly one early segment from a 30-segment window.
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{2}));

@@ -88,8 +88,7 @@ class EcnConnectionTest : public ::testing::Test {
   // Low-rate bottleneck with a marking threshold well below the queue
   // limit: a cwnd-limited flow builds queue and gets CE marks, never
   // drops.
-  std::unique_ptr<Connection> make(sim::Simulator& sim, bool ecn,
-                                   Metrics* m) {
+  std::unique_ptr<Connection> make(sim::Simulator& sim, bool ecn) {
     ConnectionConfig cfg;
     cfg.sender.mss = kMss;
     cfg.sender.cc = CcKind::kNewReno;
@@ -99,14 +98,14 @@ class EcnConnectionTest : public ::testing::Test {
     cfg.path =
         net::Path::Config::symmetric(util::DataRate::mbps(2), 60_ms, 200);
     cfg.path.data_link.ecn_mark_threshold = 10;
-    return std::make_unique<Connection>(sim, cfg, sim::Rng(1), m, nullptr);
+    return std::make_unique<Connection>(sim, cfg, sim::Rng(1));
   }
 };
 
 TEST_F(EcnConnectionTest, CwrReducesWindowWithoutRetransmissions) {
   sim::Simulator sim;
-  Metrics m;
-  auto conn = make(sim, true, &m);
+  auto conn = make(sim, true);
+  const Metrics& m = conn->sender().metrics();
   conn->write(600'000);
   sim.run(sim::Time::seconds(120));
   ASSERT_TRUE(conn->sender().all_acked());
@@ -119,8 +118,8 @@ TEST_F(EcnConnectionTest, CwrReducesWindowWithoutRetransmissions) {
 
 TEST_F(EcnConnectionTest, WithoutEcnSameQueueNeverMarks) {
   sim::Simulator sim;
-  Metrics m;
-  auto conn = make(sim, false, &m);
+  auto conn = make(sim, false);
+  const Metrics& m = conn->sender().metrics();
   conn->write(600'000);
   sim.run(sim::Time::seconds(120));
   ASSERT_TRUE(conn->sender().all_acked());
@@ -130,8 +129,8 @@ TEST_F(EcnConnectionTest, WithoutEcnSameQueueNeverMarks) {
 
 TEST_F(EcnConnectionTest, CwrConvergesTowardSsthresh) {
   sim::Simulator sim;
-  Metrics m;
-  auto conn = make(sim, true, &m);
+  auto conn = make(sim, true);
+  const Metrics& m = conn->sender().metrics();
   // Track the window right after each CWR episode via a probe on ACKs.
   uint64_t min_cwnd_after_reduction = UINT64_MAX;
   bool was_reducing = false;
@@ -167,8 +166,8 @@ TEST_F(EcnConnectionTest, EcnKeepsGoodputCloseToLossRecovery) {
     cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(2),
                                             60_ms, ecn ? 200 : 10);
     if (ecn) cfg.path.data_link.ecn_mark_threshold = 10;
-    Metrics m;
-    Connection conn(sim, cfg, sim::Rng(2), &m, nullptr);
+    Connection conn(sim, cfg, sim::Rng(2));
+    const Metrics& m = conn.sender().metrics();
     conn.write(600'000);
     sim.run(sim::Time::seconds(300));
     EXPECT_TRUE(conn.sender().all_acked());

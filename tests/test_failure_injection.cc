@@ -26,9 +26,9 @@ ConnectionConfig base_config() {
 
 TEST(FailureInjection, ClientDiesDuringRecovery) {
   sim::Simulator sim;
-  Metrics m;
   stats::RecoveryLog rlog;
-  Connection conn(sim, base_config(), sim::Rng(1), &m, &rlog);
+  Connection conn(sim, base_config(), sim::Rng(1), &rlog);
+  const Metrics& m = conn.sender().metrics();
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{1, 2}));
   conn.write(20'000);
@@ -47,8 +47,8 @@ TEST(FailureInjection, ClientDiesWithErPending) {
   sim::Simulator sim;
   ConnectionConfig cfg = base_config();
   cfg.sender.early_retransmit = EarlyRetransmitMode::kBothMitigations;
-  Metrics m;
-  Connection conn(sim, cfg, sim::Rng(2), &m, nullptr);
+  Connection conn(sim, cfg, sim::Rng(2));
+  const Metrics& m = conn.sender().metrics();
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{1}));
   conn.write(2000);  // tail-ish loss on a 2-segment flow arms delayed ER
@@ -65,8 +65,8 @@ TEST(FailureInjection, WriteDuringLossState) {
   sim::Simulator sim;
   ConnectionConfig cfg = base_config();
   cfg.sender.max_rto_backoffs = 10;
-  Metrics m;
-  Connection conn(sim, cfg, sim::Rng(3), &m, nullptr);
+  Connection conn(sim, cfg, sim::Rng(3));
+  const Metrics& m = conn.sender().metrics();
   // Drop everything for a while so the sender RTOs into Loss, then heal.
   auto composite = std::make_unique<net::CompositeLoss>();
   composite->add(std::make_unique<net::DeterministicLoss>(
@@ -81,7 +81,7 @@ TEST(FailureInjection, WriteDuringLossState) {
 
 TEST(FailureInjection, ZeroByteWriteIsNoop) {
   sim::Simulator sim;
-  Connection conn(sim, base_config(), sim::Rng(4), nullptr, nullptr);
+  Connection conn(sim, base_config(), sim::Rng(4));
   conn.write(0);
   EXPECT_EQ(conn.sender().snd_nxt(), 0u);
   sim.run(sim::Time::seconds(1));
@@ -90,8 +90,8 @@ TEST(FailureInjection, ZeroByteWriteIsNoop) {
 
 TEST(FailureInjection, DuplicateAndAncientAcksIgnoredSafely) {
   sim::Simulator sim;
-  Metrics m;
-  Connection conn(sim, base_config(), sim::Rng(5), &m, nullptr);
+  Connection conn(sim, base_config(), sim::Rng(5));
+  const Metrics& m = conn.sender().metrics();
   conn.write(10'000);
   sim.run(sim::Time::seconds(5));
   ASSERT_TRUE(conn.sender().all_acked());
@@ -108,7 +108,7 @@ TEST(FailureInjection, DuplicateAndAncientAcksIgnoredSafely) {
 
 TEST(FailureInjection, AckBeyondSndNxtIsTolerated) {
   sim::Simulator sim;
-  Connection conn(sim, base_config(), sim::Rng(6), nullptr, nullptr);
+  Connection conn(sim, base_config(), sim::Rng(6));
   conn.write(5000);
   net::Segment bogus;
   bogus.is_ack = true;
@@ -122,7 +122,7 @@ TEST(FailureInjection, AckBeyondSndNxtIsTolerated) {
 
 TEST(FailureInjection, SackBlocksOutsideWindowIgnored) {
   sim::Simulator sim;
-  Connection conn(sim, base_config(), sim::Rng(7), nullptr, nullptr);
+  Connection conn(sim, base_config(), sim::Rng(7));
   conn.write(5000);
   net::Segment weird;
   weird.is_ack = true;
@@ -138,7 +138,7 @@ TEST(FailureInjection, SackBlocksOutsideWindowIgnored) {
 
 TEST(FailureInjection, RepeatedKillClientIsIdempotent) {
   sim::Simulator sim;
-  Connection conn(sim, base_config(), sim::Rng(8), nullptr, nullptr);
+  Connection conn(sim, base_config(), sim::Rng(8));
   conn.write(5000);
   conn.path().kill_client();
   conn.path().kill_client();
@@ -151,7 +151,7 @@ TEST(FailureInjection, AbortStopsAllTimers) {
   ConnectionConfig cfg = base_config();
   cfg.sender.tail_loss_probe = true;
   cfg.sender.early_retransmit = EarlyRetransmitMode::kBothMitigations;
-  Connection conn(sim, cfg, sim::Rng(9), nullptr, nullptr);
+  Connection conn(sim, cfg, sim::Rng(9));
   conn.path().kill_client();
   conn.write(20'000);
   sim.run(sim::Time::seconds(600));
@@ -165,7 +165,7 @@ TEST(FailureInjection, MassiveWriteDoesNotExplodeMemoryOrTime) {
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(100),
                                           20_ms, 500);
   cfg.sender.handshake_rtt = 20_ms;
-  Connection conn(sim, cfg, sim::Rng(10), nullptr, nullptr);
+  Connection conn(sim, cfg, sim::Rng(10));
   conn.write(50'000'000);  // 50 MB
   sim.run(sim::Time::seconds(60));
   EXPECT_TRUE(conn.sender().all_acked());

@@ -210,8 +210,8 @@ TEST(FaultInjector, BlackoutDuringFastRecoveryEndsCleanOrBoundedAbort) {
     sim::Simulator sim;
     tcp::ConnectionConfig cfg = chaos_config();
     cfg.sender.max_rto_backoffs = backoffs;
-    tcp::Metrics m;
-    tcp::Connection conn(sim, cfg, sim::Rng(11), &m, nullptr);
+    tcp::Connection conn(sim, cfg, sim::Rng(11));
+    const tcp::Metrics& m = conn.sender().metrics();
     conn.path().data_link().set_loss_model(
         std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{2, 3}));
 
@@ -238,8 +238,8 @@ TEST(FaultInjector, BlackoutDuringFastRecoveryEndsCleanOrBoundedAbort) {
 
 TEST(FaultInjector, ShortBlackoutRecoversWithoutAbort) {
   sim::Simulator sim;
-  tcp::Metrics m;
-  tcp::Connection conn(sim, chaos_config(), sim::Rng(12), &m, nullptr);
+  tcp::Connection conn(sim, chaos_config(), sim::Rng(12));
+  const tcp::Metrics& m = conn.sender().metrics();
   FaultInjector injector(sim, conn.path(),
                          FaultSchedule::blackout(300_ms, 400_ms));
   injector.arm();
@@ -255,8 +255,8 @@ TEST(FaultInjector, RttSpikeBelowRtoFloorFiresNoSpuriousTimeout) {
   // at 180 ms < RTO, so a well-formed timer must never fire: zero
   // timeouts, no retransmissions of any kind.
   sim::Simulator sim;
-  tcp::Metrics m;
-  tcp::Connection conn(sim, chaos_config(), sim::Rng(13), &m, nullptr);
+  tcp::Connection conn(sim, chaos_config(), sim::Rng(13));
+  const tcp::Metrics& m = conn.sender().metrics();
   FaultInjector injector(sim, conn.path(),
                          FaultSchedule::rtt_spike(500_ms, 1.8, 3_s));
   injector.arm();
@@ -273,8 +273,8 @@ TEST(FaultInjector, RttSpikeBelowRtoFloorFiresNoSpuriousTimeout) {
 
 TEST(FaultInjector, BandwidthShiftCompletesTransfer) {
   sim::Simulator sim;
-  tcp::Metrics m;
-  tcp::Connection conn(sim, chaos_config(), sim::Rng(14), &m, nullptr);
+  tcp::Connection conn(sim, chaos_config(), sim::Rng(14));
+  const tcp::Metrics& m = conn.sender().metrics();
   FaultInjector injector(sim, conn.path(),
                          FaultSchedule::bandwidth_shift(400_ms, 0.25));
   injector.arm();
@@ -288,10 +288,10 @@ TEST(FaultInjector, BandwidthShiftCompletesTransfer) {
 
 TEST(FaultInjector, AckOutageSurvivable) {
   sim::Simulator sim;
-  tcp::Metrics m;
   tcp::ConnectionConfig cfg = chaos_config();
   cfg.sender.max_rto_backoffs = 10;
-  tcp::Connection conn(sim, cfg, sim::Rng(15), &m, nullptr);
+  tcp::Connection conn(sim, cfg, sim::Rng(15));
+  const tcp::Metrics& m = conn.sender().metrics();
   FaultInjector injector(sim, conn.path(),
                          FaultSchedule::ack_outage(300_ms, 600_ms));
   injector.arm();
@@ -304,10 +304,10 @@ TEST(FaultInjector, AckOutageSurvivable) {
 
 TEST(FaultInjector, ReceiverStallHoldsThenReleasesNewestAck) {
   sim::Simulator sim;
-  tcp::Metrics m;
   tcp::ConnectionConfig cfg = chaos_config();
   cfg.sender.max_rto_backoffs = 10;
-  tcp::Connection conn(sim, cfg, sim::Rng(16), &m, nullptr);
+  tcp::Connection conn(sim, cfg, sim::Rng(16));
+  const tcp::Metrics& m = conn.sender().metrics();
   FaultInjector injector(sim, conn.path(),
                          FaultSchedule::receiver_stall(300_ms, 700_ms));
   injector.arm();
@@ -323,10 +323,10 @@ TEST(FaultInjector, OverlappingFlapsDoNotClearEachOthersGate) {
   // Two overlapping dark periods: the link must stay dark until the
   // later one ends (depth-counted), then everything heals.
   sim::Simulator sim;
-  tcp::Metrics m;
   tcp::ConnectionConfig cfg = chaos_config();
   cfg.sender.max_rto_backoffs = 10;
-  tcp::Connection conn(sim, cfg, sim::Rng(17), &m, nullptr);
+  tcp::Connection conn(sim, cfg, sim::Rng(17));
+  const tcp::Metrics& m = conn.sender().metrics();
   FaultSchedule s = FaultSchedule::blackout(300_ms, 1_s);
   s.merge(FaultSchedule::blackout(800_ms, 1_s));  // overlaps the first
   FaultInjector injector(sim, conn.path(), s);
@@ -356,8 +356,8 @@ TEST(FaultInjector, EverythingProfileNeverWedgesTheQueue) {
   profile.p_receiver_stall = 0.5;
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     sim::Simulator sim;
-    tcp::Metrics m;
-    tcp::Connection conn(sim, chaos_config(), sim::Rng(seed), &m, nullptr);
+    tcp::Connection conn(sim, chaos_config(), sim::Rng(seed));
+    const tcp::Metrics& m = conn.sender().metrics();
     FaultInjector injector(
         sim, conn.path(),
         FaultSchedule::random(profile, sim::Rng(seed).fork(0xFA17)));

@@ -78,8 +78,8 @@ TEST(Invariants, LossRecoveryIsViolationFree) {
     sim::Simulator sim;
     ConnectionConfig cfg = checked_config();
     cfg.sender.recovery = kind;
-    Metrics m;
-    Connection conn(sim, cfg, sim::Rng(2), &m, nullptr);
+    Connection conn(sim, cfg, sim::Rng(2));
+    const Metrics& m = conn.sender().metrics();
     conn.path().data_link().set_loss_model(
         std::make_unique<net::DeterministicLoss>(
             std::set<uint64_t>{2, 3, 11, 17}));

@@ -40,8 +40,7 @@ class NewRenoRecoveryTest : public ::testing::Test {
         sim, cfg,
         [this](net::Segment s) {
           wire.push_back({s.seq, s.len, s.is_retransmit});
-        },
-        &metrics, &rlog);
+        }, &rlog);
   }
 
   // Pure duplicate ACK (no SACK blocks, as a non-SACK client sends).
@@ -60,7 +59,6 @@ class NewRenoRecoveryTest : public ::testing::Test {
   }
 
   sim::Simulator sim;
-  Metrics metrics;
   stats::RecoveryLog rlog;
   std::unique_ptr<Sender> sender;
   std::vector<Sent> wire;
@@ -147,8 +145,8 @@ TEST_F(NewRenoRecoveryTest, EndToEndTransferWithBurstLoss) {
     cfg.receiver.dsack_enabled = false;
     cfg.path =
         net::Path::Config::symmetric(util::DataRate::mbps(4), 80_ms, 100);
-    Metrics m;
-    Connection conn(fullsim, cfg, sim::Rng(11), &m, nullptr);
+    Connection conn(fullsim, cfg, sim::Rng(11));
+    const Metrics& m = conn.sender().metrics();
     conn.path().data_link().set_loss_model(
         std::make_unique<net::BernoulliLoss>(0.03, sim::Rng(12)));
     conn.write(300'000);
@@ -168,7 +166,7 @@ TEST_F(NewRenoRecoveryTest, NonSackReceiverSendsPlainDupacks) {
   cfg.receiver.sack_enabled = false;
   cfg.path =
       net::Path::Config::symmetric(util::DataRate::mbps(4), 80_ms, 100);
-  Connection conn(fullsim, cfg, sim::Rng(7), nullptr, nullptr);
+  Connection conn(fullsim, cfg, sim::Rng(7));
   int dupacks_with_sack = 0;
   conn.sender().on_ack_hook = [&](const net::Segment& a) {
     if (!a.sacks.empty()) ++dupacks_with_sack;

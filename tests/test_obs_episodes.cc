@@ -33,7 +33,7 @@ class EpisodeBuilderTest : public ::testing::Test {
     cfg.cc = tcp::CcKind::kNewReno;
     cfg.recovery = kind;
     sender = std::make_unique<tcp::Sender>(
-        sim, cfg, [](net::Segment) {}, &metrics, &rlog);
+        sim, cfg, [](net::Segment) {}, &rlog);
     recorder = std::make_unique<FlightRecorder>(1u << 12);
     recorder->add_listener(
         [this](const TraceRecord& r) { builder.on_record(r); });
@@ -66,7 +66,7 @@ class EpisodeBuilderTest : public ::testing::Test {
   // through the recorder into the builder — so the sender must be
   // destroyed first (declared last), the recorder second, builder last.
   sim::Simulator sim;
-  tcp::Metrics metrics;
+  const tcp::Metrics& metrics() const { return sender->metrics(); }
   stats::RecoveryLog rlog;
   EpisodeBuilder builder{EpisodeBuilder::Options{.keep_ledgers = true}};
   std::unique_ptr<FlightRecorder> recorder;
@@ -124,12 +124,12 @@ TEST_F(EpisodeBuilderTest, SingleLossEpisodeMatchesRecoveryLog) {
 
   // Stream counters mirror the Metrics accumulator.
   const EpisodeBuilder::StreamCounts& s = builder.stream();
-  EXPECT_EQ(s.data_segments_sent, metrics.data_segments_sent);
-  EXPECT_EQ(s.retransmits_total, metrics.retransmits_total);
-  EXPECT_EQ(s.fast_retransmits, metrics.fast_retransmits);
-  EXPECT_EQ(s.dsacks_received, metrics.dsacks_received);
-  EXPECT_EQ(s.undo_events, metrics.undo_events);
-  EXPECT_EQ(s.timeouts_total, metrics.timeouts_total);
+  EXPECT_EQ(s.data_segments_sent, metrics().data_segments_sent);
+  EXPECT_EQ(s.retransmits_total, metrics().retransmits_total);
+  EXPECT_EQ(s.fast_retransmits, metrics().fast_retransmits);
+  EXPECT_EQ(s.dsacks_received, metrics().dsacks_received);
+  EXPECT_EQ(s.undo_events, metrics().undo_events);
+  EXPECT_EQ(s.timeouts_total, metrics().timeouts_total);
 }
 
 TEST_F(EpisodeBuilderTest, DsackUndoClosesEpisodeAsUndo) {
@@ -138,7 +138,7 @@ TEST_F(EpisodeBuilderTest, DsackUndoClosesEpisodeAsUndo) {
   // Cumulative ACK plus a DSACK for the retransmitted hole: the loss
   // was spurious reordering and the sender reverts.
   sender->on_ack_segment(ack(20 * kMss, {}, net::SackBlock{0, kMss}));
-  ASSERT_EQ(metrics.undo_events, 1u);
+  ASSERT_EQ(metrics().undo_events, 1u);
   builder.finish();
 
   ASSERT_EQ(builder.episodes().size(), 1u);
@@ -156,7 +156,7 @@ TEST_F(EpisodeBuilderTest, RtoMidRecoveryClosesEpisodeAsInterrupted) {
   make(tcp::RecoveryKind::kPrr);
   enter_single_loss();
   sim.run(5_s);  // ACK clock stops: the retransmission timer fires
-  ASSERT_GE(metrics.timeouts_total, 1u);
+  ASSERT_GE(metrics().timeouts_total, 1u);
   builder.finish();
 
   ASSERT_GE(builder.episodes().size(), 1u);
@@ -180,9 +180,9 @@ TEST_F(EpisodeBuilderTest, StreamEndMidRecoveryTruncates) {
   EpisodeTable t;
   t.fold(builder);
   EXPECT_EQ(t.total(), 1u);
-  EXPECT_EQ(t.finished(), 0u);  // truncated rows leave the mirrors empty
+  EXPECT_EQ(t.finished(), 0u);  // truncated rows stay out of the log
   EXPECT_EQ(t.truncated(), 1u);
-  EXPECT_EQ(t.pipe_minus_ssthresh_segs().count(), 0u);
+  EXPECT_EQ(t.finished_log().count(), 0u);
 }
 
 class EpisodeSweepTest : public ::testing::Test {
@@ -206,34 +206,8 @@ TEST_F(EpisodeSweepTest, SweepReconcilesWithRecoveryLogAndMetrics) {
   EXPECT_EQ(r.episodes.finished(), r.recovery_log.count());
   EXPECT_EQ(r.episodes.total(), r.metrics.fast_recovery_events);
 
-  // Every finished episode row must equal the recovery-log event of the
-  // same index, field for field.
-  std::vector<const EpisodeSummary*> finished;
-  for (const EpisodeSummary& row : r.episodes.rows()) {
-    if (row.finished()) finished.push_back(&row);
-  }
-  ASSERT_EQ(finished.size(), r.recovery_log.events().size());
-  for (std::size_t i = 0; i < finished.size(); ++i) {
-    const EpisodeSummary& ep = *finished[i];
-    const stats::RecoveryEvent& ev = r.recovery_log.events()[i];
-    ASSERT_EQ(ep.start_ns, ev.start.ns()) << "event " << i;
-    ASSERT_EQ(ep.end_ns, ev.end.ns()) << "event " << i;
-    ASSERT_EQ(ep.pipe_at_start, ev.pipe_at_start) << "event " << i;
-    ASSERT_EQ(ep.ssthresh, ev.ssthresh) << "event " << i;
-    ASSERT_EQ(ep.cwnd_at_start, ev.cwnd_at_start) << "event " << i;
-    ASSERT_EQ(ep.cwnd_at_exit, ev.cwnd_at_exit) << "event " << i;
-    ASSERT_EQ(ep.cwnd_after_exit, ev.cwnd_after_exit) << "event " << i;
-    ASSERT_EQ(ep.pipe_at_exit, ev.pipe_at_exit) << "event " << i;
-    ASSERT_EQ(ep.mss, ev.mss) << "event " << i;
-    ASSERT_EQ(ep.retransmits, ev.retransmits) << "event " << i;
-    ASSERT_EQ(ep.bytes_sent_during, ev.bytes_sent_during) << "event " << i;
-    ASSERT_EQ(ep.max_burst_segments, ev.max_burst_segments)
-        << "event " << i;
-    ASSERT_EQ(ep.interrupted_by_timeout(), ev.interrupted_by_timeout)
-        << "event " << i;
-    ASSERT_EQ(ep.completed(), ev.completed) << "event " << i;
-    ASSERT_EQ(ep.slow_start_after, ev.slow_start_after) << "event " << i;
-  }
+  // The finished rows, as a RecoveryLog, are the sender's events.
+  EXPECT_EQ(r.episodes.finished_log().events(), r.recovery_log.events());
 
   // Stream counters mirror Metrics.
   const EpisodeBuilder::StreamCounts& s = r.episodes.stream();
@@ -252,9 +226,11 @@ TEST_F(EpisodeSweepTest, TableAccessorsMatchRecoveryLogMirrors) {
   workload::WebWorkload pop;
   const exp::ArmResult r =
       exp::run_arm(pop, exp::ArmConfig::prr_arm(), base_opts());
-  const EpisodeTable& tab = r.episodes;
+  const stats::RecoveryLog tab = r.episodes.finished_log();
   const stats::RecoveryLog& log = r.recovery_log;
 
+  EXPECT_EQ(tab.count(), log.count());
+  EXPECT_EQ(tab.bytes_sent_during(), log.bytes_sent_during());
   EXPECT_DOUBLE_EQ(tab.fraction_start_below_ssthresh(),
                    log.fraction_start_below_ssthresh());
   EXPECT_DOUBLE_EQ(tab.fraction_start_equal_ssthresh(),

@@ -96,7 +96,7 @@ TEST(Perfetto, RealTransferExportsCleanly) {
   cfg.sender.handshake_rtt = sim::Time::milliseconds(50);
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(4),
                                           sim::Time::milliseconds(50), 100);
-  tcp::Connection conn(sim, cfg, sim::Rng(1), nullptr, nullptr);
+  tcp::Connection conn(sim, cfg, sim::Rng(1));
   FlightRecorder recorder(1 << 14);
   Instrument instrument(sim, conn, recorder, /*conn_id=*/9);
   conn.path().data_link().set_loss_model(
@@ -125,7 +125,7 @@ TEST(Snapshot, TextAndJsonForms) {
   cfg.sender.mss = 1000;
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(4),
                                           sim::Time::milliseconds(40), 100);
-  tcp::Connection conn(sim, cfg, sim::Rng(3), nullptr, nullptr);
+  tcp::Connection conn(sim, cfg, sim::Rng(3));
   conn.write(20'000);
   sim.run(sim::Time::seconds(10));
   ASSERT_TRUE(conn.sender().all_acked());

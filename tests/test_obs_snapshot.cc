@@ -34,7 +34,7 @@ class SnapshotTest : public ::testing::Test {
     cfg.cc = tcp::CcKind::kNewReno;
     cfg.recovery = kind;
     sender = std::make_unique<tcp::Sender>(
-        sim, cfg, [](net::Segment) {}, &metrics, &rlog);
+        sim, cfg, [](net::Segment) {}, &rlog);
   }
 
   void ack(uint64_t cum, std::vector<net::SackBlock> sacks = {},
@@ -59,7 +59,7 @@ class SnapshotTest : public ::testing::Test {
   }
 
   sim::Simulator sim;
-  tcp::Metrics metrics;
+  const tcp::Metrics& metrics() const { return sender->metrics(); }
   stats::RecoveryLog rlog;
   std::unique_ptr<tcp::Sender> sender;
 };
@@ -95,7 +95,7 @@ TEST_F(SnapshotTest, GoldenDsackUndo) {
   // Cumulative ACK plus a DSACK for the retransmitted hole: spurious
   // recovery, fully undone — window restored, ssthresh back to "inf".
   ack(20 * kMss, {}, net::SackBlock{0, kMss});
-  ASSERT_EQ(metrics.undo_events, 1u);
+  ASSERT_EQ(metrics().undo_events, 1u);
 
   EXPECT_EQ(snapshot(*sender, 8),
             "conn 8 state:Open\n"

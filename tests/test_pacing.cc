@@ -27,7 +27,7 @@ ConnectionConfig paced_config(bool pacing) {
 
 TEST(Pacing, SpreadsTheInitialWindow) {
   sim::Simulator sim;
-  Connection conn(sim, paced_config(true), sim::Rng(1), nullptr, nullptr);
+  Connection conn(sim, paced_config(true), sim::Rng(1));
   std::vector<sim::Time> sends;
   conn.sender().on_transmit_hook = [&](uint64_t, uint32_t, bool) {
     sends.push_back(sim.now());
@@ -44,7 +44,7 @@ TEST(Pacing, SpreadsTheInitialWindow) {
 
 TEST(Pacing, UnpacedSenderBurstsAtLineRate) {
   sim::Simulator sim;
-  Connection conn(sim, paced_config(false), sim::Rng(1), nullptr, nullptr);
+  Connection conn(sim, paced_config(false), sim::Rng(1));
   std::vector<sim::Time> sends;
   conn.sender().on_transmit_hook = [&](uint64_t, uint32_t, bool) {
     sends.push_back(sim.now());
@@ -58,8 +58,8 @@ TEST(Pacing, UnpacedSenderBurstsAtLineRate) {
 TEST(Pacing, LossyTransferStillCompletes) {
   for (bool pacing : {false, true}) {
     sim::Simulator sim;
-    Metrics m;
-    Connection conn(sim, paced_config(pacing), sim::Rng(2), &m, nullptr);
+    Connection conn(sim, paced_config(pacing), sim::Rng(2));
+    const Metrics& m = conn.sender().metrics();
     conn.path().data_link().set_loss_model(
         std::make_unique<net::BernoulliLoss>(0.04, sim::Rng(3)));
     conn.write(400'000);
@@ -78,7 +78,7 @@ TEST(Pacing, PreventsQueueOverflowOnShallowBuffers) {
     cfg.sender.initial_cwnd_segments = 20;
     cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(2),
                                             100_ms, 5);
-    Connection conn(sim, cfg, sim::Rng(4), nullptr, nullptr);
+    Connection conn(sim, cfg, sim::Rng(4));
     conn.write(20'000);
     sim.run(sim::Time::seconds(60));
     return conn.path().data_link().stats().dropped_queue;
@@ -89,7 +89,7 @@ TEST(Pacing, PreventsQueueOverflowOnShallowBuffers) {
 
 TEST(Pacing, TimerDoesNotLeakWhenIdle) {
   sim::Simulator sim;
-  Connection conn(sim, paced_config(true), sim::Rng(5), nullptr, nullptr);
+  Connection conn(sim, paced_config(true), sim::Rng(5));
   conn.write(5'000);
   sim.run(sim::Time::seconds(10));
   EXPECT_TRUE(conn.sender().all_acked());

@@ -160,7 +160,7 @@ TEST(Pcap, AttachedTapCapturesWholeConnection) {
   cfg.sender.handshake_rtt = 50_ms;
   cfg.path =
       net::Path::Config::symmetric(util::DataRate::mbps(4), 50_ms, 100);
-  tcp::Connection conn(sim, cfg, sim::Rng(1), nullptr, nullptr);
+  tcp::Connection conn(sim, cfg, sim::Rng(1));
   std::ostringstream os;
   PcapWriter w(os);
   obs::FlightRecorder recorder;

@@ -52,7 +52,7 @@ TEST(SackReneging, SenderRecoversFromRenegingReceiver) {
   EXPECT_TRUE(conn.sender().all_acked())
       << "renege recovery should retransmit the discarded data";
   EXPECT_FALSE(conn.sender().aborted());
-  EXPECT_GE(conn.sender().local_metrics().sack_reneg_events, 1u);
+  EXPECT_GE(conn.sender().metrics().sack_reneg_events, 1u);
   EXPECT_EQ(conn.receiver().rcv_nxt(), 30'000u);
   checker.finalize();
   for (const auto& v : checker.violations())
@@ -72,7 +72,7 @@ TEST(SackReneging, WithoutDefenseTheConnectionWedges) {
   // are never retransmitted and the flow cannot complete (it wedges
   // until the RTO-backoff abort gives up on it).
   EXPECT_FALSE(conn.sender().all_acked());
-  EXPECT_EQ(conn.sender().local_metrics().sack_reneg_events, 0u);
+  EXPECT_EQ(conn.sender().metrics().sack_reneg_events, 0u);
   EXPECT_LT(conn.receiver().rcv_nxt(), 30'000u);
 }
 
@@ -93,7 +93,7 @@ TEST(SackReneging, HonestLossNeverTriggersTheDefense) {
             p, sim::Rng(seed).fork(7)));
     conn.write(100'000);
     sim.run(sim::Time::seconds(300));
-    EXPECT_EQ(conn.sender().local_metrics().sack_reneg_events, 0u)
+    EXPECT_EQ(conn.sender().metrics().sack_reneg_events, 0u)
         << "seed " << seed;
   }
 }
@@ -108,7 +108,7 @@ TEST(SackReneging, RenegeBeforeAnyLossIsHarmless) {
   sim.run(sim::Time::seconds(60));
   EXPECT_TRUE(conn.sender().all_acked());
   EXPECT_EQ(conn.receiver().reneged_bytes(), 0u);
-  EXPECT_EQ(conn.sender().local_metrics().sack_reneg_events, 0u);
+  EXPECT_EQ(conn.sender().metrics().sack_reneg_events, 0u);
 }
 
 }  // namespace

@@ -38,8 +38,7 @@ class SenderTest : public ::testing::Test {
     sender = std::make_unique<Sender>(
         sim, cfg,
         [this](net::Segment s) { wire.push_back({s.seq, s.len,
-                                                 s.is_retransmit}); },
-        &metrics, &rlog);
+                                                 s.is_retransmit}); }, &rlog);
   }
 
   // Builds an ACK with optional SACK blocks.
@@ -55,7 +54,7 @@ class SenderTest : public ::testing::Test {
   }
 
   sim::Simulator sim;
-  Metrics metrics;
+  const Metrics& metrics() const { return sender->metrics(); }
   stats::RecoveryLog rlog;
   std::unique_ptr<Sender> sender;
   std::vector<Sent> wire;
@@ -147,9 +146,9 @@ TEST_F(SenderTest, RtoRetransmitsHeadAndCollapsesWindow) {
   EXPECT_EQ(wire[0].seq, 0u);
   EXPECT_EQ(sender->state(), TcpState::kLoss);
   EXPECT_EQ(sender->cwnd_bytes(), kMss);
-  EXPECT_EQ(metrics.timeouts_total, 1u + metrics.timeouts_exp_backoff);
-  EXPECT_EQ(metrics.timeouts_in_open, 1u);
-  EXPECT_EQ(metrics.timeout_retransmits, 1u);
+  EXPECT_EQ(metrics().timeouts_total, 1u + metrics().timeouts_exp_backoff);
+  EXPECT_EQ(metrics().timeouts_in_open, 1u);
+  EXPECT_EQ(metrics().timeout_retransmits, 1u);
 }
 
 TEST_F(SenderTest, LossStateSlowStartRetransmits) {
@@ -161,7 +160,7 @@ TEST_F(SenderTest, LossStateSlowStartRetransmits) {
   EXPECT_EQ(sender->state(), TcpState::kLoss);
   ASSERT_GE(wire.size(), 1u);
   EXPECT_TRUE(wire[0].retx);
-  EXPECT_GT(metrics.slow_start_retransmits, 0u);
+  EXPECT_GT(metrics().slow_start_retransmits, 0u);
 }
 
 TEST_F(SenderTest, LossStateExitsAtRecoveryPoint) {
@@ -181,9 +180,9 @@ TEST_F(SenderTest, ExponentialBackoffCountsAndAborts) {
   sender->write(5 * kMss);
   sim.run(120_s);
   EXPECT_TRUE(sender->aborted());
-  EXPECT_EQ(metrics.connections_aborted, 1u);
-  EXPECT_GT(metrics.timeouts_exp_backoff, 0u);
-  EXPECT_GT(metrics.failed_retransmits, 0u);
+  EXPECT_EQ(metrics().connections_aborted, 1u);
+  EXPECT_GT(metrics().timeouts_exp_backoff, 0u);
+  EXPECT_GT(metrics().failed_retransmits, 0u);
 }
 
 TEST_F(SenderTest, NoTimerWhenIdle) {
@@ -191,7 +190,7 @@ TEST_F(SenderTest, NoTimerWhenIdle) {
   sender->on_ack_segment(ack(2 * kMss));
   EXPECT_TRUE(sender->all_acked());
   sim.run(10_s);  // no spurious RTO
-  EXPECT_EQ(metrics.timeouts_total, 0u);
+  EXPECT_EQ(metrics().timeouts_total, 0u);
 }
 
 TEST_F(SenderTest, RwndLimitsNewData) {

@@ -38,8 +38,7 @@ class SenderRecoveryTest : public ::testing::Test {
         sim, cfg,
         [this](net::Segment s) {
           wire.push_back({s.seq, s.len, s.is_retransmit});
-        },
-        &metrics, &rlog);
+        }, &rlog);
   }
 
   net::Segment ack(uint64_t cum, std::vector<net::SackBlock> sacks = {},
@@ -76,7 +75,7 @@ class SenderRecoveryTest : public ::testing::Test {
   }
 
   sim::Simulator sim;
-  Metrics metrics;
+  const Metrics& metrics() const { return sender->metrics(); }
   stats::RecoveryLog rlog;
   std::unique_ptr<Sender> sender;
   std::vector<Sent> wire;
@@ -86,7 +85,7 @@ TEST_F(SenderRecoveryTest, FackEntersOnFirstSackWhenManyMissing) {
   make(config_for(RecoveryKind::kPrr));
   enter_with_losses(4);
   EXPECT_EQ(sender->state(), TcpState::kRecovery);
-  EXPECT_EQ(metrics.fast_recovery_events, 1u);
+  EXPECT_EQ(metrics().fast_recovery_events, 1u);
   // The triggering ACK produced the fast retransmit of the first hole.
   ASSERT_GE(count_retx(), 1);
   EXPECT_EQ(wire[0].seq, 0u);
@@ -221,7 +220,7 @@ TEST_F(SenderRecoveryTest, TimeoutDuringRecoveryLogsInterruptedEvent) {
   enter_with_losses(4);
   ASSERT_EQ(sender->state(), TcpState::kRecovery);
   sim.run(5_s);  // no more ACKs: RTO interrupts recovery
-  EXPECT_EQ(metrics.timeouts_in_recovery, 1u);
+  EXPECT_EQ(metrics().timeouts_in_recovery, 1u);
   ASSERT_GE(rlog.count(), 1u);
   EXPECT_TRUE(rlog.events()[0].interrupted_by_timeout);
   EXPECT_FALSE(rlog.events()[0].completed);
@@ -243,8 +242,8 @@ TEST_F(SenderRecoveryTest, DsackUndoRevertsCongestionState) {
   // ...then the cumulative ACK arrives (original was only delayed) and a
   // DSACK reports the retransmission as a duplicate.
   sender->on_ack_segment(ack(20 * kMss, {}, net::SackBlock{0, 1000}));
-  EXPECT_EQ(metrics.undo_events, 1u);
-  EXPECT_EQ(metrics.spurious_retransmits, 1u);
+  EXPECT_EQ(metrics().undo_events, 1u);
+  EXPECT_EQ(metrics().spurious_retransmits, 1u);
   EXPECT_EQ(sender->state(), TcpState::kOpen);
   EXPECT_GE(sender->cwnd_bytes(), prior_cwnd);
 }
@@ -256,9 +255,9 @@ TEST_F(SenderRecoveryTest, DsackWithoutFullCoverageDoesNotUndo) {
   // A stray DSACK for data we never retransmitted in this episode.
   sender->on_ack_segment(
       ack(0, {{4 * kMss, 6 * kMss}}, net::SackBlock{10 * kMss, 11 * kMss}));
-  EXPECT_EQ(metrics.undo_events, 0u);
+  EXPECT_EQ(metrics().undo_events, 0u);
   EXPECT_EQ(sender->ssthresh_bytes(), reduced_ssthresh);
-  EXPECT_EQ(metrics.dsacks_received, 1u);
+  EXPECT_EQ(metrics().dsacks_received, 1u);
 }
 
 TEST_F(SenderRecoveryTest, LostRetransmitCountsAndRetransmitsAgain) {
@@ -286,8 +285,8 @@ TEST_F(SenderRecoveryTest, LostRetransmitCountsAndRetransmitsAgain) {
   // segment 0 was itself lost.
   sender->on_ack_segment(
       ack(0, {{new_seq, new_seq + kMss}, {1 * kMss, 16 * kMss}}));
-  EXPECT_GE(metrics.lost_retransmits_detected, 1u);
-  EXPECT_GE(metrics.lost_fast_retransmits, 1u);
+  EXPECT_GE(metrics().lost_retransmits_detected, 1u);
+  EXPECT_GE(metrics().lost_fast_retransmits, 1u);
   // The hole is retransmitted again.
   int retx_of_head = 0;
   for (const auto& s : wire) retx_of_head += (s.retx && s.seq == 0);
@@ -328,7 +327,7 @@ TEST_F(EarlyRetransmitTest, NaiveErFiresImmediately) {
   short_flow_tail_loss();
   EXPECT_EQ(sender->state(), TcpState::kRecovery);
   EXPECT_EQ(count_retx(), 1);
-  EXPECT_EQ(metrics.er_triggered, 1u);
+  EXPECT_EQ(metrics().er_triggered, 1u);
 }
 
 TEST_F(EarlyRetransmitTest, NaiveErSpuriousOnReordering) {
@@ -337,8 +336,8 @@ TEST_F(EarlyRetransmitTest, NaiveErSpuriousOnReordering) {
   ASSERT_EQ(count_retx(), 1);
   // The "lost" segment was only reordered; DSACK reports the duplicate.
   sender->on_ack_segment(ack(2 * kMss, {}, net::SackBlock{0, kMss}));
-  EXPECT_EQ(metrics.undo_events, 1u);
-  EXPECT_EQ(metrics.er_spurious, 1u);
+  EXPECT_EQ(metrics().undo_events, 1u);
+  EXPECT_EQ(metrics().er_spurious, 1u);
 }
 
 TEST_F(EarlyRetransmitTest, MitigationOneBlocksAfterReordering) {
@@ -366,7 +365,7 @@ TEST_F(EarlyRetransmitTest, DelayedErFiresAfterTimer) {
   // ...but the delayed timer (>= 25 ms) fires and recovers.
   sim.run(600_ms);
   EXPECT_EQ(count_retx(), 1);
-  EXPECT_EQ(metrics.er_triggered, 1u);
+  EXPECT_EQ(metrics().er_triggered, 1u);
   EXPECT_GT(sim.now().ms(), 24);
 }
 
@@ -379,8 +378,8 @@ TEST_F(EarlyRetransmitTest, DelayedErCancelledByArrivingAck) {
   sender->on_ack_segment(ack(2 * kMss));
   sim.run(600_ms);
   EXPECT_EQ(count_retx(), 0);
-  EXPECT_EQ(metrics.er_delayed_cancelled, 1u);
-  EXPECT_EQ(metrics.er_triggered, 0u);
+  EXPECT_EQ(metrics().er_delayed_cancelled, 1u);
+  EXPECT_EQ(metrics().er_triggered, 0u);
 }
 
 TEST_F(EarlyRetransmitTest, ErOnlyForSmallFlights) {
@@ -393,7 +392,7 @@ TEST_F(EarlyRetransmitTest, ErOnlyForSmallFlights) {
   wire.clear();
   sender->on_ack_segment(ack(0, {{5 * kMss, 6 * kMss}}));
   EXPECT_EQ(sender->state(), TcpState::kDisorder);
-  EXPECT_EQ(metrics.er_triggered, 0u);
+  EXPECT_EQ(metrics().er_triggered, 0u);
 }
 
 TEST_F(EarlyRetransmitTest, ErSkippedWhenNewDataAvailable) {
@@ -403,7 +402,7 @@ TEST_F(EarlyRetransmitTest, ErSkippedWhenNewDataAvailable) {
   sender->write(5 * kMss);  // plenty of new data: limited transmit instead
   wire.clear();
   sender->on_ack_segment(ack(0, {{kMss, 2 * kMss}}));
-  EXPECT_EQ(metrics.er_triggered, 0u);
+  EXPECT_EQ(metrics().er_triggered, 0u);
 }
 
 }  // namespace

@@ -23,8 +23,7 @@ class ServerAppTest : public ::testing::Test {
     cfg.sender.mss = 1000;
     cfg.sender.handshake_rtt = 100_ms;
     cfg.path = net::Path::Config::symmetric(rate, 100_ms, 200);
-    conn = std::make_unique<tcp::Connection>(sim, cfg, sim::Rng(1),
-                                             &metrics, nullptr);
+    conn = std::make_unique<tcp::Connection>(sim, cfg, sim::Rng(1));
     if (loss > 0) {
       conn->path().data_link().set_loss_model(
           std::make_unique<net::BernoulliLoss>(loss, sim::Rng(2)));
@@ -32,7 +31,6 @@ class ServerAppTest : public ::testing::Test {
   }
 
   sim::Simulator sim;
-  tcp::Metrics metrics;
   std::unique_ptr<tcp::Connection> conn;
   stats::LatencyTracker latency;
 };
@@ -125,8 +123,7 @@ TEST_F(ServerAppTest, AbortRecordsIncompleteResponse) {
   cfg.sender.max_rto_backoffs = 2;
   cfg.sender.handshake_rtt = 100_ms;
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(4), 100_ms);
-  conn = std::make_unique<tcp::Connection>(sim, cfg, sim::Rng(1), &metrics,
-                                           nullptr);
+  conn = std::make_unique<tcp::Connection>(sim, cfg, sim::Rng(1));
   ServerApp app(sim, *conn, {ResponseSpec::plain(20'000)}, &latency);
   sim.schedule_in(60_ms, [this] { conn->path().kill_client(); });
   app.start();

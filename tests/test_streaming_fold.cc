@@ -137,13 +137,11 @@ TEST(StreamingFold, ThreadAndWindowInvariantDigests) {
   opts.seed = 77;
   opts.threads = 1;
   const uint64_t serial = digest(run_arm(pop, ArmConfig::prr_arm(), opts));
-  for (int threads : {4, 8}) {
-    for (uint64_t window : {1ull, 2ull, 64ull}) {
-      opts.threads = threads;
-      opts.fold_window = window;
-      EXPECT_EQ(serial, digest(run_arm(pop, ArmConfig::prr_arm(), opts)))
-          << "threads=" << threads << " window=" << window;
-    }
+  // The fold's reorder window is 2 * threads chunks.
+  for (int threads : {2, 4, 8}) {
+    opts.threads = threads;
+    EXPECT_EQ(serial, digest(run_arm(pop, ArmConfig::prr_arm(), opts)))
+        << "threads=" << threads;
   }
 }
 
@@ -239,6 +237,9 @@ TEST(StreamingFold, BoundedStatsMatchUnboundedCounters) {
                    bounded.recovery_log.fraction_start_below_ssthresh());
   EXPECT_DOUBLE_EQ(full.recovery_log.fraction_slow_start_after(),
                    bounded.recovery_log.fraction_slow_start_after());
+  EXPECT_GT(full.fraction_bytes_in_fast_recovery(), 0.0);
+  EXPECT_DOUBLE_EQ(full.fraction_bytes_in_fast_recovery(),
+                   bounded.fraction_bytes_in_fast_recovery());
   // The memory contract: bounded mode keeps no per-sample vectors.
   EXPECT_TRUE(bounded.latency.responses().empty());
   EXPECT_TRUE(bounded.recovery_log.events().empty());

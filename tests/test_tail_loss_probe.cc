@@ -36,8 +36,7 @@ class TlpTest : public ::testing::Test {
         sim, cfg,
         [this](net::Segment s) {
           wire.push_back({s.seq, s.len, s.is_retransmit});
-        },
-        &metrics, nullptr);
+        }, nullptr);
   }
 
   net::Segment ack(uint64_t cum, std::vector<net::SackBlock> sacks = {}) {
@@ -50,7 +49,7 @@ class TlpTest : public ::testing::Test {
   }
 
   sim::Simulator sim;
-  Metrics metrics;
+  const Metrics& metrics() const { return sender->metrics(); }
   std::unique_ptr<Sender> sender;
   std::vector<Sent> wire;
 };
@@ -63,8 +62,8 @@ TEST_F(TlpTest, ProbeFiresBeforeRto) {
   sender->on_ack_segment(ack(4 * kMss));
   // PTO = 2*SRTT + delack bound (single segment) = ~250 ms << RTO.
   sim.run(400_ms);
-  EXPECT_EQ(metrics.tlp_probes_sent, 1u);
-  EXPECT_EQ(metrics.timeouts_total, 0u);
+  EXPECT_EQ(metrics().tlp_probes_sent, 1u);
+  EXPECT_EQ(metrics().timeouts_total, 0u);
   ASSERT_GE(wire.size(), 1u);
   EXPECT_TRUE(wire.back().retx);
   EXPECT_EQ(wire.back().seq, 4 * kMss);  // the tail segment
@@ -76,23 +75,23 @@ TEST_F(TlpTest, NoProbeWhenAcksArrive) {
   sim.schedule_in(100_ms, [&] { sender->on_ack_segment(ack(2 * kMss)); });
   sim.schedule_in(200_ms, [&] { sender->on_ack_segment(ack(4 * kMss)); });
   sim.run(1_s);
-  EXPECT_EQ(metrics.tlp_probes_sent, 0u);
-  EXPECT_EQ(metrics.timeouts_total, 0u);
+  EXPECT_EQ(metrics().tlp_probes_sent, 0u);
+  EXPECT_EQ(metrics().timeouts_total, 0u);
 }
 
 TEST_F(TlpTest, AtMostOneProbePerEpisode) {
   make(true);
   sender->write(3 * kMss);
   sim.run(900_ms);  // nothing ACKed at all: one probe, then RTO
-  EXPECT_EQ(metrics.tlp_probes_sent, 1u);
+  EXPECT_EQ(metrics().tlp_probes_sent, 1u);
 }
 
 TEST_F(TlpTest, RtoStillFiresIfProbeDoesNotHelp) {
   make(true);
   sender->write(3 * kMss);
   sim.run(5_s);
-  EXPECT_EQ(metrics.tlp_probes_sent, 1u);
-  EXPECT_GE(metrics.timeouts_total, 1u);
+  EXPECT_EQ(metrics().tlp_probes_sent, 1u);
+  EXPECT_GE(metrics().timeouts_total, 1u);
 }
 
 TEST_F(TlpTest, ProbePrefersNewData) {
@@ -100,7 +99,7 @@ TEST_F(TlpTest, ProbePrefersNewData) {
   sender->write(30 * kMss);  // 10 sent (IW10), 20 waiting
   wire.clear();
   sim.run(400_ms);  // no ACKs: probe fires with NEW data
-  ASSERT_EQ(metrics.tlp_probes_sent, 1u);
+  ASSERT_EQ(metrics().tlp_probes_sent, 1u);
   ASSERT_EQ(wire.size(), 1u);
   EXPECT_FALSE(wire[0].retx);
   EXPECT_EQ(wire[0].seq, 10 * kMss);
@@ -112,7 +111,7 @@ TEST_F(TlpTest, DisabledByDefaultConfig) {
   make(false);
   sender->write(3 * kMss);
   sim.run(900_ms);
-  EXPECT_EQ(metrics.tlp_probes_sent, 0u);
+  EXPECT_EQ(metrics().tlp_probes_sent, 0u);
 }
 
 TEST_F(TlpTest, ProbeRetransmitRepairsTailEndToEnd) {
@@ -124,8 +123,8 @@ TEST_F(TlpTest, ProbeRetransmitRepairsTailEndToEnd) {
   cfg.sender.tail_loss_probe = true;
   cfg.sender.handshake_rtt = 100_ms;
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(5), 100_ms);
-  Metrics m;
-  Connection conn(fullsim, cfg, sim::Rng(2), &m, nullptr);
+  Connection conn(fullsim, cfg, sim::Rng(2));
+  const Metrics& m = conn.sender().metrics();
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{5}));
   conn.write(5 * kMss);
@@ -137,8 +136,8 @@ TEST_F(TlpTest, ProbeRetransmitRepairsTailEndToEnd) {
   // Without TLP the identical scenario needs an RTO.
   sim::Simulator refsim;
   cfg.sender.tail_loss_probe = false;
-  Metrics m2;
-  Connection ref(refsim, cfg, sim::Rng(2), &m2, nullptr);
+  Connection ref(refsim, cfg, sim::Rng(2));
+  const Metrics& m2 = ref.sender().metrics();
   ref.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{5}));
   ref.write(5 * kMss);
@@ -159,8 +158,8 @@ TEST_F(TlpTest, SpuriousProbeCausesDsackNotCollapse) {
   cfg.receiver.ack_every = 2;
   cfg.receiver.delack_timeout = 300_ms;  // pathological delayed ACK
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(5), 100_ms);
-  Metrics m;
-  Connection conn(fullsim, cfg, sim::Rng(3), &m, nullptr);
+  Connection conn(fullsim, cfg, sim::Rng(3));
+  const Metrics& m = conn.sender().metrics();
   const uint64_t cwnd_before = conn.sender().cwnd_bytes();
   conn.write(1 * kMss);
   fullsim.run(sim::Time::seconds(5));

@@ -27,7 +27,7 @@ class WindowValidationTest : public ::testing::Test {
     cfg.slow_start_after_idle = idle_restart;
     cfg.handshake_rtt = 100_ms;
     sender = std::make_unique<Sender>(
-        sim, cfg, [](net::Segment) {}, nullptr, nullptr);
+        sim, cfg, [](net::Segment) {}, nullptr);
   }
 
   net::Segment ack(uint64_t cum) {
