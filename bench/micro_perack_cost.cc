@@ -5,12 +5,14 @@
 // invariant checker detached vs attached: detached must cost nothing
 // (the checker is attach-only), attached costs one indirect call plus
 // the checks per ACK. BM_RngFirstDraw/BM_RngPrime price a fresh
-// per-connection RNG stream up to its first value.
+// per-connection RNG stream up to its first value. BM_SegmentHop prices
+// one data segment and its ACK through a Path.
 #include <benchmark/benchmark.h>
 
 #include "core/prr.h"
 #include "http/server_app.h"
 #include "net/link.h"
+#include "net/path.h"
 #include "net/segment.h"
 #include "obs/flight_recorder.h"
 #include "obs/instrument.h"
@@ -67,14 +69,16 @@ BENCHMARK(BM_PrrOnAck);
 
 // Steady-state event churn: schedule + fire (the Link/Timer pattern)
 // and a timer-style reschedule, on a warm queue. Both must report
-// allocs_per_op == 0 — the slot map recycles storage.
+// allocs_per_op == 0 — the slot map recycles storage. The argument is
+// the standing population: 2 is the sweep's real regime (its heap holds
+// ~2.4 entries on average), 64 a deep heap.
 void BM_EventSchedule(benchmark::State& state) {
   prr::sim::EventQueue q;
   int64_t now_us = 0;
   uint64_t fired = 0;
   // Warm the slot and heap vectors with a standing population.
   std::vector<prr::sim::EventId> standing;
-  for (int i = 0; i < 64; ++i) {
+  for (int64_t i = 0; i < state.range(0); ++i) {
     standing.push_back(q.schedule(
         prr::sim::Time::microseconds(1'000'000'000 + i), [&fired] {
           ++fired;
@@ -92,7 +96,7 @@ void BM_EventSchedule(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(fired);
 }
-BENCHMARK(BM_EventSchedule);
+BENCHMARK(BM_EventSchedule)->Arg(2)->Arg(64);
 
 void BM_EventReschedule(benchmark::State& state) {
   prr::sim::EventQueue q;
@@ -147,6 +151,44 @@ void BM_AckTrainDeliver(benchmark::State& state) {
 }
 BENCHMARK(BM_AckTrainDeliver)
     ->ArgsProduct({{1, 4, 16, 64}, {0, 1}});
+
+// One packet hop pair, the sweep's unit of work: a data segment crosses
+// a Path's data link to a sink that answers with an ACK (one SACK
+// block), which crosses the ACK mangler and ACK link back to the ACK
+// sink. ns/op covers both hops; allocs_per_op must be 0.
+void BM_SegmentHop(benchmark::State& state) {
+  prr::sim::Simulator sim;
+  sim.set_batch_delivery(true);
+  prr::net::Path path(
+      sim,
+      prr::net::Path::Config::symmetric(prr::util::DataRate::mbps(100),
+                                        prr::sim::Time::milliseconds(10)),
+      prr::sim::Rng(1));
+  uint64_t acked = 0;
+  path.set_data_sink([&path](prr::net::Segment&& seg) {
+    prr::net::Segment ack;
+    ack.is_ack = true;
+    ack.ack = seg.seq + seg.len;
+    ack.sacks.push_back({ack.ack + kMss, ack.ack + 2 * kMss});
+    path.send_ack(std::move(ack));
+  });
+  path.set_ack_sink(
+      [&acked](prr::net::Segment&& ack) { acked = ack.ack; });
+  uint64_t seq = 0;
+  auto hop = [&] {
+    prr::net::Segment data;
+    data.seq = seq;
+    data.len = kMss;
+    seq += kMss;
+    path.send_data(std::move(data));
+    sim.run();
+  };
+  for (int i = 0; i < 4; ++i) hop();  // warm the pools
+  AllocsPerOp allocs(state);
+  for (auto _ : state) hop();
+  if (acked != seq) state.SkipWithError("ACK not delivered");
+}
+BENCHMARK(BM_SegmentHop);
 
 template <typename Policy>
 void BM_PolicyOnAck(benchmark::State& state) {

@@ -10,7 +10,10 @@ Link::Link(sim::Simulator& sim, Config config, DeliverFn deliver)
       config_(config),
       deliver_(std::move(deliver)),
       loss_(std::make_unique<NoLoss>()),
-      reorder_(std::make_unique<NoReorder>()) {}
+      reorder_(std::make_unique<NoReorder>()) {
+  pool_.reserve(kInitialSlots);
+  free_.reserve(kInitialSlots);
+}
 
 void Link::reset(Config config) {
   config_ = config;
@@ -19,12 +22,14 @@ void Link::reset(Config config) {
     reorder_ = std::make_unique<NoReorder>();
     models_customized_ = false;
   }
+  // Every slot is dead (the simulator reset dropped the events that
+  // referenced them): forget them all at once, keeping pool capacity.
   queue_.clear();
-  serializing_ = Segment{};
-  // Every flight slot is dead (the simulator reset dropped their delivery
-  // events); return them all to the free list, keeping pool capacity.
-  flight_free_.clear();
-  for (uint32_t i = 0; i < flight_.size(); ++i) flight_free_.push_back(i);
+  free_.clear();
+  high_water_ = 0;
+  retired_pool_ = std::vector<Segment>();
+  delivering_ = false;
+  serializing_ = kNoSlot;
   train_.clear();
   train_head_ = 0;
   drain_id_ = sim::kInvalidEventId;
@@ -33,36 +38,62 @@ void Link::reset(Config config) {
   stats_ = {};
 }
 
+uint32_t Link::acquire_slot() {
+  if (!free_.empty()) {
+    const uint32_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  if (high_water_ == pool_.size()) {
+    if (delivering_ && retired_pool_.empty()) {
+      // A sink is reading one of this buffer's slots and is sending from
+      // inside the delivery: keep the buffer alive until it returns and
+      // grow into a fresh one.
+      std::vector<Segment> grown;
+      grown.reserve(2 * pool_.size());
+      grown.assign(pool_.begin(), pool_.end());
+      retired_pool_ = std::move(pool_);
+      pool_ = std::move(grown);
+    }
+    pool_.emplace_back();
+  }
+  return high_water_++;
+}
+
 void Link::send(Segment&& seg) {
   if (config_.ecn_mark_threshold > 0 && seg.ect &&
       queue_depth() >= config_.ecn_mark_threshold) {
     seg.ce = true;
     ++stats_.ce_marked;
   }
+  if (busy_ && queue_.size() >= config_.queue_limit_packets) {
+    ++stats_.dropped_queue;
+    return;
+  }
+  const uint32_t slot = acquire_slot();
+  pool_[slot] = seg;  // the hop's one write of the segment
   if (busy_) {
-    if (queue_.size() >= config_.queue_limit_packets) {
-      ++stats_.dropped_queue;
-      return;
-    }
-    queue_.push_back(std::move(seg));
+    queue_.push_back(slot);
     stats_.max_queue_depth =
         std::max<uint64_t>(stats_.max_queue_depth, queue_.size());
     return;
   }
-  begin_serialization(std::move(seg));
+  begin_serialization(slot);
 }
 
-void Link::begin_serialization(Segment&& seg) {
+void Link::begin_serialization(uint32_t slot) {
   ++stats_.enqueued;
   busy_ = true;
-  const sim::Time serialize = config_.rate.transmit_time(seg.wire_size());
-  serializing_ = std::move(seg);
+  serializing_ = slot;
+  const sim::Time serialize =
+      config_.rate.transmit_time(pool_[slot].wire_size());
   sim_.schedule_in(serialize, [this] { finish_transmission(); });
 }
 
 void Link::set_queue_limit(std::size_t packets) {
   config_.queue_limit_packets = packets;
   while (queue_.size() > config_.queue_limit_packets) {
+    release_slot(queue_.back());
     queue_.drop_back();
     ++stats_.dropped_queue;
   }
@@ -71,24 +102,18 @@ void Link::set_queue_limit(std::size_t packets) {
 void Link::finish_transmission() {
   // Serialization done: propagate (plus any reordering extra delay) and
   // start the next queued segment.
-  Segment seg = std::move(serializing_);
+  const uint32_t slot = serializing_;
+  const Segment& seg = pool_[slot];
   if (blackout_) {
     ++stats_.dropped_blackout;
+    release_slot(slot);
   } else if (loss_->should_drop(seg)) {
     ++stats_.dropped_loss_model;
+    release_slot(slot);
   } else {
     const sim::Time total = config_.propagation_delay +
                             reorder_->extra_delay(seg);
     ++stats_.delivered;
-    uint32_t slot;
-    if (!flight_free_.empty()) {
-      slot = flight_free_.back();
-      flight_free_.pop_back();
-      flight_[slot] = std::move(seg);
-    } else {
-      slot = static_cast<uint32_t>(flight_.size());
-      flight_.push_back(std::move(seg));
-    }
     if (sim_.batch_delivery()) {
       // Draw the seq at exactly the point per-event mode would schedule,
       // so the (time, seq) key — and hence global dispatch order — is
@@ -175,9 +200,13 @@ void Link::drain_train() {
 }
 
 void Link::deliver_flight(uint32_t slot) {
-  Segment seg = std::move(flight_[slot]);
-  flight_free_.push_back(slot);
-  deliver_(std::move(seg));
+  // The sink reads the segment in place; its slot is recycled only once
+  // the sink returns, so a send from inside the sink cannot reuse it.
+  delivering_ = true;
+  deliver_(std::move(pool_[slot]));
+  delivering_ = false;
+  release_slot(slot);
+  if (!retired_pool_.empty()) retired_pool_ = std::vector<Segment>();
 }
 
 void Link::start_transmission() {

@@ -10,11 +10,14 @@
 // a segment already propagating keeps its old delivery time, and a queue
 // shrink drops the excess from the tail as ordinary queue drops.
 //
-// Segments are never copied and never captured in event closures: the
-// segment being serialized lives in a member, propagating segments live
-// in a free-listed flight pool, and events carry only `this` plus a pool
-// index — so the steady-state forwarding path performs no heap
-// allocation and moves each Segment exactly once per hop.
+// One write per hop: send() copies the segment once into a slot of the
+// link's pool, and the queue, the serializer, the loss/reorder models,
+// the batch-delivery train and the sink all work on that slot in place
+// (Segment is trivially copyable, so the copy is a memcpy). Queue and
+// events carry only slot indices, so the steady-state forwarding path
+// performs no heap allocation. Every drop path — queue overflow, a
+// queue-limit shrink, the loss model, a blackout — returns its slot to
+// the free list, and reset() empties the pool in O(1).
 #pragma once
 
 #include <cstdint>
@@ -57,8 +60,13 @@ class Link {
 
   Link(sim::Simulator& sim, Config config, DeliverFn deliver);
 
+  // Replaces the delivery callback. The sink gets the segment in its
+  // pool slot, which is recycled when the sink returns; the sink may
+  // send on any link, this one included.
+  void set_sink(DeliverFn deliver) { deliver_ = std::move(deliver); }
+
   // Pool-recycle: returns the link to a freshly-constructed state under a
-  // new config while keeping queue/flight-pool capacity and the delivery
+  // new config while keeping queue and slot-pool capacity and the delivery
   // callback. Precondition: the owning Simulator has been reset (no
   // serialization/propagation events are pending). Custom loss/reorder
   // models are replaced with the defaults; the common no-model case
@@ -105,9 +113,14 @@ class Link {
   std::size_t queue_depth() const { return queue_.size() + (busy_ ? 1 : 0); }
 
  private:
+  static constexpr uint32_t kNoSlot = 0xffffffffu;
+  // Pool capacity reserved up front: a short flow's whole window, so a
+  // fresh link grows its pool in one allocation instead of five.
+  static constexpr std::size_t kInitialSlots = 16;
+
   // One propagating segment's scheduled arrival in batch-delivery mode:
   // the (time, seq) key it would have occupied in the event queue, plus
-  // its flight-pool slot. The train is kept sorted by (time, seq) and
+  // its pool slot. The train is kept sorted by (time, seq) and
   // represented in the queue by a single drain event keyed at its front.
   struct FlightEvent {
     sim::Time at;
@@ -115,7 +128,9 @@ class Link {
     uint32_t slot;
   };
 
-  void begin_serialization(Segment&& seg);
+  uint32_t acquire_slot();
+  void release_slot(uint32_t slot) { free_.push_back(slot); }
+  void begin_serialization(uint32_t slot);
   void start_transmission();
   void finish_transmission();
   void deliver_flight(uint32_t slot);
@@ -127,12 +142,19 @@ class Link {
   DeliverFn deliver_;
   std::unique_ptr<LossModel> loss_;
   std::unique_ptr<ReorderModel> reorder_;
-  util::RingQueue<Segment> queue_;
-  // The segment on the wire (valid iff busy_) and the pool of segments
-  // in propagation; events reference pool slots by index.
-  Segment serializing_;
-  std::vector<Segment> flight_;
-  std::vector<uint32_t> flight_free_;
+  // Segment pool: every segment the link holds (queued, on the wire or
+  // propagating) lives in one slot from send() until it is dropped or
+  // delivered. Slots at or above high_water_ are unused since the last
+  // reset(); free_ lists the recycled ones below it.
+  std::vector<Segment> pool_;
+  std::vector<uint32_t> free_;
+  uint32_t high_water_ = 0;
+  // The pool buffer a sink is reading while a send from inside it grows
+  // the pool; released when that delivery returns.
+  std::vector<Segment> retired_pool_;
+  bool delivering_ = false;
+  util::RingQueue<uint32_t> queue_;
+  uint32_t serializing_ = kNoSlot;  // the slot on the wire (valid iff busy_)
   // Batch-delivery train (sorted by (at, seq), consumed from train_head_)
   // and the single queue event standing in for its front.
   std::vector<FlightEvent> train_;

@@ -16,17 +16,15 @@ Path::Config Path::Config::symmetric(util::DataRate rate, sim::Time rtt,
   return c;
 }
 
+namespace {
+
+void discard(Segment&&) {}
+
+}  // namespace
+
 Path::Path(sim::Simulator& sim, Config config, sim::Rng rng) : sim_(sim) {
-  data_link_ = std::make_unique<Link>(
-      sim, config.data_link,
-      [this](Segment&& s) {
-        if (deliver_data_) deliver_data_(std::move(s));
-      });
-  ack_link_ = std::make_unique<Link>(
-      sim, config.ack_link,
-      [this](Segment&& s) {
-        if (deliver_ack_) deliver_ack_(std::move(s));
-      });
+  data_link_ = std::make_unique<Link>(sim, config.data_link, discard);
+  ack_link_ = std::make_unique<Link>(sim, config.ack_link, discard);
   ack_mangler_ = std::make_unique<AckMangler>(
       sim, config.ack_mangler, rng.fork(0x41434b),
       [this](Segment&& s) { ack_link_->send(std::move(s)); });
@@ -44,6 +42,14 @@ void Path::reset(Config config, sim::Rng rng) {
   client_dead_ = false;
   ack_stalled_ = false;
   stalled_ack_.reset();
+}
+
+void Path::set_data_sink(Link::DeliverFn fn) {
+  data_link_->set_sink(std::move(fn));
+}
+
+void Path::set_ack_sink(Link::DeliverFn fn) {
+  ack_link_->set_sink(std::move(fn));
 }
 
 void Path::send_data(Segment&& seg) {

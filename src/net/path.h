@@ -56,9 +56,10 @@ class Path {
     trace_conn_id_ = conn_id;
   }
 
-  // Endpoint attachment. Must both be set before traffic flows.
-  void set_data_sink(Link::DeliverFn fn) { deliver_data_ = std::move(fn); }
-  void set_ack_sink(Link::DeliverFn fn) { deliver_ack_ = std::move(fn); }
+  // Endpoint attachment: installs the sink on the link itself, so a
+  // delivery is one callback. Until set, arrivals are discarded.
+  void set_data_sink(Link::DeliverFn fn);
+  void set_ack_sink(Link::DeliverFn fn);
 
   void send_data(Segment&& seg);
   void send_ack(Segment&& seg);
@@ -82,8 +83,6 @@ class Path {
 
  private:
   sim::Simulator& sim_;
-  Link::DeliverFn deliver_data_;
-  Link::DeliverFn deliver_ack_;
   std::unique_ptr<Link> data_link_;
   std::unique_ptr<Link> ack_link_;
   std::unique_ptr<AckMangler> ack_mangler_;

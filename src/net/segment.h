@@ -4,11 +4,14 @@
 // wrap-aware 32-bit wire arithmetic lives in tcp/seqnum.h.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <type_traits>
 
 #include "sim/time.h"
-#include "util/inline_vector.h"
 
 namespace prr::net {
 
@@ -20,6 +23,47 @@ struct SackBlock {
   friend bool operator==(const SackBlock&, const SackBlock&) = default;
 };
 
+// The SACK blocks of one ACK in fixed storage for the RFC 2018 wire cap
+// of 4 blocks, so a Segment stays trivially copyable and building one
+// never allocates. Every producer caps at 4; a fifth block is a bug in
+// the producer and push_back throws rather than truncating.
+class SackList {
+ public:
+  static constexpr std::size_t kMaxBlocks = 4;
+  using iterator = SackBlock*;
+  using const_iterator = const SackBlock*;
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  void clear() { size_ = 0; }
+  void push_back(const SackBlock& b) {
+    if (size_ == kMaxBlocks) {
+      throw std::length_error("SackList: more than 4 SACK blocks");
+    }
+    blocks_[size_++] = b;
+  }
+  template <typename It>
+  void assign(It first, It last) {
+    clear();
+    for (; first != last; ++first) push_back(*first);
+  }
+
+  SackBlock& operator[](std::size_t i) { return blocks_[i]; }
+  const SackBlock& operator[](std::size_t i) const { return blocks_[i]; }
+  iterator begin() { return blocks_; }
+  iterator end() { return blocks_ + size_; }
+  const_iterator begin() const { return blocks_; }
+  const_iterator end() const { return blocks_ + size_; }
+
+  friend bool operator==(const SackList& a, const SackList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  SackBlock blocks_[kMaxBlocks];
+  uint32_t size_ = 0;
+};
+
 struct Segment {
   // --- data direction ---
   uint64_t seq = 0;    // first byte carried
@@ -29,9 +73,7 @@ struct Segment {
   // --- ack direction ---
   bool is_ack = false;
   uint64_t ack = 0;  // cumulative: next byte expected
-  // Most recently received first. Inline storage for the RFC 2018 wire
-  // cap of 3-4 blocks, so building/moving a pure ACK never allocates.
-  util::InlineVector<SackBlock, 4> sacks;
+  SackList sacks;  // most recently received first
   std::optional<SackBlock> dsack;      // duplicate-SACK report (RFC 2883)
   uint64_t rwnd = 0;                   // receive window in bytes
 
@@ -64,5 +106,9 @@ struct Segment {
     return kHeaderBytes + options + len;
   }
 };
+
+// Links copy a segment into a pool slot once per hop and hand it on in
+// place; that copy is a memcpy only while this holds.
+static_assert(std::is_trivially_copyable_v<Segment>);
 
 }  // namespace prr::net

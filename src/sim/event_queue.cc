@@ -15,22 +15,10 @@ constexpr auto earlier = [](const auto& a, const auto& b) {
 
 }  // namespace
 
-void EventQueue::sift_up(std::size_t i) const {
-  const HeapEntry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
-void EventQueue::sift_down(std::size_t i) const {
+void EventQueue::sift_down(std::size_t hole, const HeapEntry e) const {
   const std::size_t n = heap_.size();
-  const HeapEntry e = heap_[i];
   for (;;) {
-    const std::size_t first = i * 4 + 1;
+    const std::size_t first = hole * 4 + 1;
     if (first >= n) break;
     std::size_t best = first;
     const std::size_t last = first + 4 < n ? first + 4 : n;
@@ -38,22 +26,24 @@ void EventQueue::sift_down(std::size_t i) const {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
     if (!earlier(heap_[best], e)) break;
-    heap_[i] = heap_[best];
-    i = best;
+    heap_[hole] = heap_[best];
+    hole = best;
   }
-  heap_[i] = e;
+  heap_[hole] = e;
 }
 
 void EventQueue::pop_head() const {
-  heap_.front() = heap_.back();
+  // The root is vacated: sift the former tail down from there, without
+  // storing it at the root first.
+  const HeapEntry tail = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  if (!heap_.empty()) sift_down(0, tail);
 }
 
 void EventQueue::rebuild_heap() const {
   if (heap_.size() < 2) return;
   for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) {
-    sift_down(i);
+    sift_down(i, heap_[i]);
   }
 }
 
@@ -89,8 +79,24 @@ void EventQueue::push_entry(Time at, uint64_t seq, uint32_t slot,
     });
     rebuild_heap();
   }
-  heap_.push_back(HeapEntry{at, seq, slot, gen});
-  sift_up(heap_.size() - 1);
+  // Insert through a hole: parents later than the new entry move down
+  // one level, and the entry itself is written once, at its final index
+  // (never stored at the tail and then reloaded to compare).
+  const HeapEntry e{at, seq, slot, gen};
+  std::size_t hole = heap_.size();
+  if (hole == 0 || !earlier(e, heap_[(hole - 1) / 4])) {
+    heap_.push_back(e);
+    return;
+  }
+  heap_.push_back(heap_[(hole - 1) / 4]);
+  hole = (hole - 1) / 4;
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 4;
+    if (!earlier(e, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = e;
 }
 
 EventId EventQueue::schedule(Time at, EventCallback fn) {

@@ -13,7 +13,10 @@
 // lazily on pop. Callbacks are util::InlineFunction, so the typical
 // capture (`this` plus a slot index or a Time) lives inside the slot —
 // no per-event heap allocation anywhere in the schedule/fire/cancel
-// cycle once the slot and heap vectors have reached steady capacity.
+// cycle once the slot and heap vectors have reached steady capacity —
+// and, being trivially copyable, is relocated by memcpy. The heap
+// stores each entry once: insertion and pop move a hole and write the
+// entry at its final index, never at a temporary one first.
 //
 // Batch-delivery support (DESIGN.md §12): take_seq() hands out the next
 // FIFO sequence number without scheduling, and schedule_with_seq() /
@@ -121,8 +124,8 @@ class EventQueue {
   bool entry_stale(const HeapEntry& e) const {
     return slots_[e.slot].gen != e.gen;
   }
-  void sift_up(std::size_t i) const;
-  void sift_down(std::size_t i) const;
+  // Fills the hole at `hole` with `e`, moving earlier children up.
+  void sift_down(std::size_t hole, HeapEntry e) const;
   void pop_head() const;
   void rebuild_heap() const;
 

@@ -5,10 +5,14 @@
 // the simulator hot path performs no heap allocation; oversized or
 // throwing-move callables fall back to a single heap allocation,
 // exactly like std::function. Invocation is one indirect call either
-// way.
+// way. An inline callable that is trivially copyable and trivially
+// destructible (a lambda capturing `this` and an index, say) is
+// relocated by copying the buffer and destroyed by forgetting it, so
+// moving and resetting it make no indirect calls.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -71,7 +75,7 @@ class InlineFunction<R(Args...), N> {
 
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(&buf_);
+      if (!ops_->trivial) ops_->destroy(&buf_);
       ops_ = nullptr;
     }
   }
@@ -81,6 +85,8 @@ class InlineFunction<R(Args...), N> {
     R (*invoke)(void*, Args&&...);
     void (*move_destroy)(void* src, void* dst) noexcept;
     void (*destroy)(void*) noexcept;
+    // Relocate by memcpy, destroy by doing nothing.
+    bool trivial;
   };
 
   template <typename F>
@@ -94,7 +100,9 @@ class InlineFunction<R(Args...), N> {
       s->~F();
     }
     static void destroy(void* p) noexcept { static_cast<F*>(p)->~F(); }
-    static constexpr Ops ops{&invoke, &move_destroy, &destroy};
+    static constexpr Ops ops{&invoke, &move_destroy, &destroy,
+                             std::is_trivially_copyable_v<F> &&
+                                 std::is_trivially_destructible_v<F>};
   };
 
   template <typename F>
@@ -107,7 +115,7 @@ class InlineFunction<R(Args...), N> {
       *static_cast<F**>(dst) = slot(src);
     }
     static void destroy(void* p) noexcept { delete slot(p); }
-    static constexpr Ops ops{&invoke, &move_destroy, &destroy};
+    static constexpr Ops ops{&invoke, &move_destroy, &destroy, false};
   };
 
   template <typename F>
@@ -126,7 +134,11 @@ class InlineFunction<R(Args...), N> {
   void move_from(InlineFunction& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
-      ops_->move_destroy(&other.buf_, &buf_);
+      if (ops_->trivial) {
+        std::memcpy(&buf_, &other.buf_, N);
+      } else {
+        ops_->move_destroy(&other.buf_, &buf_);
+      }
       other.ops_ = nullptr;
     }
   }

@@ -1,8 +1,8 @@
-// Small vector with N elements of inline storage: the backing store for
-// Segment::sacks (RFC 2018 caps wire SACK options at 3-4 blocks), so
-// building, copying and moving a pure ACK never touches the heap. Spills
-// to a heap buffer beyond N like a normal vector; moving a spilled
-// vector steals the buffer, moving an inline one moves the elements.
+// Small vector with N elements of inline storage: stays off the heap up
+// to N elements and spills to a heap buffer beyond N like a normal
+// vector; moving a spilled vector steals the buffer, moving an inline
+// one moves the elements. (Segment::sacks, which must never allocate,
+// uses the fixed-capacity net::SackList instead.)
 #pragma once
 
 #include <cstddef>

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <iterator>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -117,8 +118,13 @@ class RingQueue {
     --size_;
   }
 
+  // O(1) when T owns nothing; otherwise releases each element.
   void clear() {
-    while (size_ > 0) drop_back();
+    if constexpr (std::is_trivially_destructible_v<T>) {
+      size_ = 0;
+    } else {
+      while (size_ > 0) drop_back();
+    }
   }
 
  private:

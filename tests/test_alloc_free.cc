@@ -1,12 +1,14 @@
 // Enforces the steady-state zero-allocation invariant of the simulator
 // hot path (DESIGN.md §7): once a connection's pools are warm — event
-// slots, link ring queue, flight pool, scoreboard — driving further
+// slots, link slot pool and queue, scoreboard — driving further
 // traffic through the ACK clock performs no heap allocation at all.
 // The counters come from the operator new/delete replacements in
 // util/alloc_hooks.cc, linked into this test binary.
 #include <gtest/gtest.h>
 
 #include "http/server_app.h"
+#include "net/link.h"
+#include "net/loss_model.h"
 #include "obs/flight_recorder.h"
 #include "obs/instrument.h"
 #include "sim/simulator.h"
@@ -108,6 +110,100 @@ TEST(AllocFree, TracedSteadyStateDoesNotAllocate) {
       << "traced steady-state per-ACK path allocated";
   EXPECT_EQ(after.frees - before.frees, 0u)
       << "traced steady-state per-ACK path freed";
+}
+
+// Every way a segment can leave a Link — delivery, queue overflow, a
+// queue-limit shrink, a loss-model drop, a blackout drop, reset() — must
+// hand its pool slot back. The link is driven through all of them and
+// the books must balance; a following steady-state window then repeats
+// the same cycles hundreds of times with zero allocations, which a slot
+// leaked on any path would break by forcing the pool to grow.
+TEST(AllocFree, LinkDropPathsRecycleSlots) {
+  // Drops every segment flagged as a retransmission.
+  struct DropRetransmits final : net::LossModel {
+    bool should_drop(const net::Segment& s) override {
+      return s.is_retransmit;
+    }
+  };
+  sim::Simulator sim;
+  net::Link::Config cfg;
+  cfg.rate = util::DataRate::mbps(10);
+  cfg.propagation_delay = sim::Time::milliseconds(1);
+  cfg.queue_limit_packets = 8;
+  uint64_t sunk = 0;
+  uint64_t sent = 0;
+  net::Link link(sim, cfg, [&](net::Segment&&) { ++sunk; });
+  auto send = [&](bool lossy) {
+    net::Segment s;
+    s.seq = sent * 1000;
+    s.len = 1000;
+    s.is_retransmit = lossy;
+    link.send(std::move(s));
+    ++sent;
+  };
+  auto balanced = [&] {
+    const net::LinkStats& st = link.stats();
+    return st.delivered == sunk &&
+           sunk + st.dropped_queue + st.dropped_loss_model +
+                   st.dropped_blackout ==
+               sent;
+  };
+  // One of each drop path: 1 on the wire + 8 queued + 3 overflow drops,
+  // every third flagged for the loss model, a shrink to 3 that drops
+  // the 5 newest queued, then 4 sends into a blackout.
+  auto drop_round = [&] {
+    for (int i = 0; i < 12; ++i) send(i % 3 == 0);
+    link.set_queue_limit(3);
+    link.set_queue_limit(8);
+    sim.run();
+    link.set_blackout(true);
+    for (int i = 0; i < 4; ++i) send(false);
+    sim.run();
+    link.set_blackout(false);
+  };
+  // reset() with segments queued, on the wire and propagating.
+  auto reset_round = [&] {
+    for (int i = 0; i < 12; ++i) send(false);
+    sim.run(sim.now() + sim::Time::milliseconds(3));
+    ASSERT_GT(link.queue_depth(), 0u);
+    sim.reset();
+    link.reset(cfg);
+    sunk = 0;
+    sent = 0;
+  };
+
+  link.set_loss_model(std::make_unique<DropRetransmits>());
+  for (int r = 0; r < 4; ++r) drop_round();
+  ASSERT_TRUE(balanced());
+  EXPECT_GT(link.stats().dropped_queue, 0u);
+  EXPECT_GT(link.stats().dropped_loss_model, 0u);
+  EXPECT_GT(link.stats().dropped_blackout, 0u);
+  EXPECT_GT(sunk, 0u);
+
+  util::AllocCounts before = util::alloc_counts();
+  for (int r = 0; r < 300; ++r) drop_round();
+  util::AllocCounts after = util::alloc_counts();
+  EXPECT_TRUE(balanced());
+  EXPECT_EQ(after.allocations - before.allocations, 0u)
+      << "a drop path leaked its slot";
+  EXPECT_EQ(after.frees - before.frees, 0u);
+
+  // Reset drops the custom loss model (one allocation for the default),
+  // so warm the reset cycle before measuring it.
+  for (int r = 0; r < 4; ++r) {
+    reset_round();
+    drop_round();
+  }
+  before = util::alloc_counts();
+  for (int r = 0; r < 300; ++r) {
+    reset_round();
+    drop_round();
+    ASSERT_TRUE(balanced()) << "round " << r;
+  }
+  after = util::alloc_counts();
+  EXPECT_EQ(after.allocations - before.allocations, 0u)
+      << "reset() lost pool capacity or a slot";
+  EXPECT_EQ(after.frees - before.frees, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -354,6 +356,142 @@ TEST(EventQueue, RandomizedDifferentialAgainstNaiveModel) {
       EXPECT_EQ(t.ns(), e.at_ns);
     }
     EXPECT_EQ(queue_fired, model_fired);
+  }
+}
+
+// The sweep's heap averages a couple of entries, so the sifts that cross
+// several levels of the 4-ary heap — a hole moving up past full sibling
+// groups on insert, the former tail sinking from the root on pop, and
+// compaction's rebuild — run only here. For each depth from 1 to 512
+// live entries: ramp the population up, churn at that depth with heavy
+// equal-time ties (four distinct times), cancels, reschedules and
+// pre-drawn seqs used out of order, then drain; every pop is checked
+// against an ordered-set model keyed (at, seq).
+TEST(EventQueue, RandomizedDifferentialDeepHeap) {
+  struct Live {
+    EventId id;
+    int64_t at_ns;
+    uint64_t seq;
+    int tag;
+  };
+  using Key = std::tuple<int64_t, uint64_t, int>;  // (at, seq, tag)
+  std::mt19937_64 rng(6937);
+  for (const std::size_t depth :
+       {1, 2, 3, 4, 5, 6, 20, 21, 22, 85, 86, 100, 341, 342, 512}) {
+    EventQueue q;
+    std::set<Key> model;
+    std::vector<Live> live;
+    std::vector<uint64_t> stashed;  // seqs drawn by take_seq(), unused
+    std::vector<int> fired;
+    uint64_t next_seq = 1;
+    int next_tag = 0;
+    int64_t now_ns = 0;
+
+    auto draw_at = [&] {
+      return now_ns + static_cast<int64_t>(rng() % 4) * 1000;
+    };
+    auto draw_seq = [&]() -> uint64_t {
+      // A third of the time, an older pre-drawn seq: an insert that
+      // arrives out of global seq order.
+      if (!stashed.empty() && rng() % 3 == 0) {
+        const std::size_t k = rng() % stashed.size();
+        const uint64_t seq = stashed[k];
+        stashed.erase(stashed.begin() + static_cast<std::ptrdiff_t>(k));
+        return seq;
+      }
+      return 0;  // none: use the queue's own counter
+    };
+    auto schedule = [&] {
+      const int tag = next_tag++;
+      const int64_t at = draw_at();
+      auto fn = [&fired, tag] { fired.push_back(tag); };
+      uint64_t seq = draw_seq();
+      EventId id;
+      if (seq != 0) {
+        id = q.schedule_with_seq(Time::nanoseconds(at), seq, fn);
+      } else {
+        seq = next_seq++;
+        id = q.schedule(Time::nanoseconds(at), fn);
+      }
+      model.insert({at, seq, tag});
+      live.push_back({id, at, seq, tag});
+    };
+    auto reschedule = [&](std::size_t i) {
+      Live& e = live[i];
+      const int64_t at = draw_at();
+      uint64_t seq = draw_seq();
+      EventId moved;
+      if (seq != 0) {
+        moved = q.reschedule_with_seq(e.id, Time::nanoseconds(at), seq);
+      } else {
+        seq = next_seq++;
+        moved = q.reschedule(e.id, Time::nanoseconds(at));
+      }
+      ASSERT_NE(moved, kInvalidEventId);
+      model.erase({e.at_ns, e.seq, e.tag});
+      model.insert({at, seq, e.tag});
+      e = {moved, at, seq, e.tag};
+    };
+    auto cancel = [&](std::size_t i) {
+      q.cancel(live[i].id);
+      model.erase({live[i].at_ns, live[i].seq, live[i].tag});
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    };
+    auto pop = [&] {
+      const Key head = *model.begin();
+      model.erase(model.begin());
+      const Time t = q.run_next();
+      ASSERT_EQ(t.ns(), std::get<0>(head));
+      ASSERT_FALSE(fired.empty());
+      ASSERT_EQ(fired.back(), std::get<2>(head));
+      now_ns = t.ns();
+      std::erase_if(live, [&](const Live& e) {
+        return e.tag == std::get<2>(head);
+      });
+    };
+    auto check = [&] {
+      ASSERT_EQ(q.size(), model.size());
+      if (model.empty()) {
+        ASSERT_TRUE(q.next_time().is_infinite());
+        return;
+      }
+      ASSERT_EQ(q.next_time().ns(), std::get<0>(*model.begin()));
+    };
+
+    while (live.size() < depth) schedule();
+    check();
+    for (std::size_t step = 0; step < 8 * depth + 64; ++step) {
+      switch (rng() % 6) {
+        case 0:  // fire one, refill to depth
+          pop();
+          schedule();
+          break;
+        case 1:  // cancel one, refill to depth
+          cancel(rng() % live.size());
+          schedule();
+          break;
+        case 2:
+        case 3:
+          reschedule(rng() % live.size());
+          break;
+        case 4:
+          EXPECT_EQ(q.take_seq(), next_seq);
+          stashed.push_back(next_seq++);
+          break;
+        default:  // a burst at the head: fire several, then refill
+          for (int k = 0; k < 3 && !live.empty(); ++k) pop();
+          while (live.size() < depth) schedule();
+          break;
+      }
+      if (HasFatalFailure()) return;
+      check();
+      if (HasFatalFailure()) return;
+    }
+    while (!model.empty()) {
+      pop();
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(q.empty()) << "depth " << depth;
   }
 }
 

@@ -9,6 +9,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/inline_function.h"
@@ -124,6 +125,74 @@ TEST(InlineFunction, ResetAndNullptrClear) {
 TEST(InlineFunction, ReturnValuesAndArguments) {
   InlineFunction<int(int, int), 48> add([](int a, int b) { return a + b; });
   EXPECT_EQ(add(2, 3), 5);
+}
+
+// Captures like the simulator's event callbacks (`this`, an index, a
+// Time) are trivially copyable: they relocate by memcpy and are never
+// destroyed through the ops table. Their values must survive both.
+TEST(InlineFunction, TriviallyCopyableCaptureSurvivesMoveAndMoveAssign) {
+  uint64_t out = 0;
+  const uint64_t a = 0x0123456789abcdefULL;
+  const uint32_t b = 7;
+  const double c = 0.5;
+  auto fn = [&out, a, b, c] {
+    out = a + b + static_cast<uint64_t>(c * 4);
+  };
+  static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+  InlineFunction<void(), 48> f(fn);
+  InlineFunction<void(), 48> g(std::move(f));
+  EXPECT_FALSE(f);  // NOLINT(bugprone-use-after-move): tested contract
+  g();
+  EXPECT_EQ(out, a + 9);
+  out = 0;
+  InlineFunction<void(), 48> h([&out] { out = 1; });
+  h = std::move(g);
+  EXPECT_FALSE(g);  // NOLINT(bugprone-use-after-move): tested contract
+  h();
+  EXPECT_EQ(out, a + 9);
+  h = nullptr;
+  EXPECT_FALSE(h);
+}
+
+TEST(InlineFunction, NonTrivialCaptureIsDestroyedOnceAcrossRelocations) {
+  static_assert(!std::is_trivially_copyable_v<DtorCounter>);
+  int destroyed = 0;
+  {
+    InlineFunction<void(), 48> f{DtorCounter(&destroyed)};
+    InlineFunction<void(), 48> g(std::move(f));
+    InlineFunction<void(), 48> h([] {});
+    h = std::move(g);
+    h();
+    EXPECT_EQ(destroyed, 0);
+    InlineFunction<void(), 48> k(std::move(h));
+    k.reset();
+    EXPECT_EQ(destroyed, 1);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(InlineFunction, HeapSpilledCallableSurvivesMoveAndIsDestroyedOnce) {
+  struct BigCounter {
+    DtorCounter counter;
+    char pad[64];
+    int* out;
+    void operator()() const { *out = pad[0]; }
+  };
+  static_assert(!InlineFunction<void(), 48>::stores_inline_v<BigCounter>);
+  int destroyed = 0;
+  int out = 0;
+  {
+    BigCounter big{DtorCounter(&destroyed), {}, &out};
+    big.pad[0] = 42;
+    InlineFunction<void(), 48> f(std::move(big));
+    InlineFunction<void(), 48> g(std::move(f));
+    InlineFunction<void(), 48> h;
+    h = std::move(g);
+    h();
+    EXPECT_EQ(out, 42);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
 }
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "net/path.h"
@@ -87,6 +88,65 @@ TEST(Link, AckWireSizeIncludesSackOptions) {
   EXPECT_EQ(ack.wire_size(), 40u + 2 + 16);
   ack.dsack = SackBlock{0, 500};
   EXPECT_EQ(ack.wire_size(), 40u + 2 + 24);
+}
+
+TEST(Segment, FifthSackBlockIsRejected) {
+  Segment ack;
+  ack.is_ack = true;
+  for (uint64_t i = 0; i < SackList::kMaxBlocks; ++i) {
+    ack.sacks.push_back({i * 2000, i * 2000 + 1000});
+  }
+  // Past the RFC 2018 wire cap the list throws instead of truncating or
+  // spilling to the heap, and keeps the four blocks it has.
+  EXPECT_THROW(ack.sacks.push_back({9000, 10000}), std::length_error);
+  ASSERT_EQ(ack.sacks.size(), 4u);
+  EXPECT_EQ(ack.sacks[3], (SackBlock{6000, 7000}));
+
+  const std::vector<SackBlock> five(5, SackBlock{0, 1000});
+  Segment other;
+  EXPECT_THROW(other.sacks.assign(five.begin(), five.end()),
+               std::length_error);
+  other.sacks.assign(five.begin(), five.begin() + 2);
+  SackList two;
+  two.push_back({0, 1000});
+  two.push_back({0, 1000});
+  EXPECT_EQ(other.sacks, two);
+  two[1].end = 999;
+  EXPECT_FALSE(other.sacks == two);
+}
+
+// A sink that sends on the very link delivering to it: the sends grow
+// the slot pool while the sink still reads its segment in place, and the
+// delivered segment itself can be sent straight back.
+TEST(Link, SinkMaySendOnItsOwnLink) {
+  for (const bool batch : {false, true}) {
+    sim::Simulator sim;
+    sim.set_batch_delivery(batch);
+    Link::Config cfg;
+    cfg.propagation_delay = 1_ms;
+    Link* self = nullptr;
+    std::vector<uint64_t> seen;
+    bool bounced = false;
+    Link link(sim, cfg, [&](Segment&& s) {
+      if (s.seq == 0 && seen.empty()) {
+        for (uint64_t k = 1; k <= 40; ++k) {
+          self->send(data_seg(k * 1000, 100));
+        }
+      }
+      seen.push_back(s.seq);  // read after the sends above grew the pool
+      if (s.seq == 40'000 && !bounced) {
+        bounced = true;
+        self->send(std::move(s));
+      }
+    });
+    self = &link;
+    link.send(data_seg(0, 100));
+    sim.run();
+    ASSERT_EQ(seen.size(), 42u) << "batch=" << batch;
+    for (uint64_t k = 0; k <= 40; ++k) EXPECT_EQ(seen[k], k * 1000) << k;
+    EXPECT_EQ(seen[41], 40'000u);
+    EXPECT_EQ(link.stats().delivered, 42u);
+  }
 }
 
 TEST(Path, SymmetricConfigSplitsRtt) {

@@ -82,6 +82,41 @@ TEST(Misbehavior, DupSackRepeatsBlockWithinWireCap) {
   EXPECT_EQ(out[0].sacks.size(), 4u);
 }
 
+// A full 4-block ACK through every SACK-touching transform at once
+// (lie, duplicate, corrupt, divide, duplicate the ACK, reorder): the
+// fixed SACK list throws on a fifth block, so reaching the end at all
+// proves no transform pushes past the wire cap, and the ACK that
+// carries the blocks still carries exactly 4.
+TEST(Misbehavior, EveryTransformAtTheWireCapEmitsFourBlocks) {
+  sim::Simulator sim;
+  std::vector<Segment> out;
+  MisbehaviorConfig cfg;
+  cfg.lie_sack_probability = 1.0;
+  cfg.dup_sack_probability = 1.0;
+  cfg.corrupt_probability = 1.0;
+  cfg.divide_factor = 4;
+  cfg.dup_ack_probability = 1.0;
+  cfg.reorder_probability = 0.5;
+  AckMisbehaver m(sim, cfg, sim::Rng(3),
+                  [&](Segment&& s) { out.push_back(std::move(s)); });
+  for (uint64_t k = 0; k < 16; ++k) {
+    Segment full = ack(1000 + k * 5720);
+    for (uint64_t i = 0; i < 4; ++i)
+      full.sacks.push_back({90000 + i * 2000, 91000 + i * 2000});
+    ASSERT_NO_THROW(m.process(std::move(full)));
+  }
+  sim.run();
+  ASSERT_FALSE(out.empty());
+  std::size_t carrying = 0;
+  for (const Segment& s : out) {
+    if (s.sacks.empty()) continue;  // divided sub-ACKs carry none
+    EXPECT_EQ(s.sacks.size(), 4u);
+    ++carrying;
+  }
+  EXPECT_GE(carrying, 16u);
+  EXPECT_EQ(m.stats().sack_dups, 0u);
+}
+
 TEST(Misbehavior, SuppressionStripsSacksOnlyInsideWindow) {
   sim::Simulator sim;
   std::vector<Segment> out;
