@@ -235,7 +235,7 @@ void BM_ScoreboardSackProcessing(benchmark::State& state) {
       ack.sacks.push_back({static_cast<uint64_t>(window / 2) * kMss,
                            static_cast<uint64_t>(i + 1) * kMss});
       benchmark::DoNotOptimize(
-          sb.on_ack(ack, prr::sim::Time::zero(), true));
+          sb.on_ack(ack, prr::sim::Time::zero()));
     }
     benchmark::DoNotOptimize(sb.pipe());
   }
@@ -251,7 +251,7 @@ void BM_ScoreboardPipe(benchmark::State& state) {
                    static_cast<uint64_t>(i + 1) * kMss,
                    prr::sim::Time::zero());
   }
-  sb.update_loss_marks(3, true, true);
+  sb.update_loss_marks(3, true);
   AllocsPerOp allocs(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sb.pipe());
@@ -276,8 +276,8 @@ void BM_ScoreboardCounters(benchmark::State& state) {
   ack.ack = 0;
   ack.sacks.push_back({static_cast<uint64_t>(window / 2) * kMss,
                        static_cast<uint64_t>(window) * kMss});
-  sb.on_ack(ack, prr::sim::Time::zero(), true);
-  sb.update_loss_marks(3, true, true);
+  sb.on_ack(ack, prr::sim::Time::zero());
+  sb.update_loss_marks(3, true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sb.total_sacked_bytes());
     benchmark::DoNotOptimize(sb.sacked_segment_count());

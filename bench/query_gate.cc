@@ -9,8 +9,9 @@
 //   2. two half-range runs merged with merge_store_files() reproduce the
 //      full run's file byte for byte (the fork-per-shard contract);
 //   3. episodes_from_store() rebuilds an EpisodeTable whose JSON equals
-//      the live table's, and whose stream counters equal both the
-//      tcp::Metrics aggregate and the metrics-registry counters;
+//      the live table's, whose finished rows are the senders'
+//      stats::RecoveryLog events in order, and whose stream counters
+//      equal the tcp::Metrics aggregate;
 //   4. raw-record aggregates reconcile with registry counters: one
 //      kEnterRecovery record per fast-recovery event, one kRtoFired per
 //      timeout, one kTransmit per data segment sent;
@@ -215,11 +216,23 @@ int main() {
     GATE_CHECK(s.dsacks_received == m.dsacks_received,
                "dsacks_received\n");
     GATE_CHECK(s.undo_events == m.undo_events, "undo_events\n");
+    GATE_CHECK(s.lost_retransmits_detected == m.lost_retransmits_detected,
+               "lost_retransmits_detected\n");
+    GATE_CHECK(s.lost_fast_retransmits == m.lost_fast_retransmits,
+               "lost_fast_retransmits\n");
     GATE_CHECK(s.timeouts_total == m.timeouts_total, "timeouts_total\n");
     GATE_CHECK(from_store.total() == m.fast_recovery_events,
                "episode total %zu vs fast_recovery_events %llu\n",
                from_store.total(),
                (unsigned long long)m.fast_recovery_events);
+    // Every closed episode (completed, undone or RTO-interrupted) is the
+    // sender's RecoveryLog entry, field for field and in order.
+    GATE_CHECK(from_store.finished() == traced.recovery_log.count(),
+               "finished %zu vs recovery-log count %zu\n",
+               from_store.finished(), traced.recovery_log.count());
+    GATE_CHECK(from_store.finished_log().events() ==
+                   traced.recovery_log.events(),
+               "finished episodes differ from the recovery-log events\n");
     std::printf("ok: store episodes == live (total %zu, json %zu B)\n",
                 from_store.total(), from_store.to_json().size());
   }

@@ -8,7 +8,7 @@
 //
 // Correctness contract: "fresh == reset by construction". Every reset()
 // in the chain restores exactly the freshly-constructed state (the
-// Sender constructor itself delegates to the same reset_core_state()),
+// Sender constructor itself runs Sender::reset()),
 // so a pooled run is byte-identical to a fresh-objects run — enforced by
 // tests/test_conn_arena.cc digest comparisons and, in debug builds, by
 // check_reset_state() after every recycle.

@@ -136,8 +136,8 @@ struct ArmResult {
   stats::RecoveryLog recovery_log;
   // Structured recovery episodes derived from each connection's trace
   // stream (populated only with RunOptions::collect_episodes).
-  // Reconciles bit-exactly with `recovery_log` and `metrics` —
-  // bench/episode_gate enforces it.
+  // Reconciles bit-exactly with `recovery_log` and `metrics`
+  // (EpisodeSweepTest, bench/query_gate).
   obs::EpisodeTable episodes;
   stats::LatencyTracker latency;
   sim::Time total_network_transmit_time;

@@ -177,7 +177,7 @@ void EpisodeBuilder::on_record(const TraceRecord& r) {
     case TraceType::kRtoFired:
       ++stream_.timeouts_total;
       if (in_episode_) {
-        // Mirrors finish_recovery_event on the RTO path: cwnd is still
+        // Mirrors Sender::close_episode on the RTO path: cwnd is still
         // the pre-reset value and ssthresh still the entry value, and
         // the exit-window fields stay unset.
         s.max_burst_segments = r.f[5];

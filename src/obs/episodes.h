@@ -11,8 +11,9 @@
 // construction: every field the stats::RecoveryLog accumulates is also
 // present in (or derivable from) the trace records the same code paths
 // emit, so an EpisodeTable built from the stream reconciles bit-exactly
-// with the RecoveryLog and tcp::Metrics counters (bench/episode_gate
-// enforces this at several thread counts, tracing on and off). The
+// with the RecoveryLog and tcp::Metrics counters (EpisodeSweepTest
+// checks this for each recovery arm at several thread counts, tracing on
+// and off; bench/query_gate checks it under chaos). The
 // paper-table math has one home, stats::RecoveryLog: the table hands
 // its finished rows over as one (EpisodeTable::finished_log).
 //

@@ -45,8 +45,8 @@ std::string snapshot(const tcp::Sender& s, uint32_t conn_id) {
                 "  %s %s rto:%.0fms rtt:%.1f/%.1fms mss:%u dupthresh:%d%s\n",
                 cc_name(cfg.cc), recovery_name(cfg.recovery),
                 rto.rto().ms_d(), rto.srtt().ms_d(), rto.rttvar().ms_d(),
-                cfg.mss, s.dupthresh(),
-                s.reordering_seen() ? " reordering" : "");
+                cfg.mss, s.scoreboard().dupthresh(),
+                s.scoreboard().reordering_seen() ? " reordering" : "");
   out += buf;
 
   std::snprintf(buf, sizeof(buf),
@@ -85,9 +85,9 @@ std::string snapshot_json(const tcp::Sender& s, uint32_t conn_id) {
   out += ",\"rttvar_ms\":" + json_double(rto.rttvar().ms_d());
   out += ",\"backoffs\":" + std::to_string(rto.backoff_count());
   out += ",\"mss\":" + std::to_string(cfg.mss);
-  out += ",\"dupthresh\":" + std::to_string(s.dupthresh());
+  out += ",\"dupthresh\":" + std::to_string(sb.dupthresh());
   out += ",\"reordering\":" +
-         std::string(s.reordering_seen() ? "true" : "false");
+         std::string(sb.reordering_seen() ? "true" : "false");
   out += ",\"cwnd_bytes\":" + std::to_string(s.cwnd_bytes());
   out += ",\"ssthresh_bytes\":" + std::to_string(s.ssthresh_bytes());
   out += ",\"pipe_bytes\":" + std::to_string(s.pipe_bytes());

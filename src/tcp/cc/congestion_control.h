@@ -32,18 +32,16 @@ class CongestionControl {
 
 enum class CcKind { kNewReno, kCubic, kGaimd, kBinomial };
 
-// `gaimd_alpha`/`gaimd_beta` only apply to kGaimd (additive increase in
-// segments per RTT, multiplicative decrease factor).
+// `gaimd_beta` (the multiplicative decrease factor) only applies to
+// kGaimd, whose additive increase is one segment per RTT.
 std::unique_ptr<CongestionControl> make_congestion_control(
-    CcKind kind, uint32_t mss, double gaimd_alpha = 1.0,
-    double gaimd_beta = 0.5);
+    CcKind kind, uint32_t mss, double gaimd_beta = 0.5);
 
 // Pool-recycle support: rewinds `cc` in place to exactly the state
-// make_congestion_control(kind, mss, gaimd_alpha, gaimd_beta) would
-// construct, with no allocation. Returns false when `cc` is not an
-// instance of `kind` — the caller then recreates via the factory.
+// make_congestion_control(kind, mss, gaimd_beta) would construct, with no
+// allocation. Returns false when `cc` is not an instance of `kind` — the
+// caller then recreates via the factory.
 bool reset_congestion_control(CongestionControl& cc, CcKind kind,
-                              uint32_t mss, double gaimd_alpha = 1.0,
-                              double gaimd_beta = 0.5);
+                              uint32_t mss, double gaimd_beta = 0.5);
 
 }  // namespace prr::tcp

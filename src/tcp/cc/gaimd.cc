@@ -9,6 +9,9 @@
 
 namespace prr::tcp {
 
+// The factory's GAIMD additive increase: one segment per RTT, as Reno.
+constexpr double kGaimdAlpha = 1.0;
+
 uint64_t Gaimd::ssthresh_after_loss(uint64_t cwnd_bytes) {
   const double target = std::max(static_cast<double>(cwnd_bytes) * beta_,
                                  2.0 * mss_);
@@ -29,14 +32,14 @@ uint64_t Gaimd::on_ack(uint64_t cwnd_bytes, uint64_t ssthresh_bytes,
 }
 
 std::unique_ptr<CongestionControl> make_congestion_control(
-    CcKind kind, uint32_t mss, double gaimd_alpha, double gaimd_beta) {
+    CcKind kind, uint32_t mss, double gaimd_beta) {
   switch (kind) {
     case CcKind::kNewReno:
       return std::make_unique<NewReno>(mss);
     case CcKind::kCubic:
       return std::make_unique<Cubic>(mss);
     case CcKind::kGaimd:
-      return std::make_unique<Gaimd>(mss, gaimd_alpha, gaimd_beta);
+      return std::make_unique<Gaimd>(mss, kGaimdAlpha, gaimd_beta);
     case CcKind::kBinomial:
       return std::make_unique<Binomial>(mss);  // IIAD defaults (k=1, l=0)
   }
@@ -44,8 +47,7 @@ std::unique_ptr<CongestionControl> make_congestion_control(
 }
 
 bool reset_congestion_control(CongestionControl& cc, CcKind kind,
-                              uint32_t mss, double gaimd_alpha,
-                              double gaimd_beta) {
+                              uint32_t mss, double gaimd_beta) {
   // Copy-assignment from a freshly constructed instance is the poison-
   // proof definition of "reset": the recycled object is byte-for-byte
   // what the factory would have produced.
@@ -64,7 +66,7 @@ bool reset_congestion_control(CongestionControl& cc, CcKind kind,
       return false;
     case CcKind::kGaimd:
       if (auto* p = dynamic_cast<Gaimd*>(&cc)) {
-        *p = Gaimd(mss, gaimd_alpha, gaimd_beta);
+        *p = Gaimd(mss, kGaimdAlpha, gaimd_beta);
         return true;
       }
       return false;

@@ -5,6 +5,9 @@
 
 namespace prr::tcp {
 
+// Upper bound on the reordering-raised dupthresh.
+constexpr int kMaxDupthresh = 127;
+
 // --- incremental accounting -------------------------------------------
 // Every flag flip goes through one of these helpers; each is idempotent,
 // so call sites never need to pre-check the flag to keep tallies right.
@@ -93,6 +96,11 @@ void Scoreboard::reset(uint64_t snd_una) {
   retransmitted_in_flight_bytes_ = 0;
   sacked_segs_ = 0;
   lost_segs_ = 0;
+  dupthresh_ = configured_dupthresh_;
+  dupacks_ = 0;
+  reorder_metric_segs_ = 0;
+  fack_enabled_ = use_fack_;
+  reordering_seen_ = false;
 }
 
 void Scoreboard::on_transmit(uint64_t start, uint64_t end, sim::Time now) {
@@ -130,8 +138,7 @@ void Scoreboard::on_retransmit(uint64_t start, sim::Time now,
   r->last_tx_time = now;
 }
 
-AckOutcome Scoreboard::on_ack(const net::Segment& ack, sim::Time now,
-                              bool detect_lost_retransmits) {
+AckOutcome Scoreboard::on_ack(const net::Segment& ack, sim::Time now) {
   AckOutcome out;
   // SACK frontier before this ACK: deliveries of never-retransmitted data
   // from below it are reordering evidence (the original arrived after
@@ -207,7 +214,7 @@ AckOutcome Scoreboard::on_ack(const net::Segment& ack, sim::Time now,
   // *first transmitted after it* and has now been SACKed was lost again.
   // Sequence test: only bytes at/above the snd.nxt recorded when the
   // retransmission went out can have been first-sent after it.
-  if (detect_lost_retransmits && any_newly_sacked) {
+  if (any_newly_sacked) {
     for (auto& r : records_) {
       if (r.sacked || !r.retransmitted) continue;
       if (r.retrans_marker > 0 &&
@@ -220,12 +227,32 @@ AckOutcome Scoreboard::on_ack(const net::Segment& ack, sim::Time now,
     }
   }
 
+  // 4. Duplicate-ACK count (reset by any cumulative advance). Data is
+  // outstanding while the last record (which ends at snd.nxt) lies above
+  // snd.una.
+  if (out.una_advanced) {
+    dupacks_ = 0;
+  } else if (out.newly_sacked_bytes > 0 || out.saw_dsack ||
+             (!sack_enabled_ && ack.ack == snd_una_ && ack.len == 0 &&
+              !records_.empty() && records_.back().end > snd_una_)) {
+    ++dupacks_;
+  }
+
+  // 5. Reordering raises dupthresh to the largest distance seen and, as
+  // in Linux, switches FACK marking off for the rest of the connection.
+  if (out.reorder_distance_segs > 0) {
+    reordering_seen_ = true;
+    reorder_metric_segs_ =
+        std::max(reorder_metric_segs_, out.reorder_distance_segs);
+    dupthresh_ = std::clamp(reorder_metric_segs_, configured_dupthresh_,
+                            kMaxDupthresh);
+    fack_enabled_ = false;
+  }
+
   return out;
 }
 
-int Scoreboard::update_loss_marks(int dupthresh, bool use_fack,
-                                  bool in_recovery) {
-  (void)in_recovery;
+int Scoreboard::update_loss_marks(int dupthresh, bool use_fack) {
   int newly_lost = 0;
   const uint64_t fack = highest_sacked_end_;
   if (use_fack) {

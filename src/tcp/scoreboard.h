@@ -1,15 +1,24 @@
-// Sender-side SACK scoreboard: one record per transmitted segment between
-// snd.una and snd.nxt, with the loss/retransmit state machinery of
-// RFC 2018/3517/6675 plus the Linux extras the paper's baseline uses:
+// Sender-side SACK scoreboard and loss detector: one record per
+// transmitted segment between snd.una and snd.nxt, with the loss/retransmit
+// state machinery of RFC 2018/3517/6675 plus the Linux extras the paper's
+// baseline uses:
 //   - FACK loss marking (threshold retransmission; holes below the
 //     forward-most SACK are lost once in recovery),
 //   - lost-retransmission detection (a retransmission is deemed lost when
 //     data sent after it is SACKed),
 //   - reordering detection (a segment presumed lost but never
-//     retransmitted is later ACKed/SACKed), which feeds the dynamic
-//     dupthresh and disables FACK.
+//     retransmitted is later ACKed/SACKed), which raises dupthresh and
+//     disables FACK.
 // The scoreboard also computes pipe (RFC 3517 SetPipe) and DeliveredData,
 // the per-ACK quantity PRR is built on.
+//
+// Ownership: the scoreboard decides *which* data is lost — it counts
+// duplicate ACKs, keeps the reordering metric and the dupthresh it
+// implies, applies the marking rule (mark_losses) and answers whether
+// fast recovery should start (recovery_triggered). tcp::Sender decides
+// *how much* to send: it reads the per-ACK AckOutcome and regulates the
+// window. The sender only clears the dupack count when an episode ends
+// (recovery exit, undo, RTO).
 //
 // Accounting is incremental: running byte/segment tallies are updated at
 // the points records change state, so pipe(), total_sacked_bytes(),
@@ -82,11 +91,18 @@ class Scoreboard {
  public:
   explicit Scoreboard(uint32_t mss) : mss_(mss) {}
 
+  // Empties the scoreboard at `snd_una` and rewinds loss detection to the
+  // configured dupthresh and FACK setting.
   void reset(uint64_t snd_una);
-  // Pool-recycle variant: also adopts a new MSS (the next connection's
-  // config may differ). Record/ring capacity is kept.
-  void reset(uint64_t snd_una, uint32_t mss) {
+  // Connection start (and pool recycle): adopts the connection's MSS,
+  // configured dupthresh, FACK setting and whether SACK was negotiated.
+  // Record/ring capacity is kept.
+  void reset(uint64_t snd_una, uint32_t mss, int dupthresh, bool use_fack,
+             bool sack_enabled) {
     mss_ = mss;
+    configured_dupthresh_ = dupthresh;
+    use_fack_ = use_fack;
+    sack_enabled_ = sack_enabled;
     reset(snd_una);
   }
 
@@ -98,14 +114,32 @@ class Scoreboard {
                      bool fast);
 
   // Processes an incoming ACK: advances snd.una, applies SACK blocks,
-  // detects reordering and lost retransmissions.
-  AckOutcome on_ack(const net::Segment& ack, sim::Time now,
-                    bool detect_lost_retransmits);
+  // detects reordering and lost retransmissions, and updates the dupack
+  // count, the reordering metric and dupthresh.
+  AckOutcome on_ack(const net::Segment& ack, sim::Time now);
 
-  // Applies loss-marking rules; returns segments newly marked lost.
-  // `in_recovery` enables the aggressive FACK rule (all holes below the
-  // forward-most SACK are lost).
-  int update_loss_marks(int dupthresh, bool use_fack, bool in_recovery);
+  // Applies the marking rule (FACK, or RFC 6675 IsLost once reordering
+  // has switched FACK off) at the current dupthresh.
+  void mark_losses() { update_loss_marks(dupthresh_, fack_enabled_); }
+  // Fast-recovery entry test: dupthresh duplicate ACKs, or the first hole
+  // is marked lost. Call after mark_losses().
+  bool recovery_triggered() const {
+    return dupacks_ >= dupthresh_ || first_hole_lost();
+  }
+  // The marking primitive behind mark_losses(), with explicit parameters;
+  // returns segments newly marked lost.
+  int update_loss_marks(int dupthresh, bool use_fack);
+
+  // Duplicate ACKs since snd.una last advanced: an ACK with SACK news or a
+  // DSACK, or, without SACK, a pure ACK that leaves snd.una in place
+  // while data is outstanding. The sender clears it when an episode ends.
+  int dupacks() const { return dupacks_; }
+  void clear_dupacks() { dupacks_ = 0; }
+  // clamp(largest reordering distance seen, configured dupthresh, 127).
+  int dupthresh() const { return dupthresh_; }
+  // FACK marking is on until reordering is seen (as in Linux).
+  bool fack_enabled() const { return fack_enabled_; }
+  bool reordering_seen() const { return reordering_seen_; }
 
   // Marks every non-SACKed record lost and forgets in-flight
   // retransmissions (RTO: everything is slated for retransmit).
@@ -178,6 +212,17 @@ class Scoreboard {
   void account_remove(const SegRecord& r);
 
   uint32_t mss_;
+  // Loss-detection configuration (set by the five-argument reset) and the
+  // state on_ack derives from it.
+  int configured_dupthresh_ = 3;
+  bool use_fack_ = true;
+  bool sack_enabled_ = true;
+  int dupthresh_ = 3;
+  int dupacks_ = 0;
+  int reorder_metric_segs_ = 0;
+  bool fack_enabled_ = true;
+  bool reordering_seen_ = false;
+
   uint64_t snd_una_ = 0;
   uint64_t highest_sacked_end_ = 0;
   // Start-sorted, non-overlapping in-flight records. A ring (not a

@@ -25,17 +25,23 @@ namespace {
 // Ring of recently retransmitted ranges for spurious-retransmit (DSACK)
 // matching; bounded so long flows stay O(1).
 constexpr std::size_t kRetxHistoryLimit = 512;
+// Early-retransmit mitigation 2: the delay is srtt/4 clamped to this range.
+constexpr sim::Time kErDelayMin = sim::Time::milliseconds(25);
+constexpr sim::Time kErDelayMax = sim::Time::milliseconds(500);
+// Floor of the tail-loss-probe timeout.
+constexpr sim::Time kTlpMinPto = sim::Time::milliseconds(10);
+// Pacing rate as a multiple of cwnd/srtt: the headroom keeps pacing from
+// capping a window that is still growing.
+constexpr double kPacingGain = 1.25;
 }  // namespace
 
 Sender::Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
                stats::RecoveryLog* recovery_log)
-    : sim_(sim),
+    : SenderState(config),
+      sim_(sim),
       config_(config),
       send_(std::move(send)),
       recovery_log_(recovery_log),
-      cc_(make_congestion_control(config.cc, config.mss,
-                                  config.gaimd_alpha, config.gaimd_beta)),
-      policy_(make_recovery_policy(config.recovery, config.prr_bound)),
       scoreboard_(config.mss),
       rto_est_(config.rto),
       rto_timer_(sim, [this] { on_rto(); }),
@@ -43,25 +49,27 @@ Sender::Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
       tlp_timer_(sim, [this] { on_tlp_timer(); }),
       pacing_timer_(sim, [this] { try_send(); }),
       persist_timer_(sim, [this] { on_persist_timer(); }) {
-  prr_policy_ = dynamic_cast<const PrrRecovery*>(policy_.get());
-  scoreboard_.reset(0);
-  reset_core_state();
+  reset(config, recovery_log);
 }
 
 void Sender::reset(SenderConfig config, stats::RecoveryLog* recovery_log) {
   config_ = config;
   recovery_log_ = recovery_log;
-  if (!reset_congestion_control(*cc_, config.cc, config.mss,
-                                config.gaimd_alpha, config.gaimd_beta)) {
-    cc_ = make_congestion_control(config.cc, config.mss, config.gaimd_alpha,
-                                  config.gaimd_beta);
+  if (!cc_ || !reset_congestion_control(*cc_, config.cc, config.mss,
+                                        config.gaimd_beta)) {
+    cc_ = make_congestion_control(config.cc, config.mss, config.gaimd_beta);
   }
-  if (!reset_recovery_policy(*policy_, config.recovery, config.prr_bound)) {
+  if (!policy_ ||
+      !reset_recovery_policy(*policy_, config.recovery, config.prr_bound)) {
     policy_ = make_recovery_policy(config.recovery, config.prr_bound);
   }
   prr_policy_ = dynamic_cast<const PrrRecovery*>(policy_.get());
-  scoreboard_.reset(0, config.mss);
+  scoreboard_.reset(0, config.mss, config.dupthresh, config.use_fack,
+                    config.sack_enabled);
   rto_est_ = RtoEstimator(config.rto);
+  if (!config.handshake_rtt.is_zero()) {
+    rto_est_.on_rtt_sample(config.handshake_rtt);
+  }
   // All timer EventIds are stale after Simulator::reset; stop() clears
   // them without touching the (recycled) event queue.
   rto_timer_.stop();
@@ -80,64 +88,9 @@ void Sender::reset(SenderConfig config, stats::RecoveryLog* recovery_log) {
   on_rto_hook = nullptr;
   on_ack_cost_hook = nullptr;
   set_recorder(nullptr, 0);
-  reset_core_state();
-}
-
-void Sender::reset_core_state() {
-  metrics_ = Metrics{};
-  metrics_.connections = 1;
-  state_ = TcpState::kOpen;
-  snd_una_ = 0;
-  snd_nxt_ = 0;
-  write_end_ = 0;
-  cwnd_ = config_.initial_cwnd_bytes();
-  ssthresh_ = UINT64_MAX;
-  peer_rwnd_ = UINT64_MAX;
-  next_segment_id_ = 1;
-  dupthresh_ = config_.dupthresh;
-  dupack_count_ = 0;
-  reorder_metric_segs_ = 0;
-  fack_enabled_ = config_.use_fack;
-  reordering_seen_ = false;
-  cwnd_limited_ = true;
-  aborted_ = false;
-  busy_ = false;
-  in_loss_recovery_ = false;
-  last_transmit_ = sim::Time::zero();
-  busy_since_ = sim::Time::zero();
-  busy_accum_ = sim::Time::zero();
-  loss_since_ = sim::Time::zero();
-  loss_accum_ = sim::Time::zero();
-  persist_backoff_ = 0;
-  next_pace_at_ = sim::Time::zero();
-  recovery_point_ = 0;
-  recovery_via_er_ = false;
-  retransmitted_this_event_ = false;
-  prior_cwnd_ = 0;
-  prior_ssthresh_ = 0;
-  undo_valid_ = false;
-  undo_retrans_ = 0;
-  spurious_seen_ = false;
+  static_cast<SenderState&>(*this) = SenderState(config_);
   retx_history_.clear();
-  current_event_ = stats::RecoveryEvent{};
-  burst_in_progress_ = 0;
-  rto_head_retransmit_pending_ = false;
-  retransmits_since_progress_ = 0;
-  frto_check_pending_ = false;
-  frto_head_end_ = 0;
-  tlp_probe_outstanding_ = false;
-  cwr_active_ = false;
-  cwr_point_ = 0;
-  cwr_flag_pending_ = false;
-  cwr_prr_ = core::PrrState{};
-  prior_loss_cwnd_ = 0;
-  prior_loss_ssthresh_ = 0;
-  traced_state_ = TcpState::kOpen;
-  if (!config_.handshake_rtt.is_zero()) {
-    rto_est_.on_rtt_sample(config_.handshake_rtt);
-  }
 }
-
 
 void Sender::set_recorder(obs::FlightRecorder* recorder, uint32_t conn_id) {
   recorder_ = recorder;
@@ -191,7 +144,7 @@ uint64_t Sender::effective_pipe() const {
   // re-adds retransmissions.
   const uint64_t base = scoreboard_.pipe();
   const uint64_t discount =
-      static_cast<uint64_t>(dupack_count_) * config_.mss;
+      static_cast<uint64_t>(scoreboard_.dupacks()) * config_.mss;
   return base > discount ? base - discount : 0;
 }
 
@@ -223,7 +176,7 @@ void Sender::try_send() {
       // alternate ACKs instead of leaking one segment per ACK.
       if (pipe + cand->len() > cwnd_) break;
       if (!pacing_allows_send()) break;
-      send_retransmit(cand->start, cand->end);
+      transmit(cand->start, cand->end, /*retx=*/true);
       note_paced_send();
       continue;
     }
@@ -245,10 +198,6 @@ void Sender::send_new_segment() {
       std::min<uint64_t>(config_.mss, write_end_ - snd_nxt_);
   transmit(snd_nxt_, snd_nxt_ + len, /*retx=*/false);
   snd_nxt_ += len;
-}
-
-void Sender::send_retransmit(uint64_t start, uint64_t end) {
-  transmit(start, end, /*retx=*/true);
 }
 
 void Sender::transmit(uint64_t start, uint64_t end, bool retx) {
@@ -381,8 +330,7 @@ void Sender::process_ack(const net::Segment& ack) {
   // connections must not inflate cwnd they never use.
   cwnd_limited_ = snd_nxt_ - snd_una_ + config_.mss >= cwnd_;
 
-  AckOutcome out =
-      scoreboard_.on_ack(ack, sim_.now(), config_.detect_lost_retransmits);
+  const AckOutcome out = scoreboard_.on_ack(ack, sim_.now());
 
   if (out.lost_retransmits_detected > 0) {
     metrics_.lost_retransmits_detected += out.lost_retransmits_detected;
@@ -409,7 +357,6 @@ void Sender::process_ack(const net::Segment& ack) {
     snd_una_ = scoreboard_.snd_una();
     rto_est_.reset_backoff();
     retransmits_since_progress_ = 0;
-    dupack_count_ = 0;
     tlp_probe_outstanding_ = false;
     if (er_timer_.pending()) {
       er_timer_.stop();
@@ -418,21 +365,6 @@ void Sender::process_ack(const net::Segment& ack) {
     PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kUnaAdvance,
               0, 0, snd_una_);
     if (on_una_advance_hook) on_una_advance_hook(snd_una_);
-  } else if (out.newly_sacked_bytes > 0 || out.saw_dsack ||
-             (!config_.sack_enabled && ack.ack == snd_una_ &&
-              snd_nxt_ > snd_una_ && ack.len == 0)) {
-    ++dupack_count_;
-  }
-
-  if (out.reorder_distance_segs > 0) {
-    reordering_seen_ = true;
-    reorder_metric_segs_ =
-        std::max(reorder_metric_segs_, out.reorder_distance_segs);
-    if (config_.dynamic_dupthresh) {
-      dupthresh_ = std::clamp(reorder_metric_segs_, config_.dupthresh,
-                              config_.max_dupthresh);
-    }
-    fack_enabled_ = false;  // Linux: reordering disables FACK
   }
 
   handle_dsack(out);
@@ -511,11 +443,10 @@ void Sender::process_ack(const net::Segment& ack) {
 void Sender::process_in_open(const AckOutcome& out) {
   if (out.una_advanced) grow_cwnd_open(out.newly_acked_bytes);
   const bool non_sack_dupack =
-      !config_.sack_enabled && !out.una_advanced && dupack_count_ > 0 &&
-      snd_nxt_ > snd_una_;
+      !config_.sack_enabled && !out.una_advanced &&
+      scoreboard_.dupacks() > 0 && snd_nxt_ > snd_una_;
   if (scoreboard_.any_sacked() || non_sack_dupack) {
-    state_ = TcpState::kDisorder;
-    note_transmit_state_change();
+    set_state(TcpState::kDisorder);
     process_in_disorder(out);
   }
 }
@@ -524,24 +455,16 @@ void Sender::process_in_disorder(const AckOutcome& out) {
   if (out.una_advanced && !scoreboard_.any_sacked()) {
     // The hole filled without a retransmit (pure reordering): back to
     // Open with no window reduction.
-    state_ = TcpState::kOpen;
-    note_transmit_state_change();
+    set_state(TcpState::kOpen);
     grow_cwnd_open(out.newly_acked_bytes);
     return;
   }
-  maybe_enter_recovery(out);
-}
-
-void Sender::maybe_enter_recovery(const AckOutcome& out) {
-  scoreboard_.update_loss_marks(dupthresh_, fack_enabled_,
-                                /*in_recovery=*/false);
-  const bool classic = dupack_count_ >= dupthresh_;
-  const bool fack_threshold = scoreboard_.first_hole_lost();
-  if (classic || fack_threshold) {
+  scoreboard_.mark_losses();
+  if (scoreboard_.recovery_triggered()) {
     enter_recovery(out.delivered_bytes(), /*via_er=*/false);
-    return;
+  } else {
+    check_early_retransmit(out);
   }
-  check_early_retransmit(out);
 }
 
 void Sender::check_early_retransmit(const AckOutcome& out) {
@@ -554,19 +477,20 @@ void Sender::check_early_retransmit(const AckOutcome& out) {
   if (osegs >= 4) return;       // RFC 5827: only when flight < 4 segments
   if (can_send_new()) return;   // new data would trigger normal recovery
   const int er_thresh = std::max(1, osegs - 1);
-  if (dupack_count_ < er_thresh) return;
+  if (scoreboard_.dupacks() < er_thresh) return;
   if ((config_.early_retransmit == EarlyRetransmitMode::kReorderMitigation ||
        config_.early_retransmit == EarlyRetransmitMode::kBothMitigations) &&
-      reordering_seen_) {
+      scoreboard_.reordering_seen()) {
     return;  // mitigation 1: past reordering disables ER
   }
   if (config_.early_retransmit == EarlyRetransmitMode::kBothMitigations) {
     // Mitigation 2: delay the early retransmit by srtt/4 (clamped); an
     // ACK advancing snd.una cancels it.
     if (!er_timer_.pending()) {
-      sim::Time delay = rto_est_.has_sample() ? rto_est_.srtt() / 4
-                                              : config_.er_delay_min;
-      delay = std::clamp(delay, config_.er_delay_min, config_.er_delay_max);
+      const sim::Time delay =
+          rto_est_.has_sample()
+              ? std::clamp(rto_est_.srtt() / 4, kErDelayMin, kErDelayMax)
+              : kErDelayMin;
       er_timer_.start(delay);
     }
     return;
@@ -585,12 +509,12 @@ bool Sender::pacing_allows_send() {
 
 void Sender::note_paced_send() {
   if (!config_.pacing || !rto_est_.has_sample()) return;
-  // Rate = pacing_gain * cwnd / srtt  =>  one segment every
+  // Rate = kPacingGain * cwnd / srtt  =>  one segment every
   // srtt / (gain * cwnd_segments).
   const double cwnd_segs = std::max(
       1.0, static_cast<double>(cwnd_) / config_.mss);
   const sim::Time interval =
-      rto_est_.srtt() * (1.0 / (config_.pacing_gain * cwnd_segs));
+      rto_est_.srtt() * (1.0 / (kPacingGain * cwnd_segs));
   const sim::Time base = std::max(sim_.now(), next_pace_at_);
   next_pace_at_ = base + interval;
 }
@@ -640,7 +564,7 @@ void Sender::maybe_arm_tlp() {
       // timer at the receiver; wait it out before probing.
       pto += config_.tlp_delack_bound;
     }
-    pto = std::max(pto, config_.tlp_min_pto);
+    pto = std::max(pto, kTlpMinPto);
   } else {
     pto = rto_est_.rto();
   }
@@ -662,7 +586,7 @@ void Sender::on_tlp_timer() {
     // lost, its SACK exposes the hole to fast recovery.
     send_new_segment();
   } else if (const SegRecord* tail = scoreboard_.last_unsacked()) {
-    send_retransmit(tail->start, tail->end);
+    transmit(tail->start, tail->end, /*retx=*/true);
   }
   // The probe restarts the RTO clock (RFC 8985: re-arm after the probe
   // so the timeout measures from the last transmission).
@@ -676,8 +600,7 @@ void Sender::on_er_timer() {
 }
 
 void Sender::enter_recovery(uint64_t delivered_on_trigger, bool via_er) {
-  state_ = TcpState::kRecovery;
-  note_transmit_state_change();
+  set_state(TcpState::kRecovery);
   tlp_timer_.stop();
   ++metrics_.fast_recovery_events;
   if (via_er) ++metrics_.er_triggered;
@@ -687,14 +610,13 @@ void Sender::enter_recovery(uint64_t delivered_on_trigger, bool via_er) {
 
   prior_cwnd_ = cwnd_;
   prior_ssthresh_ = ssthresh_;
-  undo_valid_ = config_.dsack_undo;
+  undo_valid_ = true;
   undo_retrans_ = 0;
   spurious_seen_ = false;
   retx_history_.clear();
 
   ssthresh_ = cc_->ssthresh_after_loss(cwnd_);
-  scoreboard_.update_loss_marks(dupthresh_, fack_enabled_,
-                                /*in_recovery=*/true);
+  scoreboard_.mark_losses();
   if (scoreboard_.next_retransmit_candidate() == nullptr) {
     scoreboard_.mark_first_hole_lost();
   }
@@ -731,14 +653,13 @@ void Sender::enter_recovery(uint64_t delivered_on_trigger, bool via_er) {
     // RFC 3517's explicit fast_retransmit(): the first retransmission is
     // sent even when pipe exceeds the reduced window.
     if (const SegRecord* cand = scoreboard_.next_retransmit_candidate()) {
-      send_retransmit(cand->start, cand->end);
+      transmit(cand->start, cand->end, /*retx=*/true);
     }
   }
 }
 
 void Sender::process_in_recovery(const AckOutcome& out) {
-  scoreboard_.update_loss_marks(dupthresh_, fack_enabled_,
-                                /*in_recovery=*/true);
+  scoreboard_.mark_losses();
   if (snd_una_ >= recovery_point_) {
     exit_recovery();
     return;
@@ -751,7 +672,7 @@ void Sender::process_in_recovery(const AckOutcome& out) {
       // retransmitted immediately (not subject to the window budget).
       scoreboard_.mark_first_hole_lost();
       if (const SegRecord* c = scoreboard_.next_retransmit_candidate()) {
-        send_retransmit(c->start, c->end);
+        transmit(c->start, c->end, /*retx=*/true);
       }
     } else if (delivered == 0) {
       delivered = config_.mss;  // dupack = one segment delivered
@@ -767,37 +688,34 @@ void Sender::process_in_recovery(const AckOutcome& out) {
 
 void Sender::exit_recovery() {
   const uint64_t pipe = effective_pipe();
-  current_event_.cwnd_at_exit = cwnd_;
-  current_event_.pipe_at_exit = pipe;
+  const uint64_t cwnd_at_exit = cwnd_;
   cwnd_ = std::max<uint64_t>(policy_->exit_cwnd(pipe, cwnd_), config_.mss);
-  current_event_.cwnd_after_exit = cwnd_;
   PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kExitRecovery,
             0, 0, cwnd_, pipe,
             static_cast<uint64_t>(current_event_.retransmits),
-            current_event_.bytes_sent_during, current_event_.cwnd_at_exit,
+            current_event_.bytes_sent_during, cwnd_at_exit,
             static_cast<uint64_t>(current_event_.max_burst_segments));
-  finish_recovery_event(/*completed=*/true, /*timeout=*/false);
-
-  state_ = scoreboard_.any_sacked() ? TcpState::kDisorder : TcpState::kOpen;
-  note_transmit_state_change();
-  dupack_count_ = 0;
+  close_episode(/*completed=*/true, cwnd_at_exit, pipe);
+  set_state(scoreboard_.any_sacked() ? TcpState::kDisorder : TcpState::kOpen);
+  scoreboard_.clear_dupacks();
 }
 
-void Sender::finish_recovery_event(bool completed, bool timeout) {
+void Sender::close_episode(bool completed, uint64_t cwnd_at_exit,
+                           uint64_t pipe_at_exit) {
   current_event_.end = sim_.now();
   current_event_.completed = completed;
-  current_event_.interrupted_by_timeout = timeout;
+  current_event_.interrupted_by_timeout = !completed;
+  current_event_.cwnd_at_exit = cwnd_at_exit;
+  current_event_.pipe_at_exit = pipe_at_exit;
+  if (completed) current_event_.cwnd_after_exit = cwnd_;
   current_event_.slow_start_after = cwnd_ < ssthresh_;
-  if (completed && current_event_.cwnd_after_exit == 0) {
-    current_event_.cwnd_after_exit = cwnd_;
-  }
   if (recovery_log_) recovery_log_->add(current_event_);
 }
 
 void Sender::handle_dsack(const AckOutcome& out) {
   if (!out.saw_dsack) return;
   ++metrics_.dsacks_received;
-  if (!config_.dsack_undo || !undo_valid_ || !out.dsack_block) return;
+  if (!undo_valid_ || !out.dsack_block) return;
   // A DSACK covering a range we retransmitted means that retransmission
   // was spurious (the original arrived too).
   const auto& blk = *out.dsack_block;
@@ -839,16 +757,14 @@ void Sender::check_eifel(const net::Segment& ack, const AckOutcome& out) {
 void Sender::undo_loss_state() {
   // A timeout proved spurious (F-RTO heuristic or Eifel): restore the
   // congestion state and revert loss marks on data still in flight.
-  cwnd_ = prior_loss_cwnd_;
-  ssthresh_ = prior_loss_ssthresh_;
+  cwnd_ = prior_cwnd_;
+  ssthresh_ = prior_ssthresh_;
   scoreboard_.clear_unretransmitted_loss_marks();
   ++metrics_.spurious_rto_undone;
   ++metrics_.undo_events;
   PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kUndo, 1, 0,
             cwnd_, ssthresh_);
-  state_ = scoreboard_.any_sacked() ? TcpState::kDisorder
-                                    : TcpState::kOpen;
-  note_transmit_state_change();
+  set_state(scoreboard_.any_sacked() ? TcpState::kDisorder : TcpState::kOpen);
   rto_head_retransmit_pending_ = false;
 }
 
@@ -865,13 +781,9 @@ void Sender::try_undo() {
   undo_valid_ = false;
   spurious_seen_ = false;
   if (state_ == TcpState::kRecovery) {
-    current_event_.cwnd_at_exit = cwnd_;
-    current_event_.pipe_at_exit = scoreboard_.pipe();
-    current_event_.cwnd_after_exit = cwnd_;
-    finish_recovery_event(/*completed=*/true, /*timeout=*/false);
-    state_ = TcpState::kOpen;
-    note_transmit_state_change();
-    dupack_count_ = 0;
+    close_episode(/*completed=*/true, cwnd_, scoreboard_.pipe());
+    set_state(TcpState::kOpen);
+    scoreboard_.clear_dupacks();
   }
 }
 
@@ -894,8 +806,8 @@ void Sender::process_in_loss(const AckOutcome& out) {
   }
   cwnd_ = cc_->on_ack(cwnd_, ssthresh_, out.newly_acked_bytes, sim_.now());
   if (snd_una_ >= recovery_point_) {
-    state_ = scoreboard_.any_sacked() ? TcpState::kDisorder : TcpState::kOpen;
-    note_transmit_state_change();
+    set_state(scoreboard_.any_sacked() ? TcpState::kDisorder
+                                       : TcpState::kOpen);
     rto_head_retransmit_pending_ = false;
   }
 }
@@ -921,7 +833,7 @@ void Sender::on_rto() {
       break;
     case TcpState::kRecovery:
       ++metrics_.timeouts_in_recovery;
-      finish_recovery_event(/*completed=*/false, /*timeout=*/true);
+      close_episode(/*completed=*/false, 0, 0);
       break;
     case TcpState::kLoss:
       ++metrics_.timeouts_exp_backoff;
@@ -929,14 +841,15 @@ void Sender::on_rto() {
   }
 
   if (state_ != TcpState::kLoss) {
-    prior_loss_cwnd_ = cwnd_;
-    prior_loss_ssthresh_ = ssthresh_;
+    // prior_cwnd_ is free: undo_valid_ (cleared here) guards the
+    // Recovery undo, and Recovery cannot start from Loss.
+    prior_cwnd_ = cwnd_;
+    prior_ssthresh_ = ssthresh_;
     ssthresh_ = cc_->ssthresh_after_loss(cwnd_);
     cc_->on_timeout(sim_.now());
     undo_valid_ = false;
     recovery_point_ = snd_nxt_;
-    state_ = TcpState::kLoss;
-    note_transmit_state_change();
+    set_state(TcpState::kLoss);
   }
 
   cwnd_ = config_.mss;  // restart the self clock from one segment
@@ -954,12 +867,14 @@ void Sender::on_rto() {
   }
   scoreboard_.on_timeout_mark_all_lost();
   rto_head_retransmit_pending_ = true;
-  if (config_.frto) {
-    frto_check_pending_ = true;
-    const SegRecord* head = scoreboard_.next_retransmit_candidate();
-    frto_head_end_ = head != nullptr ? head->end : snd_una_ + config_.mss;
-  }
-  dupack_count_ = 0;
+  // F-RTO-style spurious-timeout detection: if the first cumulative ACK
+  // after the timeout covers more than the retransmitted head segment,
+  // the extra coverage can only be original data still in flight — the
+  // timeout was spurious and the congestion state is restored.
+  frto_check_pending_ = true;
+  const SegRecord* head = scoreboard_.next_retransmit_candidate();
+  frto_head_end_ = head != nullptr ? head->end : snd_una_ + config_.mss;
+  scoreboard_.clear_dupacks();
   er_timer_.stop();
 
   tlp_timer_.stop();
@@ -1020,7 +935,7 @@ void Sender::abort_connection() {
     busy_ = false;
     busy_accum_ += sim_.now() - busy_since_;
   }
-  note_transmit_state_change();  // close loss-time accounting
+  set_state(state_);  // close loss-time accounting
   if (on_abort_hook) on_abort_hook();
 }
 
@@ -1030,9 +945,8 @@ void Sender::grow_cwnd_open(uint64_t acked_bytes) {
   cwnd_ = cc_->on_ack(cwnd_, ssthresh_, acked_bytes, sim_.now());
 }
 
-void Sender::note_transmit_state_change() {
-  // Called after every state_ assignment, so this is the single point
-  // that sees all CA-state transitions.
+void Sender::set_state(TcpState s) {
+  state_ = s;
   if (state_ != traced_state_) {
     PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kStateChange,
               static_cast<uint8_t>(traced_state_),

@@ -1,11 +1,19 @@
 // TCP sender implementing the loss-recovery machinery the paper studies:
-// the four Linux recovery states (Open, Disorder, Recovery, Loss), SACK-
-// based loss marking with FACK and dynamic dupthresh, limited transmit
-// (RFC 3042), pluggable congestion control and fast-recovery window
-// regulation (RFC 3517 / Linux rate halving / PRR), RTO with exponential
-// backoff (RFC 6298), DSACK-based undo (Eifel response), lost-retransmit
-// detection, and early retransmit (RFC 5827) with the two mitigations the
-// paper evaluates.
+// the four Linux recovery states (Open, Disorder, Recovery, Loss), limited
+// transmit (RFC 3042), pluggable congestion control and fast-recovery
+// window regulation (RFC 3517 / Linux rate halving / PRR), RTO with
+// exponential backoff (RFC 6298), DSACK-based undo (Eifel response), F-RTO,
+// and early retransmit (RFC 5827) with the two mitigations the paper
+// evaluates.
+//
+// Ownership: the Scoreboard is the loss detector. It counts duplicate
+// ACKs, keeps dupthresh and the reordering state, marks losses and says
+// when fast recovery should start, and reports each ACK as one AckOutcome.
+// The sender is the window regulator. It owns the recovery state machine,
+// cwnd/ssthresh (through CongestionControl and RecoveryPolicy), the
+// timers, undo, and the per-connection Metrics ledger and RecoveryLog
+// entry. The paper's split is the same: loss detection picks *which* data
+// to send, PRR decides *how much*.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +53,7 @@ struct SenderConfig {
   uint32_t mss = 1430;
   uint32_t initial_cwnd_segments = 10;  // Table 4: IW10
   CcKind cc = CcKind::kCubic;
-  // GAIMD parameters (used only when cc == kGaimd).
-  double gaimd_alpha = 1.0;
+  // GAIMD decrease factor (used only when cc == kGaimd).
   double gaimd_beta = 0.5;
   RecoveryKind recovery = RecoveryKind::kPrr;
   core::ReductionBound prr_bound = core::ReductionBound::kSlowStart;
@@ -61,26 +68,17 @@ struct SenderConfig {
   // (RFC 3522): an echoed timestamp older than the retransmission proves
   // the retransmission spurious, and the window reduction is undone.
   bool timestamps = false;
+  // Starting dupthresh (reordering raises it) and FACK marking (reordering
+  // switches it off); the Scoreboard owns both once the connection starts.
   int dupthresh = 3;
   bool use_fack = true;
-  bool dynamic_dupthresh = true;   // reordering raises dupthresh
-  int max_dupthresh = 127;
   bool limited_transmit = true;
-  bool detect_lost_retransmits = true;
-  bool dsack_undo = true;
   // RFC 2861 / Linux tcp_slow_start_after_idle: halve cwnd per RTO of
   // idle time (floor: initial window) before transmitting after an idle
   // period, so persistent connections do not blast a stale window.
   bool slow_start_after_idle = true;
-  // F-RTO-style spurious-timeout detection: if the first cumulative ACK
-  // after an RTO covers more than the retransmitted head segment, the
-  // extra coverage can only be original data still in flight — the
-  // timeout was spurious and the congestion state is restored.
-  bool frto = true;
 
   EarlyRetransmitMode early_retransmit = EarlyRetransmitMode::kOff;
-  sim::Time er_delay_min = sim::Time::milliseconds(25);
-  sim::Time er_delay_max = sim::Time::milliseconds(500);
 
   // Tail loss probe (the paper's §8 future work, later RFC 8985 /
   // draft-dukkipati-tcpm-tcp-loss-probe): when the tail of a flow is
@@ -91,7 +89,6 @@ struct SenderConfig {
   // converts would-be timeouts into fast recovery. Off by default: the
   // paper's measured baseline predates TLP.
   bool tail_loss_probe = false;
-  sim::Time tlp_min_pto = sim::Time::milliseconds(10);
   sim::Time tlp_delack_bound = sim::Time::milliseconds(50);
 
   // ECN (RFC 3168): stamp ECT on data; on an ECE echo, reduce the
@@ -102,11 +99,10 @@ struct SenderConfig {
   bool ecn = false;
 
   // Sender-side pacing (sch_fq style): spread transmissions at
-  // cwnd/srtt * pacing_gain instead of line-rate bursts. Addresses the
-  // paper's observation that bursts (RFC 3517's, or any post-stall
-  // catch-up) are "hard on the network". Off by default.
+  // 1.25 * cwnd/srtt instead of line-rate bursts. Addresses the paper's
+  // observation that bursts (RFC 3517's, or any post-stall catch-up) are
+  // "hard on the network". Off by default.
   bool pacing = false;
-  double pacing_gain = 1.25;
 
   // RFC 2018 §8 reneging recovery: when an RTO fires with the head of
   // the window SACKed but never cumulatively ACKed — impossible with an
@@ -139,7 +135,82 @@ struct SenderConfig {
   }
 };
 
-class Sender {
+// Every per-connection value field of Sender, each with its fresh-
+// connection value. Sender::reset() assigns a fresh SenderState, so the
+// initializers below are the one definition of a new connection.
+struct SenderState {
+  explicit SenderState(const SenderConfig& config)
+      : cwnd_(config.initial_cwnd_bytes()) {
+    metrics_.connections = 1;
+  }
+
+  // This connection's counters (tcp/metrics.h).
+  Metrics metrics_;
+
+  // ---- hot per-ACK fields ----
+  // Every scalar the common process_ack -> try_send cycle reads or
+  // writes, declared together so they share a cache-line neighborhood
+  // instead of being interleaved with cold episode bookkeeping.
+  TcpState state_ = TcpState::kOpen;
+  uint64_t snd_una_ = 0;
+  uint64_t snd_nxt_ = 0;
+  uint64_t write_end_ = 0;
+  uint64_t cwnd_;
+  uint64_t ssthresh_ = UINT64_MAX;
+  uint64_t peer_rwnd_ = UINT64_MAX;
+  // Per-sender (not global): connections must stay independent so the
+  // experiment harness can run them on worker threads deterministically.
+  uint64_t next_segment_id_ = 1;
+  bool cwnd_limited_ = true;
+  bool aborted_ = false;
+  // Busy-time accounting (Table 10) — updated on most ACKs/transmits.
+  bool busy_ = false;
+  bool in_loss_recovery_ = false;
+  sim::Time last_transmit_ = sim::Time::zero();
+  sim::Time busy_since_ = sim::Time::zero();
+  sim::Time busy_accum_ = sim::Time::zero();
+  sim::Time loss_since_ = sim::Time::zero();
+  sim::Time loss_accum_ = sim::Time::zero();
+
+  // ---- cold episode/bookkeeping fields ----
+  int persist_backoff_ = 0;
+  sim::Time next_pace_at_ = sim::Time::zero();
+
+  // Recovery episode state. prior_cwnd_/prior_ssthresh_ hold the window
+  // before the reduction that undo reverts: set on entering Recovery
+  // (DSACK/Eifel undo) or Loss (F-RTO/Eifel undo of a spurious RTO).
+  uint64_t recovery_point_ = 0;
+  bool recovery_via_er_ = false;
+  bool retransmitted_this_event_ = false;
+  uint64_t prior_cwnd_ = 0;
+  uint64_t prior_ssthresh_ = 0;
+  bool undo_valid_ = false;
+  int undo_retrans_ = 0;
+  bool spurious_seen_ = false;
+  // The open episode's RecoveryLog entry, filled in place and added to
+  // the log when the episode closes (Sender::close_episode).
+  stats::RecoveryEvent current_event_;
+  uint64_t burst_in_progress_ = 0;
+
+  // Loss (RTO) episode state.
+  bool rto_head_retransmit_pending_ = false;
+  uint64_t retransmits_since_progress_ = 0;
+  bool frto_check_pending_ = false;
+  uint64_t frto_head_end_ = 0;
+  bool tlp_probe_outstanding_ = false;
+
+  // ECN CWR episode (window reduction without losses, PRR-paced).
+  bool cwr_active_ = false;
+  uint64_t cwr_point_ = 0;
+  bool cwr_flag_pending_ = false;
+  core::PrrState cwr_prr_;
+
+  // The last state recorded, so set_state() emits exactly one
+  // kStateChange per transition.
+  TcpState traced_state_ = TcpState::kOpen;
+};
+
+class Sender : private SenderState {
  public:
   using SendFn = std::function<void(net::Segment&&)>;
 
@@ -147,11 +218,12 @@ class Sender {
          stats::RecoveryLog* recovery_log);
 
   // Pool-recycle: returns the sender to the state a fresh construction
-  // with (config, recovery_log) would produce, keeping the send
-  // callback and all container/timer capacity. Every observer hook and
-  // the flight-recorder attachment are cleared — per-connection wiring
-  // (invariant checker, watchdog, app) captures objects that die with
-  // the connection, so stale hooks must never survive into the next one.
+  // with (config, recovery_log) would produce (the constructor runs
+  // reset() too), keeping the send callback and all container/timer
+  // capacity. Every observer hook and the flight-recorder attachment are
+  // cleared — per-connection wiring (invariant checker, watchdog, app)
+  // captures objects that die with the connection, so stale hooks must
+  // never survive into the next one.
   // Precondition: the owning Simulator has been reset.
   void reset(SenderConfig config, stats::RecoveryLog* recovery_log);
 
@@ -217,9 +289,7 @@ class Sender {
     return rto_timer_.pending() || er_timer_.pending() ||
            tlp_timer_.pending() || persist_timer_.pending();
   }
-  int dupthresh() const { return dupthresh_; }
-  bool fack_enabled() const { return fack_enabled_; }
-  bool reordering_seen() const { return reordering_seen_; }
+  // Loss detection: dupacks, dupthresh, reordering, FACK, loss marks.
   const Scoreboard& scoreboard() const { return scoreboard_; }
   const RtoEstimator& rto_estimator() const { return rto_est_; }
   const SenderConfig& config() const { return config_; }
@@ -241,7 +311,6 @@ class Sender {
   // NewReno (non-SACK) mode.
   uint64_t effective_pipe() const;
   void send_new_segment();
-  void send_retransmit(uint64_t start, uint64_t end);
   void transmit(uint64_t start, uint64_t end, bool retx);
 
   void process_in_open(const AckOutcome& out);
@@ -249,10 +318,12 @@ class Sender {
   void process_in_recovery(const AckOutcome& out);
   void process_in_loss(const AckOutcome& out);
 
-  void maybe_enter_recovery(const AckOutcome& out);
   void enter_recovery(uint64_t delivered_on_trigger, bool via_er);
   void exit_recovery();
-  void finish_recovery_event(bool completed, bool timeout);
+  // Closes the open Recovery episode into the RecoveryLog: completed (exit
+  // or undo) or interrupted by an RTO.
+  void close_episode(bool completed, uint64_t cwnd_at_exit,
+                     uint64_t pipe_at_exit);
 
   void check_early_retransmit(const AckOutcome& out);
   void on_er_timer();
@@ -274,55 +345,20 @@ class Sender {
   void undo_loss_state();
 
   void on_rto();
-  void arm_rto();
   void abort_connection();
 
   void maybe_arm_persist();
   void on_persist_timer();
 
   void grow_cwnd_open(uint64_t acked_bytes);
-  void note_transmit_state_change();
-
-  // Rewinds every per-connection value field to its fresh-construction
-  // state for the current config_. Shared by the constructor and reset()
-  // so the two paths cannot drift (fresh == recycled by construction).
-  void reset_core_state();
+  // The only writer of state_ after construction: records the transition
+  // and keeps the loss-recovery time accounting.
+  void set_state(TcpState s);
 
   sim::Simulator& sim_;
   SenderConfig config_;
   SendFn send_;
-  Metrics metrics_;
   stats::RecoveryLog* recovery_log_;  // may be null
-
-  // ---- hot per-ACK fields ----
-  // Every scalar the common process_ack -> try_send cycle reads or
-  // writes, declared together so they share a cache-line neighborhood
-  // instead of being interleaved with cold episode bookkeeping.
-  TcpState state_ = TcpState::kOpen;
-  uint64_t snd_una_ = 0;
-  uint64_t snd_nxt_ = 0;
-  uint64_t write_end_ = 0;
-  uint64_t cwnd_ = 0;
-  uint64_t ssthresh_ = UINT64_MAX;
-  uint64_t peer_rwnd_ = UINT64_MAX;
-  // Per-sender (not global): connections must stay independent so the
-  // experiment harness can run them on worker threads deterministically.
-  uint64_t next_segment_id_ = 1;
-  int dupthresh_ = 3;
-  int dupack_count_ = 0;
-  int reorder_metric_segs_ = 0;
-  bool fack_enabled_ = true;
-  bool reordering_seen_ = false;
-  bool cwnd_limited_ = true;
-  bool aborted_ = false;
-  // Busy-time accounting (Table 10) — updated on most ACKs/transmits.
-  bool busy_ = false;
-  bool in_loss_recovery_ = false;
-  sim::Time last_transmit_ = sim::Time::zero();
-  sim::Time busy_since_ = sim::Time::zero();
-  sim::Time busy_accum_ = sim::Time::zero();
-  sim::Time loss_since_ = sim::Time::zero();
-  sim::Time loss_accum_ = sim::Time::zero();
 
   std::unique_ptr<CongestionControl> cc_;
   std::unique_ptr<RecoveryPolicy> policy_;
@@ -338,44 +374,13 @@ class Sender {
   sim::Timer pacing_timer_;
   sim::Timer persist_timer_;
 
-  // ---- cold episode/bookkeeping fields ----
-  int persist_backoff_ = 0;
-  sim::Time next_pace_at_ = sim::Time::zero();
-
-  // Recovery episode state.
-  uint64_t recovery_point_ = 0;
-  bool recovery_via_er_ = false;
-  bool retransmitted_this_event_ = false;
-  uint64_t prior_cwnd_ = 0;
-  uint64_t prior_ssthresh_ = 0;
-  bool undo_valid_ = false;
-  int undo_retrans_ = 0;
-  bool spurious_seen_ = false;
+  // Ring of recently retransmitted ranges for DSACK matching. Outside
+  // SenderState so reset() keeps its deque blocks.
   std::deque<std::pair<uint64_t, uint64_t>> retx_history_;
-  stats::RecoveryEvent current_event_;
-  uint64_t burst_in_progress_ = 0;
 
-  // Loss (RTO) episode state.
-  bool rto_head_retransmit_pending_ = false;
-  uint64_t retransmits_since_progress_ = 0;
-  bool frto_check_pending_ = false;
-  uint64_t frto_head_end_ = 0;
-  bool tlp_probe_outstanding_ = false;
-
-  // ECN CWR episode (window reduction without losses, PRR-paced).
-  bool cwr_active_ = false;
-  uint64_t cwr_point_ = 0;
-  bool cwr_flag_pending_ = false;
-  core::PrrState cwr_prr_;
-  uint64_t prior_loss_cwnd_ = 0;
-  uint64_t prior_loss_ssthresh_ = 0;
-
-  // Flight recorder attachment (null = not tracing) and the last state
-  // recorded, so note_transmit_state_change() can emit exactly one
-  // kStateChange per transition.
+  // Flight recorder attachment (null = not tracing).
   obs::FlightRecorder* recorder_ = nullptr;
   uint32_t conn_id_ = 0;
-  TcpState traced_state_ = TcpState::kOpen;
 };
 
 }  // namespace prr::tcp

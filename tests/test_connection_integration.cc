@@ -65,7 +65,6 @@ TEST_P(ConnectionIntegration, TransfersAllDataExactlyOnce) {
   cfg.path.ack_mangler.stretch_factor = sc.stretch;
 
   Connection conn(sim, cfg, rng);
-  const Metrics& metrics = conn.sender().metrics();
   if (sc.data_loss > 0) {
     conn.path().data_link().set_loss_model(
         std::make_unique<net::BernoulliLoss>(sc.data_loss, rng.fork(1)));

@@ -130,7 +130,6 @@ TEST_F(EcnConnectionTest, WithoutEcnSameQueueNeverMarks) {
 TEST_F(EcnConnectionTest, CwrConvergesTowardSsthresh) {
   sim::Simulator sim;
   auto conn = make(sim, true);
-  const Metrics& m = conn->sender().metrics();
   // Track the window right after each CWR episode via a probe on ACKs.
   uint64_t min_cwnd_after_reduction = UINT64_MAX;
   bool was_reducing = false;

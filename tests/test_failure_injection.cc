@@ -28,7 +28,6 @@ TEST(FailureInjection, ClientDiesDuringRecovery) {
   sim::Simulator sim;
   stats::RecoveryLog rlog;
   Connection conn(sim, base_config(), sim::Rng(1), &rlog);
-  const Metrics& m = conn.sender().metrics();
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{1, 2}));
   conn.write(20'000);
@@ -48,7 +47,6 @@ TEST(FailureInjection, ClientDiesWithErPending) {
   ConnectionConfig cfg = base_config();
   cfg.sender.early_retransmit = EarlyRetransmitMode::kBothMitigations;
   Connection conn(sim, cfg, sim::Rng(2));
-  const Metrics& m = conn.sender().metrics();
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{1}));
   conn.write(2000);  // tail-ish loss on a 2-segment flow arms delayed ER
@@ -66,7 +64,6 @@ TEST(FailureInjection, WriteDuringLossState) {
   ConnectionConfig cfg = base_config();
   cfg.sender.max_rto_backoffs = 10;
   Connection conn(sim, cfg, sim::Rng(3));
-  const Metrics& m = conn.sender().metrics();
   // Drop everything for a while so the sender RTOs into Loss, then heal.
   auto composite = std::make_unique<net::CompositeLoss>();
   composite->add(std::make_unique<net::DeterministicLoss>(

@@ -239,7 +239,6 @@ TEST(FaultInjector, BlackoutDuringFastRecoveryEndsCleanOrBoundedAbort) {
 TEST(FaultInjector, ShortBlackoutRecoversWithoutAbort) {
   sim::Simulator sim;
   tcp::Connection conn(sim, chaos_config(), sim::Rng(12));
-  const tcp::Metrics& m = conn.sender().metrics();
   FaultInjector injector(sim, conn.path(),
                          FaultSchedule::blackout(300_ms, 400_ms));
   injector.arm();
@@ -274,7 +273,6 @@ TEST(FaultInjector, RttSpikeBelowRtoFloorFiresNoSpuriousTimeout) {
 TEST(FaultInjector, BandwidthShiftCompletesTransfer) {
   sim::Simulator sim;
   tcp::Connection conn(sim, chaos_config(), sim::Rng(14));
-  const tcp::Metrics& m = conn.sender().metrics();
   FaultInjector injector(sim, conn.path(),
                          FaultSchedule::bandwidth_shift(400_ms, 0.25));
   injector.arm();
@@ -291,7 +289,6 @@ TEST(FaultInjector, AckOutageSurvivable) {
   tcp::ConnectionConfig cfg = chaos_config();
   cfg.sender.max_rto_backoffs = 10;
   tcp::Connection conn(sim, cfg, sim::Rng(15));
-  const tcp::Metrics& m = conn.sender().metrics();
   FaultInjector injector(sim, conn.path(),
                          FaultSchedule::ack_outage(300_ms, 600_ms));
   injector.arm();
@@ -307,7 +304,6 @@ TEST(FaultInjector, ReceiverStallHoldsThenReleasesNewestAck) {
   tcp::ConnectionConfig cfg = chaos_config();
   cfg.sender.max_rto_backoffs = 10;
   tcp::Connection conn(sim, cfg, sim::Rng(16));
-  const tcp::Metrics& m = conn.sender().metrics();
   FaultInjector injector(sim, conn.path(),
                          FaultSchedule::receiver_stall(300_ms, 700_ms));
   injector.arm();
@@ -326,7 +322,6 @@ TEST(FaultInjector, OverlappingFlapsDoNotClearEachOthersGate) {
   tcp::ConnectionConfig cfg = chaos_config();
   cfg.sender.max_rto_backoffs = 10;
   tcp::Connection conn(sim, cfg, sim::Rng(17));
-  const tcp::Metrics& m = conn.sender().metrics();
   FaultSchedule s = FaultSchedule::blackout(300_ms, 1_s);
   s.merge(FaultSchedule::blackout(800_ms, 1_s));  // overlaps the first
   FaultInjector injector(sim, conn.path(), s);
@@ -357,7 +352,6 @@ TEST(FaultInjector, EverythingProfileNeverWedgesTheQueue) {
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     sim::Simulator sim;
     tcp::Connection conn(sim, chaos_config(), sim::Rng(seed));
-    const tcp::Metrics& m = conn.sender().metrics();
     FaultInjector injector(
         sim, conn.path(),
         FaultSchedule::random(profile, sim::Rng(seed).fork(0xFA17)));

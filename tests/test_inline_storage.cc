@@ -1,19 +1,15 @@
 // Unit tests for the inline-storage building blocks behind the
-// allocation-free hot path: InlineFunction (small-buffer callable),
-// InlineVector (inline-then-heap vector), and RingQueue (power-of-two
-// ring used by Link's drop-tail queue). Covers the spill boundaries,
-// move semantics, and destructor counts the simulator relies on.
+// allocation-free hot path: InlineFunction (small-buffer callable) and
+// RingQueue (power-of-two ring used by Link's drop-tail queue). Covers
+// the spill boundaries, move semantics, and destructor counts the
+// simulator relies on.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
-#include <numeric>
-#include <string>
 #include <type_traits>
-#include <vector>
 
 #include "util/inline_function.h"
-#include "util/inline_vector.h"
 #include "util/ring_queue.h"
 
 namespace prr::util {
@@ -193,110 +189,6 @@ TEST(InlineFunction, HeapSpilledCallableSurvivesMoveAndIsDestroyedOnce) {
     EXPECT_EQ(destroyed, 0);
   }
   EXPECT_EQ(destroyed, 1);
-}
-
-// ---------------------------------------------------------------------
-// InlineVector
-
-TEST(InlineVector, StaysInlineUpToCapacity) {
-  InlineVector<int, 4> v;
-  EXPECT_TRUE(v.is_inline());
-  for (int i = 0; i < 4; ++i) v.push_back(i);
-  EXPECT_TRUE(v.is_inline());
-  EXPECT_EQ(v.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(v[static_cast<std::size_t>(i)], i);
-}
-
-TEST(InlineVector, SpillsToHeapPastCapacityAndKeepsContents) {
-  InlineVector<int, 4> v;
-  for (int i = 0; i < 5; ++i) v.push_back(i);
-  EXPECT_FALSE(v.is_inline());
-  EXPECT_EQ(v.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(v[static_cast<std::size_t>(i)], i);
-  // Keeps growing fine.
-  for (int i = 5; i < 100; ++i) v.push_back(i);
-  EXPECT_EQ(v.size(), 100u);
-  EXPECT_EQ(std::accumulate(v.begin(), v.end(), 0), 4950);
-}
-
-TEST(InlineVector, MoveOfInlineVectorMovesElements) {
-  InlineVector<std::string, 4> v;
-  v.push_back("hello");
-  v.push_back("world");
-  InlineVector<std::string, 4> w(std::move(v));
-  ASSERT_EQ(w.size(), 2u);
-  EXPECT_EQ(w[0], "hello");
-  EXPECT_EQ(w[1], "world");
-}
-
-TEST(InlineVector, MoveOfHeapVectorStealsBuffer) {
-  InlineVector<int, 2> v;
-  for (int i = 0; i < 10; ++i) v.push_back(i);
-  ASSERT_FALSE(v.is_inline());
-  const int* data_before = v.begin();
-  InlineVector<int, 2> w(std::move(v));
-  EXPECT_EQ(w.begin(), data_before);  // no element copies
-  EXPECT_EQ(w.size(), 10u);
-}
-
-struct ElemCounter {
-  int* count;
-  explicit ElemCounter(int* c) : count(c) {}
-  ElemCounter(const ElemCounter& o) = default;
-  ElemCounter(ElemCounter&& o) noexcept : count(o.count) {
-    o.count = nullptr;
-  }
-  ElemCounter& operator=(const ElemCounter&) = default;
-  ElemCounter& operator=(ElemCounter&& o) noexcept {
-    count = o.count;
-    o.count = nullptr;
-    return *this;
-  }
-  ~ElemCounter() {
-    if (count != nullptr) ++*count;
-  }
-};
-
-TEST(InlineVector, DestroysEachElementExactlyOnceInline) {
-  int destroyed = 0;
-  {
-    InlineVector<ElemCounter, 4> v;
-    v.emplace_back(&destroyed);
-    v.emplace_back(&destroyed);
-    EXPECT_EQ(destroyed, 0);
-  }
-  EXPECT_EQ(destroyed, 2);
-}
-
-TEST(InlineVector, DestroysEachElementExactlyOnceAfterSpill) {
-  int destroyed = 0;
-  {
-    InlineVector<ElemCounter, 2> v;
-    for (int i = 0; i < 6; ++i) v.emplace_back(&destroyed);
-    // Growth moved elements; moved-from shells don't count.
-    EXPECT_EQ(destroyed, 0);
-  }
-  EXPECT_EQ(destroyed, 6);
-}
-
-TEST(InlineVector, CopyAndEquality) {
-  InlineVector<int, 4> v;
-  v.push_back(1);
-  v.push_back(2);
-  InlineVector<int, 4> w(v);
-  EXPECT_TRUE(v == w);
-  w.push_back(3);
-  EXPECT_FALSE(v == w);
-}
-
-TEST(InlineVector, AssignFromIteratorRange) {
-  std::vector<int> src = {7, 8, 9};
-  InlineVector<int, 4> v;
-  v.push_back(1);
-  v.assign(src.begin(), src.end());
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0], 7);
-  EXPECT_EQ(v[2], 9);
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,8 @@
 // Episode analytics (obs/episodes.h): the builder's state machine on a
 // hand-driven single-loss recovery, field-exact reconciliation against
-// stats::RecoveryLog and tcp::Metrics on a real sweep, and the
-// determinism contract (thread count and tracing must not change the
-// table). Skipped wholesale when tracing is compiled out — episode
-// collection is defined to be a no-op there.
+// stats::RecoveryLog and tcp::Metrics on a real sweep of each recovery
+// arm, and the determinism contract (thread count and tracing must not
+// change the table).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "exp/experiment.h"
+#include "exp/scenarios.h"
 #include "obs/episodes.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -195,31 +195,51 @@ class EpisodeSweepTest : public ::testing::Test {
     opts.collect_episodes = true;
     return opts;
   }
+  // The three recovery arms: every reconciliation below holds for each.
+  static std::vector<exp::ArmConfig> arms() {
+    return {exp::ArmConfig::prr_arm(), exp::ArmConfig::rfc3517_arm(),
+            exp::ArmConfig::linux_arm()};
+  }
 };
 
 TEST_F(EpisodeSweepTest, SweepReconcilesWithRecoveryLogAndMetrics) {
-  workload::WebWorkload pop;
-  const exp::ArmResult r =
-      exp::run_arm(pop, exp::ArmConfig::prr_arm(), base_opts());
+  // Web under the chaos fault mix: the plain Web population undoes about
+  // one episode per 8,000 connections, the fault mix a dozen per 600, and
+  // it also interrupts episodes with RTOs.
+  workload::WebWorkload base;
+  exp::ChaosPopulation pop(base, exp::ChaosSpec::everything().profile);
+  for (const exp::ArmResult& r : exp::run_arms(pop, arms(), base_opts())) {
+    SCOPED_TRACE(r.name);
+    // Every way an episode closes into the RecoveryLog is exercised.
+    std::size_t completed = 0;
+    std::size_t undone = 0;
+    std::size_t interrupted = 0;
+    for (const EpisodeSummary& row : r.episodes.rows()) {
+      completed += row.exit == EpisodeExit::kCompleted;
+      undone += row.exit == EpisodeExit::kUndo;
+      interrupted += row.exit == EpisodeExit::kRtoInterrupted;
+    }
+    EXPECT_GT(completed, 0u);
+    EXPECT_GT(undone, 0u);
+    EXPECT_GT(interrupted, 0u);
+    EXPECT_EQ(r.episodes.finished(), r.recovery_log.count());
+    EXPECT_EQ(r.episodes.total(), r.metrics.fast_recovery_events);
 
-  ASSERT_GT(r.episodes.total(), 0u);
-  EXPECT_EQ(r.episodes.finished(), r.recovery_log.count());
-  EXPECT_EQ(r.episodes.total(), r.metrics.fast_recovery_events);
+    // The finished rows, as a RecoveryLog, are the sender's events.
+    EXPECT_EQ(r.episodes.finished_log().events(), r.recovery_log.events());
 
-  // The finished rows, as a RecoveryLog, are the sender's events.
-  EXPECT_EQ(r.episodes.finished_log().events(), r.recovery_log.events());
-
-  // Stream counters mirror Metrics.
-  const EpisodeBuilder::StreamCounts& s = r.episodes.stream();
-  EXPECT_EQ(s.data_segments_sent, r.metrics.data_segments_sent);
-  EXPECT_EQ(s.retransmits_total, r.metrics.retransmits_total);
-  EXPECT_EQ(s.fast_retransmits, r.metrics.fast_retransmits);
-  EXPECT_EQ(s.dsacks_received, r.metrics.dsacks_received);
-  EXPECT_EQ(s.undo_events, r.metrics.undo_events);
-  EXPECT_EQ(s.lost_retransmits_detected,
-            r.metrics.lost_retransmits_detected);
-  EXPECT_EQ(s.lost_fast_retransmits, r.metrics.lost_fast_retransmits);
-  EXPECT_EQ(s.timeouts_total, r.metrics.timeouts_total);
+    // Stream counters mirror Metrics.
+    const EpisodeBuilder::StreamCounts& s = r.episodes.stream();
+    EXPECT_EQ(s.data_segments_sent, r.metrics.data_segments_sent);
+    EXPECT_EQ(s.retransmits_total, r.metrics.retransmits_total);
+    EXPECT_EQ(s.fast_retransmits, r.metrics.fast_retransmits);
+    EXPECT_EQ(s.dsacks_received, r.metrics.dsacks_received);
+    EXPECT_EQ(s.undo_events, r.metrics.undo_events);
+    EXPECT_EQ(s.lost_retransmits_detected,
+              r.metrics.lost_retransmits_detected);
+    EXPECT_EQ(s.lost_fast_retransmits, r.metrics.lost_fast_retransmits);
+    EXPECT_EQ(s.timeouts_total, r.metrics.timeouts_total);
+  }
 }
 
 TEST_F(EpisodeSweepTest, TableAccessorsMatchRecoveryLogMirrors) {
@@ -254,21 +274,24 @@ TEST_F(EpisodeSweepTest, TableAccessorsMatchRecoveryLogMirrors) {
 TEST_F(EpisodeSweepTest, TableIdenticalAcrossThreadsAndTracing) {
   workload::WebWorkload pop;
   exp::RunOptions opts = base_opts();
-  const exp::ArmResult serial =
-      exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  const std::string reference = serial.episodes.to_json();
-  ASSERT_TRUE(json_valid(reference)) << reference;
-
+  const std::vector<exp::ArmResult> serial =
+      exp::run_arms(pop, arms(), opts);
   opts.threads = 3;
-  const exp::ArmResult parallel =
-      exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  EXPECT_EQ(parallel.episodes.to_json(), reference);
-  EXPECT_EQ(parallel.episodes.rows().size(), serial.episodes.rows().size());
-
+  const std::vector<exp::ArmResult> parallel =
+      exp::run_arms(pop, arms(), opts);
   opts.trace = true;  // explicit tracing must not change the table
-  const exp::ArmResult traced =
-      exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  EXPECT_EQ(traced.episodes.to_json(), reference);
+  const std::vector<exp::ArmResult> traced = exp::run_arms(pop, arms(), opts);
+
+  ASSERT_EQ(serial.size(), 3u);
+  for (std::size_t a = 0; a < serial.size(); ++a) {
+    SCOPED_TRACE(serial[a].name);
+    const std::string reference = serial[a].episodes.to_json();
+    ASSERT_TRUE(json_valid(reference)) << reference;
+    EXPECT_EQ(parallel[a].episodes.to_json(), reference);
+    EXPECT_EQ(parallel[a].episodes.rows().size(),
+              serial[a].episodes.rows().size());
+    EXPECT_EQ(traced[a].episodes.to_json(), reference);
+  }
 }
 
 TEST_F(EpisodeSweepTest, TraceConnectionCapturesEpisodesWithLedgers) {

@@ -59,7 +59,6 @@ TEST(Pacing, LossyTransferStillCompletes) {
   for (bool pacing : {false, true}) {
     sim::Simulator sim;
     Connection conn(sim, paced_config(pacing), sim::Rng(2));
-    const Metrics& m = conn.sender().metrics();
     conn.path().data_link().set_loss_model(
         std::make_unique<net::BernoulliLoss>(0.04, sim::Rng(3)));
     conn.write(400'000);

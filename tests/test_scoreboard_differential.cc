@@ -97,7 +97,7 @@ void run_episode(uint64_t seed) {
             recs.size() - 1,
             i + static_cast<std::size_t>(rng.uniform_int(0, 3)));
         sb.on_ack(make_ack(sb.snd_una(), {{recs[i].start, recs[j].end}}),
-                  now, rng.uniform_int(0, 1) == 0);
+                  now);
         check_counters(sb, "sack", step);
         break;
       }
@@ -106,13 +106,12 @@ void run_episode(uint64_t seed) {
         const auto& recs = sb.records();
         const std::size_t i = static_cast<std::size_t>(
             rng.uniform_int(0, recs.size() - 1));
-        sb.on_ack(make_ack(recs[i].end), now, true);
+        sb.on_ack(make_ack(recs[i].end), now);
         check_counters(sb, "cumulative ack", step);
         break;
       }
       case 6: {  // mark losses, then retransmit some candidates
         sb.update_loss_marks(static_cast<int>(rng.uniform_int(1, 4)),
-                             rng.uniform_int(0, 1) == 0,
                              rng.uniform_int(0, 1) == 0);
         check_counters(sb, "update_loss_marks", step);
         const int n = static_cast<int>(rng.uniform_int(1, 4));
@@ -167,8 +166,8 @@ TEST(ScoreboardDifferential, LostRetransmitDetectionKeepsCountersExact) {
     snd_nxt += kMss;
   }
   // SACK 3..10 -> segments 0..2 become FACK-lost.
-  sb.on_ack(make_ack(0, {{3 * kMss, 10 * kMss}}), sim::Time::zero(), true);
-  sb.update_loss_marks(3, /*use_fack=*/true, /*in_recovery=*/true);
+  sb.on_ack(make_ack(0, {{3 * kMss, 10 * kMss}}), sim::Time::zero());
+  sb.update_loss_marks(3, /*use_fack=*/true);
   check_counters(sb, "setup", 0);
 
   const SegRecord* cand = sb.next_retransmit_candidate();
@@ -181,7 +180,7 @@ TEST(ScoreboardDifferential, LostRetransmitDetectionKeepsCountersExact) {
   const uint64_t pipe_before = sb.pipe();
   sb.on_transmit(snd_nxt, snd_nxt + kMss, sim::Time::zero());
   auto out = sb.on_ack(make_ack(0, {{snd_nxt, snd_nxt + kMss}}),
-                       sim::Time::zero(), true);
+                       sim::Time::zero());
   snd_nxt += kMss;
   EXPECT_EQ(out.lost_retransmits_detected, 1);
   check_counters(sb, "lost-retransmit detection", 2);

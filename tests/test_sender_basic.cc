@@ -132,9 +132,9 @@ TEST_F(SenderTest, ReorderingRaisesDupthreshAndDisablesFack) {
   sender->on_ack_segment(ack(0, {{5 * kMss, 6 * kMss}}));
   EXPECT_EQ(sender->state(), TcpState::kDisorder);
   sender->on_ack_segment(ack(2 * kMss));
-  EXPECT_TRUE(sender->reordering_seen());
-  EXPECT_FALSE(sender->fack_enabled());
-  EXPECT_GE(sender->dupthresh(), 3);
+  EXPECT_TRUE(sender->scoreboard().reordering_seen());
+  EXPECT_FALSE(sender->scoreboard().fack_enabled());
+  EXPECT_GE(sender->scoreboard().dupthresh(), 3);
 }
 
 TEST_F(SenderTest, RtoRetransmitsHeadAndCollapsesWindow) {

@@ -346,7 +346,7 @@ TEST_F(EarlyRetransmitTest, MitigationOneBlocksAfterReordering) {
   sender->write(6 * kMss);
   sender->on_ack_segment(ack(0, {{4 * kMss, 5 * kMss}}));
   sender->on_ack_segment(ack(6 * kMss));  // late arrival: reordering seen
-  ASSERT_TRUE(sender->reordering_seen());
+  ASSERT_TRUE(sender->scoreboard().reordering_seen());
   wire.clear();
   // Now a short-flow tail loss: ER must not fire.
   sender->write(2 * kMss);

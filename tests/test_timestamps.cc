@@ -97,7 +97,6 @@ TEST_F(TimestampConnection, RttSamplingWorksThroughRetransmissions) {
   // retransmitted data; srtt stays close to the real 100 ms path RTT.
   sim::Simulator sim;
   auto conn = make(sim, true);
-  const Metrics& m = conn->sender().metrics();
   conn->path().data_link().set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.05, sim::Rng(9)));
   conn->write(400'000);
