@@ -1,10 +1,8 @@
-// Host fingerprint shared by the perf tooling: bench_sweep_scaling
-// stamps it into BENCH_SWEEP.json, append_history into every
-// BENCH_HISTORY.jsonl line, and perf_ratchet compares against it so a
-// throughput bar set on one machine is never applied to another. The
-// fingerprint is (hostname, CPU model string, hardware concurrency) —
-// enough to tell container reschedules and instance-type changes apart
-// from real regressions.
+// Host fingerprint for the benchmark: perfbench stamps the host (core
+// count, CPU model) at the top of every run and sizes its parallel sweep
+// from the core count, so a number is always read against the machine
+// that measured it. The fingerprint is (hostname, CPU model string,
+// hardware concurrency).
 #pragma once
 
 #include <unistd.h>
@@ -14,6 +12,8 @@
 #include <string>
 #include <thread>
 
+// Not used here: perfbench quotes the CPU model with obs::json_quote and
+// gets it through this header.
 #include "obs/json.h"
 
 namespace prr::bench {
@@ -55,15 +55,6 @@ inline HostFingerprint host_fingerprint() {
   fp.cpu_model = cpu_model_name();
   fp.hardware_concurrency = std::thread::hardware_concurrency();
   return fp;
-}
-
-// {"host":...,"cpu_model":...,"hardware_concurrency":N} — the shared
-// "machine" object shape.
-inline std::string host_fingerprint_json(const HostFingerprint& fp) {
-  return "{\"host\":" + obs::json_quote(fp.host) +
-         ",\"cpu_model\":" + obs::json_quote(fp.cpu_model) +
-         ",\"hardware_concurrency\":" +
-         std::to_string(fp.hardware_concurrency) + "}";
 }
 
 }  // namespace prr::bench

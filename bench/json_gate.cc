@@ -1,17 +1,16 @@
-// JSON-validity gate for bench artifacts (DESIGN.md §13 satellite):
-// every file named on the command line — or, with no arguments, every
-// BENCH_*.json / BENCH_*.jsonl in the current directory — must parse as
-// well-formed JSON (JSONL: every line parses) and end in a newline.
+// JSON-validity gate for artifacts (DESIGN.md §13 satellite): every file
+// named on the command line must parse as well-formed JSON (.jsonl:
+// every line parses) and end in a newline.
 //
 // This is the cheap end of the artifact-integrity ladder: a truncated
-// BENCH_TRACE.json from an unflushed stream or a full disk looks
-// exactly like a valid file to `ls`, then breaks the history pipeline
-// one commit later inside append_history / perf_ratchet where the
-// failure is hard to attribute. CI runs this right after bench-smoke.
+// file from an unflushed stream or a full disk looks exactly like a
+// valid one to `ls`, then breaks a consumer later where the failure is
+// hard to attribute. The nightly service soak runs it over its JSONL
+// streams and Perfetto timeline.
 //
-// Exit: 0 = every artifact parses, 1 = at least one is torn/invalid,
-// 2 = usage-level error (an explicitly named file is missing).
-#include <algorithm>
+// Usage: json_gate FILE...
+// Exit: 0 = every file parses, 1 = at least one is torn/invalid,
+// 2 = usage error (no file named, or a named file is missing).
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -92,36 +91,17 @@ bool check_file(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc < 2) {
+    std::fprintf(stderr, "usage: json_gate FILE...\n");
+    return 2;
+  }
   std::vector<std::string> files;
-  if (argc > 1) {
-    for (int i = 1; i < argc; ++i) {
-      if (!std::filesystem::exists(argv[i])) {
-        std::fprintf(stderr, "json_gate: %s does not exist\n", argv[i]);
-        return 2;
-      }
-      files.emplace_back(argv[i]);
-    }
-  } else {
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(".", ec)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("BENCH_", 0) == 0 &&
-          (ends_with(name, ".json") || ends_with(name, ".jsonl"))) {
-        files.push_back(name);
-      }
-    }
-    if (ec) {
-      std::fprintf(stderr, "json_gate: cannot scan .: %s\n",
-                   ec.message().c_str());
+  for (int i = 1; i < argc; ++i) {
+    if (!std::filesystem::exists(argv[i])) {
+      std::fprintf(stderr, "json_gate: %s does not exist\n", argv[i]);
       return 2;
     }
-    std::sort(files.begin(), files.end());
-    if (files.empty()) {
-      std::printf("json_gate: no BENCH_*.json artifacts here; "
-                  "nothing to validate\n");
-      return 0;
-    }
+    files.emplace_back(argv[i]);
   }
 
   int failures = 0;

@@ -377,9 +377,9 @@ BENCHMARK(BM_FlightRecorderWrite);
 // The same 100 kB connection as BM_ConnectionRun/0, with the full
 // observability stack attached (flight recorder on the sender and the
 // fault injector path, wire tap, timer tracing). Compare against
-// BM_ConnectionRun/0 for the enabled-tracing overhead; BENCH_TRACE.json
-// (bench_trace_overhead) records the sweep-level version of this
-// comparison.
+// BM_ConnectionRun/0 for the enabled-tracing overhead; perfbench
+// `--trace 1` reports the sweep-level version of this comparison
+// (obs.trace_ns_per_record).
 void BM_ConnectionRunTraced(benchmark::State& state) {
   uint64_t records = 0;
   // One ring for the whole run, cleared per connection — the same shape

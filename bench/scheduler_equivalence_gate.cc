@@ -1,6 +1,6 @@
-// scheduler_equivalence_gate: CI gate for the DESIGN.md §12 claim that
-// the event-dispatch machinery is invisible to results. It runs the
-// standard three-arm Web sweep under every combination of
+// scheduler_equivalence_gate: end-to-end check of the DESIGN.md §12
+// claim that the event-dispatch machinery is invisible to results. It
+// runs the standard three-arm Web sweep under every combination of
 //
 //   delivery         per-event | batch (RunOptions::batch_delivery)
 //   threads          1 | 4 | 8
@@ -13,14 +13,12 @@
 // same-timestamp event would change retransmit counts or transmit-time
 // sums and therefore the digest.
 //
-// Env overrides:
-//   GATE_CONNECTIONS  population size per arm (default 300 — CI-sized;
-//                     the property is combo-invariance, not scale)
-//   GATE_SEED         population seed         (default 42)
+// The population is fixed (300 connections per arm, seed 42): the
+// property is combo-invariance, not scale. Its stdout is deterministic
+// and pinned as a golden (ctest -L tables). Any argument is rejected
+// with exit 2.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -30,35 +28,17 @@ using namespace prr;
 
 namespace {
 
-// FNV-1a over the flat integer aggregates every combo must reproduce —
-// the same fields the sweep bench digests for its thread/process
-// cross-check (no floating point anywhere).
-uint64_t digest(const std::vector<exp::ArmResult>& results) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (const auto& r : results) {
-    mix(r.metrics.data_segments_sent);
-    mix(r.metrics.retransmits_total);
-    mix(r.metrics.timeouts_total);
-    mix(r.total_workload_bytes);
-    mix(r.recovery_log.count());
-    mix(r.latency.count());
-    mix(static_cast<uint64_t>(r.total_network_transmit_time.ns()));
-  }
-  return h;
-}
+constexpr int kConnections = 300;
+constexpr uint64_t kSeed = 42;
 
 }  // namespace
 
-int main() {
-  const char* conns_env = std::getenv("GATE_CONNECTIONS");
-  const char* seed_env = std::getenv("GATE_SEED");
-  const int connections = conns_env ? std::atoi(conns_env) : 300;
-  const uint64_t seed =
-      seed_env ? std::strtoull(seed_env, nullptr, 10) : 42;
+int main(int argc, char** /*argv*/) {
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "scheduler_equivalence_gate: takes no arguments\n");
+    return 2;
+  }
 
   workload::WebWorkload pop;
   const std::vector<exp::ArmConfig> arms = bench::three_way_arms();
@@ -80,19 +60,20 @@ int main() {
   std::printf(
       "scheduler_equivalence_gate: %d conns x %zu arms, seed %" PRIu64
       ", %zu combos\n",
-      connections, arms.size(), seed, combos.size());
+      kConnections, arms.size(), kSeed, combos.size());
 
   uint64_t reference = 0;
   bool have_reference = false;
   bool ok = true;
   for (const Combo& c : combos) {
     exp::RunOptions opts;
-    opts.connections = connections;
-    opts.seed = seed;
+    opts.connections = kConnections;
+    opts.seed = kSeed;
     opts.threads = c.threads;
     opts.batch_delivery = c.batch;
     opts.trace = c.trace;
-    const uint64_t d = digest(exp::run_arms(pop, arms, opts));
+    const uint64_t d =
+        bench::aggregate_digest(exp::run_arms(pop, arms, opts));
     std::printf("  %-9s threads=%d trace=%d  digest 0x%016" PRIx64 "%s\n",
                 c.batch ? "batch" : "per-event", c.threads,
                 c.trace ? 1 : 0, d,

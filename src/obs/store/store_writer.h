@@ -107,10 +107,11 @@ class StoreWriter {
   bool finished_ = false;
 };
 
-// Merges store files covering disjoint connection-id ranges (the
-// SWEEP_PROCS fork-per-shard output) into one file that is byte-identical
-// to a single-process run over the union: blocks are re-emitted in
-// ascending (conn, stream) order under the shared header meta. Inputs
+// Merges store files covering disjoint connection-id ranges (one per
+// process, each run over its own RunOptions::first_connection range)
+// into one file that is byte-identical to a single-process run over the
+// union: blocks are re-emitted in ascending (conn, stream) order under
+// the shared header meta. Inputs
 // must agree on StoreMeta; returns false (with *err set) on meta
 // mismatch, unreadable input, or IO failure.
 bool merge_store_files(const std::vector<std::string>& inputs,

@@ -1,5 +1,5 @@
-// Checked whole-file writers for machine-readable artifacts (BENCH_*.json,
-// shard JSON, JSONL history lines, torture summaries). Every bench and
+// Checked whole-file writers for machine-readable artifacts (torture
+// summaries and repro traces, prr_query JSON output). Every bench and
 // gate used to hand-roll the same fopen/fwrite/ferror/fclose dance; a torn
 // artifact (ENOSPC, a buffered tail lost at exit) must fail the producing
 // tool, not surface later as unparseable JSON in a consumer. These helpers
@@ -21,7 +21,8 @@ bool checked_write_file(const std::string& path, std::string_view body);
 
 // checked_write_file + a structural JSON validation of `body` first
 // (obs::json_valid). Refusing to write malformed JSON at the producer
-// keeps bench/json_gate a backstop instead of the first line of defense.
+// keeps bench/json_gate, which checks only the files it is given, a
+// backstop instead of the first line of defense.
 bool checked_write_json(const std::string& path, std::string_view body);
 
 // Appends `line` to `path` (creating it if missing). A trailing newline

@@ -6,7 +6,7 @@
 // slot-map / inline-callback / zero-copy-segment refactor; any change in
 // event ordering, RNG draw sequence, or per-ACK arithmetic shows up as a
 // digest mismatch. The parallel analogue (thread-count invariance) lives
-// in test_parallel_experiment.cc and bench_sweep_scaling.
+// in test_parallel_experiment.cc and bench/scheduler_equivalence_gate.
 #include <gtest/gtest.h>
 
 #include <cstdint>
