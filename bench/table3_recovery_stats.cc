@@ -16,8 +16,9 @@ using namespace prr;
 namespace {
 
 // Every counter is read from the episode table, which is derived purely
-// from trace records; EpisodeSweepTest and bench/query_gate assert it
-// agrees exactly with the tcp::Metrics accumulator.
+// from trace records; EpisodeSweepTest and
+// StoreLive.EpisodesFromStoreReconcile assert it agrees exactly with the
+// tcp::Metrics accumulator.
 void print_dc(const char* name, const exp::ArmResult& r,
               const char* paper_col[5]) {
   const auto& m = r.episodes.stream();

@@ -1,68 +1,42 @@
-// torture_gate: the adversarial torture campaign as a CI gate. Runs a
+// torture_gate: the adversarial torture campaign as a gate. Runs a
 // seeded randomized campaign (pathology grammar x 3 recovery arms x
 // progress/conservation/differential oracles) over the DC1-style web
 // population, minimizes every failure with the shrinker, and exits
 // non-zero if any failure was found — each one shipped as a
 // self-contained .repro file ready to check into tests/corpus/.
 //
-// Deterministic: the same configuration produces a byte-identical
-// summary JSON at any thread count (the wall-clock budget, when set, is
-// the only nondeterministic input and marks the summary truncated).
-//
-// Configuration (environment):
-//   TORTURE_SEEDS=200        campaign seeds (each: conns x 3 arms)
-//   TORTURE_BASE_SEED=1      seed of campaign index 0
-//   TORTURE_CONNS=6          connections per seed
-//   TORTURE_THREADS=1        worker threads per arm (0 = hardware)
-//   TORTURE_LIMIT_S=300      per-connection simulated-time cap
-//   TORTURE_WATCHDOG=4       no-progress RTO firings before the oracle
-//   TORTURE_SHRINK=1         minimize failures (0 = report unshrunk)
-//   TORTURE_TIME_BUDGET_S=0  wall-clock budget, 0 = unbounded
-//   TORTURE_OUT_DIR=         when set: write summary.json, one
-//                            <name>.repro per failure, and the original
-//                            quarantine trace as <name>.trace.json
-//   TORTURE_VERBOSE=0        1 = per-seed / per-shrink progress lines
+// Fixed configuration, no arguments (any argument exits 2): 200 seeds x
+// 6 connections x 3 arms from base seed 1, 2 worker threads, a 300 s
+// per-connection limit, watchdog after 4 no-progress RTOs, shrinking on.
+// The campaign is deterministic, so stdout is a `ctest -L tables`
+// golden. Artifacts go under the artifact directory (util/artifacts.h)
+// as torture/summary.json, plus torture/<name>.repro and the original
+// quarantine's torture/<name>.trace.json per failure; a file that cannot
+// be written fails the gate.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
 #include "torture/campaign.h"
+#include "util/artifacts.h"
 #include "util/checked_write.h"
 #include "workload/web_workload.h"
 
 using namespace prr;
 
-namespace {
-
-uint64_t env_u64(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v ? std::strtoull(v, nullptr, 10) : fallback;
-}
-
-double env_f(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v ? std::strtod(v, nullptr) : fallback;
-}
-
-}  // namespace
-
-int main() {
-  torture::CampaignConfig cfg;
-  cfg.seeds = static_cast<int>(env_u64("TORTURE_SEEDS", 200));
-  cfg.base_seed = env_u64("TORTURE_BASE_SEED", 1);
-  cfg.connections_per_seed = static_cast<int>(env_u64("TORTURE_CONNS", 6));
-  cfg.threads = static_cast<int>(env_u64("TORTURE_THREADS", 1));
-  cfg.per_connection_limit = sim::Time::seconds(env_f("TORTURE_LIMIT_S", 300));
-  cfg.watchdog_rto_backoffs = static_cast<int>(env_u64("TORTURE_WATCHDOG", 4));
-  cfg.shrink_failures = env_u64("TORTURE_SHRINK", 1) != 0;
-  cfg.time_budget_seconds = env_f("TORTURE_TIME_BUDGET_S", 0);
-  if (env_u64("TORTURE_VERBOSE", 0) != 0) {
-    cfg.log = [](const std::string& line) {
-      std::printf("  %s\n", line.c_str());
-      std::fflush(stdout);
-    };
+int main(int argc, char**) {
+  if (argc > 1) {
+    std::fprintf(stderr, "torture_gate takes no arguments\n");
+    return 2;
   }
+  torture::CampaignConfig cfg;
+  cfg.seeds = 200;
+  cfg.base_seed = 1;
+  cfg.connections_per_seed = 6;
+  cfg.threads = 2;
+  cfg.per_connection_limit = sim::Time::seconds(300);
+  cfg.watchdog_rto_backoffs = 4;
+  cfg.shrink_failures = true;
 
   workload::WebWorkload base;
   std::printf("torture_gate: %d seeds x %d connections x 3 arms "
@@ -74,28 +48,27 @@ int main() {
   const std::string summary = result.summary_json();
   std::printf("%s", summary.c_str());
 
-  const char* out_dir = std::getenv("TORTURE_OUT_DIR");
-  if (out_dir != nullptr && *out_dir != '\0') {
-    const std::string dir(out_dir);
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (!util::checked_write_json(dir + "/summary.json", summary)) {
-      std::printf("WARN: short write to %s/summary.json\n", dir.c_str());
+  const std::string dir = util::artifact_path("torture");
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  int write_failures = 0;
+  auto written = [&write_failures](bool ok, const std::string& name) {
+    if (!ok) {
+      std::printf("FAIL: could not write torture/%s\n", name.c_str());
+      ++write_failures;
     }
-    for (const torture::CampaignFailure& fail : result.failures) {
-      std::string err;
-      const std::string path = dir + "/" + fail.repro.name + ".repro";
-      if (!torture::save_repro(fail.repro, path, &err)) {
-        std::printf("WARN: %s\n", err.c_str());
-      }
-      if (!fail.trace_json.empty()) {
-        const std::string tpath = dir + "/" + fail.repro.name + ".trace.json";
-        if (!util::checked_write_json(tpath, fail.trace_json)) {
-          std::printf("WARN: short write to %s\n", tpath.c_str());
-        }
-      }
+  };
+  written(util::checked_write_json(dir + "/summary.json", summary),
+          "summary.json");
+  for (const torture::CampaignFailure& fail : result.failures) {
+    const std::string repro = fail.repro.name + ".repro";
+    written(torture::save_repro(fail.repro, dir + "/" + repro, nullptr),
+            repro);
+    if (!fail.trace_json.empty()) {
+      const std::string trace = fail.repro.name + ".trace.json";
+      written(util::checked_write_json(dir + "/" + trace, fail.trace_json),
+              trace);
     }
-    std::printf("artifacts written to %s\n", dir.c_str());
   }
 
   if (!result.failures.empty()) {
@@ -107,11 +80,11 @@ int main() {
     }
     return 1;
   }
+  if (write_failures > 0) return 1;
   std::printf("torture_gate: PASS — %d seeds, %llu connections, %llu ACKs "
-              "checked, 0 failures%s\n",
+              "checked, 0 failures\n",
               result.seeds_run,
               static_cast<unsigned long long>(result.connections_run),
-              static_cast<unsigned long long>(result.acks_checked),
-              result.truncated_by_budget ? " (truncated by budget)" : "");
+              static_cast<unsigned long long>(result.acks_checked));
   return 0;
 }

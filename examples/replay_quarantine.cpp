@@ -11,7 +11,8 @@
 //
 // A healthy build quarantines nothing, so by default this example injects
 // one synthetic violation (connection 7, third ACK) to show the machinery
-// end to end. Run with --no-inject to do an honest sweep.
+// end to end. Run with --no-inject to do an honest sweep, which must
+// quarantine nothing; any other argument exits 2.
 //
 // Each quarantined connection also carries the tail of its flight
 // recorder — the last few hundred trace records leading up to the
@@ -31,6 +32,7 @@
 #include "obs/trace_diff.h"
 #include "obs/trace_record.h"
 #include "util/artifacts.h"
+#include "util/checked_write.h"
 #include "workload/web_workload.h"
 
 using namespace prr;
@@ -38,7 +40,14 @@ using namespace prr;
 int main(int argc, char** argv) {
   bool inject = true;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-inject") == 0) inject = false;
+    if (std::strcmp(argv[i], "--no-inject") == 0) {
+      inject = false;
+    } else {
+      std::fprintf(stderr,
+                   "unknown argument '%s' (usage: %s [--no-inject])\n",
+                   argv[i], argv[0]);
+      return 2;
+    }
   }
 
   workload::WebWorkload base;
@@ -103,17 +112,12 @@ int main(int argc, char** argv) {
         std::snprintf(name, sizeof(name), "quarantine_conn%llu_trace.json",
                       (unsigned long long)rec.connection_id);
         const std::string path = util::artifact_path(name);
-        if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-          const std::string json = rec.trace_json();
-          bool ok = std::fwrite(json.data(), 1, json.size(), f) ==
-                    json.size();
-          ok = std::fclose(f) == 0 && ok;
-          if (ok) {
-            std::printf("wrote %s -- open it at https://ui.perfetto.dev\n",
-                        path.c_str());
-          } else {
-            std::printf("short write to %s\n", path.c_str());
-          }
+        if (util::checked_write_json(path, rec.trace_json())) {
+          std::printf("wrote %s -- open it at https://ui.perfetto.dev\n",
+                      path.c_str());
+        } else {
+          std::printf("FAIL: could not write %s\n", path.c_str());
+          ++failures;
         }
       }
 
@@ -169,16 +173,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (inject) {
-    // The injected violation must have been caught and replayed.
-    bool saw_injected = false;
-    for (const auto& r : results) {
-      saw_injected |= !r.quarantined.empty();
-    }
-    if (!saw_injected) {
-      std::printf("\nERROR: injected violation was not quarantined\n");
-      return 1;
-    }
+  // The injected violation must have been caught and replayed; an honest
+  // sweep must quarantine nothing.
+  bool quarantined = false;
+  for (const auto& r : results) quarantined |= !r.quarantined.empty();
+  if (inject && !quarantined) {
+    std::printf("\nERROR: injected violation was not quarantined\n");
+    return 1;
+  }
+  if (!inject && quarantined) {
+    std::printf("\nERROR: the honest sweep quarantined a connection\n");
+    return 1;
   }
   if (failures > 0) {
     std::printf("\n%d quarantined connection(s) failed to replay\n", failures);

@@ -196,28 +196,6 @@ void write_registry_totals(ArmResult& r) {
   }
 }
 
-// Scans a connection's ring for an RTO that fired during fast recovery —
-// the rto_interrupt capture trigger. An enter/exit state machine over the
-// records; only run when the policy has that clause.
-bool ring_saw_rto_interrupt(const obs::FlightRecorder& ring) {
-  bool in_episode = false;
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const obs::TraceRecord& r = ring[i];
-    switch (r.type) {
-      case obs::TraceType::kEnterRecovery: in_episode = true; break;
-      case obs::TraceType::kExitRecovery: in_episode = false; break;
-      case obs::TraceType::kUndo:
-        if (r.a == 0) in_episode = false;
-        break;
-      case obs::TraceType::kRtoFired:
-        if (in_episode) return true;
-        break;
-      default: break;
-    }
-  }
-  return false;
-}
-
 // Runs connection `id` of the (pop, arm, opts) experiment — the one place
 // both the sweep and quarantine replay go through, so a replay is the
 // exact computation the original run performed. `result` may be null
@@ -489,6 +467,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
         cap.timeouts = m.timeouts_total;
         cap.undo_events = m.undo_events;
         cap.retransmits = m.retransmits_total;
+        cap.rto_interrupted_recovery = m.timeouts_in_recovery > 0;
         cap.recovery_ms =
             static_cast<double>(conn.sender().loss_recovery_time().ms());
         cap.aborted = conn.sender().aborted();
@@ -531,9 +510,6 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     // A thrown connection is interesting by definition: fold it into the
     // abort trigger so "full=abort" policies keep its tail.
     if (!outcome.exception.empty()) cap.aborted = true;
-    if (capture->needs_rto_interrupt()) {
-      cap.rto_interrupted_recovery = ring_saw_rto_interrupt(*recorder);
-    }
     const obs::CaptureDecision d = capture->evaluate(cap);
     if (d.keep) {
       encoder->encode(*recorder, id,

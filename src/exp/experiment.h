@@ -137,7 +137,7 @@ struct ArmResult {
   // Structured recovery episodes derived from each connection's trace
   // stream (populated only with RunOptions::collect_episodes).
   // Reconciles bit-exactly with `recovery_log` and `metrics`
-  // (EpisodeSweepTest, bench/query_gate).
+  // (EpisodeSweepTest, StoreLive.EpisodesFromStoreReconcile).
   obs::EpisodeTable episodes;
   stats::LatencyTracker latency;
   sim::Time total_network_transmit_time;
@@ -287,7 +287,7 @@ struct RunOptions {
   // recorder is attached to every connection (like `trace`); at teardown
   // the capture policy below decides whether the ring is encoded and
   // appended. Store bytes are a pure function of (population, arm, seed,
-  // policy): byte-identical at any thread count (bench/query_gate).
+  // policy): byte-identical at any thread count (StoreDeterminism.*).
   std::string store_path;
   // CapturePolicy spec (grammar in obs/store/capture_policy.h), e.g.
   // "all", "sample=64,full=timeout". Parsed by run_arm; a malformed spec

@@ -65,6 +65,8 @@ void EpisodeBuilder::close(EpisodeExit exit, int64_t end_ns) {
   capture_post_ = exit != EpisodeExit::kTruncated;
 }
 
+// Episodes close by ends_recovery_episode()'s rule (trace_record.h),
+// applied case by case so each record takes one switch dispatch.
 void EpisodeBuilder::on_record(const TraceRecord& r) {
   EpisodeSummary& s = current_.summary;
   switch (r.type) {

@@ -13,9 +13,9 @@
 // emit, so an EpisodeTable built from the stream reconciles bit-exactly
 // with the RecoveryLog and tcp::Metrics counters (EpisodeSweepTest
 // checks this for each recovery arm at several thread counts, tracing on
-// and off; bench/query_gate checks it under chaos). The
-// paper-table math has one home, stats::RecoveryLog: the table hands
-// its finished rows over as one (EpisodeTable::finished_log).
+// and off; StoreLive.EpisodesFromStoreReconcile checks it under chaos).
+// The paper-table math has one home, stats::RecoveryLog: the table
+// hands its finished rows over as one (EpisodeTable::finished_log).
 //
 // Aggregation: each worker shard folds its connections into a private
 // EpisodeTable; shards merge in connection-id order, so rows, counters

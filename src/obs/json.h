@@ -1,9 +1,9 @@
 // Minimal JSON helpers for the exporters: string escaping for emission
-// and a strict recursive-descent validator used by the golden-file test
-// and the CI reconciliation tool (bench/obs_chaos_trace). Emission here
-// is string building, not a DOM — exports are write-only and the
-// formats (Perfetto trace-event, registry dump) are flat enough that a
-// serializer library would be dead weight.
+// and a strict recursive-descent validator used by the golden-file test,
+// the registry reconciliation test and the checked artifact writers
+// (util/checked_write.h). Emission here is string building, not a DOM —
+// exports are write-only and the formats (Perfetto trace-event, registry
+// dump) are flat enough that a serializer library would be dead weight.
 #pragma once
 
 #include <string>

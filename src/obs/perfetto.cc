@@ -73,6 +73,12 @@ void perfetto_append_process(std::string& out,
            std::to_string(conn) + "\"}},\n";
   }
 
+  // Connections with an open "fast recovery" slice. A slice closes by
+  // EpisodeBuilder's rule (ends_recovery_episode), so RTO- and
+  // undo-ended episodes get their "E" too; an exit whose entry was cut
+  // off (a ring tail) emits none, and a slice still open at the end of
+  // the stream stays open, as the episode did.
+  std::set<uint32_t> in_recovery;
   for (const TraceRecord& r : records) {
     const std::string conn_s = std::to_string(r.conn);
     switch (r.type) {
@@ -85,14 +91,22 @@ void perfetto_append_process(std::string& out,
                       r.f[0], "prr_out", r.f[1]);
         break;
       case TraceType::kEnterRecovery:
+        if (!in_recovery.insert(r.conn).second) {
+          // A second entry means the exit was lost: close the old slice.
+          event_prefix(out, "E", pid, r, "fast recovery");
+          out += "},\n";
+        }
         event_prefix(out, "B", pid, r, "fast recovery");
         out += ",\"args\":{\"ssthresh\":" + std::to_string(r.f[1]) +
                ",\"pipe\":" + std::to_string(r.f[2]) +
                ",\"prior_cwnd\":" + std::to_string(r.f[3]) + "}},\n";
         break;
       case TraceType::kExitRecovery:
-        event_prefix(out, "E", pid, r, "fast recovery");
-        out += ",\"args\":{\"cwnd\":" + std::to_string(r.f[0]) + "}},\n";
+        if (in_recovery.erase(r.conn) != 0) {
+          event_prefix(out, "E", pid, r, "fast recovery");
+          out += ",\"args\":{\"cwnd\":" + std::to_string(r.f[0]) +
+                 "}},\n";
+        }
         break;
       case TraceType::kFault:
         event_prefix(out, "X", pid, r, "fault");
@@ -112,6 +126,10 @@ void perfetto_append_process(std::string& out,
       case TraceType::kServiceAlert:
       case TraceType::kServiceDecision:
         instant_event(out, pid, r, to_string(r.type));
+        if (ends_recovery_episode(r) && in_recovery.erase(r.conn) != 0) {
+          event_prefix(out, "E", pid, r, "fast recovery");
+          out += "},\n";
+        }
         break;
       case TraceType::kTransmit:
         // Only retransmissions become instants; regular transmissions

@@ -276,6 +276,7 @@ CriticalPathReport attribute_critical_path(const TraceRecord* records,
     }
     // State tracking (order matters: classify the gap BEFORE updating
     // the window view with this record's contents).
+    if (ends_recovery_episode(r)) in_episode = false;
     switch (r.type) {
       case TraceType::kEnterRecovery:
         if (!in_episode) {
@@ -286,15 +287,6 @@ CriticalPathReport attribute_critical_path(const TraceRecord* records,
           cwnd = r.f[1];  // recovery regulates toward ssthresh
           just_sent = false;
         }
-        break;
-      case TraceType::kExitRecovery:
-        in_episode = false;
-        break;
-      case TraceType::kRtoFired:
-        in_episode = false;  // an RTO mid-recovery ends the episode
-        break;
-      case TraceType::kUndo:
-        if (r.a == 0) in_episode = false;  // DSACK/Eifel undo in recovery
         break;
       case TraceType::kAck:
         cwnd = r.f[1];

@@ -11,7 +11,7 @@
 //     connection's records through the SAME EpisodeBuilder/EpisodeTable
 //     machinery the live harness uses, so every table derived from a store
 //     (Tables 1/3/5/6/7) reconciles field-exactly with the in-process
-//     path; bench/query_gate enforces this.
+//     path; the StoreLive tests enforce this, on web and under chaos.
 //   * critical-path attribution (critical_path): walks a stored episode's
 //     record chain and reports where its recovery latency went —
 //     waiting-for-ack vs rto-wait vs app-limited vs send-window-limited.

@@ -68,13 +68,6 @@ bool capture_sampled(uint64_t conn, uint64_t n) {
   return mix64(conn) % n == 0;
 }
 
-CapturePolicy CapturePolicy::all() {
-  CapturePolicy p;
-  p.keep_all_ = true;
-  p.spec_ = "all";
-  return p;
-}
-
 bool CapturePolicy::keeps_anything() const {
   return keep_all_ || sample_n_ > 0 || full_timeout_ ||
          full_rto_interrupt_ || full_undo_ || full_invariant_ ||

@@ -46,7 +46,7 @@ struct CaptureStats {
   uint64_t undo_events = 0;
   uint64_t retransmits = 0;
   uint64_t invariant_violations = 0;
-  bool rto_interrupted_recovery = false;  // an RTO fired mid-episode
+  bool rto_interrupted_recovery = false;  // an RTO fired in Recovery
   bool aborted = false;
   double recovery_ms = 0;  // total simulated time in loss recovery
 };
@@ -62,11 +62,6 @@ class CapturePolicy {
   // evaluates a policy when a store path is configured.
   CapturePolicy() = default;
 
-  // Keep every connection at full fidelity (spec "all") — the mode the
-  // reconciliation gates use, since exact table reproduction needs every
-  // connection's records.
-  static CapturePolicy all();
-
   // Parses `spec` (grammar above). On failure returns false and leaves
   // a human-readable reason in *err; *out is untouched.
   static bool parse(std::string_view spec, CapturePolicy* out,
@@ -74,10 +69,6 @@ class CapturePolicy {
 
   CaptureDecision evaluate(const CaptureStats& s) const;
 
-  // The rto_interrupt trigger needs a cheap scan of the connection's
-  // ring (an enter/exit state machine over the records); the harness
-  // skips that scan when no clause asks for it.
-  bool needs_rto_interrupt() const { return full_rto_interrupt_; }
   // False for "none": lets the harness skip stats collection entirely.
   bool keeps_anything() const;
 

@@ -40,7 +40,8 @@
 // conn id, header meta). The experiment harness appends blocks in
 // ascending connection-id order at any thread count, so store files are
 // byte-identical across threads 1/4/8 and across fork-per-shard runs
-// merged by connection id (bench/query_gate enforces both).
+// merged by connection id (StoreDeterminism.* and
+// StoreLive.MergeOfRangeShardsIsByteIdentical enforce both).
 #pragma once
 
 #include <cstdint>

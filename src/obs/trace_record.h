@@ -137,4 +137,15 @@ inline TraceRecord make_record(sim::Time at, uint32_t conn, TraceType type,
 // is the Perfetto export (obs/perfetto.h).
 std::string describe(const TraceRecord& r);
 
+// True when `r` ends an open fast-recovery episode: the exit, an RTO
+// that interrupts recovery, or an in-recovery DSACK/Eifel undo
+// (kUndo a=0; a=1 is the spurious-RTO undo, outside recovery). The
+// Perfetto slices and the critical-path attribution close episodes by
+// this rule; EpisodeBuilder's per-type switch applies the same one.
+inline bool ends_recovery_episode(const TraceRecord& r) {
+  return r.type == TraceType::kExitRecovery ||
+         r.type == TraceType::kRtoFired ||
+         (r.type == TraceType::kUndo && r.a == 0);
+}
+
 }  // namespace prr::obs

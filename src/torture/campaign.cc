@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <utility>
@@ -126,17 +125,8 @@ CampaignResult run_campaign(const workload::Population& base,
   const std::vector<exp::ArmConfig> arms = {exp::ArmConfig::prr_arm(),
                                             exp::ArmConfig::rfc3517_arm(),
                                             exp::ArmConfig::linux_arm()};
-  const auto started = std::chrono::steady_clock::now();
 
   for (int s = 0; s < cfg.seeds; ++s) {
-    if (cfg.time_budget_seconds > 0) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - started;
-      if (elapsed.count() > cfg.time_budget_seconds) {
-        result.truncated_by_budget = true;
-        break;
-      }
-    }
     const uint64_t seed = cfg.base_seed + static_cast<uint64_t>(s);
 
     exp::RunOptions opts;
@@ -183,13 +173,9 @@ CampaignResult run_campaign(const workload::Population& base,
     }
 
     for (CampaignFailure& f : found) {
-      if (cfg.log) {
-        cfg.log("seed " + std::to_string(seed) + ": " + f.summary);
-      }
       if (cfg.shrink_failures) {
         ShrinkOptions sopts;
         sopts.max_replays = cfg.shrink_max_replays;
-        sopts.log = cfg.log;
         ShrinkResult shrunk = shrink(f.repro, sopts);
         f.shrink_replays = shrunk.replays;
         f.shrink_accepted = shrunk.accepted;
@@ -199,10 +185,6 @@ CampaignResult run_campaign(const workload::Population& base,
         f.repro_verified = repro_reproduced(f.repro, run_repro(f.repro));
       }
       result.failures.push_back(std::move(f));
-    }
-    if (cfg.log) {
-      cfg.log("seed " + std::to_string(seed) + " done (" +
-              std::to_string(result.failures.size()) + " failures total)");
     }
   }
   return result;
@@ -214,10 +196,8 @@ std::string CampaignResult::summary_json() const {
   std::snprintf(buf, sizeof buf,
                 "  \"seeds_run\": %d,\n  \"connections_run\": %" PRIu64
                 ",\n  \"acks_checked\": %" PRIu64
-                ",\n  \"violations\": %" PRIu64
-                ",\n  \"truncated_by_budget\": %s,\n",
-                seeds_run, connections_run, acks_checked, violations,
-                truncated_by_budget ? "true" : "false");
+                ",\n  \"violations\": %" PRIu64 ",\n",
+                seeds_run, connections_run, acks_checked, violations);
   out += buf;
   out += "  \"failures\": [";
   for (std::size_t i = 0; i < failures.size(); ++i) {

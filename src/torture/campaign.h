@@ -9,13 +9,10 @@
 // Determinism: campaign seed i is base_seed + i, every connection's
 // sample path derives from (seed, id), and aggregation follows the
 // experiment harness's id-ordered merge — so the same configuration
-// produces a byte-identical summary_json() at any thread count. The
-// wall-clock budget (when set) is the only nondeterministic input; runs
-// that hit it are marked truncated.
+// produces a byte-identical summary_json() at any thread count.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -36,14 +33,6 @@ struct CampaignConfig {
 
   bool shrink_failures = true;
   int shrink_max_replays = 200;
-
-  // Wall-clock budget in seconds; 0 = unbounded. Checked between seeds:
-  // a run that exceeds it stops starting new seeds and is marked
-  // truncated in the summary.
-  double time_budget_seconds = 0;
-
-  // Optional progress sink (one line per seed / per shrink step).
-  std::function<void(const std::string&)> log;
 };
 
 // One cross-arm differential finding (torture/oracles.h catalog:
@@ -83,7 +72,6 @@ struct CampaignResult {
   uint64_t connections_run = 0;  // per arm x arms
   uint64_t acks_checked = 0;
   uint64_t violations = 0;
-  bool truncated_by_budget = false;
   std::vector<CampaignFailure> failures;
 
   // Deterministic summary (no timestamps, no wall-clock): totals plus

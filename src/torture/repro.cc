@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "net/fault_schedule.h"
+#include "util/checked_write.h"
 
 namespace prr::torture {
 
@@ -327,13 +328,9 @@ bool from_text(const std::string& text, ReproCase& out, std::string* error) {
 
 bool save_repro(const ReproCase& c, const std::string& path,
                 std::string* error) {
-  std::ofstream f(path);
-  if (!f) {
-    if (error) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  f << to_text(c);
-  return static_cast<bool>(f);
+  if (util::checked_write_file(path, to_text(c))) return true;
+  if (error) *error = "cannot write " + path;
+  return false;
 }
 
 bool load_repro(const std::string& path, ReproCase& out, std::string* error) {

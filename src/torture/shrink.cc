@@ -10,157 +10,129 @@ namespace prr::torture {
 
 namespace {
 
-// One proposed reduction: a label for the progress log and the mutated
-// candidate. Generators only propose candidates that actually differ
-// from the current case.
-struct Candidate {
-  std::string label;
-  ReproCase next;
-};
-
 sim::Time halve(sim::Time t) { return sim::Time::nanoseconds(t.ns() / 2); }
 
 // All single-step reductions applicable to `c`, cheapest-win first:
-// whole-feature removals lead, parameter halvings follow.
-std::vector<Candidate> propose(const ReproCase& c) {
-  std::vector<Candidate> out;
-  auto add = [&out, &c](const char* label, auto mutate) {
-    Candidate cand{label, c};
-    mutate(cand.next);
-    out.push_back(std::move(cand));
+// whole-feature removals lead, parameter halvings follow. Generators
+// only propose candidates that actually differ from `c`.
+std::vector<ReproCase> propose(const ReproCase& c) {
+  std::vector<ReproCase> out;
+  auto add = [&out, &c](auto mutate) {
+    ReproCase next = c;
+    mutate(next);
+    out.push_back(std::move(next));
   };
   const workload::ConnectionSample& s = c.sample;
   const net::MisbehaviorConfig& m = s.misbehavior;
 
   // --- whole-feature removals ---
   if (!s.faults.empty()) {
-    add("drop-all-faults",
-        [](ReproCase& n) { n.sample.faults = net::FaultSchedule(); });
+    add([](ReproCase& n) { n.sample.faults = net::FaultSchedule(); });
   }
   for (std::size_t i = 0; i < s.faults.size(); ++i) {
-    Candidate cand{"drop-fault-" + std::to_string(i), c};
     net::FaultSchedule kept;
     for (std::size_t j = 0; j < s.faults.size(); ++j) {
       if (j != i) kept.add(s.faults.events()[j]);
     }
-    cand.next.sample.faults = std::move(kept);
-    out.push_back(std::move(cand));
+    add([&kept](ReproCase& n) { n.sample.faults = std::move(kept); });
   }
   if (s.renege_at.ns() > 0) {
-    add("drop-renege", [](ReproCase& n) {
-      n.sample.renege_at = sim::Time::zero();
-    });
+    add([](ReproCase& n) { n.sample.renege_at = sim::Time::zero(); });
   }
   if (m.lie_sack_probability > 0) {
-    add("drop-lie-sack", [](ReproCase& n) {
-      n.sample.misbehavior.lie_sack_probability = 0;
-    });
+    add([](ReproCase& n) { n.sample.misbehavior.lie_sack_probability = 0; });
   }
   if (m.dup_sack_probability > 0) {
-    add("drop-dup-sack", [](ReproCase& n) {
-      n.sample.misbehavior.dup_sack_probability = 0;
-    });
+    add([](ReproCase& n) { n.sample.misbehavior.dup_sack_probability = 0; });
   }
   if (!m.suppress_duration.is_zero()) {
-    add("drop-suppress", [](ReproCase& n) {
+    add([](ReproCase& n) {
       n.sample.misbehavior.suppress_duration = sim::Time::zero();
     });
   }
   if (m.divide_factor > 1) {
-    add("drop-divide",
-        [](ReproCase& n) { n.sample.misbehavior.divide_factor = 1; });
+    add([](ReproCase& n) { n.sample.misbehavior.divide_factor = 1; });
   }
   if (m.dup_ack_probability > 0) {
-    add("drop-dup-ack", [](ReproCase& n) {
-      n.sample.misbehavior.dup_ack_probability = 0;
-    });
+    add([](ReproCase& n) { n.sample.misbehavior.dup_ack_probability = 0; });
   }
   if (m.reorder_probability > 0) {
-    add("drop-ack-reorder", [](ReproCase& n) {
-      n.sample.misbehavior.reorder_probability = 0;
-    });
+    add([](ReproCase& n) { n.sample.misbehavior.reorder_probability = 0; });
   }
   if (!m.shrink_duration.is_zero()) {
-    add("drop-rwnd-shrink", [](ReproCase& n) {
+    add([](ReproCase& n) {
       n.sample.misbehavior.shrink_duration = sim::Time::zero();
     });
   }
   if (m.corrupt_probability > 0) {
-    add("drop-corrupt", [](ReproCase& n) {
-      n.sample.misbehavior.corrupt_probability = 0;
-    });
+    add([](ReproCase& n) { n.sample.misbehavior.corrupt_probability = 0; });
   }
   if (s.loss.p_good_to_bad > 0 || s.loss.loss_in_good > 0) {
-    add("drop-loss", [](ReproCase& n) {
+    add([](ReproCase& n) {
       n.sample.loss.p_good_to_bad = 0;
       n.sample.loss.loss_in_good = 0;
     });
   }
   if (s.outages) {
-    add("drop-outages", [](ReproCase& n) { n.sample.outages = false; });
+    add([](ReproCase& n) { n.sample.outages = false; });
   }
   if (s.ack_loss_prob > 0) {
-    add("drop-ack-loss", [](ReproCase& n) { n.sample.ack_loss_prob = 0; });
+    add([](ReproCase& n) { n.sample.ack_loss_prob = 0; });
   }
   if (s.ack_stretch > 1) {
-    add("drop-ack-stretch", [](ReproCase& n) { n.sample.ack_stretch = 1; });
+    add([](ReproCase& n) { n.sample.ack_stretch = 1; });
   }
   if (s.reorder_prob > 0) {
-    add("drop-reorder", [](ReproCase& n) { n.sample.reorder_prob = 0; });
+    add([](ReproCase& n) { n.sample.reorder_prob = 0; });
   }
   if (s.client_abandons) {
-    add("drop-abandon",
-        [](ReproCase& n) { n.sample.client_abandons = false; });
+    add([](ReproCase& n) { n.sample.client_abandons = false; });
   }
 
   // --- workload reductions ---
   if (s.responses.size() > 1) {
-    add("drop-last-response",
-        [](ReproCase& n) { n.sample.responses.pop_back(); });
-    add("keep-first-response", [](ReproCase& n) {
-      n.sample.responses.resize(1);
-    });
+    add([](ReproCase& n) { n.sample.responses.pop_back(); });
+    add([](ReproCase& n) { n.sample.responses.resize(1); });
   }
   for (std::size_t i = 0; i < s.responses.size(); ++i) {
     if (s.responses[i].bytes >= 2 * 1430) {
-      Candidate cand{"halve-response-" + std::to_string(i), c};
-      cand.next.sample.responses[i].bytes /= 2;
-      // Throttling parameters scale with the body they pace.
-      cand.next.sample.responses[i].burst_bytes /= 2;
-      out.push_back(std::move(cand));
+      add([i](ReproCase& n) {
+        n.sample.responses[i].bytes /= 2;
+        // Throttling parameters scale with the body they pace.
+        n.sample.responses[i].burst_bytes /= 2;
+      });
     }
     if (!s.responses[i].gap_before.is_zero()) {
-      Candidate cand{"drop-gap-" + std::to_string(i), c};
-      cand.next.sample.responses[i].gap_before = sim::Time::zero();
-      out.push_back(std::move(cand));
+      add([i](ReproCase& n) {
+        n.sample.responses[i].gap_before = sim::Time::zero();
+      });
     }
   }
 
   // --- parameter halvings (interval narrowing / onset bisection) ---
   const sim::Time kMinInterval = sim::Time::milliseconds(50);
   if (s.renege_at > kMinInterval) {
-    add("halve-renege-at",
-        [](ReproCase& n) { n.sample.renege_at = halve(n.sample.renege_at); });
+    add([](ReproCase& n) { n.sample.renege_at = halve(n.sample.renege_at); });
   }
   if (m.suppress_at > kMinInterval) {
-    add("halve-suppress-at", [](ReproCase& n) {
+    add([](ReproCase& n) {
       n.sample.misbehavior.suppress_at =
           halve(n.sample.misbehavior.suppress_at);
     });
   }
   if (m.suppress_duration > kMinInterval) {
-    add("halve-suppress-duration", [](ReproCase& n) {
+    add([](ReproCase& n) {
       n.sample.misbehavior.suppress_duration =
           halve(n.sample.misbehavior.suppress_duration);
     });
   }
   if (m.shrink_at > kMinInterval) {
-    add("halve-shrink-at", [](ReproCase& n) {
+    add([](ReproCase& n) {
       n.sample.misbehavior.shrink_at = halve(n.sample.misbehavior.shrink_at);
     });
   }
   if (m.shrink_duration > kMinInterval) {
-    add("halve-shrink-duration", [](ReproCase& n) {
+    add([](ReproCase& n) {
       n.sample.misbehavior.shrink_duration =
           halve(n.sample.misbehavior.shrink_duration);
     });
@@ -168,15 +140,13 @@ std::vector<Candidate> propose(const ReproCase& c) {
   for (std::size_t i = 0; i < s.faults.size(); ++i) {
     const net::FaultEvent& e = s.faults.events()[i];
     if (e.duration > kMinInterval) {
-      Candidate cand{"halve-fault-duration-" + std::to_string(i), c};
       net::FaultSchedule sched;
       for (std::size_t j = 0; j < s.faults.size(); ++j) {
         net::FaultEvent ev = s.faults.events()[j];
         if (j == i) ev.duration = halve(ev.duration);
         sched.add(ev);
       }
-      cand.next.sample.faults = std::move(sched);
-      out.push_back(std::move(cand));
+      add([&sched](ReproCase& n) { n.sample.faults = std::move(sched); });
     }
   }
   return out;
@@ -216,20 +186,15 @@ ShrinkResult shrink(const ReproCase& start, const ShrinkOptions& opts) {
   bool progressed = true;
   while (progressed && result.replays < opts.max_replays) {
     progressed = false;
-    for (const Candidate& cand : propose(result.minimized)) {
+    for (ReproCase& cand : propose(result.minimized)) {
       if (result.replays >= opts.max_replays) break;
-      exp::ReplayResult r = run_repro(cand.next);
+      exp::ReplayResult r = run_repro(cand);
       ++result.replays;
       if (!repro_reproduced(result.minimized, r)) continue;
-      ReproCase kept = cand.next;
-      kept.expect = result.minimized.expect;
-      result.minimized = std::move(kept);
+      cand.expect = result.minimized.expect;
+      result.minimized = std::move(cand);
       ++result.accepted;
       progressed = true;
-      if (opts.log) {
-        opts.log("accepted " + cand.label + " (" +
-                 std::to_string(result.replays) + " replays)");
-      }
       break;  // re-propose against the smaller case
     }
   }

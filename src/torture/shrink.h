@@ -14,7 +14,6 @@
 // tried and broke reproduction).
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "torture/repro.h"
@@ -23,8 +22,6 @@ namespace prr::torture {
 
 struct ShrinkOptions {
   int max_replays = 400;  // hard cap on candidate evaluations
-  // Optional progress sink ("accepted drop-fault-2, 9 replays in").
-  std::function<void(const std::string&)> log;
 };
 
 struct ShrinkResult {

@@ -6,12 +6,11 @@
 
 namespace prr::util {
 
-namespace {
-
-// Shared tail of both writers: stream the body, then collapse every
-// failure mode (short write, sticky error flag, failed flush-on-close)
-// into one boolean so no caller can forget one of the three checks.
-bool write_and_close(std::FILE* f, std::string_view body) {
+bool checked_write_file(const std::string& path, std::string_view body) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  // Collapse every failure mode (short write, sticky error flag, failed
+  // flush-on-close) into one boolean so no caller can forget one.
   const bool wrote =
       std::fwrite(body.data(), 1, body.size(), f) == body.size();
   const bool clean = std::ferror(f) == 0;
@@ -19,25 +18,9 @@ bool write_and_close(std::FILE* f, std::string_view body) {
   return wrote && clean && closed;
 }
 
-}  // namespace
-
-bool checked_write_file(const std::string& path, std::string_view body) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  return write_and_close(f, body);
-}
-
 bool checked_write_json(const std::string& path, std::string_view body) {
   if (!obs::json_valid(body)) return false;
   return checked_write_file(path, body);
-}
-
-bool checked_append_line(const std::string& path, std::string_view line) {
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) return false;
-  std::string buf(line);
-  if (buf.empty() || buf.back() != '\n') buf.push_back('\n');
-  return write_and_close(f, buf);
 }
 
 }  // namespace prr::util

@@ -25,10 +25,4 @@ bool checked_write_file(const std::string& path, std::string_view body);
 // backstop instead of the first line of defense.
 bool checked_write_json(const std::string& path, std::string_view body);
 
-// Appends `line` to `path` (creating it if missing). A trailing newline
-// is added when `line` does not end with one, so JSONL files stay one
-// record per line. Returns false on any error — a torn append corrupts
-// the whole JSONL history, so callers must treat false as fatal.
-bool checked_append_line(const std::string& path, std::string_view line);
-
 }  // namespace prr::util

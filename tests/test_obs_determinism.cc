@@ -9,6 +9,7 @@
 #include <string>
 
 #include "exp/experiment.h"
+#include "exp/scenarios.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "workload/web_workload.h"
@@ -111,31 +112,58 @@ TEST(ObsDeterminism, TracedAggregatesAndRegistryThreadCountInvariant) {
   }
 }
 
+// The registry's per-connection fold agrees with the arm fold on plain
+// web traffic and under every chaos regime, with the invariant checker
+// on and, for the chaos sweeps, a parallel merge.
 TEST(ObsDeterminism, RegistryReconcilesWithArmMetrics) {
-  workload::WebWorkload pop;
+  auto reconcile = [](const workload::Population& pop,
+                      const exp::RunOptions& opts) {
+    const exp::ArmResult r =
+        exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
+    EXPECT_EQ(r.invariant_violations, 0u);
+    EXPECT_TRUE(r.quarantined.empty());
+
+    const obs::MetricsRegistry& reg = r.registry;
+    ASSERT_NE(reg.find_counter("tcp.data_segments_sent"), nullptr);
+    EXPECT_EQ(reg.find_counter("tcp.data_segments_sent")->value(),
+              r.metrics.data_segments_sent);
+    EXPECT_EQ(reg.find_counter("tcp.bytes_sent")->value(),
+              r.metrics.bytes_sent);
+    EXPECT_EQ(reg.find_counter("tcp.retransmits_total")->value(),
+              r.metrics.retransmits_total);
+    EXPECT_EQ(reg.find_counter("tcp.timeouts_total")->value(),
+              r.metrics.timeouts_total);
+    EXPECT_EQ(reg.find_counter("tcp.fast_recovery_events")->value(),
+              r.metrics.fast_recovery_events);
+    EXPECT_EQ(reg.find_counter("exp.connections_run")->value(),
+              r.connections_run);
+    // Histogram totals agree with their counter counterparts.
+    EXPECT_EQ(reg.find_histogram("tcp.retransmits_per_conn")->sum(),
+              r.metrics.retransmits_total);
+    EXPECT_EQ(reg.find_histogram("tcp.retransmits_per_conn")->count(),
+              r.connections_run);
+    ASSERT_NE(reg.find_counter("obs.trace.records_written"), nullptr);
+    EXPECT_GT(reg.find_counter("obs.trace.records_written")->value(), 0u);
+    EXPECT_TRUE(obs::json_valid(reg.to_json()));
+  };
+
+  workload::WebWorkload web;
   exp::RunOptions opts = base_opts();
   opts.trace = true;
-  const exp::ArmResult r = exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-
-  const obs::MetricsRegistry& reg = r.registry;
-  ASSERT_NE(reg.find_counter("tcp.data_segments_sent"), nullptr);
-  EXPECT_EQ(reg.find_counter("tcp.data_segments_sent")->value(),
-            r.metrics.data_segments_sent);
-  EXPECT_EQ(reg.find_counter("tcp.bytes_sent")->value(),
-            r.metrics.bytes_sent);
-  EXPECT_EQ(reg.find_counter("tcp.retransmits_total")->value(),
-            r.metrics.retransmits_total);
-  EXPECT_EQ(reg.find_counter("tcp.timeouts_total")->value(),
-            r.metrics.timeouts_total);
-  EXPECT_EQ(reg.find_counter("tcp.fast_recovery_events")->value(),
-            r.metrics.fast_recovery_events);
-  EXPECT_EQ(reg.find_counter("exp.connections_run")->value(),
-            r.connections_run);
-  // Histogram totals agree with their counter counterparts.
-  EXPECT_EQ(reg.find_histogram("tcp.retransmits_per_conn")->sum(),
-            r.metrics.retransmits_total);
-  EXPECT_EQ(reg.find_histogram("tcp.retransmits_per_conn")->count(),
-            r.connections_run);
+  opts.check_invariants = true;
+  {
+    SCOPED_TRACE("web");
+    reconcile(web, opts);
+  }
+  opts.connections = 400;
+  opts.seed = 97;
+  opts.threads = 4;
+  for (const exp::ChaosSpec& spec : exp::standard_chaos_suite()) {
+    SCOPED_TRACE(spec.name);
+    const exp::ChaosPopulation pop(web, spec.profile);
+    opts.scenario = spec.name;
+    reconcile(pop, opts);
+  }
 }
 
 TEST(ObsDeterminism, QuarantineCarriesTraceTail) {

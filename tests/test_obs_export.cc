@@ -86,6 +86,53 @@ TEST(Perfetto, SlicesFaultsAndInstants) {
   EXPECT_EQ(json.find("wire"), std::string::npos);
 }
 
+std::size_t count_of(const std::string& haystack, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// Slices close by EpisodeBuilder's rule: an RTO in recovery and an
+// in-recovery undo (kUndo a=0) each end the open slice, per connection;
+// a spurious-RTO undo (a=1) and an exit with no open slice end nothing.
+TEST(Perfetto, RtoAndUndoCloseRecoverySlices) {
+  using sim::Time;
+  std::vector<TraceRecord> records = {
+      make_record(Time::milliseconds(1), 3, TraceType::kEnterRecovery, 0, 0,
+                  20000, 7304, 9000, 14608),
+      make_record(Time::milliseconds(1), 4, TraceType::kEnterRecovery, 0, 0,
+                  20000, 7304, 9000, 14608),
+      make_record(Time::milliseconds(2), 3, TraceType::kRtoFired, 0, 0, 1, 2,
+                  3, 4, 5),
+      make_record(Time::milliseconds(3), 3, TraceType::kEnterRecovery, 0, 0,
+                  20000, 7304, 9000, 14608),
+      make_record(Time::milliseconds(4), 3, TraceType::kUndo, /*a=*/0, 0,
+                  14608, 7304, 9000),
+      make_record(Time::milliseconds(5), 3, TraceType::kUndo, /*a=*/1, 0,
+                  14608, 7304, 9000),
+      make_record(Time::milliseconds(6), 3, TraceType::kExitRecovery, 0, 0,
+                  7304, 0),
+      make_record(Time::milliseconds(7), 4, TraceType::kExitRecovery, 0, 0,
+                  7304, 0),
+  };
+  const std::string json = perfetto_trace_json(records);
+  EXPECT_TRUE(json_valid(json)) << json;
+  EXPECT_EQ(count_of(json, "\"ph\":\"B\""), 3u) << json;
+  EXPECT_EQ(count_of(json, "\"ph\":\"E\""), 3u) << json;
+  EXPECT_NE(json.find("\"ph\":\"E\",\"pid\":1,\"tid\":3,\"ts\":2000.000"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"ph\":\"E\",\"pid\":1,\"tid\":3,\"ts\":4000.000"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"ph\":\"E\",\"pid\":1,\"tid\":4,\"ts\":7000.000"),
+            std::string::npos)
+      << json;
+}
+
 // Drive a real lossy transfer and export its ring: the recovery episode
 // instrumented in tcp/sender must produce a loadable trace with window
 // counters and a balanced fast-recovery slice.

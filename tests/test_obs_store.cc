@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_store_input.h"
 #include "exp/experiment.h"
 #include "obs/flight_recorder.h"
 #include "obs/query.h"
@@ -337,12 +338,20 @@ TEST(CapturePolicy, ParseAcceptsGrammar) {
   EXPECT_TRUE(p.keeps_anything());
   EXPECT_TRUE(obs::CapturePolicy::parse("none", &p, &err));
   EXPECT_FALSE(p.keeps_anything());
+  // An RTO in Recovery alone (on an unsampled id) is kept only when the
+  // policy names the rto_interrupt trigger.
+  obs::CaptureStats rto_in_recovery;
+  while (obs::capture_sampled(rto_in_recovery.conn, 64)) {
+    ++rto_in_recovery.conn;
+  }
+  rto_in_recovery.rto_interrupted_recovery = true;
   EXPECT_TRUE(obs::CapturePolicy::parse("sample=64,full=timeout", &p, &err));
   EXPECT_TRUE(p.keeps_anything());
-  EXPECT_FALSE(p.needs_rto_interrupt());
+  EXPECT_FALSE(p.evaluate(rto_in_recovery).keep);
   EXPECT_TRUE(obs::CapturePolicy::parse(
       "full=timeout|rto_interrupt|undo|invariant|abort", &p, &err));
-  EXPECT_TRUE(p.needs_rto_interrupt());
+  EXPECT_TRUE(p.evaluate(rto_in_recovery).keep);
+  EXPECT_TRUE(p.evaluate(rto_in_recovery).full);
   EXPECT_TRUE(obs::CapturePolicy::parse("recovery_ms>=12.5,retx>=3", &p,
                                         &err));
   EXPECT_TRUE(p.keeps_anything());
@@ -475,128 +484,286 @@ TEST(StoreLive, RecordsMatchTraceConnection) {
   std::remove(path.c_str());
 }
 
-TEST(StoreLive, EpisodesFromStoreReconcile) {
-  workload::WebWorkload pop;
-  const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
-  exp::RunOptions opts = store_opts("episodes.prrstore");
-  opts.collect_episodes = true;
-  const exp::ArmResult live = exp::run_arm(pop, arm, opts);
+// The store-vs-live differentials below run on 120 plain web
+// connections and on the chaos input (chaos_store_input.h), whose
+// episodes end in every way a sender can leave recovery.
+struct LiveInput {
+  const char* name;
+  const workload::Population& pop;
+  exp::RunOptions opts;
+  bool every_exit;  // episodes end by completion, undo and RTO
+};
 
-  const std::string path =
-      obs::store_path_for_arm(opts.store_path, arm.name);
-  StoreReader reader;
-  std::string err;
-  ASSERT_TRUE(StoreReader::open(path, &reader, &err)) << err;
-  obs::EpisodeTable from_store;
-  ASSERT_TRUE(obs::episodes_from_store(reader, obs::QueryFilter{},
-                                       &from_store, &err))
-      << err;
-  // Field-exact reconciliation: same table JSON, same stream counters.
-  EXPECT_EQ(from_store.to_json(), live.episodes.to_json());
-  EXPECT_EQ(from_store.stream().retransmits_total,
-            live.metrics.retransmits_total);
-  EXPECT_EQ(from_store.stream().timeouts_total, live.metrics.timeouts_total);
-  EXPECT_EQ(from_store.stream().undo_events, live.metrics.undo_events);
-  EXPECT_EQ(from_store.total(), live.metrics.fast_recovery_events);
-  std::remove(path.c_str());
+std::vector<LiveInput> live_inputs(const std::string& store_name) {
+  static const workload::WebWorkload web;
+  exp::RunOptions chaos = chaos_store::options();
+  chaos.store_path = temp_path("chaos_" + store_name);
+  return {{"web", web, store_opts(store_name), false},
+          {"chaos", chaos_store::population(), chaos, true}};
+}
+
+uint64_t counter_value(const exp::ArmResult& r, const char* name) {
+  const obs::Counter* c = r.registry.find_counter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+TEST(StoreLive, EpisodesFromStoreReconcile) {
+  const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
+  for (LiveInput& in : live_inputs("episodes.prrstore")) {
+    SCOPED_TRACE(in.name);
+    in.opts.collect_episodes = true;
+    const exp::ArmResult live = exp::run_arm(in.pop, arm, in.opts);
+    EXPECT_EQ(live.invariant_violations, 0u);
+
+    const std::string path =
+        obs::store_path_for_arm(in.opts.store_path, arm.name);
+    StoreReader reader;
+    std::string err;
+    ASSERT_TRUE(StoreReader::open(path, &reader, &err)) << err;
+    // Exact reconciliation needs whole streams: no ring may have wrapped.
+    for (const StoreBlockMeta& b : reader.blocks()) {
+      EXPECT_EQ(b.flags & obs::kBlockTruncated, 0) << "conn " << b.conn;
+    }
+    obs::EpisodeTable from_store;
+    ASSERT_TRUE(obs::episodes_from_store(reader, obs::QueryFilter{},
+                                         &from_store, &err))
+        << err;
+    // Field-exact reconciliation: same table JSON, every stream counter
+    // equal to its tcp::Metrics field, and every closed episode the
+    // sender's RecoveryLog entry, field for field and in order.
+    EXPECT_EQ(from_store.to_json(), live.episodes.to_json());
+    const obs::EpisodeBuilder::StreamCounts& s = from_store.stream();
+    const tcp::Metrics& m = live.metrics;
+    EXPECT_EQ(s.data_segments_sent, m.data_segments_sent);
+    EXPECT_EQ(s.retransmits_total, m.retransmits_total);
+    EXPECT_EQ(s.fast_retransmits, m.fast_retransmits);
+    EXPECT_EQ(s.dsacks_received, m.dsacks_received);
+    EXPECT_EQ(s.undo_events, m.undo_events);
+    EXPECT_EQ(s.lost_retransmits_detected, m.lost_retransmits_detected);
+    EXPECT_EQ(s.lost_fast_retransmits, m.lost_fast_retransmits);
+    EXPECT_EQ(s.timeouts_total, m.timeouts_total);
+    EXPECT_EQ(from_store.total(), m.fast_recovery_events);
+    EXPECT_EQ(from_store.finished_log().events(),
+              live.recovery_log.events());
+
+    if (in.every_exit) {
+      // The input must keep covering every way an episode can end.
+      int exits[4] = {};
+      for (const obs::EpisodeSummary& row : from_store.rows()) {
+        ++exits[static_cast<int>(row.exit)];
+      }
+      for (obs::EpisodeExit e :
+           {obs::EpisodeExit::kCompleted, obs::EpisodeExit::kUndo,
+            obs::EpisodeExit::kRtoInterrupted}) {
+        EXPECT_GT(exits[static_cast<int>(e)], 0)
+            << "no episode exits by " << obs::to_string(e);
+      }
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(StoreLive, MergeOfRangeShardsIsByteIdentical) {
-  workload::WebWorkload pop;
   const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
-  exp::RunOptions opts = store_opts("full.prrstore");
-  opts.capture = "sample=4,full=timeout";
-  exp::run_arm(pop, arm, opts);
-  const std::string full_path =
-      obs::store_path_for_arm(opts.store_path, arm.name);
+  std::vector<LiveInput> inputs = live_inputs("full.prrstore");
+  inputs[0].opts.capture = "sample=4,full=timeout";
+  for (LiveInput& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const exp::RunOptions& opts = in.opts;
+    exp::run_arm(in.pop, arm, opts);
+    const std::string full_path =
+        obs::store_path_for_arm(opts.store_path, arm.name);
 
-  // Same population as two disjoint id ranges (the fork-per-shard
-  // protocol), merged by connection id.
-  exp::RunOptions lo = opts;
-  lo.connections = 50;
-  lo.store_path = temp_path("lo.prrstore");
-  exp::RunOptions hi = opts;
-  hi.first_connection = 50;
-  hi.connections = 70;
-  hi.store_path = temp_path("hi.prrstore");
-  exp::run_arm(pop, arm, lo);
-  exp::run_arm(pop, arm, hi);
+    // Same population as two disjoint, off-center id ranges (the
+    // fork-per-shard protocol), merged by connection id.
+    const int split = opts.connections / 2 - 10;
+    exp::RunOptions lo = opts;
+    lo.connections = split;
+    lo.store_path = temp_path("lo.prrstore");
+    exp::RunOptions hi = opts;
+    hi.first_connection = split;
+    hi.connections = opts.connections - split;
+    hi.store_path = temp_path("hi.prrstore");
+    exp::run_arm(in.pop, arm, lo);
+    exp::run_arm(in.pop, arm, hi);
 
-  const std::string merged = temp_path("merged.prrstore");
-  std::string err;
-  ASSERT_TRUE(obs::merge_store_files(
-      {obs::store_path_for_arm(lo.store_path, arm.name),
-       obs::store_path_for_arm(hi.store_path, arm.name)},
-      merged, &err))
-      << err;
-  EXPECT_EQ(slurp(merged), slurp(full_path));
+    const std::string merged = temp_path("merged.prrstore");
+    std::string err;
+    ASSERT_TRUE(obs::merge_store_files(
+        {obs::store_path_for_arm(lo.store_path, arm.name),
+         obs::store_path_for_arm(hi.store_path, arm.name)},
+        merged, &err))
+        << err;
+    EXPECT_TRUE(slurp(merged) == slurp(full_path));  // binary: no dump
 
-  // Meta mismatch (different seed) must be refused.
-  exp::RunOptions other = lo;
-  other.seed = 1;
-  other.store_path = temp_path("other.prrstore");
-  exp::run_arm(pop, arm, other);
-  EXPECT_FALSE(obs::merge_store_files(
-      {obs::store_path_for_arm(lo.store_path, arm.name),
-       obs::store_path_for_arm(other.store_path, arm.name)},
-      temp_path("bad_merge.prrstore"), &err));
+    // Meta mismatch (different seed) must be refused.
+    exp::RunOptions other = lo;
+    other.seed = 1;
+    other.store_path = temp_path("other.prrstore");
+    exp::run_arm(in.pop, arm, other);
+    EXPECT_FALSE(obs::merge_store_files(
+        {obs::store_path_for_arm(lo.store_path, arm.name),
+         obs::store_path_for_arm(other.store_path, arm.name)},
+        temp_path("bad_merge.prrstore"), &err));
 
-  for (const std::string& p :
-       {full_path, obs::store_path_for_arm(lo.store_path, arm.name),
-        obs::store_path_for_arm(hi.store_path, arm.name),
-        obs::store_path_for_arm(other.store_path, arm.name), merged}) {
-    std::remove(p.c_str());
+    for (const std::string& p :
+         {full_path, obs::store_path_for_arm(lo.store_path, arm.name),
+          obs::store_path_for_arm(hi.store_path, arm.name),
+          obs::store_path_for_arm(other.store_path, arm.name), merged}) {
+      std::remove(p.c_str());
+    }
   }
 }
 
 TEST(StoreLive, AggregateAndSeriesQueries) {
-  workload::WebWorkload pop;
   const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
-  exp::RunOptions opts = store_opts("query.prrstore");
-  const exp::ArmResult live = exp::run_arm(pop, arm, opts);
+  for (LiveInput& in : live_inputs("query.prrstore")) {
+    SCOPED_TRACE(in.name);
+    const exp::ArmResult live = exp::run_arm(in.pop, arm, in.opts);
 
-  const std::string path =
-      obs::store_path_for_arm(opts.store_path, arm.name);
+    const std::string path =
+        obs::store_path_for_arm(in.opts.store_path, arm.name);
+    StoreReader reader;
+    std::string err;
+    ASSERT_TRUE(StoreReader::open(path, &reader, &err)) << err;
+
+    // Records grouped by type cover every record, and the per-type
+    // counts equal the registry counters of the same facts: one
+    // kEnterRecovery per fast-recovery event, one kRtoFired per timeout,
+    // one kTransmit per data segment.
+    obs::AggregateQuery q;
+    q.group = obs::GroupKey::kType;
+    obs::AggregateResult agg;
+    ASSERT_TRUE(obs::run_aggregate(reader, q, &agg, &err)) << err;
+    uint64_t total = 0;
+    uint64_t by_type[static_cast<int>(TraceType::kCount)] = {};
+    for (const auto& row : agg.rows) {
+      total += row.count;
+      by_type[row.key] = row.count;
+    }
+    EXPECT_EQ(total, reader.total_records());
+    EXPECT_EQ(by_type[static_cast<int>(TraceType::kEnterRecovery)],
+              counter_value(live, "tcp.fast_recovery_events"));
+    EXPECT_EQ(by_type[static_cast<int>(TraceType::kRtoFired)],
+              counter_value(live, "tcp.timeouts_total"));
+    EXPECT_EQ(by_type[static_cast<int>(TraceType::kTransmit)],
+              counter_value(live, "tcp.data_segments_sent"));
+    EXPECT_GT(by_type[static_cast<int>(TraceType::kEnterRecovery)], 0u);
+
+    // A cwnd time-series from kAck records of the first connection.
+    obs::QueryField cwnd_field;
+    ASSERT_TRUE(
+        obs::parse_field(TraceType::kAck, "cwnd", &cwnd_field, &err));
+    std::vector<obs::SeriesPoint> series;
+    ASSERT_TRUE(obs::extract_series(reader, reader.connections()[0],
+                                    TraceType::kAck, cwnd_field, &series,
+                                    &err));
+    ASSERT_FALSE(series.empty());
+    int64_t prev = series[0].at_ns;
+    for (const auto& pt : series) {
+      EXPECT_GE(pt.at_ns, prev);  // stream order
+      prev = pt.at_ns;
+      EXPECT_GT(pt.value, 0u);  // cwnd is never zero
+    }
+
+    // Critical-path buckets must sum exactly to total recovery time.
+    obs::CriticalPathReport sum;
+    for (uint64_t conn : reader.connections()) {
+      obs::CriticalPathReport rep;
+      ASSERT_TRUE(obs::critical_path(reader, conn, &rep, &err)) << err;
+      EXPECT_EQ(rep.total_ns,
+                rep.waiting_for_ack_ns + rep.rto_wait_ns +
+                    rep.app_limited_ns + rep.send_window_ns);
+      sum.merge(rep);
+    }
+    EXPECT_EQ(sum.episodes, live.metrics.fast_recovery_events);
+    std::remove(path.c_str());
+  }
+}
+
+// A triggered policy selects connections and never mutates them: every
+// connection a "sample=8,full=timeout" store keeps is record for record
+// the capture=all store's, and every 1-in-8 sampled id is kept
+// (triggers only add connections).
+TEST(StoreLive, SampledStoreIsRecordIdenticalSubsetOfCaptureAll) {
+  const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
+  exp::RunOptions all = chaos_store::options();
+  all.store_path = temp_path("subset_all.prrstore");
+  exp::RunOptions sampled = all;
+  sampled.capture = "sample=8,full=timeout";
+  sampled.store_path = temp_path("subset_sampled.prrstore");
+  exp::run_arm(chaos_store::population(), arm, all);
+  exp::run_arm(chaos_store::population(), arm, sampled);
+
+  const std::string all_path =
+      obs::store_path_for_arm(all.store_path, arm.name);
+  const std::string sampled_path =
+      obs::store_path_for_arm(sampled.store_path, arm.name);
+  StoreReader full;
+  StoreReader samp;
+  std::string err;
+  ASSERT_TRUE(StoreReader::open(all_path, &full, &err)) << err;
+  ASSERT_TRUE(StoreReader::open(sampled_path, &samp, &err)) << err;
+  EXPECT_EQ(samp.meta().policy, "sample=8,full=timeout");
+  EXPECT_LT(samp.connections().size(), full.connections().size());
+
+  bool saw_sampled_block = false;
+  for (const StoreBlockMeta& b : samp.blocks()) {
+    saw_sampled_block |= (b.flags & obs::kBlockSampled) != 0;
+  }
+  EXPECT_TRUE(saw_sampled_block);
+  for (uint64_t conn : samp.connections()) {
+    SCOPED_TRACE(conn);
+    std::vector<TraceRecord> kept;
+    std::vector<TraceRecord> whole;
+    ASSERT_TRUE(samp.read_connection(conn, &kept));
+    ASSERT_TRUE(full.read_connection(conn, &whole));
+    expect_records_equal(whole, kept);
+  }
+  for (uint64_t id = 0; id < static_cast<uint64_t>(all.connections); ++id) {
+    if (!obs::capture_sampled(id, 8)) continue;
+    std::vector<TraceRecord> recs;
+    EXPECT_TRUE(samp.read_connection(id, &recs) && !recs.empty())
+        << "sampled conn " << id << " missing";
+  }
+  std::remove(all_path.c_str());
+  std::remove(sampled_path.c_str());
+}
+
+// The rto_interrupt trigger keeps exactly the connections whose sender
+// took an RTO in Recovery, even when the ring wrapped and lost the
+// episode's kEnterRecovery record. The live episode table (fed as
+// records are written, so wrap cannot hide anything) is the reference.
+TEST(StoreLive, RtoInterruptTriggerSurvivesRingWrap) {
+  const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
+  exp::RunOptions opts = chaos_store::options();
+  opts.connections = 400;
+  opts.trace_ring_records = 64;
+  opts.collect_episodes = true;
+  opts.capture = "full=rto_interrupt";
+  opts.store_path = temp_path("rto_interrupt.prrstore");
+  const exp::ArmResult live =
+      exp::run_arm(chaos_store::population(), arm, opts);
+
+  std::vector<uint64_t> expected;
+  for (const obs::EpisodeSummary& row : live.episodes.rows()) {
+    if (row.exit == obs::EpisodeExit::kRtoInterrupted &&
+        (expected.empty() || expected.back() != row.conn)) {
+      expected.push_back(row.conn);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+
+  const std::string path = obs::store_path_for_arm(opts.store_path, arm.name);
   StoreReader reader;
   std::string err;
   ASSERT_TRUE(StoreReader::open(path, &reader, &err)) << err;
-
-  // Count of kTransmit records with a=1 is not directly a metric, but
-  // total transmit records grouped by type must cover every record.
-  obs::AggregateQuery q;
-  q.group = obs::GroupKey::kType;
-  obs::AggregateResult agg;
-  ASSERT_TRUE(obs::run_aggregate(reader, q, &agg, &err)) << err;
-  uint64_t total = 0;
-  for (const auto& row : agg.rows) total += row.count;
-  EXPECT_EQ(total, reader.total_records());
-
-  // A cwnd time-series from kAck records of the first connection.
-  obs::QueryField cwnd_field;
-  ASSERT_TRUE(obs::parse_field(TraceType::kAck, "cwnd", &cwnd_field, &err));
-  std::vector<obs::SeriesPoint> series;
-  ASSERT_TRUE(obs::extract_series(reader, reader.connections()[0],
-                                  TraceType::kAck, cwnd_field, &series,
-                                  &err));
-  ASSERT_FALSE(series.empty());
-  int64_t prev = series[0].at_ns;
-  for (const auto& pt : series) {
-    EXPECT_GE(pt.at_ns, prev);  // stream order
-    prev = pt.at_ns;
-    EXPECT_GT(pt.value, 0u);  // cwnd is never zero
+  EXPECT_EQ(reader.connections(), expected);
+  uint64_t wrapped = 0;
+  for (const StoreBlockMeta& b : reader.blocks()) {
+    if (b.flags & obs::kBlockTruncated) ++wrapped;
   }
-
-  // Critical-path buckets must sum exactly to total recovery time.
-  obs::CriticalPathReport sum;
-  for (uint64_t conn : reader.connections()) {
-    obs::CriticalPathReport rep;
-    ASSERT_TRUE(obs::critical_path(reader, conn, &rep, &err)) << err;
-    EXPECT_EQ(rep.total_ns,
-              rep.waiting_for_ack_ns + rep.rto_wait_ns +
-                  rep.app_limited_ns + rep.send_window_ns);
-    sum.merge(rep);
-  }
-  EXPECT_EQ(sum.episodes, live.metrics.fast_recovery_events);
+  EXPECT_GT(wrapped, 0u) << "the ring must wrap for this test to bite";
   std::remove(path.c_str());
 }
 

@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "chaos_store_input.h"
 #include "exp/experiment.h"
 #include "obs/store/store_format.h"
 #include "workload/web_workload.h"
@@ -34,12 +36,28 @@ exp::RunOptions base_opts() {
   return opts;
 }
 
+// Each determinism property holds on plain web traffic with a triggered
+// policy and on the chaos input with capture=all. Store bytes are
+// compared with EXPECT_TRUE(a == b): a failing EXPECT_EQ would print
+// both binary files.
+struct Input {
+  const char* name;
+  const workload::Population& pop;
+  exp::RunOptions opts;
+};
+
+std::vector<Input> inputs() {
+  static const workload::WebWorkload web;
+  return {{"web", web, base_opts()},
+          {"chaos", chaos_store::population(), chaos_store::options()}};
+}
+
 // Runs the arm with `opts` and returns the produced store file's bytes
 // (deleting the file).
-std::string store_bytes(exp::RunOptions opts, const std::string& name) {
+std::string store_bytes(const workload::Population& pop,
+                        exp::RunOptions opts, const std::string& name) {
   opts.store_path = temp_path(name);
   const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
-  workload::WebWorkload pop;
   exp::run_arm(pop, arm, opts);
   const std::string path = obs::store_path_for_arm(opts.store_path, arm.name);
   std::string bytes = slurp(path);
@@ -48,34 +66,44 @@ std::string store_bytes(exp::RunOptions opts, const std::string& name) {
 }
 
 TEST(StoreDeterminism, ByteIdenticalAcrossThreadCounts) {
-  exp::RunOptions opts = base_opts();
-  opts.threads = 1;
-  const std::string serial = store_bytes(opts, "t1.prrstore");
-  ASSERT_FALSE(serial.empty());
-  opts.threads = 4;
-  EXPECT_EQ(store_bytes(opts, "t4.prrstore"), serial);
-  opts.threads = 8;
-  EXPECT_EQ(store_bytes(opts, "t8.prrstore"), serial);
+  for (const Input& in : inputs()) {
+    SCOPED_TRACE(in.name);
+    exp::RunOptions opts = in.opts;
+    opts.threads = 1;
+    const std::string serial = store_bytes(in.pop, opts, "t1.prrstore");
+    ASSERT_FALSE(serial.empty());
+    for (int threads : {4, 8}) {
+      opts.threads = threads;
+      EXPECT_TRUE(store_bytes(in.pop, opts, "tn.prrstore") == serial)
+          << "threads=" << threads;
+    }
+  }
 }
 
 TEST(StoreDeterminism, IndependentOfOtherObservability) {
-  exp::RunOptions opts = base_opts();
-  const std::string plain = store_bytes(opts, "plain.prrstore");
-  ASSERT_FALSE(plain.empty());
+  for (const Input& in : inputs()) {
+    SCOPED_TRACE(in.name);
+    const std::string plain = store_bytes(in.pop, in.opts, "plain.prrstore");
+    ASSERT_FALSE(plain.empty());
 
-  exp::RunOptions traced = base_opts();
-  traced.trace = true;
-  traced.collect_episodes = true;
-  EXPECT_EQ(store_bytes(traced, "traced.prrstore"), plain);
+    for (int threads : {1, 4, 8}) {
+      exp::RunOptions traced = in.opts;
+      traced.trace = true;
+      traced.collect_episodes = true;
+      traced.threads = threads;
+      EXPECT_TRUE(store_bytes(in.pop, traced, "traced.prrstore") == plain)
+          << "traced, threads=" << threads;
+    }
 
-  exp::RunOptions unpooled = base_opts();
-  unpooled.pool_connections = false;
-  EXPECT_EQ(store_bytes(unpooled, "unpooled.prrstore"), plain);
+    exp::RunOptions unpooled = in.opts;
+    unpooled.pool_connections = false;
+    EXPECT_TRUE(store_bytes(in.pop, unpooled, "unpooled.prrstore") == plain);
 
-  exp::RunOptions bounded = base_opts();
-  bounded.bounded_stats = true;
-  bounded.threads = 4;
-  EXPECT_EQ(store_bytes(bounded, "bounded.prrstore"), plain);
+    exp::RunOptions bounded = in.opts;
+    bounded.bounded_stats = true;
+    bounded.threads = 4;
+    EXPECT_TRUE(store_bytes(in.pop, bounded, "bounded.prrstore") == plain);
+  }
 }
 
 TEST(StoreDeterminism, StoreCaptureDoesNotPerturbAggregates) {

@@ -385,7 +385,7 @@ TEST(Campaign, DefensesOnFindsNothingOnTheSmokeRange) {
   workload::WebWorkload base;
   CampaignResult r = run_campaign(base, smoke_config());
   for (const auto& f : r.failures) ADD_FAILURE() << f.summary;
-  EXPECT_FALSE(r.truncated_by_budget);
+  EXPECT_EQ(r.seeds_run, smoke_config().seeds);
 }
 
 // ---- replay determinism (quarantine -> replay round trip) ----
