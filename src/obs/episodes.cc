@@ -193,6 +193,25 @@ void EpisodeBuilder::on_record(const TraceRecord& r) {
   }
 }
 
+// Outside an episode on_record reads only kTransmit's a and b,
+// kSackSeen's and kUndo's a, and kLostRetransmit's f0 and f1. Everything
+// else it reads needs an episode open, and only kEnterRecovery opens one.
+ColumnMask EpisodeBuilder::columns_read(uint32_t types_present) {
+  const auto has = [types_present](TraceType t) {
+    return (types_present >> static_cast<uint32_t>(t) & 1u) != 0;
+  };
+  if (has(TraceType::kEnterRecovery)) return kAllColumns;
+  ColumnMask columns = kColumnType;
+  if (has(TraceType::kTransmit)) columns |= kColumnA | kColumnB;
+  if (has(TraceType::kSackSeen) || has(TraceType::kUndo)) {
+    columns |= kColumnA;
+  }
+  if (has(TraceType::kLostRetransmit)) {
+    columns |= kColumnF0 | (kColumnF0 << 1);
+  }
+  return columns;
+}
+
 void EpisodeBuilder::finish() {
   if (in_episode_) {
     close(EpisodeExit::kTruncated, current_.summary.start_ns);
@@ -215,7 +234,7 @@ void EpisodeTable::fold(const EpisodeBuilder& b) {
     if (!s.finished()) continue;
     ++finished_;
     duration_us_.record(static_cast<uint64_t>(
-        std::max<int64_t>(0, (s.end_ns - s.start_ns) / 1000)));
+        std::max<int64_t>(0, wrapping_sub(s.end_ns, s.start_ns) / 1000)));
     retx_.record(s.retransmits);
     acks_.record(s.acks);
     sndcnt_.record(s.sndcnt_bytes);

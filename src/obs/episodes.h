@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "obs/metrics_registry.h"
+#include "obs/store/store_format.h"
 #include "obs/trace_record.h"
 #include "stats/recovery_log.h"
 
@@ -82,6 +83,7 @@ struct EpisodeSummary {
   uint64_t post_cwnd[kPostTrajectory] = {};
   uint8_t post_cwnd_count = 0;
 
+  bool operator==(const EpisodeSummary&) const = default;
   bool finished() const { return exit != EpisodeExit::kTruncated; }
   // Mirrors stats::RecoveryEvent::completed (undo counts as completed).
   bool completed() const {
@@ -112,6 +114,8 @@ struct EpisodeAck {
   uint64_t prr_delivered = 0;
   uint64_t prr_out = 0;
   uint64_t recover_fs = 0;
+
+  bool operator==(const EpisodeAck&) const = default;
 };
 
 // A fully materialized episode: the summary row plus (when the builder
@@ -119,6 +123,8 @@ struct EpisodeAck {
 struct RecoveryEpisode {
   EpisodeSummary summary;
   std::vector<EpisodeAck> ledger;  // empty unless Options::keep_ledgers
+
+  bool operator==(const RecoveryEpisode&) const = default;
 };
 
 // Multi-line human-readable dump (episode header, ledger lines, exit and
@@ -152,6 +158,7 @@ class EpisodeBuilder {
     uint64_t timeouts_total = 0;
 
     void merge(const StreamCounts& o);
+    bool operator==(const StreamCounts&) const = default;
   };
 
   EpisodeBuilder() = default;
@@ -159,6 +166,12 @@ class EpisodeBuilder {
 
   void on_record(const TraceRecord& r);
   void finish();
+
+  // The record columns on_record reads from a stream fed from reset()
+  // whose record types are the set `types_present` (bit t =
+  // TraceType(t) occurs). Columns outside it may hold anything without
+  // changing what the builder derives; queries decode only these.
+  static ColumnMask columns_read(uint32_t types_present);
 
   const std::vector<RecoveryEpisode>& episodes() const { return episodes_; }
   const StreamCounts& stream() const { return stream_; }

@@ -103,6 +103,17 @@ bool QueryFilter::matches_record(const TraceRecord& r) const {
 
 namespace {
 
+ColumnMask field_column(QueryField f) {
+  switch (f) {
+    case QueryField::kAtNs: return kColumnAt;
+    case QueryField::kA: return kColumnA;
+    case QueryField::kB: return kColumnB;
+    default:
+      return kColumnF0 << (static_cast<uint32_t>(f) -
+                           static_cast<uint32_t>(QueryField::kF0));
+  }
+}
+
 bool decode_failed(std::string* err, const StoreReader& reader,
                    std::size_t block) {
   if (err != nullptr) {
@@ -118,15 +129,24 @@ bool decode_failed(std::string* err, const StoreReader& reader,
 bool run_aggregate(const StoreReader& reader, const AggregateQuery& q,
                    AggregateResult* out, std::string* err) {
   // std::map keeps keys sorted, so rows come out ascending regardless of
-  // group kind — byte-stable JSON for free.
+  // group kind — byte-stable JSON for free. `row` is the last key's row:
+  // neighbouring records mostly share a key (blocks arrive in ascending
+  // conn order), so the map is searched only when the key changes.
   std::map<uint64_t, AggregateRow> groups;
+  AggregateRow* row = nullptr;
   std::vector<TraceRecord> records;
   const int64_t bucket =
       q.bucket_ns > 0 ? q.bucket_ns : 1'000'000'000;
+  // Decode only what the filter, the key and the value read.
+  ColumnMask columns = kColumnType | field_column(q.field);
+  if (q.group == GroupKey::kTimeBucket || q.filter.t_min_ns != INT64_MIN ||
+      q.filter.t_max_ns != INT64_MAX) {
+    columns |= kColumnAt;
+  }
   for (std::size_t i = 0; i < reader.blocks().size(); ++i) {
     if (!q.filter.matches_block(reader.blocks()[i])) continue;
     records.clear();
-    if (!reader.read_block(i, &records)) {
+    if (!reader.read_block(i, &records, columns)) {
       return decode_failed(err, reader, i);
     }
     for (const TraceRecord& r : records) {
@@ -140,13 +160,15 @@ bool run_aggregate(const StoreReader& reader, const AggregateQuery& q,
           key = static_cast<uint64_t>(r.at_ns / bucket);
           break;
       }
-      AggregateRow& row = groups[key];
-      row.key = key;
+      if (row == nullptr || row->key != key) {
+        row = &groups[key];
+        row->key = key;
+      }
       const uint64_t v = field_value(r, q.field);
-      row.count += 1;
-      row.sum += v;
-      if (v < row.min) row.min = v;
-      if (v > row.max) row.max = v;
+      row->count += 1;
+      row->sum += v;
+      if (v < row->min) row->min = v;
+      if (v > row->max) row->max = v;
     }
   }
   out->group = q.group;
@@ -190,7 +212,9 @@ bool extract_series(const StoreReader& reader, uint64_t conn,
                     TraceType type, QueryField field,
                     std::vector<SeriesPoint>* out, std::string* err) {
   std::vector<TraceRecord> records;
-  if (!reader.read_connection(conn, &records)) {
+  if (!reader.read_connection(conn, &records,
+                              kColumnType | kColumnAt |
+                                  field_column(field))) {
     if (err != nullptr) {
       *err = "conn " + std::to_string(conn) + " failed to decode";
     }
@@ -216,9 +240,20 @@ bool episodes_from_store(const StoreReader& reader,
     std::size_t end = i;
     while (end < blocks.size() && blocks[end].conn == conn) ++end;
     if (filter.matches_block(blocks[i])) {
+      // The types in the stream decide which columns the builder reads;
+      // a connection that never entered recovery needs only a few.
+      uint32_t types = 0;
+      for (std::size_t b = i; b < end; ++b) {
+        uint32_t block_types = 0;
+        if (!reader.block_types(b, &block_types)) {
+          return decode_failed(err, reader, b);
+        }
+        types |= block_types;
+      }
+      const ColumnMask columns = EpisodeBuilder::columns_read(types);
       records.clear();
       for (std::size_t b = i; b < end; ++b) {
-        if (!reader.read_block(b, &records)) {
+        if (!reader.read_block(b, &records, columns)) {
           return decode_failed(err, reader, b);
         }
       }
@@ -258,20 +293,20 @@ CriticalPathReport attribute_critical_path(const TraceRecord* records,
   for (std::size_t i = 0; i < n; ++i) {
     const TraceRecord& r = records[i];
     if (in_episode) {
-      const int64_t gap = r.at_ns - prev_ns;
+      const int64_t gap = wrapping_sub(r.at_ns, prev_ns);
       if (gap > 0) {
-        rep.gaps += 1;
-        rep.total_ns += gap;
+        int64_t* bucket = &rep.app_limited_ns;
         if (r.type == TraceType::kRtoFired ||
             (r.type == TraceType::kTimerFire && r.a == 0)) {
-          rep.rto_wait_ns += gap;
+          bucket = &rep.rto_wait_ns;
         } else if (cwnd < pipe + mss) {  // headroom below one MSS
-          rep.send_window_ns += gap;
+          bucket = &rep.send_window_ns;
         } else if (just_sent) {
-          rep.waiting_for_ack_ns += gap;
-        } else {
-          rep.app_limited_ns += gap;
+          bucket = &rep.waiting_for_ack_ns;
         }
+        rep.gaps += 1;
+        rep.total_ns = wrapping_add(rep.total_ns, gap);
+        *bucket = wrapping_add(*bucket, gap);
       }
     }
     // State tracking (order matters: classify the gap BEFORE updating
@@ -311,8 +346,12 @@ CriticalPathReport attribute_critical_path(const TraceRecord* records,
 
 bool critical_path(const StoreReader& reader, uint64_t conn,
                    CriticalPathReport* out, std::string* err) {
+  // The columns attribute_critical_path reads.
+  constexpr ColumnMask kColumns = kColumnType | kColumnAt | kColumnA |
+                                  kColumnB | (kColumnF0 << 1) |
+                                  (kColumnF0 << 2);
   std::vector<TraceRecord> records;
-  if (!reader.read_connection(conn, &records)) {
+  if (!reader.read_connection(conn, &records, kColumns)) {
     if (err != nullptr) {
       *err = "conn " + std::to_string(conn) + " failed to decode";
     }

@@ -44,6 +44,7 @@
 // StoreLive.MergeOfRangeShardsIsByteIdentical enforce both).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -70,6 +71,22 @@ inline constexpr uint8_t kBlockFull = 1;       // kept whole by a trigger
 inline constexpr uint8_t kBlockSampled = 2;    // kept by 1-in-N sampling
 inline constexpr uint8_t kBlockTruncated = 4;  // ring wrapped: head lost
 
+// Column bits, one per TraceRecord field in on-disk order (the record's
+// conn comes from the index). A ColumnMask names the columns a decode
+// fills in; f[k] is kColumnF0 << k.
+using ColumnMask = uint32_t;
+inline constexpr ColumnMask kColumnAt = 1u << 0;
+inline constexpr ColumnMask kColumnType = 1u << 1;
+inline constexpr ColumnMask kColumnA = 1u << 2;
+inline constexpr ColumnMask kColumnB = 1u << 3;
+inline constexpr ColumnMask kColumnF0 = 1u << 4;
+inline constexpr ColumnMask kAllColumns = (1u << 10) - 1;
+
+// Every record costs at least this many payload bytes: eight varint
+// columns of at least one byte each plus the raw type and a bytes. The
+// reader rejects an index entry claiming more records than that allows.
+inline constexpr std::size_t kMinRecordBytes = 10;
+
 // Geometry of one block as the index records it. `offset` is derived by
 // the reader (blocks are contiguous); the writer tracks it implicitly.
 struct StoreBlockMeta {
@@ -91,8 +108,9 @@ inline void put_varint(std::vector<uint8_t>& out, uint64_t v) {
   out.push_back(static_cast<uint8_t>(v));
 }
 
-// Reads a varint from [p, end); advances *p. Returns false on overrun
-// or a varint longer than 10 bytes (malformed input, never emitted).
+// Reads a varint from [p, end); advances *p. Returns false on overrun,
+// on a varint longer than 10 bytes, and on a 10th byte above 1 (bits
+// past 2^64): malformed input the encoder never emits.
 inline bool get_varint(const uint8_t** p, const uint8_t* end,
                        uint64_t* out) {
   uint64_t v = 0;
@@ -101,12 +119,73 @@ inline bool get_varint(const uint8_t** p, const uint8_t* end,
     const uint8_t byte = *(*p)++;
     v |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
+      if (shift == 63 && byte > 1) return false;
       *out = v;
       return true;
     }
     shift += 7;
   }
   return false;
+}
+
+// Advances *p past `n` varints without decoding them, rejecting
+// exactly what n get_varint calls would: an overrun, a varint longer
+// than 10 bytes, or a 10-byte one whose last byte is above 1. Eight
+// bytes at a time, it counts terminators (bytes with the high bit
+// clear) and carries the length of the varint still open at the word
+// boundary; only a varint that reaches 10 bytes needs its last byte
+// looked at, and such a varint always ends in the word after a carry.
+inline bool skip_varints(const uint8_t** p, const uint8_t* end,
+                         std::size_t n) {
+  static_assert(std::endian::native == std::endian::little);
+  constexpr uint64_t kHigh = 0x8080808080808080ull;
+  constexpr uint64_t kOnes = 0x0101010101010101ull;
+  const uint8_t* q = *p;
+  int open = 0;  // bytes of the varint still open before q
+  while (n > 0 && end - q >= 8) {
+    uint64_t w;
+    std::memcpy(&w, q, 8);  // little-endian: byte i is bits 8i..8i+7
+    uint64_t stops = ~w & kHigh;
+    if (stops == 0) {
+      open += 8;
+      if (open >= 10) return false;
+      q += 8;
+      continue;
+    }
+    const int first = std::countr_zero(stops) / 8;
+    const int len = open + first + 1;
+    if (len > 10 || (len == 10 && q[first] > 1)) return false;
+    // stops has one bit per byte (bit 8i+7), so one multiply leaves in
+    // byte i the number of terminators in bytes 0..i (at most 8, so no
+    // carries); the top byte is the word's count. The baseline x86-64
+    // ISA has no popcount instruction.
+    const uint64_t prefix = (stops >> 7) * kOnes;
+    const std::size_t count = prefix >> 56;
+    if (count >= n) {
+      // The n-th terminator is in the first byte whose prefix reaches n:
+      // 0x80 + prefix - n keeps its high bit exactly there and after.
+      const uint64_t reached = ((prefix | kHigh) - n * kOnes) & kHigh;
+      *p = q + std::countr_zero(reached) / 8 + 1;
+      return true;
+    }
+    n -= count;
+    open = std::countl_zero(stops) / 8;
+    q += 8;
+  }
+  // Tail shorter than a word: one byte at a time.
+  for (; n > 0; ++q) {
+    if (q == end) return false;
+    ++open;
+    if ((*q & 0x80) == 0) {
+      if (open > 10 || (open == 10 && *q > 1)) return false;
+      open = 0;
+      --n;
+    } else if (open >= 10) {
+      return false;
+    }
+  }
+  *p = q;
+  return true;
 }
 
 // Raw-cursor form for the encoder's hot loop: the caller guarantees at
@@ -141,6 +220,18 @@ inline bool get_zigzag(const uint8_t** p, const uint8_t* end,
   if (!get_varint(p, end, &u)) return false;
   *out = zigzag_decode(u);
   return true;
+}
+
+// Wrapping int64 arithmetic for values decoded from a store. A store
+// opened without its digest check may hold any timestamps; a corrupt one
+// must give a wrong answer, never signed overflow.
+inline int64_t wrapping_add(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t wrapping_sub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
 }
 
 // Length-prefixed string.

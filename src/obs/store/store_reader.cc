@@ -13,16 +13,19 @@ bool fail(std::string* err, const std::string& what) {
   return false;
 }
 
+// One read into a buffer sized from the file length: no regrowth, so
+// the reader's peak memory is the file size, not up to twice it.
 bool slurp(const std::string& path, std::string* out, std::string* err) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return fail(err, "cannot open " + path);
-  out->clear();
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
+  long size = -1;
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  bool clean = size >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
+  if (clean) {
+    out->resize(static_cast<std::size_t>(size));
+    clean = std::fread(out->data(), 1, out->size(), f) == out->size() &&
+            std::fgetc(f) == EOF && std::ferror(f) == 0;
   }
-  const bool clean = std::ferror(f) == 0;
   std::fclose(f);
   if (!clean) return fail(err, "read error on " + path);
   return true;
@@ -106,6 +109,13 @@ bool StoreReader::open(const std::string& path, StoreReader* out,
       return fail(err, path + ": malformed index entry");
     }
     const uint8_t flags = *ip++;
+    // A block holds at least one record of at least kMinRecordBytes, so
+    // a count the payload cannot hold is corrupt, and is refused here
+    // rather than sizing a decode buffer from it.
+    if (records == 0 || bytes > UINT32_MAX || records > UINT32_MAX ||
+        records * kMinRecordBytes > bytes) {
+      return fail(err, path + ": implausible block geometry in index");
+    }
     conn += conn_delta;
     StoreBlockMeta b;
     b.conn = conn;
@@ -130,14 +140,33 @@ bool StoreReader::open(const std::string& path, StoreReader* out,
   return true;
 }
 
-bool StoreReader::read_block(std::size_t i,
-                             std::vector<TraceRecord>* out) const {
+bool StoreReader::read_block(std::size_t i, std::vector<TraceRecord>* out,
+                             ColumnMask columns) const {
   const StoreBlockMeta& b = blocks_[i];
-  return decode_block(block_data(i), b.bytes, b.records, b.conn, out);
+  return decode_block(block_data(i), b.bytes, b.records, b.conn, out,
+                      columns);
+}
+
+bool StoreReader::block_types(std::size_t i, uint32_t* types) const {
+  static_assert(static_cast<uint32_t>(TraceType::kCount) <= 32,
+                "a set of record types is one uint32_t");
+  const StoreBlockMeta& b = blocks_[i];
+  const uint8_t* p = block_data(i);
+  const uint8_t* end = p + b.bytes;
+  if (!skip_varints(&p, end, b.records)) return false;  // at_ns
+  if (static_cast<std::size_t>(end - p) < b.records) return false;
+  uint32_t seen = 0;
+  for (uint32_t k = 0; k < b.records; ++k) {
+    if (p[k] >= static_cast<uint8_t>(TraceType::kCount)) return false;
+    seen |= 1u << p[k];
+  }
+  *types = seen;
+  return true;
 }
 
 bool StoreReader::read_connection(uint64_t conn,
-                                  std::vector<TraceRecord>* out) const {
+                                  std::vector<TraceRecord>* out,
+                                  ColumnMask columns) const {
   // Blocks are sorted by conn; binary-search the run.
   std::size_t lo = 0, hi = blocks_.size();
   while (lo < hi) {
@@ -150,7 +179,7 @@ bool StoreReader::read_connection(uint64_t conn,
   }
   for (std::size_t i = lo; i < blocks_.size() && blocks_[i].conn == conn;
        ++i) {
-    if (!read_block(i, out)) return false;
+    if (!read_block(i, out, columns)) return false;
   }
   return true;
 }

@@ -58,11 +58,16 @@ class StoreEncoder {
 };
 
 // Decodes one block payload (exactly `records` records for `conn`) back
-// into TraceRecords, appending to *out. Returns false on malformed or
-// short data; *out may then hold a partial prefix.
+// into TraceRecords, appending to *out. Only the columns in `columns`
+// are filled in (type and conn always are); the other fields stay zero.
+// A column outside the mask is skipped without decoding its values, but
+// its framing is still checked, so the answer does not depend on the
+// mask: false on malformed or short data, and *out may then hold a
+// partial prefix.
 bool decode_block(const uint8_t* data, std::size_t bytes,
                   std::size_t records, uint64_t conn,
-                  std::vector<TraceRecord>* out);
+                  std::vector<TraceRecord>* out,
+                  ColumnMask columns = kAllColumns);
 
 // Streaming file writer. Usage: open() → append_block()/append_shard()
 // repeatedly in ascending conn order → finish(). Any IO error latches:

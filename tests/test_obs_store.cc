@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "chaos_store_input.h"
@@ -85,6 +86,69 @@ TEST(StoreFormat, VarintRejectsTruncation) {
     const uint8_t* p = buf.data();
     uint64_t v;
     EXPECT_FALSE(obs::get_varint(&p, buf.data() + keep, &v));
+  }
+}
+
+TEST(StoreFormat, VarintRejectsOverflow) {
+  // A 10-byte varint carries bits 63.. in its last byte, so only 0 and 1
+  // fit in 64 bits; anything above would be silently truncated.
+  for (unsigned last = 0; last < 0x80; ++last) {
+    std::vector<uint8_t> buf(9, 0xFF);
+    buf.push_back(static_cast<uint8_t>(last));
+    const uint8_t* p = buf.data();
+    uint64_t v = 0;
+    const bool fits = last <= 1;
+    EXPECT_EQ(obs::get_varint(&p, buf.data() + buf.size(), &v), fits)
+        << last;
+    if (fits) {
+      EXPECT_EQ(v, last == 1 ? UINT64_MAX : UINT64_MAX >> 1);
+    }
+    const uint8_t* q = buf.data();
+    EXPECT_EQ(obs::skip_varints(&q, buf.data() + buf.size(), 1), fits)
+        << last;
+  }
+  // Eleven bytes is too long whatever they hold.
+  std::vector<uint8_t> eleven(10, 0x80);
+  eleven.push_back(0);
+  const uint8_t* p = eleven.data();
+  uint64_t v = 0;
+  EXPECT_FALSE(obs::get_varint(&p, eleven.data() + eleven.size(), &v));
+  p = eleven.data();
+  EXPECT_FALSE(obs::skip_varints(&p, eleven.data() + eleven.size(), 1));
+}
+
+// skip_varints must accept exactly what n get_varint calls accept and stop
+// where they stop, at every alignment and across word boundaries: byte
+// strings mixing terminators, continuation runs of up to 12 bytes and
+// 10th bytes on both sides of the overflow limit.
+TEST(StoreFormat, SkipVarintsMatchesGetVarint) {
+  sim::Mt64 rng(17);
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<uint8_t> buf;
+    const std::size_t len = rng() % 40;
+    while (buf.size() < len) {
+      const std::size_t run = rng() % 4 == 0 ? rng() % 13 : rng() % 3;
+      for (std::size_t k = 0; k < run; ++k) {
+        buf.push_back(static_cast<uint8_t>(0x80 | rng()));
+      }
+      buf.push_back(static_cast<uint8_t>(rng() % 3 == 0 ? rng() % 3
+                                                        : rng() & 0x7F));
+    }
+    const uint8_t* end = buf.data() + buf.size();
+    for (std::size_t n = 0; n <= 12; ++n) {
+      const uint8_t* want = buf.data();
+      bool ok = true;
+      for (std::size_t k = 0; k < n && ok; ++k) {
+        uint64_t v = 0;
+        ok = obs::get_varint(&want, end, &v);
+      }
+      const uint8_t* got = buf.data();
+      ASSERT_EQ(obs::skip_varints(&got, end, n), ok)
+          << "trial " << trial << " n " << n;
+      if (ok) {
+        ASSERT_EQ(got, want) << "trial " << trial << " n " << n;
+      }
+    }
   }
 }
 
@@ -219,6 +283,66 @@ TEST(StoreCodec, RejectsInvalidTypeByte) {
   }
 }
 
+// A projected decode fills in exactly the masked columns (type and conn
+// always) and leaves every other field zero.
+TEST(StoreCodec, ProjectedDecodeFillsOnlyMaskedColumns) {
+  const auto recs = random_records(300, 4, 12);
+  StoreShard shard;
+  obs::StoreEncoder enc;
+  enc.encode(recs.data(), recs.size(), 4, 0, &shard);
+  const StoreBlockMeta& b = shard.blocks[0];
+  sim::Mt64 rng(19);
+  std::vector<obs::ColumnMask> masks = {0, obs::kAllColumns};
+  for (int c = 0; c < 10; ++c) masks.push_back(1u << c);
+  for (int k = 0; k < 20; ++k) masks.push_back(rng() & obs::kAllColumns);
+  for (obs::ColumnMask mask : masks) {
+    SCOPED_TRACE(mask);
+    std::vector<TraceRecord> want = recs;
+    for (TraceRecord& r : want) {
+      if ((mask & obs::kColumnAt) == 0) r.at_ns = 0;
+      if ((mask & obs::kColumnA) == 0) r.a = 0;
+      if ((mask & obs::kColumnB) == 0) r.b = 0;
+      for (int k = 0; k < 6; ++k) {
+        if ((mask & (obs::kColumnF0 << k)) == 0) r.f[k] = 0;
+      }
+    }
+    std::vector<TraceRecord> back;
+    ASSERT_TRUE(obs::decode_block(shard.bytes.data(), b.bytes, b.records,
+                                  4, &back, mask));
+    expect_records_equal(want, back);
+  }
+}
+
+// The type and b range checks hold whatever the mask: a block is well
+// formed or not independently of which columns a query decodes.
+TEST(StoreCodec, RangeChecksHoldUnderEveryMask) {
+  const uint8_t ok_type = static_cast<uint8_t>(TraceType::kAck);
+  const uint8_t bad_type = static_cast<uint8_t>(TraceType::kCount);
+  for (const auto& [type, b, valid] :
+       std::vector<std::tuple<uint8_t, uint64_t, bool>>{
+           {ok_type, 5, true},
+           {ok_type, UINT16_MAX, true},
+           {ok_type, UINT16_MAX + 1ull, false},
+           {ok_type, 1ull << 40, false},
+           {bad_type, 5, false},
+       }) {
+    // One record: at_ns, type, a, b, then f0..f5.
+    std::vector<uint8_t> block;
+    obs::put_varint(block, 0);
+    block.push_back(type);
+    block.push_back(1);
+    obs::put_varint(block, b);
+    for (int k = 0; k < 6; ++k) obs::put_varint(block, 0);
+    for (obs::ColumnMask mask = 0; mask <= obs::kAllColumns; ++mask) {
+      std::vector<TraceRecord> back;
+      EXPECT_EQ(obs::decode_block(block.data(), block.size(), 1, 1, &back,
+                                  mask),
+                valid)
+          << "type " << int{type} << " b " << b << " mask " << mask;
+    }
+  }
+}
+
 TEST(StoreCodec, RingEncodeMarksTruncation) {
   obs::FlightRecorder ring(4);
   std::vector<TraceRecord> recs = random_records(6, 2, 8);
@@ -326,6 +450,68 @@ TEST(StoreFile, RejectsCorruptedDigest) {
     std::string err;
     EXPECT_FALSE(StoreReader::open(bad, &reader, &err))
         << "flipped byte " << i;
+  }
+  std::remove(path.c_str());
+  std::remove(bad.c_str());
+}
+
+// The index is only under the digest, so with --no-verify a corrupt
+// record or byte count reaches the reader as is. Open must refuse any
+// count the block's payload cannot hold (every record takes at least
+// kMinRecordBytes) and any count past 32 bits, instead of truncating it
+// or sizing a decode buffer from it.
+TEST(StoreFile, RejectsImplausibleIndexCounts) {
+  std::vector<TraceRecord> conn3, conn7;
+  const std::string path = write_test_store("index_counts.prrstore",
+                                            &conn3, &conn7);
+  const std::string body = slurp(path);
+  StoreReader good;
+  std::string err;
+  ASSERT_TRUE(StoreReader::open(path, &good, &err)) << err;
+  const std::size_t index_offset = static_cast<std::size_t>(obs::get_u64le(
+      reinterpret_cast<const uint8_t*>(body.data()) + body.size() -
+      obs::kStoreFooterBytes));
+  // Rebuilds the file with block 0's index entry replaced; the digest is
+  // left stale, so only an unverified open gets past it.
+  const auto patched = [&](uint64_t bytes, uint64_t records) {
+    std::vector<uint8_t> index;
+    obs::put_varint(index, good.blocks().size());
+    uint64_t prev = 0;
+    for (std::size_t i = 0; i < good.blocks().size(); ++i) {
+      const StoreBlockMeta& b = good.blocks()[i];
+      obs::put_varint(index, b.conn - prev);
+      prev = b.conn;
+      obs::put_varint(index, i == 0 ? bytes : b.bytes);
+      obs::put_varint(index, i == 0 ? records : b.records);
+      index.push_back(b.flags);
+    }
+    obs::put_u64le(index, index_offset);
+    std::string out = body.substr(0, index_offset);
+    out.append(index.begin(), index.end());
+    out += body.substr(body.size() - 16);  // stale digest + end magic
+    return out;
+  };
+  const StoreBlockMeta& b0 = good.blocks()[0];
+  const std::string bad = temp_path("index_counts_bad.prrstore");
+  // Unchanged counts reopen fine, so the rebuild itself is sound.
+  spit(bad, patched(b0.bytes, b0.records));
+  StoreReader reader;
+  EXPECT_TRUE(StoreReader::open(bad, &reader, &err, false)) << err;
+  const uint64_t most = b0.bytes / obs::kMinRecordBytes;
+  for (const auto& [bytes, records] :
+       std::vector<std::pair<uint64_t, uint64_t>>{
+           {b0.bytes, 0},
+           {b0.bytes, most + 1},
+           {b0.bytes, UINT32_MAX},
+           {b0.bytes, (1ull << 32) + b0.records},  // truncates to b0's
+           {b0.bytes + (1ull << 32), b0.records},
+       }) {
+    spit(bad, patched(bytes, records));
+    StoreReader r;
+    err.clear();
+    EXPECT_FALSE(StoreReader::open(bad, &r, &err, false))
+        << "bytes " << bytes << " records " << records;
+    EXPECT_FALSE(err.empty());
   }
   std::remove(path.c_str());
   std::remove(bad.c_str());
