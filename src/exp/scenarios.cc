@@ -85,17 +85,19 @@ FigureRun run_figure_scenario(const FigureScenario& scenario) {
   }
   run.total_written = total;
 
-  // Record completion time via the una hook already installed by the
-  // trace: chain another.
-  auto prev = conn.sender().on_una_advance_hook;
-  bool done = false;
-  conn.sender().on_una_advance_hook = [&](uint64_t una) {
-    if (prev) prev(una);
-    if (!done && una >= total && conn.sender().write_end() >= total) {
-      done = true;
-      run.all_acked_at = sim.now();
+  // Record when every written byte was acknowledged (snd.una never
+  // passes write_end, and no ACK arrives at time zero).
+  struct CompletionTracker final : tcp::SenderEvents {
+    const sim::Simulator& sim;
+    uint64_t total;
+    sim::Time& at;
+    CompletionTracker(const sim::Simulator& s, uint64_t t, sim::Time& a)
+        : sim(s), total(t), at(a) {}
+    void on_una_advance(uint64_t una) override {
+      if (at.is_zero() && una >= total) at = sim.now();
     }
-  };
+  } tracker(sim, total, run.all_acked_at);
+  conn.sender().add_listener(&tracker);
 
   sim.run(scenario.run_for);
 

@@ -16,44 +16,7 @@ ServerApp::ServerApp(sim::Simulator& sim, tcp::Connection& conn,
   path_rtt_ms_ = (conn.config().path.data_link.propagation_delay +
                   conn.config().path.ack_link.propagation_delay)
                      .ms_d();
-  wire_hooks();
-}
-
-void ServerApp::wire_hooks() {
-  // Chain onto any hooks already installed (e.g. a trace). A chaining
-  // closure captures this + a std::function and exceeds the inline
-  // buffer, so it heap-allocates on assignment; in the pooled sweep
-  // Sender::reset has just cleared every hook, and the bare this-only
-  // closures below stay inline — keeping the warm reset allocation-free.
-  auto& tx = conn_.sender().on_transmit_hook;
-  if (tx) {
-    tx = [this, prev = std::move(tx)](uint64_t seq, uint32_t len, bool r) {
-      prev(seq, len, r);
-      on_transmit(seq, len, r);
-    };
-  } else {
-    tx = [this](uint64_t seq, uint32_t len, bool r) {
-      on_transmit(seq, len, r);
-    };
-  }
-  auto& una = conn_.sender().on_una_advance_hook;
-  if (una) {
-    una = [this, prev = std::move(una)](uint64_t u) {
-      prev(u);
-      on_una(u);
-    };
-  } else {
-    una = [this](uint64_t u) { on_una(u); };
-  }
-  auto& abort = conn_.sender().on_abort_hook;
-  if (abort) {
-    abort = [this, prev = std::move(abort)] {
-      prev();
-      on_abort();
-    };
-  } else {
-    abort = [this] { on_abort(); };
-  }
+  conn_.sender().add_listener(this);
 }
 
 void ServerApp::reset(const std::vector<ResponseSpec>& responses,
@@ -73,8 +36,7 @@ void ServerApp::reset(const std::vector<ResponseSpec>& responses,
   cur_record_ = stats::ResponseRecord{};
   first_byte_seen_ = false;
   chunk_timer_.stop();  // stale after Simulator::reset; stop() clears it
-  on_finished = nullptr;
-  wire_hooks();
+  conn_.sender().add_listener(this);
 }
 
 void ServerApp::start() {
@@ -135,7 +97,7 @@ void ServerApp::on_transmit(uint64_t seq, uint32_t len, bool retx) {
   if (retx) cur_record_.had_retransmit = true;
 }
 
-void ServerApp::on_una(uint64_t una) {
+void ServerApp::on_una_advance(uint64_t una) {
   if (!active_ || una < cur_end_) return;
   active_ = false;
   chunk_timer_.stop();
@@ -164,7 +126,6 @@ void ServerApp::finish() {
   if (finished_) return;
   finished_ = true;
   chunk_timer_.stop();
-  if (on_finished) on_finished();
 }
 
 }  // namespace prr::http

@@ -5,10 +5,12 @@
 //   - throttled writes at an encoding rate after an initial burst
 //     (YouTube's progressive HTTP, §5.4),
 //   - application stalls (a scripted pause mid-response, §4 Fig 4).
+// The app is one of the sender's SenderEvents listeners: transmissions
+// stamp the first byte, snd.una advances complete responses, an abort
+// ends the sequence.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -36,7 +38,7 @@ struct ResponseSpec {
   }
 };
 
-class ServerApp {
+class ServerApp : private tcp::SenderEvents {
  public:
   ServerApp(sim::Simulator& sim, tcp::Connection& conn,
             std::vector<ResponseSpec> responses,
@@ -44,25 +46,23 @@ class ServerApp {
 
   // Pool-recycle: rewinds the app for the next connection on the same
   // (recycled) Connection. Copy-assigns the response list so the spec
-  // vector's capacity is reused, and re-chains the sender hooks exactly
-  // as the constructor does — so it must be called at the same point in
-  // the per-connection wiring order (after checker/watchdog hooks are
-  // installed on the freshly reset sender).
+  // vector's capacity is reused, and registers with the freshly reset
+  // sender as the constructor does — so it must be called at the same
+  // point in the per-connection wiring order (after the checker and the
+  // watchdog registered).
   void reset(const std::vector<ResponseSpec>& responses,
              stats::LatencyTracker* latency);
 
   void start();
   bool finished() const { return finished_; }
   std::size_t responses_completed() const { return completed_; }
-  std::function<void()> on_finished;
 
  private:
-  void wire_hooks();
   void begin_response(std::size_t idx);
   void write_chunk();
-  void on_transmit(uint64_t seq, uint32_t len, bool retx);
-  void on_una(uint64_t una);
-  void on_abort();
+  void on_transmit(uint64_t seq, uint32_t len, bool retx) override;
+  void on_una_advance(uint64_t una) override;
+  void on_abort() override;
   void finish();
 
   sim::Simulator& sim_;

@@ -6,15 +6,11 @@
 namespace prr::obs {
 
 void SelfProfiler::attach(sim::Simulator& sim) {
-  sim.set_slice_profiler([this](int64_t ns) {
-    slice_ns_.record(ns < 0 ? 0 : static_cast<uint64_t>(ns));
-  });
+  sim.set_slice_histogram(&slice_ns_);
 }
 
 void SelfProfiler::attach(tcp::Sender& sender) {
-  sender.on_ack_cost_hook = [this](int64_t ns) {
-    ack_ns_.record(ns < 0 ? 0 : static_cast<uint64_t>(ns));
-  };
+  sender.set_ack_cost_histogram(&ack_ns_);
 }
 
 void SelfProfiler::export_into(MetricsRegistry& registry,

@@ -1,8 +1,8 @@
 // Simulator self-profiling: wall-clock cost of event-loop slices and of
 // per-ACK processing, recorded into log2 histograms and exported into a
-// MetricsRegistry. Both producers are pull-free hooks — Simulator and
-// Sender time themselves only while a profiler is attached, so the
-// unprofiled paths keep their zero-overhead guarantee. Wall-clock
+// MetricsRegistry. The Simulator and the Sender each hold a plain pointer
+// to one of the profiler's histograms and time themselves only while it
+// is set, so the unprofiled paths take no clock readings. Wall-clock
 // samples are inherently nondeterministic, which is why they live in a
 // separate profiler object and are exported only when the caller asks
 // (RunOptions::self_profile); the deterministic registry contents are
@@ -25,12 +25,13 @@ namespace prr::obs {
 
 class SelfProfiler {
  public:
-  // Installs the simulator's slice-timing hook (duration of each
+  // Points the simulator's slice tap at slice_ns() (duration of each
   // executed event callback, ns).
   void attach(sim::Simulator& sim);
-  // Installs the sender's per-ACK cost hook (duration of each
+  // Points the sender's per-ACK cost tap at ack_ns() (duration of each
   // on_ack_segment call, ns). May be called for several senders; their
-  // samples share one histogram.
+  // samples share one histogram. The profiler must outlive the traffic
+  // it times, or the next Simulator/Sender reset.
   void attach(tcp::Sender& sender);
 
   const LogHistogram& slice_ns() const { return slice_ns_; }

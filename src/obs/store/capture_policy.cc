@@ -1,5 +1,6 @@
 #include "obs/store/capture_policy.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -50,12 +51,14 @@ bool parse_u64(std::string_view s, uint64_t* out) {
   return true;
 }
 
+// Parses a finite number; false on empty/garbage/trailing bytes, and on
+// nan and inf (a NaN threshold would never fire).
 bool parse_double(std::string_view s, double* out) {
   if (s.empty()) return false;
   std::string buf(s);
   char* end = nullptr;
   const double v = std::strtod(buf.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
+  if (end != buf.c_str() + buf.size() || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }

@@ -33,7 +33,7 @@ void Simulator::reset() {
   deadline_ = Time::infinite();
   queue_.clear();
   events_processed_ = 0;
-  slice_profiler_ = nullptr;
+  slice_ns_ = nullptr;
   // Deferred rearms belong to Timers of the torn-down connection; their
   // queue entries are gone with clear() and their ids are stale.
   for (Timer* t : lazy_timers_) t->lazy_ = false;
@@ -55,13 +55,13 @@ bool Simulator::step(Time deadline) {
   // scheduled time (nested schedule_in must be relative to it).
   now_ = next;
   deadline_ = deadline;
-  if (slice_profiler_) {
+  if (slice_ns_ != nullptr) {
     const auto t0 = std::chrono::steady_clock::now();
     queue_.run_next();
     const auto t1 = std::chrono::steady_clock::now();
-    slice_profiler_(
+    slice_ns_->record(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
+            .count()));
   } else {
     queue_.run_next();
   }

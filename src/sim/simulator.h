@@ -20,6 +20,7 @@
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
+#include "util/log2_hist.h"
 
 namespace prr::sim {
 
@@ -93,12 +94,10 @@ class Simulator {
   void reset();
 
   // Self-profiling tap (obs::SelfProfiler): when set, step() wall-clock
-  // times each event callback and reports the duration in nanoseconds.
-  // Unset (the default), step() pays one branch and takes no clock
+  // times each event callback and records the nanoseconds into `hist`.
+  // Null (the default), step() pays one branch and takes no clock
   // readings, so simulation behavior and performance are untouched.
-  void set_slice_profiler(std::function<void(int64_t ns)> profiler) {
-    slice_profiler_ = std::move(profiler);
-  }
+  void set_slice_histogram(util::Log2Histogram* hist) { slice_ns_ = hist; }
 
  private:
   friend class Timer;
@@ -122,7 +121,7 @@ class Simulator {
   bool batch_delivery_ = false;
   std::vector<Timer*> lazy_timers_;
   Time lazy_barrier_ = Time::infinite();
-  std::function<void(int64_t)> slice_profiler_;
+  util::Log2Histogram* slice_ns_ = nullptr;
 };
 
 // RAII-free cancellable timer bound to a Simulator. Rescheduling cancels

@@ -28,11 +28,7 @@ const char* to_string(InvariantKind kind) {
 InvariantChecker::InvariantChecker(sim::Simulator& sim, Sender& sender,
                                    Config config)
     : sim_(sim), sender_(sender), config_(config) {
-  auto prev = sender_.on_post_ack_hook;
-  sender_.on_post_ack_hook = [this, prev](const net::Segment& ack) {
-    if (prev) prev(ack);
-    on_post_ack();
-  };
+  sender_.add_listener(this);
 }
 
 void InvariantChecker::record(InvariantKind kind, std::string detail) {
@@ -50,7 +46,7 @@ void InvariantChecker::record(InvariantKind kind, std::string detail) {
   violations_.push_back(std::move(v));
 }
 
-void InvariantChecker::on_post_ack() {
+void InvariantChecker::on_ack_processed(const net::Segment& /*ack*/) {
   ++acks_checked_;
   char buf[192];
 

@@ -19,9 +19,10 @@
 //   - no loss-detection timer remains armed once the flow completed or
 //     aborted (timer leaks wedge the event queue at scale).
 //
-// The checker is attach-only: construct it next to a Sender and it chains
-// onto the sender's hooks. Connections that never construct one pay
-// nothing — the default experiment hot path runs checker-free.
+// The checker is attach-only: construct it next to a Sender and it
+// registers as one of the sender's listeners. Connections that never
+// construct one pay nothing — the default experiment hot path runs
+// checker-free.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +59,7 @@ struct InvariantViolation {
   std::string detail;
 };
 
-class InvariantChecker {
+class InvariantChecker : private SenderEvents {
  public:
   struct Config {
     // Record one synthetic kInjected violation on the Nth checked ACK
@@ -67,8 +68,9 @@ class InvariantChecker {
     uint64_t inject_on_ack = 0;
   };
 
-  // Chains onto the sender's on_post_ack_hook (preserving any existing
-  // hook). The checker must outlive the sender's ACK processing.
+  // Registers with the sender (Sender::add_listener) and checks after
+  // every processed ACK. The checker must outlive the sender's ACK
+  // processing.
   InvariantChecker(sim::Simulator& sim, Sender& sender, Config config);
   InvariantChecker(sim::Simulator& sim, Sender& sender)
       : InvariantChecker(sim, sender, Config()) {}
@@ -91,7 +93,7 @@ class InvariantChecker {
   uint64_t acks_checked() const { return acks_checked_; }
 
  private:
-  void on_post_ack();
+  void on_ack_processed(const net::Segment& ack) override;
   void record(InvariantKind kind, std::string detail);
 
   sim::Simulator& sim_;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <deque>
+#include <stdexcept>
 #include <utility>
 
 #include "tcp/cc/congestion_control.h"
@@ -78,18 +79,20 @@ void Sender::reset(SenderConfig config, stats::RecoveryLog* recovery_log) {
   pacing_timer_.stop();
   persist_timer_.stop();
   // Per-connection wiring must not leak into the next connection: the
-  // hooks capture checker/watchdog/app objects that are themselves reset
+  // listeners are checker/watchdog/app objects that are themselves reset
   // or destroyed between connections.
-  on_transmit_hook = nullptr;
-  on_una_advance_hook = nullptr;
-  on_ack_hook = nullptr;
-  on_post_ack_hook = nullptr;
-  on_abort_hook = nullptr;
-  on_rto_hook = nullptr;
-  on_ack_cost_hook = nullptr;
+  num_listeners_ = 0;
+  ack_ns_ = nullptr;
   set_recorder(nullptr, 0);
   static_cast<SenderState&>(*this) = SenderState(config_);
   retx_history_.clear();
+}
+
+void Sender::add_listener(SenderEvents* listener) {
+  if (num_listeners_ == kMaxListeners) {
+    throw std::length_error("Sender: more than kMaxListeners listeners");
+  }
+  listeners_[num_listeners_++] = listener;
 }
 
 void Sender::set_recorder(obs::FlightRecorder* recorder, uint32_t conn_id) {
@@ -263,7 +266,7 @@ void Sender::transmit(uint64_t start, uint64_t end, bool retx) {
   PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kTransmit,
             retx ? 1 : 0, static_cast<uint16_t>(state_), start, len, cwnd_,
             snd_nxt_);
-  if (on_transmit_hook) on_transmit_hook(start, len, retx);
+  notify(&SenderEvents::on_transmit, start, len, retx);
 
   net::Segment seg;
   seg.seq = start;
@@ -286,20 +289,19 @@ void Sender::transmit(uint64_t start, uint64_t end, bool retx) {
 }
 
 void Sender::on_ack_segment(const net::Segment& ack) {
-  if (!on_ack_cost_hook) {
+  if (ack_ns_ == nullptr) {
     process_ack(ack);
     return;
   }
   const auto t0 = std::chrono::steady_clock::now();
   process_ack(ack);
   const auto t1 = std::chrono::steady_clock::now();
-  on_ack_cost_hook(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+  ack_ns_->record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
 }
 
 void Sender::process_ack(const net::Segment& ack) {
   if (aborted_) return;
-  if (on_ack_hook) on_ack_hook(ack);
   if (config_.validate_acks && ack.ack > snd_nxt_) {
     // RFC 5961 §5: an ACK for data never sent is invalid — processing it
     // would teleport snd.una beyond snd.nxt. Drop it (its rwnd too: a
@@ -364,7 +366,7 @@ void Sender::process_ack(const net::Segment& ack) {
     }
     PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kUnaAdvance,
               0, 0, snd_una_);
-    if (on_una_advance_hook) on_una_advance_hook(snd_una_);
+    notify(&SenderEvents::on_una_advance, snd_una_);
   }
 
   handle_dsack(out);
@@ -437,7 +439,7 @@ void Sender::process_ack(const net::Segment& ack) {
     }
   }
 
-  if (on_post_ack_hook) on_post_ack_hook(ack);
+  notify(&SenderEvents::on_ack_processed, ack);
 }
 
 void Sender::process_in_open(const AckOutcome& out) {
@@ -879,7 +881,7 @@ void Sender::on_rto() {
 
   tlp_timer_.stop();
   rto_est_.backoff();
-  if (on_rto_hook) on_rto_hook(snd_una_, rto_est_.backoff_count());
+  notify(&SenderEvents::on_rto, snd_una_, rto_est_.backoff_count());
   if (rto_est_.backoff_count() > config_.max_rto_backoffs) {
     abort_connection();
     return;
@@ -936,7 +938,7 @@ void Sender::abort_connection() {
     busy_accum_ += sim_.now() - busy_since_;
   }
   set_state(state_);  // close loss-time accounting
-  if (on_abort_hook) on_abort_hook();
+  notify(&SenderEvents::on_abort);
 }
 
 void Sender::grow_cwnd_open(uint64_t acked_bytes) {

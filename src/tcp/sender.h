@@ -13,14 +13,17 @@
 // cwnd/ssthresh (through CongestionControl and RecoveryPolicy), the
 // timers, undo, and the per-connection Metrics ledger and RecoveryLog
 // entry. The paper's split is the same: loss detection picks *which* data
-// to send, PRR decides *how much*.
+// to send, PRR decides *how much*. Observers register as SenderEvents
+// listeners; trace records go to the flight recorder directly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "core/prr.h"
@@ -33,6 +36,7 @@
 #include "tcp/recovery/recovery.h"
 #include "tcp/rto.h"
 #include "tcp/scoreboard.h"
+#include "util/log2_hist.h"
 
 namespace prr::tcp {
 
@@ -192,11 +196,12 @@ struct SenderState {
   stats::RecoveryEvent current_event_;
   uint64_t burst_in_progress_ = 0;
 
-  // Loss (RTO) episode state.
-  bool rto_head_retransmit_pending_ = false;
+  // Loss (RTO) episode state. The flags follow the counters so they
+  // share one padded word.
   uint64_t retransmits_since_progress_ = 0;
-  bool frto_check_pending_ = false;
   uint64_t frto_head_end_ = 0;
+  bool rto_head_retransmit_pending_ = false;
+  bool frto_check_pending_ = false;
   bool tlp_probe_outstanding_ = false;
 
   // ECN CWR episode (window reduction without losses, PRR-paced).
@@ -210,6 +215,31 @@ struct SenderState {
   TcpState traced_state_ = TcpState::kOpen;
 };
 
+// What the sender reports to its observers (the app, the invariant
+// checker, the progress watchdog). Every method is a no-op by default.
+// A listener may call back into the sender: ServerApp::on_una_advance
+// writes the next response, which transmits.
+class SenderEvents {
+ public:
+  // Every segment put on the wire.
+  virtual void on_transmit(uint64_t /*seq*/, uint32_t /*len*/,
+                           bool /*retx*/) {}
+  // snd.una advanced to `una`.
+  virtual void on_una_advance(uint64_t /*una*/) {}
+  // An ACK was fully processed: state machine, window regulation and
+  // transmissions done. Ignored ACKs (aborted, invalid, ancient) never
+  // get here.
+  virtual void on_ack_processed(const net::Segment& /*ack*/) {}
+  // An RTO fired; `backoffs` already counts this one. During a
+  // blackhole no ACKs arrive, so only this event sees the stall.
+  virtual void on_rto(uint64_t /*una*/, int /*backoffs*/) {}
+  // The sender gave up (max RTO backoffs exceeded).
+  virtual void on_abort() {}
+
+ protected:
+  ~SenderEvents() = default;
+};
+
 class Sender : private SenderState {
  public:
   using SendFn = std::function<void(net::Segment&&)>;
@@ -220,10 +250,9 @@ class Sender : private SenderState {
   // Pool-recycle: returns the sender to the state a fresh construction
   // with (config, recovery_log) would produce (the constructor runs
   // reset() too), keeping the send callback and all container/timer
-  // capacity. Every observer hook and the flight-recorder attachment are
-  // cleared — per-connection wiring (invariant checker, watchdog, app)
-  // captures objects that die with the connection, so stale hooks must
-  // never survive into the next one.
+  // capacity. The listener list, the profiling tap and the flight-
+  // recorder attachment are cleared: they point at per-connection objects
+  // (invariant checker, watchdog, app) that die with the connection.
   // Precondition: the owning Simulator has been reset.
   void reset(SenderConfig config, stats::RecoveryLog* recovery_log);
 
@@ -240,26 +269,14 @@ class Sender : private SenderState {
   void on_ack_segment(const net::Segment& ack);
 
   // ---- observers ----
-  // (seq, len, is_retransmit): every segment put on the wire.
-  std::function<void(uint64_t, uint32_t, bool)> on_transmit_hook;
-  // Fired when snd.una advances (new value).
-  std::function<void(uint64_t)> on_una_advance_hook;
-  // Fired for every incoming ACK segment before processing.
-  std::function<void(const net::Segment&)> on_ack_hook;
-  // Fired after an ACK has been fully processed (state machine, window
-  // regulation, and transmissions done) — the invariant checker's
-  // observation point (tcp/invariants.h).
-  std::function<void(const net::Segment&)> on_post_ack_hook;
-  std::function<void()> on_abort_hook;
-  // Fired on every RTO expiry with (snd_una, backoff_count) after the
-  // backoff was applied — the progress watchdog's observation point
-  // (torture/oracles.h): during a blackhole no ACKs arrive, so a per-ACK
-  // hook would never see the stall.
-  std::function<void(uint64_t, int)> on_rto_hook;
-  // Self-profiling tap (obs::SelfProfiler): wall-clock nanoseconds spent
-  // processing each ACK. When unset, on_ack_segment takes no clock
-  // readings.
-  std::function<void(int64_t)> on_ack_cost_hook;
+  // Registers `listener` until the next reset(). Listeners run in
+  // registration order; room for the checker, the watchdog, the app and
+  // one spare, and one more throws std::length_error.
+  static constexpr std::size_t kMaxListeners = 4;
+  void add_listener(SenderEvents* listener);
+  // Self-profiling tap (obs::SelfProfiler): each on_ack_segment call's
+  // wall-clock ns, ignored ACKs included. Null takes no clock readings.
+  void set_ack_cost_histogram(util::Log2Histogram* hist) { ack_ns_ = hist; }
 
   // ---- flight recorder (obs/) ----
   // Attaches (or, with nullptr, detaches) a flight recorder: state
@@ -350,6 +367,15 @@ class Sender : private SenderState {
   void maybe_arm_persist();
   void on_persist_timer();
 
+  // Indexed, so a listener may re-enter the sender.
+  template <typename... Args>
+  void notify(void (SenderEvents::*event)(Args...),
+              std::type_identity_t<Args>... args) {
+    for (std::size_t i = 0; i < num_listeners_; ++i) {
+      (listeners_[i]->*event)(args...);
+    }
+  }
+
   void grow_cwnd_open(uint64_t acked_bytes);
   // The only writer of state_ after construction: records the transition
   // and keeps the loss-recovery time accounting.
@@ -378,9 +404,13 @@ class Sender : private SenderState {
   // SenderState so reset() keeps its deque blocks.
   std::deque<std::pair<uint64_t, uint64_t>> retx_history_;
 
+  SenderEvents* listeners_[kMaxListeners] = {};
+  util::Log2Histogram* ack_ns_ = nullptr;
+
   // Flight recorder attachment (null = not tracing).
   obs::FlightRecorder* recorder_ = nullptr;
   uint32_t conn_id_ = 0;
+  uint8_t num_listeners_ = 0;
 };
 
 }  // namespace prr::tcp

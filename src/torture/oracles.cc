@@ -13,12 +13,7 @@ ProgressWatchdog::ProgressWatchdog(tcp::Sender& sender,
       checker_(checker),
       config_(config),
       path_up_(std::move(path_up)) {
-  auto prev = std::move(sender_.on_rto_hook);
-  sender_.on_rto_hook = [this, prev = std::move(prev)](uint64_t una,
-                                                       int backoffs) {
-    if (prev) prev(una, backoffs);
-    on_rto(una, backoffs);
-  };
+  sender_.add_listener(this);
 }
 
 void ProgressWatchdog::on_rto(uint64_t snd_una, int /*backoff_count*/) {

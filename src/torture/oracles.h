@@ -37,7 +37,7 @@
 
 namespace prr::torture {
 
-class ProgressWatchdog {
+class ProgressWatchdog : private tcp::SenderEvents {
  public:
   struct Config {
     // Consecutive no-progress, no-retransmission RTO firings (path up)
@@ -45,8 +45,8 @@ class ProgressWatchdog {
     int stuck_backoffs = 4;
   };
 
-  // Chains onto sender.on_rto_hook (preserving any existing hook).
-  // `path_up` reports whether the path could have carried traffic since
+  // Registers with the sender (Sender::add_listener) and runs on every
+  // RTO. `path_up` reports whether the path could have carried traffic since
   // the last RTO; when it returns false the stuck counter resets (a
   // blackout legitimately stalls the flow). Must outlive the sender's
   // RTO processing.
@@ -57,7 +57,7 @@ class ProgressWatchdog {
   bool fired() const { return fired_; }
 
  private:
-  void on_rto(uint64_t snd_una, int backoff_count);
+  void on_rto(uint64_t snd_una, int backoff_count) override;
 
   tcp::Sender& sender_;
   tcp::InvariantChecker& checker_;

@@ -1,10 +1,14 @@
 #include "torture/repro.h"
 
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "net/fault_schedule.h"
 #include "util/checked_write.h"
@@ -38,22 +42,51 @@ std::string fmt_f(double v) {
   return buf;
 }
 
+// The numeric parsers accept the whole string or nothing: no trailing
+// bytes (an embedded NUL included), no overflow, and no sign on an
+// unsigned value (strtoull would turn "-1" into 2^64-1).
 bool parse_u64(const std::string& s, uint64_t& v) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
   char* end = nullptr;
+  errno = 0;
   v = std::strtoull(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0';
+  return errno == 0 && end == s.c_str() + s.size();
 }
 
 bool parse_i64(const std::string& s, int64_t& v) {
   char* end = nullptr;
+  errno = 0;
   v = std::strtoll(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0';
+  return errno == 0 && !s.empty() && end == s.c_str() + s.size();
 }
 
 bool parse_f(const std::string& s, double& v) {
   char* end = nullptr;
   v = std::strtod(s.c_str(), &end);
-  return end != s.c_str() && *end == '\0';
+  return !s.empty() && end == s.c_str() + s.size();
+}
+
+// An integer that must fit field type T.
+template <typename T>
+bool parse_int(const std::string& s, T& v) {
+  if constexpr (std::is_signed_v<T>) {
+    int64_t i = 0;
+    if (!parse_i64(s, i) || i < std::numeric_limits<T>::min() ||
+        i > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    v = static_cast<T>(i);
+  } else {
+    uint64_t u = 0;
+    if (!parse_u64(s, u) || u > std::numeric_limits<T>::max()) return false;
+    v = static_cast<T>(u);
+  }
+  return true;
+}
+
+// A probability: finite and in [0, 1] (NaN fails both comparisons).
+bool parse_prob(const std::string& s, double& v) {
+  return parse_f(s, v) && v >= 0.0 && v <= 1.0;
 }
 
 bool parse_bool(const std::string& s, bool& v) {
@@ -196,7 +229,6 @@ bool from_text(const std::string& text, ReproCase& out, std::string* error) {
     workload::ConnectionSample& s = c.sample;
     net::MisbehaviorConfig& m = s.misbehavior;
     bool ok = true;
-    uint64_t u = 0;
     int64_t i = 0;
     bool bv = false;
     auto t = [&i] { return sim::Time::nanoseconds(i); };
@@ -207,9 +239,9 @@ bool from_text(const std::string& text, ReproCase& out, std::string* error) {
     else if (key == "connection") ok = parse_u64(value, c.connection);
     else if (key == "limit_ns") { ok = parse_i64(value, i); c.limit = t(); }
     else if (key == "watchdog_rto_backoffs") {
-      ok = parse_i64(value, i); c.watchdog_rto_backoffs = static_cast<int>(i);
+      ok = parse_int(value, c.watchdog_rto_backoffs);
     } else if (key == "max_rto_backoffs") {
-      ok = parse_i64(value, i); c.max_rto_backoffs = static_cast<int>(i);
+      ok = parse_int(value, c.max_rto_backoffs);
     } else if (key == "renege_recovery") {
       ok = parse_bool(value, c.renege_recovery);
     } else if (key == "validate_acks") {
@@ -218,35 +250,39 @@ bool from_text(const std::string& text, ReproCase& out, std::string* error) {
       ok = parse_bool(value, c.zero_window_probes);
     } else if (key == "rtt_ns") { ok = parse_i64(value, i); s.rtt = t(); }
     else if (key == "bandwidth_bps") {
-      ok = parse_i64(value, i); s.bandwidth = util::DataRate::bps(i);
+      // A link with no bandwidth divides by zero on the first packet.
+      ok = parse_i64(value, i) && i > 0; s.bandwidth = util::DataRate::bps(i);
     } else if (key == "queue_packets") {
-      ok = parse_u64(value, u); s.queue_packets = static_cast<std::size_t>(u);
+      ok = parse_int(value, s.queue_packets);
     } else if (key == "loss_p_good_to_bad") {
-      ok = parse_f(value, s.loss.p_good_to_bad);
+      ok = parse_prob(value, s.loss.p_good_to_bad);
     } else if (key == "loss_p_bad_to_good") {
-      ok = parse_f(value, s.loss.p_bad_to_good);
-    } else if (key == "loss_in_good") ok = parse_f(value, s.loss.loss_in_good);
-    else if (key == "loss_in_bad") ok = parse_f(value, s.loss.loss_in_bad);
-    else if (key == "outages") { ok = parse_bool(value, bv); s.outages = bv; }
+      ok = parse_prob(value, s.loss.p_bad_to_good);
+    } else if (key == "loss_in_good") {
+      ok = parse_prob(value, s.loss.loss_in_good);
+    } else if (key == "loss_in_bad") {
+      ok = parse_prob(value, s.loss.loss_in_bad);
+    } else if (key == "outages") { ok = parse_bool(value, bv); s.outages = bv; }
     else if (key == "outage_mean_between_ns") {
       ok = parse_i64(value, i); s.outage.mean_time_between = t();
     } else if (key == "outage_mean_duration_ns") {
       ok = parse_i64(value, i); s.outage.mean_duration = t();
-    } else if (key == "ack_loss_prob") ok = parse_f(value, s.ack_loss_prob);
-    else if (key == "ack_stretch") {
-      ok = parse_u64(value, u); s.ack_stretch = static_cast<uint32_t>(u);
+    } else if (key == "ack_loss_prob") {
+      ok = parse_prob(value, s.ack_loss_prob);
+    } else if (key == "ack_stretch") {
+      ok = parse_int(value, s.ack_stretch);
     } else if (key == "ack_stretch_flush_ns") {
       ok = parse_i64(value, i); s.ack_stretch_flush = t();
-    } else if (key == "reorder_prob") ok = parse_f(value, s.reorder_prob);
-    else if (key == "reorder_min_ns") {
+    } else if (key == "reorder_prob") {
+      ok = parse_prob(value, s.reorder_prob);
+    } else if (key == "reorder_min_ns") {
       ok = parse_i64(value, i); s.reorder_min = t();
     } else if (key == "reorder_max_ns") {
       ok = parse_i64(value, i); s.reorder_max = t();
     } else if (key == "client_sack") { ok = parse_bool(value, s.client_sack); }
     else if (key == "client_ecn") { ok = parse_bool(value, s.client_ecn); }
     else if (key == "ecn_mark_threshold") {
-      ok = parse_u64(value, u);
-      s.ecn_mark_threshold = static_cast<std::size_t>(u);
+      ok = parse_int(value, s.ecn_mark_threshold);
     } else if (key == "client_timestamps") {
       ok = parse_bool(value, s.client_timestamps);
     } else if (key == "client_dsack") {
@@ -258,23 +294,23 @@ bool from_text(const std::string& text, ReproCase& out, std::string* error) {
     } else if (key == "renege_at_ns") {
       ok = parse_i64(value, i); s.renege_at = t();
     } else if (key == "mis_lie_sack_prob") {
-      ok = parse_f(value, m.lie_sack_probability);
+      ok = parse_prob(value, m.lie_sack_probability);
     } else if (key == "mis_lie_span_bytes") {
-      ok = parse_u64(value, u); m.lie_span_bytes = static_cast<uint32_t>(u);
+      ok = parse_int(value, m.lie_span_bytes);
     } else if (key == "mis_dup_sack_prob") {
-      ok = parse_f(value, m.dup_sack_probability);
+      ok = parse_prob(value, m.dup_sack_probability);
     } else if (key == "mis_suppress_at_ns") {
       ok = parse_i64(value, i); m.suppress_at = t();
     } else if (key == "mis_suppress_duration_ns") {
       ok = parse_i64(value, i); m.suppress_duration = t();
     } else if (key == "mis_divide_factor") {
-      ok = parse_u64(value, u); m.divide_factor = static_cast<uint32_t>(u);
+      ok = parse_int(value, m.divide_factor);
     } else if (key == "mis_divide_step_bytes") {
-      ok = parse_u64(value, u); m.divide_step_bytes = static_cast<uint32_t>(u);
+      ok = parse_int(value, m.divide_step_bytes);
     } else if (key == "mis_dup_ack_prob") {
-      ok = parse_f(value, m.dup_ack_probability);
+      ok = parse_prob(value, m.dup_ack_probability);
     } else if (key == "mis_reorder_prob") {
-      ok = parse_f(value, m.reorder_probability);
+      ok = parse_prob(value, m.reorder_probability);
     } else if (key == "mis_reorder_flush_ns") {
       ok = parse_i64(value, i); m.reorder_flush_timeout = t();
     } else if (key == "mis_shrink_at_ns") {
@@ -284,18 +320,18 @@ bool from_text(const std::string& text, ReproCase& out, std::string* error) {
     } else if (key == "mis_shrink_rwnd_bytes") {
       ok = parse_u64(value, m.shrink_rwnd_bytes);
     } else if (key == "mis_corrupt_prob") {
-      ok = parse_f(value, m.corrupt_probability);
+      ok = parse_prob(value, m.corrupt_probability);
     } else if (key == "fault") {
       std::vector<std::string> tok = split_ws(value);
       net::FaultEvent ev;
       int64_t at = 0, dur = 0;
       ok = tok.size() == 5 && parse_fault_kind(tok[0], ev.kind) &&
            parse_i64(tok[1], at) && parse_i64(tok[2], dur) &&
-           parse_f(tok[3], ev.scale) && parse_u64(tok[4], u);
+           parse_f(tok[3], ev.scale) && std::isfinite(ev.scale) &&
+           parse_int(tok[4], ev.queue_limit_packets);
       if (ok) {
         ev.at = sim::Time::nanoseconds(at);
         ev.duration = sim::Time::nanoseconds(dur);
-        ev.queue_limit_packets = static_cast<std::size_t>(u);
         s.faults.add(ev);
       }
     } else if (key == "response") {

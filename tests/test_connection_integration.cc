@@ -218,21 +218,25 @@ TEST(ConnectionIntegration2, SmallReceiveWindowLimitsButCompletes) {
   conn.write(100 * 1430);
 
   // Once the first ACK advertises the window, flight stays within it.
-  uint64_t max_flight_after_learning = 0;
-  bool learned = false;
-  conn.sender().on_una_advance_hook = [&](uint64_t una) {
-    // Skip while the pre-learning initial burst (IW10, sent before any
-    // window advertisement arrived) is still draining.
-    if (una < 10u * 1430u) return;
-    learned = true;
-    max_flight_after_learning =
-        std::max(max_flight_after_learning,
-                 conn.sender().snd_nxt() - conn.sender().snd_una());
-  };
+  struct FlightProbe final : SenderEvents {
+    const Sender& sender;
+    uint64_t max_flight_after_learning = 0;
+    bool learned = false;
+    explicit FlightProbe(const Sender& s) : sender(s) {}
+    void on_una_advance(uint64_t una) override {
+      // Skip while the pre-learning initial burst (IW10, sent before any
+      // window advertisement arrived) is still draining.
+      if (una < 10u * 1430u) return;
+      learned = true;
+      max_flight_after_learning = std::max(
+          max_flight_after_learning, sender.snd_nxt() - sender.snd_una());
+    }
+  } probe(conn.sender());
+  conn.sender().add_listener(&probe);
   sim.run(sim::Time::seconds(60));
   EXPECT_TRUE(conn.sender().all_acked());
-  EXPECT_TRUE(learned);
-  EXPECT_LE(max_flight_after_learning, 5u * 1430u);
+  EXPECT_TRUE(probe.learned);
+  EXPECT_LE(probe.max_flight_after_learning, 5u * 1430u);
 }
 
 }  // namespace

@@ -131,24 +131,28 @@ TEST_F(EcnConnectionTest, CwrConvergesTowardSsthresh) {
   sim::Simulator sim;
   auto conn = make(sim, true);
   // Track the window right after each CWR episode via a probe on ACKs.
-  uint64_t min_cwnd_after_reduction = UINT64_MAX;
-  bool was_reducing = false;
-  conn->sender().on_ack_hook = [&](const net::Segment&) {
-    const uint64_t cwnd = conn->sender().cwnd_bytes();
-    const uint64_t ssthresh = conn->sender().ssthresh_bytes();
-    if (ssthresh != UINT64_MAX && cwnd <= ssthresh + kMss) {
-      was_reducing = true;
-      min_cwnd_after_reduction =
-          std::min(min_cwnd_after_reduction, cwnd);
+  struct Probe final : SenderEvents {
+    const Sender& sender;
+    uint64_t min_cwnd_after_reduction = UINT64_MAX;
+    bool was_reducing = false;
+    explicit Probe(const Sender& s) : sender(s) {}
+    void on_ack_processed(const net::Segment&) override {
+      const uint64_t cwnd = sender.cwnd_bytes();
+      const uint64_t ssthresh = sender.ssthresh_bytes();
+      if (ssthresh != UINT64_MAX && cwnd <= ssthresh + kMss) {
+        was_reducing = true;
+        min_cwnd_after_reduction = std::min(min_cwnd_after_reduction, cwnd);
+      }
     }
-  };
+  } probe(conn->sender());
+  conn->sender().add_listener(&probe);
   conn->write(600'000);
   sim.run(sim::Time::seconds(120));
   ASSERT_TRUE(conn->sender().all_acked());
-  ASSERT_TRUE(was_reducing);
+  ASSERT_TRUE(probe.was_reducing);
   // The PRR-paced reduction approaches ssthresh but never collapses the
   // window the way a loss-driven Linux recovery would.
-  EXPECT_GT(min_cwnd_after_reduction, 2u * kMss);
+  EXPECT_GT(probe.min_cwnd_after_reduction, 2u * kMss);
 }
 
 TEST_F(EcnConnectionTest, EcnKeepsGoodputCloseToLossRecovery) {

@@ -128,20 +128,21 @@ TEST(Invariants, InjectionRecordsSyntheticViolation) {
 }
 
 TEST(Invariants, CheckerChainsWithExistingHook) {
-  // The checker must preserve a previously installed post-ACK hook.
+  // A listener registered before the checker keeps seeing every
+  // processed ACK, and so does the checker.
   sim::Simulator sim;
   Connection conn(sim, checked_config(), sim::Rng(5));
-  int prior_hook_calls = 0;
-  conn.sender().on_post_ack_hook = [&](const net::Segment&) {
-    ++prior_hook_calls;
-  };
+  struct AckCounter final : SenderEvents {
+    uint64_t acks = 0;
+    void on_ack_processed(const net::Segment&) override { ++acks; }
+  } prior;
+  conn.sender().add_listener(&prior);
   InvariantChecker checker(sim, conn.sender());
   conn.write(20'000);
   sim.run(sim::Time::seconds(30));
   checker.finalize();
-  EXPECT_GT(prior_hook_calls, 0);
-  EXPECT_EQ(static_cast<uint64_t>(prior_hook_calls),
-            checker.acks_checked());
+  EXPECT_GT(prior.acks, 0u);
+  EXPECT_EQ(prior.acks, checker.acks_checked());
   EXPECT_TRUE(checker.ok());
 }
 

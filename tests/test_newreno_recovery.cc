@@ -168,8 +168,9 @@ TEST_F(NewRenoRecoveryTest, NonSackReceiverSendsPlainDupacks) {
       net::Path::Config::symmetric(util::DataRate::mbps(4), 80_ms, 100);
   Connection conn(fullsim, cfg, sim::Rng(7));
   int dupacks_with_sack = 0;
-  conn.sender().on_ack_hook = [&](const net::Segment& a) {
-    if (!a.sacks.empty()) ++dupacks_with_sack;
+  conn.path().wire_tap = [&](const net::Segment& a, bool is_ack,
+                             sim::Time) {
+    if (is_ack && !a.sacks.empty()) ++dupacks_with_sack;
   };
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{3}));

@@ -23,6 +23,7 @@
 #include "obs/store/store_reader.h"
 #include "obs/store/store_writer.h"
 #include "sim/rng.h"
+#include "text_mutator.h"
 #include "workload/web_workload.h"
 
 namespace prr {
@@ -548,11 +549,62 @@ TEST(CapturePolicy, ParseRejectsGarbage) {
   std::string err;
   for (const char* bad :
        {"", "sample=0", "sample=", "sample=x", "full=", "full=bogus",
-        "recovery_ms>=", "recovery_ms>=-1", "retx>=x", "wat", "all;none"}) {
+        "recovery_ms>=", "recovery_ms>=-1", "recovery_ms>=nan",
+        "recovery_ms>=inf", "retx>=x", "wat", "all;none"}) {
     err.clear();
     EXPECT_FALSE(obs::CapturePolicy::parse(bad, &p, &err)) << bad;
     EXPECT_FALSE(err.empty()) << bad;
   }
+}
+
+TEST(CapturePolicy, MutatedSpecsParseStablyOrFailCleanly) {
+  const std::string seeds[] = {
+      "sample=64,full=timeout",
+      "full=timeout|rto_interrupt|undo|invariant|abort,recovery_ms>=12.5",
+      "retx>=3, all, none",
+  };
+  // A grid of teardown stats that separates every clause.
+  std::vector<obs::CaptureStats> grid;
+  for (uint64_t conn = 0; conn < 16; ++conn) {
+    obs::CaptureStats s;
+    s.conn = conn * 7919;
+    s.timeouts = conn & 1;
+    s.undo_events = (conn >> 1) & 1;
+    s.retransmits = conn;
+    s.invariant_violations = (conn >> 2) & 1;
+    s.rto_interrupted_recovery = (conn >> 3) & 1;
+    s.aborted = conn == 5;
+    s.recovery_ms = 1.5 * static_cast<double>(conn * conn);
+    grid.push_back(s);
+  }
+  sim::Mt64 rng(20110501);
+  int parsed = 0, rejected = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::string spec =
+        fuzz::mutate_text(seeds[trial % 3], "0123456789-.enaf,|=> ", rng);
+    obs::CapturePolicy p;
+    std::string err;
+    if (!obs::CapturePolicy::parse(spec, &p, &err)) {
+      EXPECT_FALSE(err.empty()) << spec;
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    obs::CapturePolicy again;
+    ASSERT_TRUE(obs::CapturePolicy::parse(p.spec(), &again, &err)) << err;
+    ASSERT_EQ(again.spec(), p.spec());
+    EXPECT_EQ(again.keeps_anything(), p.keeps_anything()) << spec;
+    for (const obs::CaptureStats& s : grid) {
+      const obs::CaptureDecision a = p.evaluate(s);
+      const obs::CaptureDecision b = again.evaluate(s);
+      EXPECT_EQ(a.keep, b.keep) << spec;
+      EXPECT_EQ(a.full, b.full) << spec;
+    }
+  }
+  // Nearly every byte of a spec is grammar, so most mutants are
+  // rejected; enough must still parse to exercise the round trip.
+  EXPECT_GT(parsed, 250);
+  EXPECT_GT(rejected, 10000);
 }
 
 TEST(CapturePolicy, TriggersWinOverSampling) {

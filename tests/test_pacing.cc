@@ -25,34 +25,40 @@ ConnectionConfig paced_config(bool pacing) {
   return cfg;
 }
 
+// Records the simulated time of every transmission.
+struct SendTimes final : SenderEvents {
+  const sim::Simulator& sim;
+  std::vector<sim::Time> at;
+  explicit SendTimes(const sim::Simulator& s) : sim(s) {}
+  void on_transmit(uint64_t, uint32_t, bool) override {
+    at.push_back(sim.now());
+  }
+};
+
 TEST(Pacing, SpreadsTheInitialWindow) {
   sim::Simulator sim;
   Connection conn(sim, paced_config(true), sim::Rng(1));
-  std::vector<sim::Time> sends;
-  conn.sender().on_transmit_hook = [&](uint64_t, uint32_t, bool) {
-    sends.push_back(sim.now());
-  };
+  SendTimes sends(sim);
+  conn.sender().add_listener(&sends);
   conn.write(10'000);  // exactly IW10
   sim.run(sim::Time::seconds(5));
-  ASSERT_EQ(sends.size(), 10u);
+  ASSERT_EQ(sends.at.size(), 10u);
   // Paced interval = srtt / (gain * cwnd_segs) = 100ms / 12.5 = 8 ms.
-  EXPECT_EQ(sends[0].ms(), 0);
-  EXPECT_GT(sends[9].ms(), 50);
-  EXPECT_LT(sends[9].ms(), 100);  // still inside one RTT (gain > 1)
+  EXPECT_EQ(sends.at[0].ms(), 0);
+  EXPECT_GT(sends.at[9].ms(), 50);
+  EXPECT_LT(sends.at[9].ms(), 100);  // still inside one RTT (gain > 1)
   EXPECT_TRUE(conn.sender().all_acked());
 }
 
 TEST(Pacing, UnpacedSenderBurstsAtLineRate) {
   sim::Simulator sim;
   Connection conn(sim, paced_config(false), sim::Rng(1));
-  std::vector<sim::Time> sends;
-  conn.sender().on_transmit_hook = [&](uint64_t, uint32_t, bool) {
-    sends.push_back(sim.now());
-  };
+  SendTimes sends(sim);
+  conn.sender().add_listener(&sends);
   conn.write(10'000);
   sim.run(sim::Time::seconds(5));
-  ASSERT_EQ(sends.size(), 10u);
-  EXPECT_EQ(sends[9].ms(), 0);  // all at once
+  ASSERT_EQ(sends.at.size(), 10u);
+  EXPECT_EQ(sends.at[9].ms(), 0);  // all at once
 }
 
 TEST(Pacing, LossyTransferStillCompletes) {

@@ -223,10 +223,13 @@ TEST_F(SenderTest, WriteAfterAbortIsIgnored) {
 }
 
 TEST_F(SenderTest, TransmitHookSeesEverySegment) {
-  int hook_count = 0;
-  sender->on_transmit_hook = [&](uint64_t, uint32_t, bool) { ++hook_count; };
+  struct Counter final : SenderEvents {
+    int transmits = 0;
+    void on_transmit(uint64_t, uint32_t, bool) override { ++transmits; }
+  } counter;
+  sender->add_listener(&counter);
   sender->write(3 * kMss);
-  EXPECT_EQ(hook_count, 3);
+  EXPECT_EQ(counter.transmits, 3);
 }
 
 TEST_F(SenderTest, NetworkTransmitTimeAccumulatesBusyPeriods) {

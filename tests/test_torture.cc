@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/rng.h"
+#include "text_mutator.h"
 #include "torture/campaign.h"
 #include "torture/oracles.h"
 #include "torture/pathology.h"
@@ -157,6 +159,61 @@ TEST(Repro, MalformedInputIsRejectedWithLineNumbers) {
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(from_text("prr-repro v1\nbogus_key = 3\n", out, &err));
   EXPECT_NE(err.find("2"), std::string::npos) << err;
+  // Out-of-range values for the field's type, negative unsigned values,
+  // and probabilities outside [0, 1] (nan and inf included).
+  for (const char* bad : {
+           "seed = -1",
+           "seed = 18446744073709551616",
+           "limit_ns = 9223372036854775808",
+           "bandwidth_bps = 0",
+           "bandwidth_bps = -8",
+           "max_rto_backoffs = 4294967296",
+           "watchdog_rto_backoffs = -2147483649",
+           "queue_packets = -5",
+           "ack_stretch = 4294967296",
+           "mis_lie_span_bytes = -1",
+           "mis_divide_factor = 4294967297",
+           "loss_in_bad = nan",
+           "loss_p_good_to_bad = 1.5",
+           "ack_loss_prob = inf",
+           "reorder_prob = -0.1",
+           "mis_corrupt_prob = -nan",
+           "fault = blackout 0 100 nan 0",
+           "fault = queue_resize 0 0 1 -1",
+           "response = -1 0 0 0 0",
+       }) {
+    err.clear();
+    EXPECT_FALSE(from_text(std::string("prr-repro v1\nname = x\n") + bad +
+                               "\n",
+                           out, &err))
+        << bad;
+    EXPECT_NE(err.find("line 3"), std::string::npos) << bad << ": " << err;
+  }
+}
+
+TEST(ReproFuzz, MutatedTextParsesStablyOrFailsCleanly) {
+  const std::string seeds[] = {to_text(busy_case()), to_text(ReproCase{})};
+  sim::Mt64 rng(6937);
+  int parsed = 0, rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string mutant =
+        fuzz::mutate_text(seeds[trial % 2], "0123456789-.en#= \n", rng);
+    ReproCase c;
+    std::string err;
+    if (!from_text(mutant, c, &err)) {
+      EXPECT_FALSE(err.empty()) << mutant;
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    const std::string once = to_text(c);
+    ReproCase again;
+    ASSERT_TRUE(from_text(once, again, &err)) << err << "\n" << once;
+    ASSERT_EQ(to_text(again), once) << mutant;
+  }
+  // Both outcomes must be common, or the fuzz is not reaching the parser.
+  EXPECT_GT(parsed, 150);
+  EXPECT_GT(rejected, 2000);
 }
 
 TEST(Repro, SaveLoadRoundTrips) {
