@@ -29,7 +29,6 @@
 // the other examples out of the box.
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -41,7 +40,7 @@
 #include "obs/store/store_reader.h"
 #include "obs/trace_diff.h"
 #include "util/artifacts.h"
-#include "workload/arrival.h"
+#include "util/parse_number.h"
 #include "workload/web_workload.h"
 
 using namespace prr;
@@ -62,18 +61,13 @@ int usage() {
       "  --conn ID                connection id for dump/diff\n"
       "  --connections N          sweep size              (default 2000)\n"
       "  --first ID               first connection id     (default 0)\n"
-      "  --seed S                 experiment seed         (default 42)\n"
-      "  --loss-scale X           scale loss regime, as in a drift alert\n"
-      "  --rtt-scale X            scale RTTs\n"
-      "  --bandwidth-scale X      scale access-link bandwidth\n"
-      "The regime scales replay an experiment-service quarantined window:\n"
-      "paste the alert's first_connection/connections/seed/scales here.\n");
+      "  --seed S                 experiment seed         (default 42)\n");
   return 2;
 }
 
-// Accepts both the CLI short names and the display names the experiment
-// service prints in its triage commands ("PRR", "RFC 3517", "Linux"):
-// case-insensitive, spaces/underscores/hyphens ignored.
+// Accepts both the CLI short names and the arms' display names ("PRR",
+// "RFC 3517", "Linux"): case-insensitive, spaces/underscores/hyphens
+// ignored.
 bool parse_arm(const char* name, exp::ArmConfig* out) {
   std::string key;
   for (const char* p = name; *p != '\0'; ++p) {
@@ -240,10 +234,6 @@ int main(int argc, char** argv) {
   exp::RunOptions opts;
   opts.threads = 0;  // parallel sweep: byte-identical to serial
   opts.collect_episodes = true;
-  // Always-active path regime (identity unless the --*-scale flags are
-  // given) — replays the exact scaling an experiment-service drift
-  // alert recorded for its quarantined window.
-  workload::RegimeShift regime;
 
   for (int i = 2; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
@@ -265,32 +255,20 @@ int main(int argc, char** argv) {
       if (!v || !parse_arm(v, &arm_b)) return 2;
     } else if (std::strcmp(argv[i], "--conn") == 0) {
       const char* v = need("--conn");
-      if (!v) return 2;
-      conn = std::atoll(v);
+      if (!v || !util::parse_flag("--conn", v, conn, int64_t{0})) return 2;
     } else if (std::strcmp(argv[i], "--connections") == 0) {
       const char* v = need("--connections");
-      if (!v) return 2;
-      opts.connections = std::atoi(v);
+      if (!v || !util::parse_flag("--connections", v, opts.connections, 0)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--first") == 0) {
       const char* v = need("--first");
-      if (!v) return 2;
-      opts.first_connection = static_cast<uint64_t>(std::atoll(v));
+      if (!v || !util::parse_flag("--first", v, opts.first_connection)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       const char* v = need("--seed");
-      if (!v) return 2;
-      opts.seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (std::strcmp(argv[i], "--loss-scale") == 0) {
-      const char* v = need("--loss-scale");
-      if (!v) return 2;
-      regime.loss_scale = std::atof(v);
-    } else if (std::strcmp(argv[i], "--rtt-scale") == 0) {
-      const char* v = need("--rtt-scale");
-      if (!v) return 2;
-      regime.rtt_scale = std::atof(v);
-    } else if (std::strcmp(argv[i], "--bandwidth-scale") == 0) {
-      const char* v = need("--bandwidth-scale");
-      if (!v) return 2;
-      regime.bandwidth_scale = std::atof(v);
+      if (!v || !util::parse_flag("--seed", v, opts.seed)) return 2;
     } else {
       std::printf("unknown option '%s'\n", argv[i]);
       return usage();
@@ -321,16 +299,7 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  workload::WebWorkload base;
-  workload::RegimeSchedule sched;
-  if (!regime.is_identity()) {
-    sched.shifts.push_back(regime);  // active from t = 0
-    std::printf("regime: loss x%g, rtt x%g, bandwidth x%g\n",
-                regime.loss_scale, regime.rtt_scale,
-                regime.bandwidth_scale);
-  }
-  workload::RegimePopulation pop(base, sched);
-  pop.set_window_time(sim::Time::zero());
+  workload::WebWorkload pop;
 
   if (cmd == "episodes") return cmd_episodes(pop, opts);
   if (cmd == "dump" || cmd == "diff") {

@@ -21,7 +21,6 @@
 // function of the input store bytes.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -34,6 +33,7 @@
 #include "obs/store/store_reader.h"
 #include "obs/store/store_writer.h"
 #include "util/checked_write.h"
+#include "util/parse_number.h"
 #include "util/table.h"
 #include "workload/web_workload.h"
 
@@ -275,7 +275,8 @@ int main(int argc, char** argv) {
   std::string field_name, group_name, type_name;
   std::vector<std::string> positional;
   int64_t conn = -1;
-  uint64_t limit = 0, bucket_ms = 1000;
+  uint64_t limit = 0;
+  int64_t bucket_ms = 1000;
   obs::QueryFilter filter;
   bool verify = true, as_json = false, chaos = false;
   exp::RunOptions opts;
@@ -302,17 +303,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--full-only") == 0) {
       filter.include_sampled = false;
     } else if (std::strcmp(a, "--conn") == 0) {
-      if (!(v = need(a))) return 2;
-      conn = std::atoll(v);
+      if (!(v = need(a)) || !util::parse_flag(a, v, conn, int64_t{0})) return 2;
     } else if (std::strcmp(a, "--limit") == 0) {
-      if (!(v = need(a))) return 2;
-      limit = static_cast<uint64_t>(std::atoll(v));
+      if (!(v = need(a)) || !util::parse_flag(a, v, limit)) return 2;
     } else if (std::strcmp(a, "--conn-min") == 0) {
-      if (!(v = need(a))) return 2;
-      filter.conn_min = static_cast<uint64_t>(std::atoll(v));
+      if (!(v = need(a)) || !util::parse_flag(a, v, filter.conn_min)) return 2;
     } else if (std::strcmp(a, "--conn-max") == 0) {
-      if (!(v = need(a))) return 2;
-      filter.conn_max = static_cast<uint64_t>(std::atoll(v));
+      if (!(v = need(a)) || !util::parse_flag(a, v, filter.conn_max)) return 2;
     } else if (std::strcmp(a, "--field") == 0) {
       if (!(v = need(a))) return 2;
       field_name = v;
@@ -323,8 +320,10 @@ int main(int argc, char** argv) {
       if (!(v = need(a))) return 2;
       group_name = v;
     } else if (std::strcmp(a, "--bucket-ms") == 0) {
-      if (!(v = need(a))) return 2;
-      bucket_ms = static_cast<uint64_t>(std::atoll(v));
+      if (!(v = need(a)) ||
+          !util::parse_flag(a, v, bucket_ms, int64_t{1}, obs::kMaxBucketMs)) {
+        return 2;
+      }
     } else if (std::strcmp(a, "--out") == 0) {
       if (!(v = need(a))) return 2;
       out_file = v;
@@ -335,17 +334,17 @@ int main(int argc, char** argv) {
       if (!(v = need(a))) return 2;
       arm_name = v;
     } else if (std::strcmp(a, "--connections") == 0) {
-      if (!(v = need(a))) return 2;
-      opts.connections = std::atoi(v);
+      if (!(v = need(a)) || !util::parse_flag(a, v, opts.connections, 0)) {
+        return 2;
+      }
     } else if (std::strcmp(a, "--first") == 0) {
-      if (!(v = need(a))) return 2;
-      opts.first_connection = static_cast<uint64_t>(std::atoll(v));
+      if (!(v = need(a)) || !util::parse_flag(a, v, opts.first_connection)) {
+        return 2;
+      }
     } else if (std::strcmp(a, "--seed") == 0) {
-      if (!(v = need(a))) return 2;
-      opts.seed = static_cast<uint64_t>(std::atoll(v));
+      if (!(v = need(a)) || !util::parse_flag(a, v, opts.seed)) return 2;
     } else if (std::strcmp(a, "--threads") == 0) {
-      if (!(v = need(a))) return 2;
-      opts.threads = std::atoi(v);
+      if (!(v = need(a)) || !util::parse_flag(a, v, opts.threads, 0)) return 2;
     } else if (a[0] == '-') {
       std::fprintf(stderr, "unknown option '%s'\n", a);
       return usage();
@@ -432,7 +431,7 @@ int main(int argc, char** argv) {
   if (cmd == "agg") {
     obs::AggregateQuery q;
     q.filter = filter;
-    q.bucket_ns = static_cast<int64_t>(bucket_ms) * 1'000'000;
+    q.bucket_ns = bucket_ms * 1'000'000;
     if (group_name == "conn") {
       q.group = obs::GroupKey::kConn;
     } else if (group_name == "type") {

@@ -31,7 +31,6 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/trace_explorer
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -46,6 +45,7 @@
 #include "obs/snapshot.h"
 #include "obs/store/store_reader.h"
 #include "util/artifacts.h"
+#include "util/parse_number.h"
 #include "sim/simulator.h"
 #include "tcp/connection.h"
 #include "workload/web_workload.h"
@@ -125,8 +125,9 @@ int main(int argc, char** argv) {
   int64_t store_conn = -1;
   for (int i = 1; i < argc - 1; ++i) {
     if (std::strcmp(argv[i], "--store") == 0) store_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--conn") == 0) {
-      store_conn = std::atoll(argv[i + 1]);
+    if (std::strcmp(argv[i], "--conn") == 0 &&
+        !util::parse_flag("--conn", argv[i + 1], store_conn, int64_t{0})) {
+      return 2;
     }
   }
   if (!store_path.empty()) return explore_store(store_path, store_conn);

@@ -40,8 +40,9 @@ class Gauge {
 };
 
 // Histogram over log2 buckets. The implementation lives in
-// util::Log2Histogram so layers below obs (stats' bounded mode) can use
-// the same fold; this alias keeps the obs-facing name and API stable.
+// util::Log2Histogram so layers below obs (the simulator's and sender's
+// self-profiling taps) can use the same fold; this alias keeps the
+// obs-facing name and API stable.
 using LogHistogram = util::Log2Histogram;
 
 class MetricsRegistry {

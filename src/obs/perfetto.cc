@@ -123,8 +123,6 @@ void perfetto_append_process(std::string& out,
       case TraceType::kInvariant:
       case TraceType::kLostRetransmit:
       case TraceType::kSackReneg:
-      case TraceType::kServiceAlert:
-      case TraceType::kServiceDecision:
         instant_event(out, pid, r, to_string(r.type));
         if (ends_recovery_episode(r) && in_recovery.erase(r.conn) != 0) {
           event_prefix(out, "E", pid, r, "fast recovery");

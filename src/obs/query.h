@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,6 +83,11 @@ enum class GroupKey : uint8_t {
   kType,        // per TraceType
   kTimeBucket,  // per floor(at_ns / bucket_ns)
 };
+
+// The widest kTimeBucket a width in whole milliseconds can name without
+// overflowing bucket_ns.
+inline constexpr int64_t kMaxBucketMs =
+    std::numeric_limits<int64_t>::max() / 1'000'000;
 
 struct AggregateQuery {
   QueryFilter filter;

@@ -1,6 +1,5 @@
 #include "obs/trace_record.h"
 
-#include <bit>
 #include <cinttypes>
 #include <cstdio>
 
@@ -28,8 +27,6 @@ const char* fault_name(unsigned k) {
                                  "ack_outage",   "receiver_stall"};
   return k < 6 ? kNames[k] : "?";
 }
-
-double u64_as_double(uint64_t v) { return std::bit_cast<double>(v); }
 
 const char* invariant_name(unsigned k) {
   static const char* kNames[] = {
@@ -64,8 +61,6 @@ const char* to_string(TraceType t) {
     case TraceType::kInvariant: return "invariant";
     case TraceType::kLostRetransmit: return "lost_retransmit";
     case TraceType::kSackReneg: return "sack_reneg";
-    case TraceType::kServiceAlert: return "service_alert";
-    case TraceType::kServiceDecision: return "service_decision";
     case TraceType::kCount: break;
   }
   return "?";
@@ -173,25 +168,6 @@ std::string describe(const TraceRecord& r) {
       std::snprintf(p, left, "una=%" PRIu64 " forgotten=%" PRIu64, r.f[0],
                     r.f[1]);
       break;
-    case TraceType::kServiceAlert:
-      // conn carries the snapshot window index for service records.
-      std::snprintf(p, left,
-                    "DRIFT series=%u arm=%u first_id=%" PRIu64
-                    " conns=%" PRIu64 " value=%g stat=%g h=%g",
-                    static_cast<unsigned>(r.a), static_cast<unsigned>(r.b),
-                    r.f[0], r.f[1], u64_as_double(r.f[2]),
-                    u64_as_double(r.f[3]), u64_as_double(r.f[4]));
-      break;
-    case TraceType::kServiceDecision: {
-      static const char* kActions[] = {"hold", "PROMOTE", "ROLLBACK"};
-      std::snprintf(p, left,
-                    "%s arm=%u n=%" PRIu64 " delta=%g p=%g ci=[%g,%g]",
-                    r.a < 3 ? kActions[r.a] : "?",
-                    static_cast<unsigned>(r.b), r.f[0], u64_as_double(r.f[1]),
-                    u64_as_double(r.f[2]), u64_as_double(r.f[3]),
-                    u64_as_double(r.f[4]));
-      break;
-    }
     case TraceType::kCount:
       break;
   }

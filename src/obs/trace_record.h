@@ -77,17 +77,6 @@ enum class TraceType : uint8_t {
   // window SACKed at RTO: reneging or a false SACK) and forgot all SACK
   // marks. f = {snd_una, bytes_forgotten}.
   kSackReneg,
-  // Live-service control plane (DESIGN.md §13); conn = snapshot window
-  // index, at_ns = arrival-clock time of the window's end.
-  // Drift-detector alarm: a = drift series id, b = arm index;
-  // f = {first_conn_id, conns_in_window, bit-cast observed value,
-  //      bit-cast detector statistic, bit-cast threshold}.
-  kServiceAlert,
-  // Promote/hold/rollback transition: a = action (0 hold, 1 promote,
-  // 2 rollback), b = arm index; f = {n_windows, bit-cast mean delta of
-  // the primary metric, bit-cast always-valid p, bit-cast CS lower,
-  // bit-cast CS upper}.
-  kServiceDecision,
   kCount,
 };
 

@@ -7,12 +7,6 @@ void LatencyTracker::add(ResponseRecord r) {
   if (r.completed) {
     ++completed_;
     completed_with_retx_ += r.had_retransmit;
-    const double lat_ms = r.latency_ms();
-    latency_us_.record(
-        lat_ms <= 0 ? 0 : static_cast<uint64_t>(lat_ms * 1000.0));
-    const double rtts = r.rtts_taken();
-    rtts_milli_.record(
-        rtts <= 0 ? 0 : static_cast<uint64_t>(rtts * 1000.0));
   }
   if (!bounded_) responses_.push_back(r);
 }
@@ -21,8 +15,6 @@ void LatencyTracker::append(const LatencyTracker& other) {
   total_ += other.total_;
   completed_ += other.completed_;
   completed_with_retx_ += other.completed_with_retx_;
-  latency_us_.merge(other.latency_us_);
-  rtts_milli_.merge(other.rtts_milli_);
   if (!bounded_)
     responses_.insert(responses_.end(), other.responses_.begin(),
                       other.responses_.end());

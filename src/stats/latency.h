@@ -7,19 +7,18 @@
 // Two storage modes:
 //  - unbounded (default): every ResponseRecord is kept, so exact
 //    quantiles over arbitrary filters are available (the table benches).
-//  - bounded: O(1) counters plus log2 histograms only — the form the
-//    million-connection streaming sweeps use, where keeping a ~48-byte
-//    record per response would make memory grow with N. Counters are
-//    maintained in BOTH modes, so count() and fraction_with_retransmit()
-//    are mode-independent and shard merges stay bit-identical at any
-//    worker count (counter sums and per-bucket sums are associative).
+//  - bounded: O(1) counters only — the form the million-connection
+//    streaming sweeps use, where keeping a ~48-byte record per response
+//    would make memory grow with N. Counters are maintained in BOTH
+//    modes, so count() and fraction_with_retransmit() are
+//    mode-independent and shard merges stay bit-identical at any worker
+//    count (counter sums are associative).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "sim/time.h"
-#include "util/log2_hist.h"
 #include "util/quantiles.h"
 
 namespace prr::stats {
@@ -49,7 +48,7 @@ class LatencyTracker {
   void merge(const LatencyTracker& other) { append(other); }
   const std::vector<ResponseRecord>& responses() const { return responses_; }
 
-  // Switches to bounded (counters + histograms) storage. Only valid
+  // Switches to bounded (counters only) storage. Only valid
   // before the first add(); records already kept are not re-folded.
   void set_bounded(bool bounded) { bounded_ = bounded; }
   bool bounded() const { return bounded_; }
@@ -59,14 +58,9 @@ class LatencyTracker {
   uint64_t count() const { return total_; }
   uint64_t completed_count() const { return completed_; }
 
-  // Bounded-mode distributions (also populated in unbounded mode so the
-  // two modes report identical aggregate JSON for the same run).
-  const util::Log2Histogram& latency_us_hist() const { return latency_us_; }
-  const util::Log2Histogram& rtts_milli_hist() const { return rtts_milli_; }
-
   enum class Filter { kAll, kWithRetransmit, kWithoutRetransmit };
 
-  // Exact-sample views; empty in bounded mode (use the histograms).
+  // Exact-sample views; empty in bounded mode.
   util::Samples latency_ms(Filter f = Filter::kAll,
                            uint64_t min_bytes = 0,
                            uint64_t max_bytes = UINT64_MAX) const;
@@ -79,8 +73,6 @@ class LatencyTracker {
   uint64_t total_ = 0;
   uint64_t completed_ = 0;
   uint64_t completed_with_retx_ = 0;
-  util::Log2Histogram latency_us_;
-  util::Log2Histogram rtts_milli_;
 };
 
 }  // namespace prr::stats

@@ -25,10 +25,6 @@ void RecoveryLog::add(RecoveryEvent e) {
   }
   timeout_ += e.interrupted_by_timeout;
   bytes_sent_during_ += e.bytes_sent_during;
-  const double dur_ms = e.duration().ms_d();
-  duration_us_.record(dur_ms <= 0 ? 0
-                                  : static_cast<uint64_t>(dur_ms * 1000.0));
-  burst_.record(e.max_burst_segments);
   if (!bounded_) events_.push_back(e);
 }
 
@@ -41,8 +37,6 @@ void RecoveryLog::append(const RecoveryLog& other) {
   slow_start_after_ += other.slow_start_after_;
   timeout_ += other.timeout_;
   bytes_sent_during_ += other.bytes_sent_during_;
-  duration_us_.merge(other.duration_us_);
-  burst_.merge(other.burst_);
   if (!bounded_)
     events_.insert(events_.end(), other.events_.begin(), other.events_.end());
 }

@@ -2,8 +2,8 @@
 // Table 10 need. The sender appends one record per fast-recovery episode.
 //
 // Like LatencyTracker, the log has an unbounded mode (every event kept,
-// exact quantiles) and a bounded mode for streaming sweeps (counters +
-// log2 histograms only, O(1) memory per arm). The classification
+// exact quantiles) and a bounded mode for streaming sweeps (counters
+// only, O(1) memory per arm). The classification
 // counters and the bytes_sent_during() total are maintained in both
 // modes, so count(), bytes_sent_during() and the fraction_* accessors
 // report identical values either way.
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "sim/time.h"
-#include "util/log2_hist.h"
 #include "util/quantiles.h"
 
 namespace prr::stats {
@@ -67,21 +66,17 @@ class RecoveryLog {
   // Sum of RecoveryEvent::bytes_sent_during over every event.
   uint64_t bytes_sent_during() const { return bytes_sent_during_; }
 
-  // Switches to bounded (counters + histograms) storage. Only valid
+  // Switches to bounded (counters only) storage. Only valid
   // before the first add().
   void set_bounded(bool bounded) { bounded_ = bounded; }
   bool bounded() const { return bounded_; }
-
-  // Bounded-mode distributions (populated in both modes).
-  const util::Log2Histogram& duration_us_hist() const { return duration_us_; }
-  const util::Log2Histogram& burst_hist() const { return burst_; }
 
   // Table 5: fraction of events starting in each PRR mode.
   double fraction_start_below_ssthresh() const;   // pipe < ssthresh
   double fraction_start_equal_ssthresh() const;
   double fraction_start_above_ssthresh() const;   // pipe > ssthresh
 
-  // Exact-sample views; empty in bounded mode (use the histograms).
+  // Exact-sample views; empty in bounded mode.
   util::Samples pipe_minus_ssthresh_segs() const;       // Table 5 quantiles
   util::Samples cwnd_minus_ssthresh_exit_segs() const;  // Table 6
   util::Samples cwnd_after_exit_segs() const;           // Table 7
@@ -102,8 +97,6 @@ class RecoveryLog {
   uint64_t slow_start_after_ = 0;
   uint64_t timeout_ = 0;
   uint64_t bytes_sent_during_ = 0;
-  util::Log2Histogram duration_us_;
-  util::Log2Histogram burst_;
 };
 
 }  // namespace prr::stats

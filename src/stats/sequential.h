@@ -1,10 +1,10 @@
-// Always-valid sequential statistics for the live experiment service
-// (DESIGN.md §13): a mixture sequential probability ratio test (mSPRT)
-// over a stream of paired observations, yielding an e-process, an
-// always-valid p-value, and a confidence sequence for the mean — all
-// safe to inspect after every observation ("any-time peeking"), which
-// is exactly what a continuously-watched A/B/n scoreboard does and what
-// a fixed-N test forbids.
+// Always-valid sequential statistics for paired arm comparisons: a
+// mixture sequential probability ratio test (mSPRT) over a stream of
+// paired observations, yielding an e-process, an always-valid p-value,
+// and a confidence sequence for the mean — all safe to inspect after
+// every observation ("any-time peeking"), which a fixed-N test forbids.
+// Paper-claim gates can assert each DESIGN.md §15 shape as one such
+// paired confidence sequence.
 //
 // Model: observations d_1, d_2, ... are treated as i.i.d. with unknown
 // mean mu and unknown variance; H0: mu = 0. The mixture likelihood
@@ -26,8 +26,8 @@
 // minimum sample count.
 //
 // Everything here is plain double arithmetic in observation order — fed
-// from the service's per-window folded aggregates (bit-identical at any
-// worker-thread count), the whole statistic stream is deterministic.
+// from folded sweep aggregates (bit-identical at any worker-thread
+// count), the whole statistic stream is deterministic.
 #pragma once
 
 #include <cstdint>

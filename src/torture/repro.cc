@@ -1,21 +1,24 @@
 #include "torture/repro.h"
 
-#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
-#include <type_traits>
 
 #include "net/fault_schedule.h"
 #include "util/checked_write.h"
+#include "util/parse_number.h"
 
 namespace prr::torture {
 
 namespace {
+
+using util::parse_i64;
+using util::parse_int;
+using util::parse_u64;
 
 void kv(std::string& out, const char* key, const std::string& value) {
   out += key;
@@ -42,46 +45,11 @@ std::string fmt_f(double v) {
   return buf;
 }
 
-// The numeric parsers accept the whole string or nothing: no trailing
-// bytes (an embedded NUL included), no overflow, and no sign on an
-// unsigned value (strtoull would turn "-1" into 2^64-1).
-bool parse_u64(const std::string& s, uint64_t& v) {
-  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  v = std::strtoull(s.c_str(), &end, 10);
-  return errno == 0 && end == s.c_str() + s.size();
-}
-
-bool parse_i64(const std::string& s, int64_t& v) {
-  char* end = nullptr;
-  errno = 0;
-  v = std::strtoll(s.c_str(), &end, 10);
-  return errno == 0 && !s.empty() && end == s.c_str() + s.size();
-}
-
+// Whole string or nothing, like the util/parse_number.h integers.
 bool parse_f(const std::string& s, double& v) {
   char* end = nullptr;
   v = std::strtod(s.c_str(), &end);
   return !s.empty() && end == s.c_str() + s.size();
-}
-
-// An integer that must fit field type T.
-template <typename T>
-bool parse_int(const std::string& s, T& v) {
-  if constexpr (std::is_signed_v<T>) {
-    int64_t i = 0;
-    if (!parse_i64(s, i) || i < std::numeric_limits<T>::min() ||
-        i > std::numeric_limits<T>::max()) {
-      return false;
-    }
-    v = static_cast<T>(i);
-  } else {
-    uint64_t u = 0;
-    if (!parse_u64(s, u) || u > std::numeric_limits<T>::max()) return false;
-    v = static_cast<T>(u);
-  }
-  return true;
 }
 
 // A probability: finite and in [0, 1] (NaN fails both comparisons).

@@ -20,9 +20,8 @@ namespace prr::util {
 bool checked_write_file(const std::string& path, std::string_view body);
 
 // checked_write_file + a structural JSON validation of `body` first
-// (obs::json_valid). Refusing to write malformed JSON at the producer
-// keeps bench/json_gate, which checks only the files it is given, a
-// backstop instead of the first line of defense.
+// (obs::json_valid): malformed JSON is refused at the producer, before
+// any byte reaches the file.
 bool checked_write_json(const std::string& path, std::string_view body);
 
 }  // namespace prr::util

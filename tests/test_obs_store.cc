@@ -182,7 +182,7 @@ std::vector<TraceRecord> random_records(std::size_t n, uint64_t conn,
     r.b = static_cast<uint16_t>(rng());
     for (int k = 0; k < 6; ++k) {
       // Mix of small counters, byte-sized fields and full-width values
-      // (bit-cast doubles in service records use all 64 bits).
+      // (bit-cast doubles, e.g. kFault's scale, use all 64 bits).
       switch (rng() % 3) {
         case 0: r.f[k] = rng() % 64; break;
         case 1: r.f[k] = rng() % (1u << 24); break;

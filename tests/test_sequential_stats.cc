@@ -119,8 +119,9 @@ TEST(ConfidenceSequence, UnderpoweredBeforeMinN) {
 }
 
 TEST(ConfidenceSequence, DeterministicReplay) {
-  // Same observation stream => identical statistic stream (the service
-  // determinism contract leans on this being pure double arithmetic).
+  // Same observation stream => identical statistic stream (a claim gate
+  // fed from a thread-count-invariant fold leans on this being pure
+  // double arithmetic).
   sim::Rng rng_a(77), rng_b(77);
   stats::ConfidenceSequence a, b;
   for (int i = 0; i < 200; ++i) {

@@ -163,7 +163,11 @@ TEST(Repro, MalformedInputIsRejectedWithLineNumbers) {
   // and probabilities outside [0, 1] (nan and inf included).
   for (const char* bad : {
            "seed = -1",
+           "seed = 12x",
+           "seed = +7",
+           "seed = 0x10",
            "seed = 18446744073709551616",
+           "limit_ns = 5ms",
            "limit_ns = 9223372036854775808",
            "bandwidth_bps = 0",
            "bandwidth_bps = -8",
