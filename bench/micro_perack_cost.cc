@@ -194,15 +194,10 @@ template <typename Policy>
 void BM_PolicyOnAck(benchmark::State& state) {
   Policy p;
   p.on_enter(100 * kMss, 50 * kMss, 100 * kMss, kMss);
-  prr::tcp::RecoveryAckContext ctx;
-  ctx.delivered_bytes = kMss;
-  ctx.pipe_bytes = 80 * kMss;
-  ctx.mss = kMss;
   uint64_t cwnd = 100 * kMss;
   int acks = 0;
   for (auto _ : state) {
-    ctx.cwnd_bytes = cwnd;
-    cwnd = p.on_ack(ctx);
+    cwnd = p.on_ack(kMss, 80 * kMss);
     p.on_sent(kMss);
     benchmark::DoNotOptimize(cwnd);
     if (++acks % 128 == 0) {

@@ -125,8 +125,7 @@ int main() {
     opts.check_invariants = true;
     opts.scenario = spec.name;
 
-    exp::Experiment experiment(pop, opts);
-    auto results = experiment.run(bench::three_way_arms());
+    auto results = exp::run_arms(pop, bench::three_way_arms(), opts);
     for (const auto& r : results) {
       chaos.add_row({spec.name, r.name, std::to_string(r.acks_checked),
                      std::to_string(r.invariant_violations),

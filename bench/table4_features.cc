@@ -27,13 +27,13 @@ int main() {
   t.add_row({"Fast recovery", "3517/6937",
              "pluggable: PRR (default) / Linux rate halving / RFC 3517"});
   t.add_row({"FACK loss marking", "-", def.use_fack ? "on" : "off"});
-  t.add_row({"Limited transmit", "3042",
-             def.limited_transmit ? "on" : "off"});
+  t.add_row({"Limited transmit", "3042", "on"});
   t.add_row({"Dynamic dupthresh", "-", "on (reordering raises it)"});
   t.add_row({"Lost-retransmit detection", "-", "on"});
+  const tcp::RtoEstimator::Config rto;
   t.add_row({"RTO", "6298",
-             "min " + std::to_string(def.rto.min_rto.ms()) + " ms, max " +
-                 std::to_string(def.rto.max_rto.ms() / 1000) + " s"});
+             "min " + std::to_string(rto.min_rto.ms()) + " ms, max " +
+                 std::to_string(rto.max_rto.ms() / 1000) + " s"});
   t.add_row({"F-RTO", "5682", "on (spurious-RTO undo)"});
   t.add_row({"Timestamps / Eifel detection", "7323/3522",
              "per-connection (12% of clients in the Web population)"});

@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
     opts.inject_violation_on_ack = 3;
   }
 
-  exp::Experiment experiment(pop, opts);
   std::vector<exp::ArmConfig> arms = {exp::ArmConfig::prr_arm(),
                                       exp::ArmConfig::rfc3517_arm(),
                                       exp::ArmConfig::linux_arm()};
@@ -79,7 +78,7 @@ int main(int argc, char** argv) {
               spec.name.c_str(), opts.connections, arms.size(),
               inject ? " (one synthetic violation injected)" : "");
 
-  std::vector<exp::ArmResult> results = experiment.run(arms);
+  std::vector<exp::ArmResult> results = exp::run_arms(pop, arms, opts);
 
   for (std::size_t a = 0; a < arms.size(); ++a) {
     const exp::ArmResult& r = results[a];
@@ -163,7 +162,7 @@ int main(int argc, char** argv) {
         }
       }
 
-      exp::ReplayResult replay = experiment.replay(arms[a], rec);
+      exp::ReplayResult replay = exp::replay(pop, arms[a], opts, rec);
       const bool ok = replay.reproduced(rec);
       std::printf("replay: %zu violation(s), %llu ACKs checked -> %s\n",
                   replay.violations.size(),

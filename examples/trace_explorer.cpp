@@ -30,6 +30,7 @@
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/trace_explorer
+// Any other argument, or a flag without its value, exits 2.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -123,10 +124,19 @@ int explore_store(const std::string& path, int64_t want_conn) {
 int main(int argc, char** argv) {
   std::string store_path;
   int64_t store_conn = -1;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--store") == 0) store_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--conn") == 0 &&
-        !util::parse_flag("--conn", argv[i + 1], store_conn, int64_t{0})) {
+  for (int i = 1; i < argc; ++i) {
+    const bool has_value = i + 1 < argc;
+    if (std::strcmp(argv[i], "--store") == 0 && has_value) {
+      store_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--conn") == 0 && has_value) {
+      if (!util::parse_flag("--conn", argv[++i], store_conn, int64_t{0})) {
+        return 2;
+      }
+    } else {
+      std::fprintf(stderr,
+                   "trace_explorer: unknown flag or missing value '%s'\n"
+                   "usage: trace_explorer [--store FILE [--conn ID]]\n",
+                   argv[i]);
       return 2;
     }
   }

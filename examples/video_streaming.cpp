@@ -2,61 +2,58 @@
 // transfer (initial burst, then encoder-rate throttling) on an
 // India-like path, showing the recovery machinery of a long flow —
 // recovery episodes, time in loss recovery, and goodput per algorithm.
+// The transfer is connection 0 of the video population, run through the
+// experiment harness, so the sample's SACK, timestamp, ECN and ACK-path
+// settings all apply.
 //
 // Usage: video_streaming [algorithm: prr|linux|rfc3517] [seed]
+// Exits 2 on an unknown algorithm or a seed that is not a whole integer.
 #include <cstdio>
-#include <cstring>
-#include <memory>
+#include <string>
 
 #include "exp/experiment.h"
-#include "net/loss_model.h"
-#include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "util/parse_number.h"
 #include "util/table.h"
 #include "workload/video_workload.h"
 
 using namespace prr;
 
 int main(int argc, char** argv) {
-  tcp::RecoveryKind kind = tcp::RecoveryKind::kPrr;
-  const char* name = "prr";
-  if (argc > 1) {
-    name = argv[1];
-    if (std::strcmp(argv[1], "linux") == 0)
-      kind = tcp::RecoveryKind::kLinuxRateHalving;
-    else if (std::strcmp(argv[1], "rfc3517") == 0)
-      kind = tcp::RecoveryKind::kRfc3517;
+  auto usage = [] {
+    std::fprintf(stderr,
+                 "usage: video_streaming [prr|linux|rfc3517] [seed]\n");
+    return 2;
+  };
+  const std::string name = argc > 1 ? argv[1] : "prr";
+  exp::ArmConfig arm;
+  if (name == "prr") {
+    arm = exp::ArmConfig::prr_arm();
+  } else if (name == "linux") {
+    arm = exp::ArmConfig::linux_arm();
+  } else if (name == "rfc3517") {
+    arm = exp::ArmConfig::rfc3517_arm();
+  } else {
+    std::fprintf(stderr, "unknown algorithm '%s'\n", name.c_str());
+    return usage();
   }
-  const uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
+  uint64_t seed = 7;
+  if (argc > 3 || (argc > 2 && !util::parse_flag("seed", argv[2], seed))) {
+    return usage();
+  }
 
   workload::VideoWorkload pop;
-  sim::Rng rng(seed);
-  workload::ConnectionSample sample = pop.sample(rng.fork(100));
+  exp::RunOptions opts;
+  opts.connections = 1;
+  opts.seed = seed;
+  opts.per_connection_limit = sim::Time::seconds(900);
+  const exp::ArmResult r = exp::run_arm(pop, arm, opts);
+  // The harness draws connection 0's sample from (seed, 0); redraw it
+  // here only to print the path.
+  const workload::ConnectionSample sample =
+      pop.sample(sim::Rng(seed).fork(0).fork(100));
 
-  sim::Simulator sim;
-  tcp::ConnectionConfig cfg;
-  cfg.sender.recovery = kind;
-  cfg.sender.handshake_rtt = sample.rtt;
-  cfg.receiver.dsack_enabled = sample.client_dsack;
-  cfg.path = net::Path::Config::symmetric(sample.bandwidth, sample.rtt,
-                                          sample.queue_packets);
-
-  stats::RecoveryLog rlog;
-  tcp::Connection conn(sim, cfg, rng.fork(101), &rlog);
-  const tcp::Metrics& metrics = conn.sender().metrics();
-  if (sample.loss.p_good_to_bad > 0) {
-    conn.path().data_link().set_loss_model(
-        std::make_unique<net::GilbertElliottLoss>(sample.loss,
-                                                  rng.fork(102)));
-  }
-
-  stats::LatencyTracker latency;
-  http::ServerApp app(sim, conn, sample.responses, &latency);
-  app.start();
-  sim.run(sim::Time::seconds(900));
-
-  const auto& resp = latency.responses().at(0);
-  std::printf("video transfer with %s recovery\n", name);
+  const auto& resp = r.latency.responses().at(0);
+  std::printf("video transfer with %s recovery\n", name.c_str());
   std::printf("  path: %.2f Mbps, RTT %lld ms, queue %zu pkts, burst "
               "loss p=%.4f\n",
               sample.bandwidth.mbps_d(), (long long)sample.rtt.ms(),
@@ -66,22 +63,20 @@ int main(int argc, char** argv) {
               resp.bytes * 8.0 / resp.latency_ms());
   std::printf("  network transmit time: %.1f s, in loss recovery: %.1f s "
               "(%.0f%%)\n",
-              conn.sender().network_transmit_time().seconds_d(),
-              conn.sender().loss_recovery_time().seconds_d(),
-              conn.sender().network_transmit_time().seconds_d() > 0
-                  ? conn.sender().loss_recovery_time() /
-                        conn.sender().network_transmit_time() * 100
-                  : 0.0);
+              r.total_network_transmit_time.seconds_d(),
+              r.total_loss_recovery_time.seconds_d(),
+              r.fraction_time_in_loss_recovery() * 100);
   std::printf("  recovery episodes: %zu, fast retransmits: %llu, "
               "timeouts: %llu, lost fast retransmits: %llu\n",
-              rlog.count(), (unsigned long long)metrics.fast_retransmits,
-              (unsigned long long)metrics.timeouts_total,
-              (unsigned long long)metrics.lost_fast_retransmits);
+              r.recovery_log.count(),
+              (unsigned long long)r.metrics.fast_retransmits,
+              (unsigned long long)r.metrics.timeouts_total,
+              (unsigned long long)r.metrics.lost_fast_retransmits);
 
   util::Table t({"episode", "start [s]", "dur [ms]", "retx",
                  "burst [segs]", "cwnd after [segs]", "timeout?"});
   int i = 0;
-  for (const auto& e : rlog.events()) {
+  for (const auto& e : r.recovery_log.events()) {
     if (++i > 12) break;  // first dozen is plenty for a demo
     t.add_row({std::to_string(i), util::Table::fmt(e.start.seconds_d(), 1),
                util::Table::fmt(e.duration().ms_d(), 0),

@@ -3,18 +3,26 @@
 // per-response TCP latency — a miniature of the paper's §5 experiment.
 //
 // Usage: web_server_race [connections] [seed]
+// Exits 2 on a value that is not a whole integer (connections >= 1).
 #include <cstdio>
-#include <cstdlib>
 
 #include "exp/experiment.h"
+#include "util/parse_number.h"
 #include "util/table.h"
 #include "workload/web_workload.h"
 
 using namespace prr;
 
 int main(int argc, char** argv) {
-  const int connections = argc > 1 ? std::atoi(argv[1]) : 4000;
-  const uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 99;
+  int connections = 4000;
+  uint64_t seed = 99;
+  if (argc > 3 ||
+      (argc > 1 &&
+       !util::parse_flag("connections", argv[1], connections, 1)) ||
+      (argc > 2 && !util::parse_flag("seed", argv[2], seed))) {
+    std::fprintf(stderr, "usage: web_server_race [connections] [seed]\n");
+    return 2;
+  }
 
   std::printf("Racing Linux rate-halving vs RFC 3517 vs PRR over %d "
               "identical Web connections (seed %llu)...\n\n",

@@ -1,7 +1,7 @@
 // Per-worker recycled connection state for million-connection sweeps.
 // Constructing a Simulator + Connection + ServerApp per connection costs
-// dozens of allocations (event-queue slabs, scoreboard ring, policy
-// objects, response vectors); a ConnArena owns one of each and recycles
+// dozens of allocations (event-queue slabs, scoreboard ring, response
+// vectors); a ConnArena owns one of each and recycles
 // them through the explicit reset() protocol (Simulator::reset,
 // Connection::reset, ServerApp::reset), so the warm sweep loop performs
 // no per-connection allocation on clean paths.

@@ -197,50 +197,31 @@ void write_registry_totals(ArmResult& r) {
 }
 
 // Runs connection `id` of the (pop, arm, opts) experiment — the one place
-// both the sweep and quarantine replay go through, so a replay is the
-// exact computation the original run performed. `result` may be null
-// (replay mode: no aggregation). `force_check` enables the invariant
-// checker regardless of opts.check_invariants. `arena` may be null (the
-// fresh-objects path: one-off callers, replay, pooling disabled); when
-// set, the simulator/connection/app are recycled from it through the
-// reset() protocol — "fresh == reset by construction", so both paths are
-// the identical computation. Exceptions are caught here (not in the
-// caller) so the flight-recorder tail can be captured after the stack
-// unwinds.
+// the sweep, trace_connection and quarantine replay all go through, so a
+// replay is the exact computation the original run performed. The
+// simulator, connection and app live in `arena`: constructed on its first
+// connection, recycled through the reset() protocol after that ("fresh ==
+// reset by construction"). Every aggregate folds into `result`; one-off
+// callers pass a scratch one. `recorder` is non-null exactly when the run
+// traces (opts.trace, invariant checking, episode collection or capture);
+// it is cleared first. Exceptions are caught here (not in the caller) so
+// the flight-recorder tail can be captured after the stack unwinds.
 //
 // `capture`/`encoder` (both set or both null) enable trace-store capture:
 // at teardown the policy is evaluated over this connection's own counters
-// and, on keep, the ring is encoded into result->store.
+// and, on keep, the ring is encoded into result.store.
 ConnectionOutcome run_one_connection(const workload::Population& pop,
                                      const ArmConfig& arm,
                                      const RunOptions& opts, uint64_t id,
-                                     bool force_check, ArmResult* result,
-                                     obs::FlightRecorder* shared_recorder,
-                                     ConnArena* arena,
+                                     ConnArena& arena, ArmResult& result,
+                                     obs::FlightRecorder* recorder,
                                      const obs::CapturePolicy* capture,
                                      obs::StoreEncoder* encoder) {
   ConnectionOutcome outcome;
-  const bool check = force_check || opts.check_invariants;
-  const bool capturing =
-      capture != nullptr && encoder != nullptr && result != nullptr;
-
-  // The recorder outlives the connection (declared before the try) so a
-  // throwing connection still leaves a readable tail. Checked runs get
-  // one even without opts.trace: quarantine artifacts always carry the
-  // events leading up to the failure. Sweeps pass a shard-owned ring
-  // (cleared per connection) so short transfers don't pay a ring
-  // allocation each; one-off callers get a local ring.
-  std::optional<obs::FlightRecorder> local_recorder;
-  obs::FlightRecorder* recorder = nullptr;
-  if (opts.trace || check || opts.collect_episodes || capturing) {
-    if (shared_recorder != nullptr) {
-      shared_recorder->clear();
-      recorder = shared_recorder;
-    } else {
-      local_recorder.emplace(opts.trace_ring_records);
-      recorder = &*local_recorder;
-    }
-  }
+  const bool capturing = capture != nullptr && encoder != nullptr;
+  // The recorder outlives the connection (the caller owns it) so a
+  // throwing connection still leaves a readable tail.
+  if (recorder) recorder->clear();
 
   // Episode accumulation taps the recorder through a listener (records
   // are folded as written, so ring wrap cannot lose episodes). The
@@ -254,8 +235,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
   // an exploding connection is exactly what triggered capture is for).
   obs::CaptureStats cap;
   cap.conn = id;
-  const bool collect =
-      opts.collect_episodes && recorder != nullptr && result != nullptr;
+  const bool collect = opts.collect_episodes && recorder != nullptr;
   if (collect) {
     recorder->add_listener(
         [&episode_builder](const obs::TraceRecord& r) {
@@ -267,55 +247,36 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     // Common random numbers: the sample and all network randomness derive
     // from (seed, id), independent of the arm.
     sim::Rng conn_rng = sim::Rng(opts.seed).fork(id);
-    workload::ConnectionSample local_sample;
-    workload::ConnectionSample& sample = arena ? arena->sample : local_sample;
+    workload::ConnectionSample& sample = arena.sample;
     pop.sample_into(conn_rng.fork(100), sample);
-    if (result != nullptr) {
-      for (const auto& resp : sample.responses) {
-        result->total_workload_bytes += resp.bytes;
-      }
+    for (const auto& resp : sample.responses) {
+      result.total_workload_bytes += resp.bytes;
     }
     outcome.fault_summary = sample.faults.describe();
 
-    std::optional<sim::Simulator> local_sim;
-    if (arena) {
-      arena->sim.reset();
-    } else {
-      local_sim.emplace();
-    }
-    sim::Simulator& sim = arena ? arena->sim : *local_sim;
+    sim::Simulator& sim = arena.sim;
+    sim.reset();
     // Batch delivery is a per-run toggle, set while the queue is empty
     // (fresh or just reset).
     sim.set_batch_delivery(opts.batch_delivery);
 
-    stats::RecoveryLog* rlog =
-        result != nullptr ? &result->recovery_log : nullptr;
-    std::optional<tcp::Connection> local_conn;
-    if (arena) {
-      if (!arena->conn) {
-        arena->conn.emplace(sim, make_connection_config(sample, arm),
-                            conn_rng.fork(101), rlog);
-      } else {
-        arena->conn->reset(make_connection_config(sample, arm),
-                           conn_rng.fork(101), rlog);
-        arena->check_reset_state();
-      }
+    if (!arena.conn) {
+      arena.conn.emplace(sim, make_connection_config(sample, arm),
+                         conn_rng.fork(101), &result.recovery_log);
     } else {
-      local_conn.emplace(sim, make_connection_config(sample, arm),
-                         conn_rng.fork(101), rlog);
+      arena.conn->reset(make_connection_config(sample, arm),
+                        conn_rng.fork(101), &result.recovery_log);
+      arena.check_reset_state();
     }
-    tcp::Connection& conn = arena ? *arena->conn : *local_conn;
+    tcp::Connection& conn = *arena.conn;
     // The sender's ledger is folded into the arm once, when the
     // connection ends, normally or by throwing: a throwing connection
     // keeps the counts it reached.
     struct LedgerFold {
       const tcp::Sender& sender;
-      tcp::Metrics* arm;
-      ~LedgerFold() {
-        if (arm != nullptr) *arm += sender.metrics();
-      }
-    } ledger_fold{conn.sender(),
-                  result != nullptr ? &result->metrics : nullptr};
+      tcp::Metrics& arm;
+      ~LedgerFold() { arm += sender.metrics(); }
+    } ledger_fold{conn.sender(), result.metrics};
     // The recorder is detached when the connection ends, normally or by
     // throwing. A pooled Connection outlives the shard's recorder, and a
     // timer still armed at the end would otherwise trace its cancel (on
@@ -334,7 +295,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     }
 
     obs::SelfProfiler profiler;
-    if (opts.self_profile && result != nullptr) {
+    if (opts.self_profile) {
       profiler.attach(sim);
       profiler.attach(conn.sender());
     }
@@ -384,7 +345,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
 
     // The safety net: per-ACK invariant checking, quarantine on violation.
     std::unique_ptr<tcp::InvariantChecker> checker;
-    if (check) {
+    if (opts.check_invariants) {
       tcp::InvariantChecker::Config ccfg;
       if (opts.inject_violation_connection >= 0 &&
           static_cast<uint64_t>(opts.inject_violation_connection) == id) {
@@ -413,19 +374,12 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
           });
     }
 
-    stats::LatencyTracker* latency =
-        result != nullptr ? &result->latency : nullptr;
-    std::optional<http::ServerApp> local_app;
-    if (arena) {
-      if (!arena->app) {
-        arena->app.emplace(sim, conn, sample.responses, latency);
-      } else {
-        arena->app->reset(sample.responses, latency);
-      }
+    if (!arena.app) {
+      arena.app.emplace(sim, conn, sample.responses, &result.latency);
     } else {
-      local_app.emplace(sim, conn, sample.responses, latency);
+      arena.app->reset(sample.responses, &result.latency);
     }
-    http::ServerApp& app = arena ? *arena->app : *local_app;
+    http::ServerApp& app = *arena.app;
     if (sample.client_abandons) {
       sim.schedule_in(sample.abandon_after,
                       [&conn] { conn.path().kill_client(); });
@@ -445,7 +399,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     outcome.aborted = conn.sender().aborted();
     outcome.all_acked = conn.sender().all_acked();
 
-    if (opts.collect_outcomes && result != nullptr) {
+    if (opts.collect_outcomes) {
       ConnOutcome co;
       co.id = id;
       for (const auto& resp : sample.responses) co.expected_bytes += resp.bytes;
@@ -453,43 +407,38 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
       co.all_acked = outcome.all_acked;
       co.aborted = outcome.aborted;
       co.app_finished = app.finished();
-      result->outcomes.push_back(co);
+      result.outcomes.push_back(co);
     }
 
-    if (result != nullptr) {
-      result->total_network_transmit_time +=
-          conn.sender().network_transmit_time();
-      result->total_loss_recovery_time += conn.sender().loss_recovery_time();
-      ++result->connections_run;
+    result.total_network_transmit_time +=
+        conn.sender().network_transmit_time();
+    result.total_loss_recovery_time += conn.sender().loss_recovery_time();
+    ++result.connections_run;
 
-      if (capturing) {
-        const tcp::Metrics& m = conn.sender().metrics();
-        cap.timeouts = m.timeouts_total;
-        cap.undo_events = m.undo_events;
-        cap.retransmits = m.retransmits_total;
-        cap.rto_interrupted_recovery = m.timeouts_in_recovery > 0;
-        cap.recovery_ms =
-            static_cast<double>(conn.sender().loss_recovery_time().ms());
-        cap.aborted = conn.sender().aborted();
-      }
-      RegistryHandles local_handles;
-      RegistryHandles& handles = arena ? arena->handles : local_handles;
-      if (handles.owner != &result->registry) {
-        handles.bind(result->registry);
-      }
-      fold_connection_registry(handles, conn.sender(), sim.now());
-      if (recorder) {
-        if (!handles.trace_records_written) {
-          handles.trace_records_written =
-              result->registry.counter("obs.trace.records_written");
-          handles.trace_records_dropped =
-              result->registry.counter("obs.trace.records_dropped");
-        }
-        handles.trace_records_written->add(recorder->total_written());
-        handles.trace_records_dropped->add(recorder->dropped());
-      }
-      if (opts.self_profile) profiler.export_into(result->registry);
+    if (capturing) {
+      const tcp::Metrics& m = conn.sender().metrics();
+      cap.timeouts = m.timeouts_total;
+      cap.undo_events = m.undo_events;
+      cap.retransmits = m.retransmits_total;
+      cap.rto_interrupted_recovery = m.timeouts_in_recovery > 0;
+      cap.recovery_ms =
+          static_cast<double>(conn.sender().loss_recovery_time().ms());
+      cap.aborted = conn.sender().aborted();
     }
+    RegistryHandles& handles = arena.handles;
+    if (handles.owner != &result.registry) handles.bind(result.registry);
+    fold_connection_registry(handles, conn.sender(), sim.now());
+    if (recorder) {
+      if (!handles.trace_records_written) {
+        handles.trace_records_written =
+            result.registry.counter("obs.trace.records_written");
+        handles.trace_records_dropped =
+            result.registry.counter("obs.trace.records_dropped");
+      }
+      handles.trace_records_written->add(recorder->total_written());
+      handles.trace_records_dropped->add(recorder->dropped());
+    }
+    if (opts.self_profile) profiler.export_into(result.registry);
   } catch (const std::exception& e) {
     outcome.exception = e.what();
   } catch (...) {
@@ -499,7 +448,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
   if (collect) {
     recorder->pop_listener();
     episode_builder.finish();
-    result->episodes.fold(episode_builder);
+    result.episodes.fold(episode_builder);
   }
   if (recorder &&
       (!outcome.violations.empty() || !outcome.exception.empty())) {
@@ -514,7 +463,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     if (d.keep) {
       encoder->encode(*recorder, id,
                       d.full ? obs::kBlockFull : obs::kBlockSampled,
-                      &result->store);
+                      &result.store);
     }
   }
   return outcome;
@@ -523,10 +472,12 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
 // Runs connections [begin, end) of one arm into `result`, with the
 // quarantine net around each — the single code path both the serial run
 // and every worker chunk execute, so the two are the same computation.
+// `arena` is the worker's: kept across connections (and ranges) with
+// opts.pool_connections, re-emplaced fresh before each one without.
 void run_connection_range(const workload::Population& pop,
                           const ArmConfig& arm, const RunOptions& opts,
                           uint64_t begin, uint64_t end, ArmResult& result,
-                          ConnArena* arena,
+                          std::optional<ConnArena>& arena,
                           const obs::CapturePolicy* capture,
                           obs::StoreWriter* store_writer) {
   // One ring per shard, cleared between connections — the sweep's trace
@@ -545,10 +496,10 @@ void run_connection_range(const workload::Population& pop,
   // must not survive the boundary.
   if (arena) arena->handles.invalidate();
   for (uint64_t id = begin; id < end; ++id) {
+    if (!arena || !opts.pool_connections) arena.emplace();
     ConnectionOutcome outcome = run_one_connection(
-        pop, arm, opts, id, /*force_check=*/false, &result,
-        recorder ? &*recorder : nullptr, arena, capture,
-        encoder ? &*encoder : nullptr);
+        pop, arm, opts, id, *arena, result, recorder ? &*recorder : nullptr,
+        capture, encoder ? &*encoder : nullptr);
     // Serial mode streams captured blocks straight to disk, connection by
     // connection, so the in-memory shard never grows with the sweep.
     // Worker shards have no writer: their blocks ride in result.store
@@ -617,10 +568,11 @@ TracedConnection trace_connection(const workload::Population& pop,
   RunOptions traced = opts;
   traced.trace = true;
   traced.collect_episodes = false;  // the local builder handles episodes
-  ConnectionOutcome outcome = run_one_connection(
-      pop, arm, traced, id, /*force_check=*/false,
-      /*result=*/nullptr, &recorder, /*arena=*/nullptr,
-      /*capture=*/nullptr, /*encoder=*/nullptr);
+  ConnArena arena;
+  ArmResult scratch;
+  ConnectionOutcome outcome =
+      run_one_connection(pop, arm, traced, id, arena, scratch, &recorder,
+                         /*capture=*/nullptr, /*encoder=*/nullptr);
   builder.finish();
   out.episodes = builder.episodes();
   out.aborted = outcome.aborted;
@@ -675,10 +627,8 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
 
   if (threads == 1) {
     std::optional<ConnArena> arena;
-    if (opts.pool_connections) arena.emplace();
-    run_connection_range(pop, arm, opts, first, first + n, result,
-                         arena ? &*arena : nullptr, capture,
-                         writer ? &*writer : nullptr);
+    run_connection_range(pop, arm, opts, first, first + n, result, arena,
+                         capture, writer ? &*writer : nullptr);
     write_registry_totals(result);
     finish_store();
     return result;
@@ -713,7 +663,6 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
 
   auto worker = [&] {
     std::optional<ConnArena> arena;
-    if (opts.pool_connections) arena.emplace();
     uint64_t c = 0;
     while (folder.claim(c)) {
       ArmResult shard;
@@ -721,9 +670,8 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
       shard.recovery_log.set_bounded(opts.bounded_stats);
       const uint64_t begin = first + c * chunk_size;
       const uint64_t end = std::min(first + n, begin + chunk_size);
-      run_connection_range(pop, arm, opts, begin, end, shard,
-                           arena ? &*arena : nullptr, capture,
-                           /*store_writer=*/nullptr);
+      run_connection_range(pop, arm, opts, begin, end, shard, arena,
+                           capture, /*store_writer=*/nullptr);
       folder.submit(c, std::move(shard));
     }
   };
@@ -746,20 +694,11 @@ std::vector<ArmResult> run_arms(const workload::Population& pop,
   return results;
 }
 
-ArmResult Experiment::run(const ArmConfig& arm) const {
-  return run_arm(pop_, arm, opts_);
-}
-
-std::vector<ArmResult> Experiment::run(
-    const std::vector<ArmConfig>& arms) const {
-  return run_arms(pop_, arms, opts_);
-}
-
-ReplayResult Experiment::replay(const ArmConfig& arm,
-                                const QuarantineRecord& record) const {
-  ReplayResult replay;
-  RunOptions opts = opts_;
+ReplayResult replay(const workload::Population& pop, const ArmConfig& arm,
+                    const RunOptions& base, const QuarantineRecord& record) {
+  RunOptions opts = base;
   opts.seed = record.seed;  // the record pins the sample path
+  opts.check_invariants = true;
   // The record also pins the trace geometry: the ring size never affects
   // connection behavior, but the captured tail must match the original
   // byte for byte for replay artifacts to be comparable.
@@ -769,11 +708,13 @@ ReplayResult Experiment::replay(const ArmConfig& arm,
   if (record.trace_tail_records != 0) {
     opts.trace_tail_records = record.trace_tail_records;
   }
+  obs::FlightRecorder recorder(opts.trace_ring_records);
+  ConnArena arena;
+  ArmResult scratch;
   ConnectionOutcome outcome = run_one_connection(
-      pop_, arm, opts, record.connection_id,
-      /*force_check=*/true, /*result=*/nullptr,
-      /*shared_recorder=*/nullptr, /*arena=*/nullptr,
+      pop, arm, opts, record.connection_id, arena, scratch, &recorder,
       /*capture=*/nullptr, /*encoder=*/nullptr);
+  ReplayResult replay;
   replay.violations = std::move(outcome.violations);
   replay.exception = std::move(outcome.exception);
   replay.aborted = outcome.aborted;

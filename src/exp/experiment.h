@@ -14,9 +14,9 @@
 // connection runs under a tcp::InvariantChecker, and a connection that
 // trips an invariant or throws is *quarantined* — its (seed, connection
 // id, arm, scenario, fault schedule) tuple is logged to
-// ArmResult::quarantined and the run continues. Experiment::replay()
-// re-runs a quarantined connection deterministically in isolation (the
-// whole sample path derives from (seed, id), so the replay is exact).
+// ArmResult::quarantined and the run continues. replay() re-runs a
+// quarantined connection deterministically in isolation (the whole sample
+// path derives from (seed, id), so the replay is exact).
 #pragma once
 
 #include <cstdint>
@@ -329,29 +329,6 @@ struct ReplayResult {
   bool reproduced(const QuarantineRecord& rec) const;
 };
 
-// Bundles a population with run options so a chaos sweep and the replay
-// of anything it quarantines share one configuration.
-class Experiment {
- public:
-  Experiment(const workload::Population& pop, RunOptions opts)
-      : pop_(pop), opts_(std::move(opts)) {}
-
-  ArmResult run(const ArmConfig& arm) const;
-  std::vector<ArmResult> run(const std::vector<ArmConfig>& arms) const;
-
-  // Re-runs one quarantined connection deterministically, with invariant
-  // checking forced on. `arm` must be the configuration of the arm named
-  // in the record.
-  ReplayResult replay(const ArmConfig& arm,
-                      const QuarantineRecord& record) const;
-
-  const RunOptions& options() const { return opts_; }
-
- private:
-  const workload::Population& pop_;
-  RunOptions opts_;
-};
-
 // One connection's full forensic capture: the (ring-capped) record
 // stream plus its episodes with per-ACK ledgers. The input to
 // examples/prr_inspect's single-connection views and the cross-arm diff
@@ -372,6 +349,13 @@ TracedConnection trace_connection(const workload::Population& pop,
                                   const ArmConfig& arm,
                                   const RunOptions& opts, uint64_t id,
                                   std::size_t max_records = 1u << 20);
+
+// Re-runs one quarantined connection deterministically under `opts` (the
+// sweep's options), with invariant checking forced on and the record's
+// seed and trace geometry pinned. `arm` must be the configuration of the
+// arm named in the record.
+ReplayResult replay(const workload::Population& pop, const ArmConfig& arm,
+                    const RunOptions& opts, const QuarantineRecord& record);
 
 // Runs one arm over the population.
 ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,

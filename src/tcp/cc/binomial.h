@@ -7,21 +7,22 @@
 // pacing regardless of the rule.
 #pragma once
 
-#include "tcp/cc/congestion_control.h"
+#include <cstdint>
+
+#include "sim/time.h"
 
 namespace prr::tcp {
 
-class Binomial final : public CongestionControl {
+class Binomial {
  public:
   Binomial(uint32_t mss, double k = 1.0, double l = 0.0,
            double alpha = 1.0, double beta = 1.0)
       : mss_(mss), k_(k), l_(l), alpha_(alpha), beta_(beta) {}
 
-  uint64_t ssthresh_after_loss(uint64_t cwnd_bytes) override;
+  uint64_t ssthresh_after_loss(uint64_t cwnd_bytes);
   uint64_t on_ack(uint64_t cwnd_bytes, uint64_t ssthresh_bytes,
-                  uint64_t acked_bytes, sim::Time now) override;
-  void on_timeout(sim::Time /*now*/) override {}
-  std::string name() const override { return "binomial"; }
+                  uint64_t acked_bytes, sim::Time now);
+  void on_timeout(sim::Time /*now*/) {}
 
  private:
   uint32_t mss_;

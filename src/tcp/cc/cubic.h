@@ -4,22 +4,23 @@
 // growth with a TCP-friendly region.
 #pragma once
 
-#include "tcp/cc/congestion_control.h"
+#include <cstdint>
+
+#include "sim/time.h"
 
 namespace prr::tcp {
 
-class Cubic final : public CongestionControl {
+class Cubic {
  public:
   static constexpr double kBeta = 0.7;
   static constexpr double kC = 0.4;  // segments / s^3
 
   explicit Cubic(uint32_t mss) : mss_(mss) {}
 
-  uint64_t ssthresh_after_loss(uint64_t cwnd_bytes) override;
+  uint64_t ssthresh_after_loss(uint64_t cwnd_bytes);
   uint64_t on_ack(uint64_t cwnd_bytes, uint64_t ssthresh_bytes,
-                  uint64_t acked_bytes, sim::Time now) override;
-  void on_timeout(sim::Time now) override;
-  std::string name() const override { return "cubic"; }
+                  uint64_t acked_bytes, sim::Time now);
+  void on_timeout(sim::Time now);
 
  private:
   double w_max_segs_ = 0;      // window before the last reduction

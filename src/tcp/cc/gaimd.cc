@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "tcp/cc/cubic.h"
-#include "tcp/cc/binomial.h"
-#include "tcp/cc/newreno.h"
+#include "tcp/cc/congestion_control.h"
 
 namespace prr::tcp {
 
@@ -31,53 +29,19 @@ uint64_t Gaimd::on_ack(uint64_t cwnd_bytes, uint64_t ssthresh_bytes,
   return cwnd_bytes;
 }
 
-std::unique_ptr<CongestionControl> make_congestion_control(
-    CcKind kind, uint32_t mss, double gaimd_beta) {
+CongestionControl make_congestion_control(CcKind kind, uint32_t mss,
+                                          double gaimd_beta) {
   switch (kind) {
     case CcKind::kNewReno:
-      return std::make_unique<NewReno>(mss);
+      return NewReno(mss);
     case CcKind::kCubic:
-      return std::make_unique<Cubic>(mss);
+      return Cubic(mss);
     case CcKind::kGaimd:
-      return std::make_unique<Gaimd>(mss, kGaimdAlpha, gaimd_beta);
+      return Gaimd(mss, kGaimdAlpha, gaimd_beta);
     case CcKind::kBinomial:
-      return std::make_unique<Binomial>(mss);  // IIAD defaults (k=1, l=0)
+      return Binomial(mss);  // IIAD defaults (k=1, l=0)
   }
-  return nullptr;
-}
-
-bool reset_congestion_control(CongestionControl& cc, CcKind kind,
-                              uint32_t mss, double gaimd_beta) {
-  // Copy-assignment from a freshly constructed instance is the poison-
-  // proof definition of "reset": the recycled object is byte-for-byte
-  // what the factory would have produced.
-  switch (kind) {
-    case CcKind::kNewReno:
-      if (auto* p = dynamic_cast<NewReno*>(&cc)) {
-        *p = NewReno(mss);
-        return true;
-      }
-      return false;
-    case CcKind::kCubic:
-      if (auto* p = dynamic_cast<Cubic*>(&cc)) {
-        *p = Cubic(mss);
-        return true;
-      }
-      return false;
-    case CcKind::kGaimd:
-      if (auto* p = dynamic_cast<Gaimd*>(&cc)) {
-        *p = Gaimd(mss, kGaimdAlpha, gaimd_beta);
-        return true;
-      }
-      return false;
-    case CcKind::kBinomial:
-      if (auto* p = dynamic_cast<Binomial*>(&cc)) {
-        *p = Binomial(mss);
-        return true;
-      }
-      return false;
-  }
-  return false;
+  return NewReno(mss);
 }
 
 }  // namespace prr::tcp

@@ -4,20 +4,21 @@
 // reduction-bound ablation bench sweeps beta through it.
 #pragma once
 
-#include "tcp/cc/congestion_control.h"
+#include <cstdint>
+
+#include "sim/time.h"
 
 namespace prr::tcp {
 
-class Gaimd final : public CongestionControl {
+class Gaimd {
  public:
   Gaimd(uint32_t mss, double alpha = 1.0, double beta = 0.5)
       : mss_(mss), alpha_(alpha), beta_(beta) {}
 
-  uint64_t ssthresh_after_loss(uint64_t cwnd_bytes) override;
+  uint64_t ssthresh_after_loss(uint64_t cwnd_bytes);
   uint64_t on_ack(uint64_t cwnd_bytes, uint64_t ssthresh_bytes,
-                  uint64_t acked_bytes, sim::Time now) override;
-  void on_timeout(sim::Time /*now*/) override {}
-  std::string name() const override { return "gaimd"; }
+                  uint64_t acked_bytes, sim::Time now);
+  void on_timeout(sim::Time /*now*/) {}
 
   double beta() const { return beta_; }
 

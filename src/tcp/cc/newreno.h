@@ -2,19 +2,20 @@
 // ssthresh, +1 MSS per RTT in congestion avoidance.
 #pragma once
 
-#include "tcp/cc/congestion_control.h"
+#include <cstdint>
+
+#include "sim/time.h"
 
 namespace prr::tcp {
 
-class NewReno final : public CongestionControl {
+class NewReno {
  public:
   explicit NewReno(uint32_t mss) : mss_(mss) {}
 
-  uint64_t ssthresh_after_loss(uint64_t cwnd_bytes) override;
+  uint64_t ssthresh_after_loss(uint64_t cwnd_bytes);
   uint64_t on_ack(uint64_t cwnd_bytes, uint64_t ssthresh_bytes,
-                  uint64_t acked_bytes, sim::Time now) override;
-  void on_timeout(sim::Time /*now*/) override {}
-  std::string name() const override { return "newreno"; }
+                  uint64_t acked_bytes, sim::Time now);
+  void on_timeout(sim::Time /*now*/) {}
 
  private:
   uint32_t mss_;

@@ -2,8 +2,7 @@
 
 #include <cstdio>
 #include <utility>
-
-#include "tcp/recovery/prr.h"
+#include <variant>
 
 namespace prr::tcp {
 
@@ -118,7 +117,7 @@ void InvariantChecker::on_ack_processed(const net::Segment& /*ack*/) {
   bool in_prr_recovery = false;
   if (sender_.state() == TcpState::kRecovery) {
     if (const auto* prr_policy =
-            dynamic_cast<const PrrRecovery*>(sender_.recovery_policy())) {
+            std::get_if<PrrRecovery>(&sender_.recovery_policy())) {
       const core::PrrState& st = prr_policy->state();
       if (st.in_recovery()) {
         in_prr_recovery = true;

@@ -1,46 +1,18 @@
-#include "tcp/recovery/prr.h"
-
-#include "tcp/recovery/rate_halving.h"
-#include "tcp/recovery/rfc3517.h"
+#include "tcp/recovery/recovery.h"
 
 namespace prr::tcp {
 
-std::unique_ptr<RecoveryPolicy> make_recovery_policy(
-    RecoveryKind kind, core::ReductionBound bound) {
+RecoveryPolicy make_recovery_policy(RecoveryKind kind,
+                                    core::ReductionBound bound) {
   switch (kind) {
     case RecoveryKind::kRfc3517:
-      return std::make_unique<Rfc3517Recovery>();
+      return Rfc3517Recovery();
     case RecoveryKind::kLinuxRateHalving:
-      return std::make_unique<RateHalvingRecovery>();
+      return RateHalvingRecovery();
     case RecoveryKind::kPrr:
-      return std::make_unique<PrrRecovery>(bound);
+      return PrrRecovery(bound);
   }
-  return nullptr;
-}
-
-bool reset_recovery_policy(RecoveryPolicy& policy, RecoveryKind kind,
-                           core::ReductionBound bound) {
-  switch (kind) {
-    case RecoveryKind::kRfc3517:
-      if (auto* p = dynamic_cast<Rfc3517Recovery*>(&policy)) {
-        *p = Rfc3517Recovery();
-        return true;
-      }
-      return false;
-    case RecoveryKind::kLinuxRateHalving:
-      if (auto* p = dynamic_cast<RateHalvingRecovery*>(&policy)) {
-        *p = RateHalvingRecovery();
-        return true;
-      }
-      return false;
-    case RecoveryKind::kPrr:
-      if (auto* p = dynamic_cast<PrrRecovery*>(&policy)) {
-        *p = PrrRecovery(bound);
-        return true;
-      }
-      return false;
-  }
-  return false;
+  return PrrRecovery(bound);
 }
 
 }  // namespace prr::tcp

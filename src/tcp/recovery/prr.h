@@ -1,45 +1,35 @@
 // Adapter binding the standalone PRR module (core/prr.h) to the
-// simulator's RecoveryPolicy interface. All three reduction-bound
-// variants (SSRB — the paper's "PRR" — plus CRB and UB for the ablation
-// bench) are selected at construction.
+// simulator's recovery-policy contract (tcp/recovery/recovery.h). All
+// three reduction-bound variants (SSRB — the paper's "PRR" — plus CRB and
+// UB for the ablation bench) are selected at construction.
 #pragma once
 
+#include <cstdint>
+
 #include "core/prr.h"
-#include "tcp/recovery/recovery.h"
 
 namespace prr::tcp {
 
-class PrrRecovery final : public RecoveryPolicy {
+class PrrRecovery {
  public:
   explicit PrrRecovery(
       core::ReductionBound bound = core::ReductionBound::kSlowStart)
       : state_(bound) {}
 
-  void on_enter(uint64_t flight_bytes, uint64_t ssthresh, uint64_t cwnd,
-                uint32_t mss) override {
-    (void)cwnd;
+  void on_enter(uint64_t flight_bytes, uint64_t ssthresh, uint64_t,
+                uint32_t mss) {
     state_.enter_recovery(flight_bytes, ssthresh, mss);
   }
 
-  uint64_t on_ack(const RecoveryAckContext& ctx) override {
-    const uint64_t sndcnt = state_.on_ack(ctx.delivered_bytes,
-                                          ctx.pipe_bytes);
-    return ctx.pipe_bytes + sndcnt;  // Algorithm 2: cwnd = pipe + sndcnt
+  uint64_t on_ack(uint64_t delivered_bytes, uint64_t pipe_bytes) {
+    const uint64_t sndcnt = state_.on_ack(delivered_bytes, pipe_bytes);
+    return pipe_bytes + sndcnt;  // Algorithm 2: cwnd = pipe + sndcnt
   }
 
-  void on_sent(uint64_t bytes) override { state_.on_data_sent(bytes); }
+  void on_sent(uint64_t bytes) { state_.on_data_sent(bytes); }
 
-  uint64_t exit_cwnd(uint64_t, uint64_t) override {
+  uint64_t exit_cwnd(uint64_t, uint64_t) {
     return state_.exit_cwnd();  // cwnd = ssthresh at the end of recovery
-  }
-
-  std::string name() const override {
-    switch (state_.bound()) {
-      case core::ReductionBound::kSlowStart: return "prr";
-      case core::ReductionBound::kConservative: return "prr-crb";
-      case core::ReductionBound::kUnlimited: return "prr-ub";
-    }
-    return "prr";
   }
 
   const core::PrrState& state() const { return state_; }
@@ -47,16 +37,5 @@ class PrrRecovery final : public RecoveryPolicy {
  private:
   core::PrrState state_;
 };
-
-std::unique_ptr<RecoveryPolicy> make_recovery_policy(
-    RecoveryKind kind,
-    core::ReductionBound bound = core::ReductionBound::kSlowStart);
-
-// Pool-recycle support: rewinds `policy` in place to the state
-// make_recovery_policy(kind, bound) would construct, with no allocation.
-// Returns false when `policy` is not an instance of `kind`.
-bool reset_recovery_policy(RecoveryPolicy& policy, RecoveryKind kind,
-                           core::ReductionBound bound =
-                               core::ReductionBound::kSlowStart);
 
 }  // namespace prr::tcp

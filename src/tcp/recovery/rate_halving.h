@@ -7,18 +7,17 @@
 // application stalls — the paper's "slow start after recovery" problem.
 #pragma once
 
-#include "tcp/recovery/recovery.h"
+#include <cstdint>
 
 namespace prr::tcp {
 
-class RateHalvingRecovery final : public RecoveryPolicy {
+class RateHalvingRecovery {
  public:
   void on_enter(uint64_t flight_bytes, uint64_t ssthresh, uint64_t cwnd,
-                uint32_t mss) override;
-  uint64_t on_ack(const RecoveryAckContext& ctx) override;
-  void on_sent(uint64_t) override {}
-  uint64_t exit_cwnd(uint64_t pipe_bytes, uint64_t cwnd_bytes) override;
-  std::string name() const override { return "linux"; }
+                uint32_t mss);
+  uint64_t on_ack(uint64_t delivered_bytes, uint64_t pipe_bytes);
+  void on_sent(uint64_t) {}
+  uint64_t exit_cwnd(uint64_t pipe_bytes, uint64_t cwnd_bytes);
 
  private:
   uint64_t ssthresh_ = 0;

@@ -1,53 +1,45 @@
-// Fast-recovery window regulation as a policy object. The sender owns the
-// scoreboard, chooses *which* bytes to send (retransmissions before new
-// data), and asks the policy only *how much* may be sent — the separation
-// the paper calls out ("the decision of which data to send ... is
-// independent of PRR").
+// Fast-recovery window regulation as a closed set of policy values. The
+// sender owns the scoreboard, chooses *which* bytes to send
+// (retransmissions before new data), and asks the policy only *how much*
+// may be sent — the separation the paper calls out ("the decision of
+// which data to send ... is independent of PRR").
 //
-// Contract per recovery episode:
-//   on_enter(...)               once, on the ACK that triggers recovery;
-//   cwnd_bytes = on_ack(...)    for every ACK during recovery, including
-//                               the triggering one. The sender may then
-//                               transmit while pipe < cwnd_bytes;
+// Contract per recovery episode, the same for every policy:
+//   on_enter(flight, ssthresh, cwnd, mss)
+//                               once, on the ACK that triggers recovery.
+//                               `flight` is snd.nxt - snd.una at entry
+//                               (RecoverFS), `ssthresh` the target chosen
+//                               by congestion control, `cwnd` the window
+//                               at entry;
+//   cwnd_bytes = on_ack(delivered, pipe)
+//                               for every ACK during recovery, including
+//                               the triggering one: the ACK's
+//                               DeliveredData and RFC 3517 SetPipe. The
+//                               sender may then transmit while
+//                               pipe < cwnd_bytes;
 //   on_sent(bytes)              for every (re)transmission in recovery;
-//   exit_cwnd(...)              once, when snd.una passes the recovery
+//   exit_cwnd(pipe, cwnd)       once, when snd.una passes the recovery
 //                               point; the result becomes cwnd.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <string>
+#include <variant>
+
+#include "core/prr.h"
+#include "tcp/recovery/prr.h"
+#include "tcp/recovery/rate_halving.h"
+#include "tcp/recovery/rfc3517.h"
 
 namespace prr::tcp {
 
-struct RecoveryAckContext {
-  uint64_t delivered_bytes = 0;  // DeliveredData for this ACK
-  uint64_t pipe_bytes = 0;       // RFC 3517 SetPipe
-  uint64_t cwnd_bytes = 0;       // sender's current cwnd
-  uint32_t mss = 1;
-};
-
-class RecoveryPolicy {
- public:
-  virtual ~RecoveryPolicy() = default;
-
-  // `flight_bytes` is snd.nxt - snd.una at entry (RecoverFS); `ssthresh`
-  // the target chosen by congestion control; `cwnd` the window at entry.
-  virtual void on_enter(uint64_t flight_bytes, uint64_t ssthresh,
-                        uint64_t cwnd, uint32_t mss) = 0;
-
-  // Returns the cwnd (bytes) to use until the next ACK. The sender
-  // transmits while pipe < cwnd.
-  virtual uint64_t on_ack(const RecoveryAckContext& ctx) = 0;
-
-  virtual void on_sent(uint64_t bytes) = 0;
-
-  // cwnd to install on leaving recovery.
-  virtual uint64_t exit_cwnd(uint64_t pipe_bytes, uint64_t cwnd_bytes) = 0;
-
-  virtual std::string name() const = 0;
-};
-
 enum class RecoveryKind { kRfc3517, kLinuxRateHalving, kPrr };
+
+// Alternative order matches RecoveryKind.
+using RecoveryPolicy =
+    std::variant<Rfc3517Recovery, RateHalvingRecovery, PrrRecovery>;
+
+// `bound` only applies to kPrr.
+RecoveryPolicy make_recovery_policy(
+    RecoveryKind kind,
+    core::ReductionBound bound = core::ReductionBound::kSlowStart);
 
 }  // namespace prr::tcp

@@ -6,27 +6,21 @@
 // losses drive pipe far below ssthresh.
 #pragma once
 
-#include "tcp/recovery/recovery.h"
+#include <cstdint>
 
 namespace prr::tcp {
 
-class Rfc3517Recovery final : public RecoveryPolicy {
+class Rfc3517Recovery {
  public:
-  void on_enter(uint64_t flight_bytes, uint64_t ssthresh, uint64_t cwnd,
-                uint32_t mss) override {
-    (void)flight_bytes;
-    (void)cwnd;
-    (void)mss;
+  void on_enter(uint64_t, uint64_t ssthresh, uint64_t, uint32_t) {
     ssthresh_ = ssthresh;
   }
 
-  uint64_t on_ack(const RecoveryAckContext&) override { return ssthresh_; }
+  uint64_t on_ack(uint64_t, uint64_t) { return ssthresh_; }
 
-  void on_sent(uint64_t) override {}
+  void on_sent(uint64_t) {}
 
-  uint64_t exit_cwnd(uint64_t, uint64_t) override { return ssthresh_; }
-
-  std::string name() const override { return "rfc3517"; }
+  uint64_t exit_cwnd(uint64_t, uint64_t) { return ssthresh_; }
 
  private:
   uint64_t ssthresh_ = 0;

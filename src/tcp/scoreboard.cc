@@ -96,7 +96,7 @@ void Scoreboard::reset(uint64_t snd_una) {
   retransmitted_in_flight_bytes_ = 0;
   sacked_segs_ = 0;
   lost_segs_ = 0;
-  dupthresh_ = configured_dupthresh_;
+  dupthresh_ = kInitialDupthresh;
   dupacks_ = 0;
   reorder_metric_segs_ = 0;
   fack_enabled_ = use_fack_;
@@ -244,7 +244,7 @@ AckOutcome Scoreboard::on_ack(const net::Segment& ack, sim::Time now) {
     reordering_seen_ = true;
     reorder_metric_segs_ =
         std::max(reorder_metric_segs_, out.reorder_distance_segs);
-    dupthresh_ = std::clamp(reorder_metric_segs_, configured_dupthresh_,
+    dupthresh_ = std::clamp(reorder_metric_segs_, kInitialDupthresh,
                             kMaxDupthresh);
     fack_enabled_ = false;
   }

@@ -89,18 +89,20 @@ struct AckOutcome {
 
 class Scoreboard {
  public:
+  // The starting dupthresh (RFC 5681); reordering raises it.
+  static constexpr int kInitialDupthresh = 3;
+
   explicit Scoreboard(uint32_t mss) : mss_(mss) {}
 
-  // Empties the scoreboard at `snd_una` and rewinds loss detection to the
-  // configured dupthresh and FACK setting.
+  // Empties the scoreboard at `snd_una` and rewinds loss detection to
+  // kInitialDupthresh and the configured FACK setting.
   void reset(uint64_t snd_una);
   // Connection start (and pool recycle): adopts the connection's MSS,
-  // configured dupthresh, FACK setting and whether SACK was negotiated.
-  // Record/ring capacity is kept.
-  void reset(uint64_t snd_una, uint32_t mss, int dupthresh, bool use_fack,
+  // FACK setting and whether SACK was negotiated. Record/ring capacity is
+  // kept.
+  void reset(uint64_t snd_una, uint32_t mss, bool use_fack,
              bool sack_enabled) {
     mss_ = mss;
-    configured_dupthresh_ = dupthresh;
     use_fack_ = use_fack;
     sack_enabled_ = sack_enabled;
     reset(snd_una);
@@ -212,12 +214,11 @@ class Scoreboard {
   void account_remove(const SegRecord& r);
 
   uint32_t mss_;
-  // Loss-detection configuration (set by the five-argument reset) and the
+  // Loss-detection configuration (set by the four-argument reset) and the
   // state on_ack derives from it.
-  int configured_dupthresh_ = 3;
   bool use_fack_ = true;
   bool sack_enabled_ = true;
-  int dupthresh_ = 3;
+  int dupthresh_ = kInitialDupthresh;
   int dupacks_ = 0;
   int reorder_metric_segs_ = 0;
   bool fack_enabled_ = true;

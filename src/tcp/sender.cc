@@ -6,9 +6,7 @@
 #include <deque>
 #include <stdexcept>
 #include <utility>
-
-#include "tcp/cc/congestion_control.h"
-#include "tcp/recovery/prr.h"
+#include <variant>
 
 namespace prr::tcp {
 
@@ -31,6 +29,9 @@ constexpr sim::Time kErDelayMin = sim::Time::milliseconds(25);
 constexpr sim::Time kErDelayMax = sim::Time::milliseconds(500);
 // Floor of the tail-loss-probe timeout.
 constexpr sim::Time kTlpMinPto = sim::Time::milliseconds(10);
+// Added to the probe timeout when one segment is outstanding: the
+// receiver may be holding its ACK on a delayed-ACK timer.
+constexpr sim::Time kTlpDelackBound = sim::Time::milliseconds(50);
 // Pacing rate as a multiple of cwnd/srtt: the headroom keeps pacing from
 // capping a window that is still growing.
 constexpr double kPacingGain = 1.25;
@@ -44,7 +45,6 @@ Sender::Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
       send_(std::move(send)),
       recovery_log_(recovery_log),
       scoreboard_(config.mss),
-      rto_est_(config.rto),
       rto_timer_(sim, [this] { on_rto(); }),
       er_timer_(sim, [this] { on_er_timer(); }),
       tlp_timer_(sim, [this] { on_tlp_timer(); }),
@@ -56,18 +56,8 @@ Sender::Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
 void Sender::reset(SenderConfig config, stats::RecoveryLog* recovery_log) {
   config_ = config;
   recovery_log_ = recovery_log;
-  if (!cc_ || !reset_congestion_control(*cc_, config.cc, config.mss,
-                                        config.gaimd_beta)) {
-    cc_ = make_congestion_control(config.cc, config.mss, config.gaimd_beta);
-  }
-  if (!policy_ ||
-      !reset_recovery_policy(*policy_, config.recovery, config.prr_bound)) {
-    policy_ = make_recovery_policy(config.recovery, config.prr_bound);
-  }
-  prr_policy_ = dynamic_cast<const PrrRecovery*>(policy_.get());
-  scoreboard_.reset(0, config.mss, config.dupthresh, config.use_fack,
-                    config.sack_enabled);
-  rto_est_ = RtoEstimator(config.rto);
+  scoreboard_.reset(0, config.mss, config.use_fack, config.sack_enabled);
+  rto_est_ = RtoEstimator();
   if (!config.handshake_rtt.is_zero()) {
     rto_est_.on_rtt_sample(config.handshake_rtt);
   }
@@ -125,9 +115,10 @@ void Sender::set_recorder(obs::FlightRecorder* recorder, uint32_t conn_id) {
 
 void Sender::write(uint64_t bytes) {
   if (aborted_ || bytes == 0) return;
-  if (config_.slow_start_after_idle && snd_una_ >= snd_nxt_ &&
-      state_ == TcpState::kOpen && snd_nxt_ > 0) {
-    // Idle restart (RFC 2861): halve the window per RTO elapsed idle.
+  if (snd_una_ >= snd_nxt_ && state_ == TcpState::kOpen && snd_nxt_ > 0) {
+    // Idle restart (RFC 2861, Linux tcp_slow_start_after_idle): halve the
+    // window per RTO elapsed idle, floored at the initial window, so a
+    // persistent connection does not blast a stale window.
     sim::Time idle = sim_.now() - last_transmit_;
     const sim::Time rto = rto_est_.rto();
     while (idle > rto && cwnd_ > config_.initial_cwnd_bytes()) {
@@ -164,10 +155,6 @@ void Sender::try_send() {
   if (aborted_) return;
   const bool retransmits_allowed =
       state_ == TcpState::kRecovery || state_ == TcpState::kLoss;
-  // Without limited transmit (RFC 3042), a sender in Disorder may not
-  // transmit new data on dupacks at all.
-  const bool new_data_allowed =
-      state_ != TcpState::kDisorder || config_.limited_transmit;
   while (true) {
     const uint64_t pipe = effective_pipe();
     const SegRecord* cand =
@@ -183,7 +170,8 @@ void Sender::try_send() {
       note_paced_send();
       continue;
     }
-    if (!new_data_allowed || !can_send_new()) break;
+    // New data goes out in Disorder too: limited transmit (RFC 3042).
+    if (!can_send_new()) break;
     const uint64_t len =
         std::min<uint64_t>(config_.mss, write_end_ - snd_nxt_);
     if (pipe + len > cwnd_) break;
@@ -245,7 +233,7 @@ void Sender::transmit(uint64_t start, uint64_t end, bool retx) {
     cwr_prr_.on_data_sent(len);
   }
   if (state_ == TcpState::kRecovery) {
-    policy_->on_sent(len);
+    std::visit([len](auto& policy) { policy.on_sent(len); }, policy_);
     current_event_.bytes_sent_during += len;
     ++burst_in_progress_;
     current_event_.max_burst_segments =
@@ -428,7 +416,7 @@ void Sender::process_ack(const net::Segment& ack) {
         static_cast<uint8_t>(state_), 0, ack.ack, cwnd_, effective_pipe(),
         ssthresh_, out.delivered_bytes(), snd_nxt_));
     if (state_ == TcpState::kRecovery) {
-      if (const auto* prr = prr_policy_) {
+      if (const auto* prr = std::get_if<PrrRecovery>(&policy_)) {
         const core::PrrState& st = prr->state();
         recorder_->write(obs::make_record(
             sim_.now(), conn_id_, obs::TraceType::kPrr,
@@ -529,7 +517,8 @@ void Sender::maybe_enter_cwr(const net::Segment& ack) {
   cwr_active_ = true;
   cwr_point_ = snd_nxt_;
   cwr_flag_pending_ = true;
-  ssthresh_ = cc_->ssthresh_after_loss(cwnd_);
+  ssthresh_ = std::visit(
+      [this](auto& cc) { return cc.ssthresh_after_loss(cwnd_); }, cc_);
   cwr_prr_.enter_recovery(snd_nxt_ - snd_una_, ssthresh_, config_.mss);
   ++metrics_.ecn_cwr_events;
 }
@@ -564,7 +553,7 @@ void Sender::maybe_arm_tlp() {
     if (snd_nxt_ - snd_una_ <= config_.mss) {
       // A single outstanding segment may be sitting behind a delayed-ACK
       // timer at the receiver; wait it out before probing.
-      pto += config_.tlp_delack_bound;
+      pto += kTlpDelackBound;
     }
     pto = std::max(pto, kTlpMinPto);
   } else {
@@ -617,7 +606,8 @@ void Sender::enter_recovery(uint64_t delivered_on_trigger, bool via_er) {
   spurious_seen_ = false;
   retx_history_.clear();
 
-  ssthresh_ = cc_->ssthresh_after_loss(cwnd_);
+  ssthresh_ = std::visit(
+      [this](auto& cc) { return cc.ssthresh_after_loss(cwnd_); }, cc_);
   scoreboard_.mark_losses();
   if (scoreboard_.next_retransmit_candidate() == nullptr) {
     scoreboard_.mark_first_hole_lost();
@@ -625,7 +615,11 @@ void Sender::enter_recovery(uint64_t delivered_on_trigger, bool via_er) {
 
   const uint64_t pipe = effective_pipe();
   const uint64_t flight = snd_nxt_ - snd_una_;
-  policy_->on_enter(flight, ssthresh_, cwnd_, config_.mss);
+  std::visit(
+      [this, flight](auto& policy) {
+        policy.on_enter(flight, ssthresh_, cwnd_, config_.mss);
+      },
+      policy_);
   PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kEnterRecovery,
             via_er ? 1 : 0, static_cast<uint16_t>(config_.mss), flight,
             ssthresh_, pipe, prior_cwnd_, recovery_point_);
@@ -643,12 +637,11 @@ void Sender::enter_recovery(uint64_t delivered_on_trigger, bool via_er) {
   if (!config_.sack_enabled && delivered_on_trigger == 0) {
     delivered_on_trigger = config_.mss;
   }
-  RecoveryAckContext ctx;
-  ctx.delivered_bytes = delivered_on_trigger;
-  ctx.pipe_bytes = pipe;
-  ctx.cwnd_bytes = cwnd_;
-  ctx.mss = config_.mss;
-  cwnd_ = policy_->on_ack(ctx);
+  cwnd_ = std::visit(
+      [delivered_on_trigger, pipe](auto& policy) {
+        return policy.on_ack(delivered_on_trigger, pipe);
+      },
+      policy_);
 
   try_send();
   if (!retransmitted_this_event_) {
@@ -680,18 +673,21 @@ void Sender::process_in_recovery(const AckOutcome& out) {
       delivered = config_.mss;  // dupack = one segment delivered
     }
   }
-  RecoveryAckContext ctx;
-  ctx.delivered_bytes = delivered;
-  ctx.pipe_bytes = effective_pipe();
-  ctx.cwnd_bytes = cwnd_;
-  ctx.mss = config_.mss;
-  cwnd_ = policy_->on_ack(ctx);
+  const uint64_t pipe = effective_pipe();
+  cwnd_ = std::visit(
+      [delivered, pipe](auto& policy) {
+        return policy.on_ack(delivered, pipe);
+      },
+      policy_);
 }
 
 void Sender::exit_recovery() {
   const uint64_t pipe = effective_pipe();
   const uint64_t cwnd_at_exit = cwnd_;
-  cwnd_ = std::max<uint64_t>(policy_->exit_cwnd(pipe, cwnd_), config_.mss);
+  const uint64_t exit_cwnd = std::visit(
+      [this, pipe](auto& policy) { return policy.exit_cwnd(pipe, cwnd_); },
+      policy_);
+  cwnd_ = std::max<uint64_t>(exit_cwnd, config_.mss);
   PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kExitRecovery,
             0, 0, cwnd_, pipe,
             static_cast<uint64_t>(current_event_.retransmits),
@@ -806,7 +802,11 @@ void Sender::process_in_loss(const AckOutcome& out) {
       return;
     }
   }
-  cwnd_ = cc_->on_ack(cwnd_, ssthresh_, out.newly_acked_bytes, sim_.now());
+  cwnd_ = std::visit(
+      [this, &out](auto& cc) {
+        return cc.on_ack(cwnd_, ssthresh_, out.newly_acked_bytes, sim_.now());
+      },
+      cc_);
   if (snd_una_ >= recovery_point_) {
     set_state(scoreboard_.any_sacked() ? TcpState::kDisorder
                                        : TcpState::kOpen);
@@ -847,8 +847,12 @@ void Sender::on_rto() {
     // Recovery undo, and Recovery cannot start from Loss.
     prior_cwnd_ = cwnd_;
     prior_ssthresh_ = ssthresh_;
-    ssthresh_ = cc_->ssthresh_after_loss(cwnd_);
-    cc_->on_timeout(sim_.now());
+    std::visit(
+        [this](auto& cc) {
+          ssthresh_ = cc.ssthresh_after_loss(cwnd_);
+          cc.on_timeout(sim_.now());
+        },
+        cc_);
     undo_valid_ = false;
     recovery_point_ = snd_nxt_;
     set_state(TcpState::kLoss);
@@ -944,7 +948,11 @@ void Sender::abort_connection() {
 void Sender::grow_cwnd_open(uint64_t acked_bytes) {
   if (cwr_active_) return;  // the CWR episode owns the window
   if (!cwnd_limited_) return;
-  cwnd_ = cc_->on_ack(cwnd_, ssthresh_, acked_bytes, sim_.now());
+  cwnd_ = std::visit(
+      [this, acked_bytes](auto& cc) {
+        return cc.on_ack(cwnd_, ssthresh_, acked_bytes, sim_.now());
+      },
+      cc_);
 }
 
 void Sender::set_state(TcpState s) {

@@ -1,6 +1,6 @@
 // TCP sender implementing the loss-recovery machinery the paper studies:
 // the four Linux recovery states (Open, Disorder, Recovery, Loss), limited
-// transmit (RFC 3042), pluggable congestion control and fast-recovery
+// transmit (RFC 3042), selectable congestion control and fast-recovery
 // window regulation (RFC 3517 / Linux rate halving / PRR), RTO with
 // exponential backoff (RFC 6298), DSACK-based undo (Eifel response), F-RTO,
 // and early retransmit (RFC 5827) with the two mitigations the paper
@@ -10,18 +10,18 @@
 // ACKs, keeps dupthresh and the reordering state, marks losses and says
 // when fast recovery should start, and reports each ACK as one AckOutcome.
 // The sender is the window regulator. It owns the recovery state machine,
-// cwnd/ssthresh (through CongestionControl and RecoveryPolicy), the
-// timers, undo, and the per-connection Metrics ledger and RecoveryLog
-// entry. The paper's split is the same: loss detection picks *which* data
-// to send, PRR decides *how much*. Observers register as SenderEvents
-// listeners; trace records go to the flight recorder directly.
+// cwnd/ssthresh (through its CongestionControl and RecoveryPolicy
+// values), the timers, undo, and the per-connection Metrics ledger and
+// RecoveryLog entry. The paper's split is the same: loss detection picks
+// *which* data to send, PRR decides *how much*. Observers register as
+// SenderEvents listeners; trace records go to the flight recorder
+// directly.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -39,8 +39,6 @@
 #include "util/log2_hist.h"
 
 namespace prr::tcp {
-
-class PrrRecovery;
 
 enum class TcpState { kOpen, kDisorder, kRecovery, kLoss };
 
@@ -72,15 +70,9 @@ struct SenderConfig {
   // (RFC 3522): an echoed timestamp older than the retransmission proves
   // the retransmission spurious, and the window reduction is undone.
   bool timestamps = false;
-  // Starting dupthresh (reordering raises it) and FACK marking (reordering
-  // switches it off); the Scoreboard owns both once the connection starts.
-  int dupthresh = 3;
+  // FACK marking (reordering switches it off); the Scoreboard owns it
+  // once the connection starts.
   bool use_fack = true;
-  bool limited_transmit = true;
-  // RFC 2861 / Linux tcp_slow_start_after_idle: halve cwnd per RTO of
-  // idle time (floor: initial window) before transmitting after an idle
-  // period, so persistent connections do not blast a stale window.
-  bool slow_start_after_idle = true;
 
   EarlyRetransmitMode early_retransmit = EarlyRetransmitMode::kOff;
 
@@ -93,7 +85,6 @@ struct SenderConfig {
   // converts would-be timeouts into fast recovery. Off by default: the
   // paper's measured baseline predates TLP.
   bool tail_loss_probe = false;
-  sim::Time tlp_delack_bound = sim::Time::milliseconds(50);
 
   // ECN (RFC 3168): stamp ECT on data; on an ECE echo, reduce the
   // window to CongCtrlAlg()'s target *without* retransmitting anything,
@@ -127,7 +118,6 @@ struct SenderConfig {
   // (no timer is pending once the flight drains).
   bool zero_window_probes = true;
 
-  RtoEstimator::Config rto;
   // RTT measured during the SYN exchange (zero = none): real stacks enter
   // ESTABLISHED with one sample, which keeps the first RTO sane on long
   // paths.
@@ -141,10 +131,14 @@ struct SenderConfig {
 
 // Every per-connection value field of Sender, each with its fresh-
 // connection value. Sender::reset() assigns a fresh SenderState, so the
-// initializers below are the one definition of a new connection.
+// initializers below are the one definition of a new connection,
+// congestion control and recovery policy included.
 struct SenderState {
   explicit SenderState(const SenderConfig& config)
-      : cwnd_(config.initial_cwnd_bytes()) {
+      : cwnd_(config.initial_cwnd_bytes()),
+        cc_(make_congestion_control(config.cc, config.mss,
+                                    config.gaimd_beta)),
+        policy_(make_recovery_policy(config.recovery, config.prr_bound)) {
     metrics_.connections = 1;
   }
 
@@ -175,6 +169,11 @@ struct SenderState {
   sim::Time busy_accum_ = sim::Time::zero();
   sim::Time loss_since_ = sim::Time::zero();
   sim::Time loss_accum_ = sim::Time::zero();
+
+  // The window algorithms, as values: CongCtrlAlg() picks ssthresh and
+  // open-state growth, the policy paces fast recovery toward it.
+  CongestionControl cc_;
+  RecoveryPolicy policy_;
 
   // ---- cold episode/bookkeeping fields ----
   int persist_backoff_ = 0;
@@ -310,7 +309,7 @@ class Sender : private SenderState {
   const Scoreboard& scoreboard() const { return scoreboard_; }
   const RtoEstimator& rto_estimator() const { return rto_est_; }
   const SenderConfig& config() const { return config_; }
-  const RecoveryPolicy* recovery_policy() const { return policy_.get(); }
+  const RecoveryPolicy& recovery_policy() const { return policy_; }
   uint64_t retransmits() const { return metrics_.retransmits_total; }
   // This connection's counters: the only place the sender writes one.
   // The harness folds it into the arm once, when the connection ends.
@@ -386,12 +385,6 @@ class Sender : private SenderState {
   SendFn send_;
   stats::RecoveryLog* recovery_log_;  // may be null
 
-  std::unique_ptr<CongestionControl> cc_;
-  std::unique_ptr<RecoveryPolicy> policy_;
-  // Cached downcast of policy_ (null when the policy is not PRR): the
-  // traced per-ACK path needs the PRR internals and must not pay a
-  // dynamic_cast per ACK for them.
-  const PrrRecovery* prr_policy_ = nullptr;
   Scoreboard scoreboard_;
   RtoEstimator rto_est_;
   sim::Timer rto_timer_;

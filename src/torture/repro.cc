@@ -369,11 +369,10 @@ exp::ReplayResult run_repro(const ReproCase& c) {
   opts.torture_oracles = true;
   opts.watchdog_rto_backoffs = c.watchdog_rto_backoffs;
   opts.scenario = "repro:" + c.name;
-  exp::Experiment experiment(pop, opts);
   exp::QuarantineRecord rec;
   rec.seed = c.seed;
   rec.connection_id = c.connection;
-  return experiment.replay(repro_arm(c), rec);
+  return exp::replay(pop, repro_arm(c), opts, rec);
 }
 
 bool repro_reproduced(const ReproCase& c, const exp::ReplayResult& r) {

@@ -8,7 +8,7 @@
 // reference to the population that drew it), the arm configuration
 // including defense toggles, the (seed, connection id) pair that seeds
 // the network randomness, and the expected failure signature. Running
-// one goes through exp::Experiment::replay, so a repro executes the
+// one goes through exp::replay, so a repro executes the
 // exact code path the campaign's quarantine machinery exercised.
 //
 // File format: a `prr-repro v1` header then `key = value` lines;

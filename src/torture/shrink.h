@@ -2,7 +2,7 @@
 // ReproCase. Each step proposes a structurally smaller candidate —
 // a fault event removed, a response dropped or halved, a pathology
 // feature disabled, an onset or duration halved, a loss process
-// zeroed — replays it through exp::Experiment::replay, and keeps the
+// zeroed — replays it through exp::replay, and keeps the
 // candidate iff it still exhibits the original failure signature
 // (the same invariant kinds; exact times are free to move, since
 // shrinking changes timing). Passes repeat to a fixpoint, so removals

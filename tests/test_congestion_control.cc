@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "tcp/cc/binomial.h"
-#include "tcp/cc/cubic.h"
-#include "tcp/cc/gaimd.h"
-#include "tcp/cc/newreno.h"
+#include <variant>
 
 namespace prr::tcp {
 namespace {
@@ -156,12 +153,16 @@ TEST(BinomialCc, FloorAtTwoSegments) {
 }
 
 TEST(CcFactory, MakesEachKind) {
-  EXPECT_EQ(make_congestion_control(CcKind::kNewReno, kMss)->name(),
-            "newreno");
-  EXPECT_EQ(make_congestion_control(CcKind::kCubic, kMss)->name(), "cubic");
-  EXPECT_EQ(make_congestion_control(CcKind::kGaimd, kMss)->name(), "gaimd");
-  EXPECT_EQ(make_congestion_control(CcKind::kBinomial, kMss)->name(),
-            "binomial");
+  EXPECT_TRUE(std::holds_alternative<NewReno>(
+      make_congestion_control(CcKind::kNewReno, kMss)));
+  EXPECT_TRUE(std::holds_alternative<Cubic>(
+      make_congestion_control(CcKind::kCubic, kMss)));
+  const CongestionControl gaimd =
+      make_congestion_control(CcKind::kGaimd, kMss, /*gaimd_beta=*/0.6);
+  ASSERT_TRUE(std::holds_alternative<Gaimd>(gaimd));
+  EXPECT_EQ(std::get<Gaimd>(gaimd).beta(), 0.6);
+  EXPECT_TRUE(std::holds_alternative<Binomial>(
+      make_congestion_control(CcKind::kBinomial, kMss)));
 }
 
 }  // namespace

@@ -153,10 +153,10 @@ TEST(ExperimentChaos, ChaosSweepHasNoViolations) {
     RunOptions opts = small_run(60);
     opts.check_invariants = true;
     opts.scenario = spec.name;
-    Experiment experiment(pop, opts);
-    auto results = experiment.run({ArmConfig::prr_arm(),
-                                   ArmConfig::rfc3517_arm(),
-                                   ArmConfig::linux_arm()});
+    auto results = run_arms(pop,
+                            {ArmConfig::prr_arm(), ArmConfig::rfc3517_arm(),
+                             ArmConfig::linux_arm()},
+                            opts);
     for (const auto& r : results) {
       for (const auto& rec : r.quarantined) {
         ADD_FAILURE() << spec.name << ": " << rec.summary();
@@ -195,8 +195,7 @@ TEST(ExperimentChaos, InjectedViolationIsQuarantinedAndRunContinues) {
   opts.scenario = "injection-test";
   opts.inject_violation_connection = 17;
   opts.inject_violation_on_ack = 2;
-  Experiment experiment(pop, opts);
-  ArmResult r = experiment.run(ArmConfig::prr_arm());
+  ArmResult r = run_arm(pop, ArmConfig::prr_arm(), opts);
 
   // Graceful degradation: all 50 connections ran despite the trip.
   EXPECT_EQ(r.connections_run, 50u);
@@ -218,39 +217,38 @@ TEST(ExperimentChaos, ReplayReproducesQuarantinedConnection) {
   opts.check_invariants = true;
   opts.inject_violation_connection = 23;
   opts.inject_violation_on_ack = 4;
-  Experiment experiment(pop, opts);
   ArmConfig arm = ArmConfig::prr_arm();
-  ArmResult r = experiment.run(arm);
+  ArmResult r = run_arm(pop, arm, opts);
   ASSERT_EQ(r.quarantined.size(), 1u);
 
-  ReplayResult replay = experiment.replay(arm, r.quarantined[0]);
-  EXPECT_TRUE(replay.reproduced(r.quarantined[0]));
-  ASSERT_EQ(replay.violations.size(), 1u);
+  ReplayResult replayed = replay(pop, arm, opts, r.quarantined[0]);
+  EXPECT_TRUE(replayed.reproduced(r.quarantined[0]));
+  ASSERT_EQ(replayed.violations.size(), 1u);
   // Deterministic: same kind at the same simulated instant.
-  EXPECT_EQ(replay.violations[0].kind, r.quarantined[0].violations[0].kind);
-  EXPECT_EQ(replay.violations[0].at, r.quarantined[0].violations[0].at);
-  EXPECT_EQ(replay.violations[0].detail,
+  EXPECT_EQ(replayed.violations[0].kind,
+            r.quarantined[0].violations[0].kind);
+  EXPECT_EQ(replayed.violations[0].at, r.quarantined[0].violations[0].at);
+  EXPECT_EQ(replayed.violations[0].detail,
             r.quarantined[0].violations[0].detail);
 
   // Replaying twice is also deterministic.
-  ReplayResult again = experiment.replay(arm, r.quarantined[0]);
-  EXPECT_EQ(again.violations.size(), replay.violations.size());
-  EXPECT_EQ(again.acks_checked, replay.acks_checked);
+  ReplayResult again = replay(pop, arm, opts, r.quarantined[0]);
+  EXPECT_EQ(again.violations.size(), replayed.violations.size());
+  EXPECT_EQ(again.acks_checked, replayed.acks_checked);
 }
 
 TEST(ExperimentChaos, ReplayOfHealthyConnectionFindsNothing) {
   workload::WebWorkload pop;
   RunOptions opts = small_run(10);
-  Experiment experiment(pop, opts);
   QuarantineRecord healthy;
   healthy.seed = opts.seed;
   healthy.connection_id = 3;
   healthy.arm_name = "PRR";
-  ReplayResult replay = experiment.replay(ArmConfig::prr_arm(), healthy);
-  EXPECT_TRUE(replay.violations.empty());
-  EXPECT_TRUE(replay.exception.empty());
+  ReplayResult replayed = replay(pop, ArmConfig::prr_arm(), opts, healthy);
+  EXPECT_TRUE(replayed.violations.empty());
+  EXPECT_TRUE(replayed.exception.empty());
   // A record with no recorded failure cannot be "reproduced".
-  EXPECT_FALSE(replay.reproduced(healthy));
+  EXPECT_FALSE(replayed.reproduced(healthy));
 }
 
 }  // namespace

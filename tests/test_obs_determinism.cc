@@ -199,9 +199,8 @@ TEST(ObsDeterminism, QuarantineCarriesTraceTail) {
   EXPECT_NE(json.find("\"name\":\"invariant\""), std::string::npos);
 
   // Replay reproduces the failure and returns the same tail shape.
-  exp::Experiment experiment(pop, opts);
   const exp::ReplayResult replay =
-      experiment.replay(exp::ArmConfig::prr_arm(), rec);
+      exp::replay(pop, exp::ArmConfig::prr_arm(), opts, rec);
   EXPECT_TRUE(replay.reproduced(rec));
   EXPECT_FALSE(replay.trace_tail.empty());
 }

@@ -12,6 +12,8 @@
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -27,11 +29,11 @@ constexpr uint32_t kMss = 1000;
 
 class SnapshotTest : public ::testing::Test {
  protected:
-  void make(tcp::RecoveryKind kind) {
+  void make(tcp::RecoveryKind kind, tcp::CcKind cc = tcp::CcKind::kNewReno) {
     tcp::SenderConfig cfg;
     cfg.mss = kMss;
     cfg.initial_cwnd_segments = 20;
-    cfg.cc = tcp::CcKind::kNewReno;
+    cfg.cc = cc;
     cfg.recovery = kind;
     sender = std::make_unique<tcp::Sender>(
         sim, cfg, [](net::Segment) {}, &rlog);
@@ -143,6 +145,34 @@ TEST_F(SnapshotTest, GoldenZeroWindowStall) {
       "\"snd_una\":5000,\"snd_nxt\":20000,\"peer_rwnd\":1,"
       "\"sacked_segments\":0,\"lost_segments\":0,\"retransmits\":0,"
       "\"timers_pending\":true}");
+}
+
+TEST_F(SnapshotTest, NamesEveryKind) {
+  // The snapshot's names are the one name table for the algorithm kinds.
+  const std::pair<tcp::CcKind, const char*> ccs[] = {
+      {tcp::CcKind::kNewReno, "newreno"},
+      {tcp::CcKind::kCubic, "cubic"},
+      {tcp::CcKind::kGaimd, "gaimd"},
+      {tcp::CcKind::kBinomial, "binomial"}};
+  const std::pair<tcp::RecoveryKind, const char*> recoveries[] = {
+      {tcp::RecoveryKind::kRfc3517, "rfc3517"},
+      {tcp::RecoveryKind::kLinuxRateHalving, "rate_halving"},
+      {tcp::RecoveryKind::kPrr, "prr"}};
+  for (const auto& [cc, cc_name] : ccs) {
+    for (const auto& [recovery, recovery_name] : recoveries) {
+      make(recovery, cc);
+      const std::string names =
+          std::string(cc_name) + " " + recovery_name + " ";
+      EXPECT_EQ(snapshot(*sender, 1).find("\n  " + names),
+                std::string("conn 1 state:Open").size())
+          << snapshot(*sender, 1);
+      const std::string json = snapshot_json(*sender, 1);
+      EXPECT_NE(json.find(std::string("\"cc\":\"") + cc_name +
+                          "\",\"recovery\":\"" + recovery_name + "\""),
+                std::string::npos)
+          << json;
+    }
+  }
 }
 
 }  // namespace

@@ -70,8 +70,7 @@ TEST_F(ScoreboardTest, DuplicateSackNotCountedTwice) {
 }
 
 TEST_F(ScoreboardTest, NonSackDupacksCountPureAcksUntilSndUnaAdvances) {
-  sb.reset(0, kMss, /*dupthresh=*/3, /*use_fack=*/true,
-           /*sack_enabled=*/false);
+  sb.reset(0, kMss, /*use_fack=*/true, /*sack_enabled=*/false);
   sb.on_ack(make_ack(0), 1_ms);  // nothing outstanding: not a dupack
   EXPECT_EQ(sb.dupacks(), 0);
   send_n(5);

@@ -1,10 +1,14 @@
 // Sender unit tests that drive the state machine directly with hand-
 // crafted ACK segments (no simulated network): window growth, limited
-// transmit, RTO handling, state transitions, abort.
+// transmit, RTO handling, state transitions, abort, and reset across
+// algorithm kinds.
 #include "tcp/sender.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace prr::tcp {
@@ -18,7 +22,17 @@ struct Sent {
   uint64_t seq;
   uint32_t len;
   bool retx;
+  friend bool operator==(const Sent&, const Sent&) = default;
 };
+
+net::Segment make_ack(uint64_t cum, std::vector<net::SackBlock> sacks = {}) {
+  net::Segment a;
+  a.is_ack = true;
+  a.ack = cum;
+  a.sacks.assign(sacks.begin(), sacks.end());
+  a.rwnd = 1 << 30;
+  return a;
+}
 
 class SenderTest : public ::testing::Test {
  protected:
@@ -44,12 +58,8 @@ class SenderTest : public ::testing::Test {
   // Builds an ACK with optional SACK blocks.
   net::Segment ack(uint64_t cum, std::vector<net::SackBlock> sacks = {},
                    std::optional<net::SackBlock> dsack = std::nullopt) {
-    net::Segment a;
-    a.is_ack = true;
-    a.ack = cum;
-    a.sacks.assign(sacks.begin(), sacks.end());
+    net::Segment a = make_ack(cum, std::move(sacks));
     a.dsack = dsack;
-    a.rwnd = 1 << 30;
     return a;
   }
 
@@ -110,20 +120,8 @@ TEST_F(SenderTest, LimitedTransmitSendsNewDataOnFirstTwoDupacks) {
   EXPECT_EQ(sender->state(), TcpState::kDisorder);
 }
 
-TEST_F(SenderTest, LimitedTransmitDisabled) {
-  SenderConfig cfg = base_config();
-  cfg.limited_transmit = false;
-  cfg.use_fack = false;  // keep marking conservative for this test
-  make(cfg);
-  sender->write(20 * kMss);
-  wire.clear();
-  sender->on_ack_segment(ack(0, {{1 * kMss, 2 * kMss}}));
-  EXPECT_TRUE(wire.empty());
-}
-
 TEST_F(SenderTest, ReorderingRaisesDupthreshAndDisablesFack) {
   SenderConfig cfg = base_config();
-  cfg.dupthresh = 3;
   cfg.use_fack = false;  // avoid immediate threshold retransmission
   make(cfg);
   sender->write(10 * kMss);
@@ -134,7 +132,7 @@ TEST_F(SenderTest, ReorderingRaisesDupthreshAndDisablesFack) {
   sender->on_ack_segment(ack(2 * kMss));
   EXPECT_TRUE(sender->scoreboard().reordering_seen());
   EXPECT_FALSE(sender->scoreboard().fack_enabled());
-  EXPECT_GE(sender->scoreboard().dupthresh(), 3);
+  EXPECT_GE(sender->scoreboard().dupthresh(), Scoreboard::kInitialDupthresh);
 }
 
 TEST_F(SenderTest, RtoRetransmitsHeadAndCollapsesWindow) {
@@ -240,6 +238,91 @@ TEST_F(SenderTest, NetworkTransmitTimeAccumulatesBusyPeriods) {
   // Idle afterwards: no more accumulation.
   sim.run(500_ms);
   EXPECT_EQ(sender->network_transmit_time().ms(), 100);
+}
+
+// A fixed ACK script, 50 ms apart: a hole at segment 1 repaired by fast
+// recovery (eight SACKed dupacks, then the cumulative ACK), some
+// congestion-avoidance ACKs, then silence until RTOs fire, one partial
+// ACK, and silence again.
+void run_loss_script(sim::Simulator& sim, Sender& s) {
+  s.write(40 * kMss);
+  std::vector<net::Segment> acks = {make_ack(1 * kMss)};
+  for (uint64_t end = 3; end <= 10; ++end) {
+    acks.push_back(make_ack(1 * kMss, {{2 * kMss, end * kMss}}));
+  }
+  for (uint64_t cum : {10, 12, 14, 15}) acks.push_back(make_ack(cum * kMss));
+  for (const net::Segment& a : acks) {
+    sim.run(sim.now() + 50_ms);
+    s.on_ack_segment(a);
+  }
+  sim.run(sim.now() + 5_s);
+  s.on_ack_segment(make_ack(20 * kMss));
+  sim.run(sim.now() + 5_s);
+}
+
+TEST(SenderReset, RecycledAcrossKindsEqualsFresh) {
+  // One sender recycled through three (CC, recovery) pairs must replay
+  // the loss script exactly as a freshly constructed sender of each pair:
+  // the reset rebuilds the congestion control and recovery policy values
+  // along with every other per-connection field.
+  static_assert(std::is_trivially_copyable_v<Metrics>);
+  const struct {
+    CcKind cc;
+    RecoveryKind recovery;
+  } kinds[] = {{CcKind::kCubic, RecoveryKind::kPrr},
+               {CcKind::kGaimd, RecoveryKind::kRfc3517},
+               {CcKind::kBinomial, RecoveryKind::kLinuxRateHalving}};
+  auto config = [](CcKind cc, RecoveryKind recovery) {
+    SenderConfig cfg;
+    cfg.mss = kMss;
+    cfg.cc = cc;
+    cfg.gaimd_beta = 0.6;
+    cfg.recovery = recovery;
+    return cfg;
+  };
+  auto capture = [](std::vector<Sent>& wire) {
+    return [&wire](net::Segment s) {
+      wire.push_back({s.seq, s.len, s.is_retransmit});
+    };
+  };
+
+  sim::Simulator pooled_sim;
+  std::vector<Sent> pooled_wire;
+  stats::RecoveryLog pooled_log;
+  Sender pooled(pooled_sim, config(kinds[0].cc, kinds[0].recovery),
+                capture(pooled_wire), &pooled_log);
+  bool first = true;
+  for (const auto& [cc, recovery] : kinds) {
+    SCOPED_TRACE(static_cast<int>(cc));
+    const SenderConfig cfg = config(cc, recovery);
+    if (!first) {
+      pooled_sim.reset();
+      pooled.reset(cfg, &pooled_log);
+    }
+    first = false;
+    pooled_wire.clear();
+    run_loss_script(pooled_sim, pooled);
+
+    sim::Simulator fresh_sim;
+    std::vector<Sent> fresh_wire;
+    stats::RecoveryLog fresh_log;
+    Sender fresh(fresh_sim, cfg, capture(fresh_wire), &fresh_log);
+    run_loss_script(fresh_sim, fresh);
+
+    EXPECT_GE(fresh.metrics().fast_recovery_events, 1u);
+    EXPECT_GE(fresh.metrics().timeouts_total, 1u);
+    EXPECT_TRUE(pooled_wire == fresh_wire);
+    EXPECT_EQ(std::memcmp(&pooled.metrics(), &fresh.metrics(),
+                          sizeof(Metrics)),
+              0)
+        << "{" << pooled.metrics().summary() << "} vs {"
+        << fresh.metrics().summary() << "}";
+    EXPECT_EQ(pooled.cwnd_bytes(), fresh.cwnd_bytes());
+    EXPECT_EQ(pooled.ssthresh_bytes(), fresh.ssthresh_bytes());
+    EXPECT_EQ(pooled.state(), fresh.state());
+    EXPECT_EQ(pooled.recovery_policy().index(),
+              fresh.recovery_policy().index());
+  }
 }
 
 }  // namespace

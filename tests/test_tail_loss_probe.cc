@@ -153,7 +153,6 @@ TEST_F(TlpTest, SpuriousProbeCausesDsackNotCollapse) {
   ConnectionConfig cfg;
   cfg.sender.mss = kMss;
   cfg.sender.tail_loss_probe = true;
-  cfg.sender.tlp_delack_bound = sim::Time::milliseconds(1);  // probe early
   cfg.sender.handshake_rtt = 100_ms;
   cfg.receiver.ack_every = 2;
   cfg.receiver.delack_timeout = 300_ms;  // pathological delayed ACK
@@ -164,6 +163,9 @@ TEST_F(TlpTest, SpuriousProbeCausesDsackNotCollapse) {
   conn.write(1 * kMss);
   fullsim.run(sim::Time::seconds(5));
   EXPECT_TRUE(conn.sender().all_acked());
+  // PTO = 2 x 100 ms SRTT + the 50 ms delayed-ACK allowance: the probe
+  // still goes out before the receiver's 300 ms delayed ACK.
+  EXPECT_GE(m.tlp_probes_sent, 1u);
   EXPECT_GE(conn.sender().cwnd_bytes(), cwnd_before);
   EXPECT_EQ(m.timeouts_total, 0u);
 }

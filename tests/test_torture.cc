@@ -472,9 +472,8 @@ TEST(Replay, InjectedQuarantineReplaysByteIdentically) {
   EXPECT_EQ(rec.connection_id, 1u);
   EXPECT_EQ(rec.seed, 11u);
 
-  exp::Experiment ex(pop, opts);
-  exp::ReplayResult r1 = ex.replay(arm, rec);
-  exp::ReplayResult r2 = ex.replay(arm, rec);
+  exp::ReplayResult r1 = exp::replay(pop, arm, opts, rec);
+  exp::ReplayResult r2 = exp::replay(pop, arm, opts, rec);
   EXPECT_TRUE(r1.reproduced(rec));
   ASSERT_EQ(r1.violations.size(), r2.violations.size());
   for (size_t i = 0; i < r1.violations.size(); ++i) {

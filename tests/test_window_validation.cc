@@ -20,11 +20,10 @@ constexpr uint32_t kMss = 1000;
 
 class WindowValidationTest : public ::testing::Test {
  protected:
-  void make(bool idle_restart = true) {
+  void make() {
     SenderConfig cfg;
     cfg.mss = kMss;
     cfg.cc = CcKind::kNewReno;
-    cfg.slow_start_after_idle = idle_restart;
     cfg.handshake_rtt = 100_ms;
     sender = std::make_unique<Sender>(
         sim, cfg, [](net::Segment) {}, nullptr);
@@ -93,21 +92,6 @@ TEST_F(WindowValidationTest, ShortIdleKeepsWindow) {
   const uint64_t grown = sender->cwnd_bytes();
   // Idle for less than one RTO: no decay.
   sim.run(sim.now() + 100_ms);
-  sender->write(kMss);
-  EXPECT_EQ(sender->cwnd_bytes(), grown);
-}
-
-TEST_F(WindowValidationTest, IdleRestartCanBeDisabled) {
-  make(/*idle_restart=*/false);
-  sender->write(40 * kMss);
-  uint64_t acked = 0;
-  for (int i = 0; i < 30; ++i) {
-    acked += kMss;
-    sender->on_ack_segment(ack(acked));
-  }
-  sender->on_ack_segment(ack(40 * kMss));
-  const uint64_t grown = sender->cwnd_bytes();
-  sim.run(sim.now() + 30_s);
   sender->write(kMss);
   EXPECT_EQ(sender->cwnd_bytes(), grown);
 }
