@@ -5,7 +5,8 @@
 // Usage: lossy_link_explorer [prr|prr-crb|prr-ub|linux|rfc3517]
 //                            [fig2|fig3|fig4] [--csv | --pcap <file>]
 // The CSV goes to stdout for plotting; --pcap writes a Wireshark-
-// compatible capture of the run; the ASCII view is the default.
+// compatible capture of the run; the ASCII view is the default. An
+// unknown algorithm, figure or flag, or --pcap without its path, exits 2.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -15,12 +16,37 @@
 
 using namespace prr;
 
+namespace {
+
+int usage(const char* bad) {
+  std::fprintf(stderr,
+               "lossy_link_explorer: bad argument '%s'\n"
+               "usage: lossy_link_explorer [prr|prr-crb|prr-ub|linux|rfc3517]"
+               " [fig2|fig3|fig4] [--csv | --pcap <file>]\n",
+               bad);
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  std::string algo = argc > 1 ? argv[1] : "prr";
-  std::string fig = argc > 2 ? argv[2] : "fig2";
-  const bool csv = argc > 3 && std::strcmp(argv[3], "--csv") == 0;
-  const char* pcap_path =
-      (argc > 4 && std::strcmp(argv[3], "--pcap") == 0) ? argv[4] : nullptr;
+  std::string algo = "prr";
+  std::string fig = "fig2";
+  bool csv = false;
+  const char* pcap_path = nullptr;
+  int positional = 0;
+  for (int i = 1; i < argc; ++i) {
+    const char* a = argv[i];
+    if (std::strcmp(a, "--csv") == 0 && pcap_path == nullptr) {
+      csv = true;
+    } else if (std::strcmp(a, "--pcap") == 0 && !csv && i + 1 < argc) {
+      pcap_path = argv[++i];
+    } else if (a[0] == '-' || positional == 2) {
+      return usage(a);
+    } else {
+      (positional++ == 0 ? algo : fig) = a;
+    }
+  }
 
   tcp::RecoveryKind kind = tcp::RecoveryKind::kPrr;
   core::ReductionBound bound = core::ReductionBound::kSlowStart;
@@ -28,6 +54,10 @@ int main(int argc, char** argv) {
   else if (algo == "rfc3517") kind = tcp::RecoveryKind::kRfc3517;
   else if (algo == "prr-crb") bound = core::ReductionBound::kConservative;
   else if (algo == "prr-ub") bound = core::ReductionBound::kUnlimited;
+  else if (algo != "prr") return usage(algo.c_str());
+  if (fig != "fig2" && fig != "fig3" && fig != "fig4") {
+    return usage(fig.c_str());
+  }
 
   exp::FigureScenario scenario =
       fig == "fig3" ? exp::FigureScenario::fig3(kind)

@@ -1,16 +1,19 @@
-// prr_query: the trace-store analytics CLI (DESIGN.md §14.4). Where
-// prr_inspect re-runs connections live, prr_query works entirely offline
-// from .prrstore files — the paper's own workflow, where tables are mined
-// from persisted traces of production flows rather than recomputed.
+// prr_query: the inspection CLI (DESIGN.md §9, §14.4). Store commands
+// work offline from .prrstore files — the paper's own workflow, where
+// tables are mined from persisted traces of production flows rather
+// than recomputed; `episodes --conn` without a STORE and `diff` re-run
+// one connection live.
 //
 //   prr_query sweep --out PREFIX [...]      run a sweep with capture on,
 //                                           writing one store per arm
 //   prr_query info STORE                    header meta + block geometry
-//   prr_query records STORE [--conn ID]     human-readable record dump
+//   prr_query records STORE [--conn ID]     record dump (--out F: Perfetto)
 //   prr_query agg STORE --field F [...]     filter/group-by/aggregate JSON
 //   prr_query series STORE --conn ID [...]  (time, field) TSV for plotting
 //   prr_query episodes STORE                episode table rebuilt from the
 //                                           store (Tables 3/5/6/7 machinery)
+//   prr_query episodes [STORE] --conn ID    one connection's ACK ledgers
+//   prr_query diff --conn ID [--out F]      first divergence of two arms
 //   prr_query table3 STORE                  Table 3 counters + ratios
 //   prr_query critpath STORE [--conn ID]    where recovery latency went
 //   prr_query merge OUT IN1 IN2 ...         merge fork-per-shard stores
@@ -18,7 +21,8 @@
 // Aggregates: --field accepts at_ns|a|b|f0..f5 plus per-type aliases
 // (--type ack --field cwnd). --group conn|type|time (+--bucket-ms N).
 // Determinism: every byte printed (and every store written) is a pure
-// function of the input store bytes.
+// function of the input store bytes, or of (--seed, --conn, arm) live.
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -28,10 +32,13 @@
 
 #include "exp/experiment.h"
 #include "exp/scenarios.h"
+#include "obs/episodes.h"
 #include "obs/flight_recorder.h"
+#include "obs/perfetto.h"
 #include "obs/query.h"
 #include "obs/store/store_reader.h"
 #include "obs/store/store_writer.h"
+#include "obs/trace_diff.h"
 #include "util/checked_write.h"
 #include "util/parse_number.h"
 #include "util/table.h"
@@ -51,7 +58,8 @@ int usage() {
       "    --arm NAME             prr | rfc3517 | linux | all  (default all)\n"
       "    --connections N --first ID --seed S --threads T --chaos\n"
       "  info STORE               header meta + block/record accounting\n"
-      "  records STORE            dump records (--conn ID, --limit N)\n"
+      "  records STORE            dump records (--conn ID, --limit N;\n"
+      "                           --out FILE also writes Perfetto JSON)\n"
       "  agg STORE --field F      count/sum/min/max[/mean] aggregate JSON\n"
       "    --type T               restrict to one record type (ack, ...)\n"
       "    --group conn|type|time group rows (--bucket-ms N, default 1000)\n"
@@ -59,11 +67,41 @@ int usage() {
       "    --out FILE             also write the JSON to FILE\n"
       "  series STORE --conn ID   TSV time-series (--type ack --field cwnd)\n"
       "  episodes STORE           rebuild the episode table (--json, --out F)\n"
+      "  episodes [STORE] --conn ID  one connection's episodes + ACK\n"
+      "                           ledgers (no STORE: live, --arm --seed)\n"
+      "  diff --conn ID           first divergent decision, re-run live under\n"
+      "                           --arm and --arm-b (default prr, rfc3517);\n"
+      "                           --seed S, --out F (paired Perfetto JSON)\n"
       "  table3 STORE             Table 3 counters + ratios from the store\n"
       "  critpath STORE           recovery-latency attribution (--conn ID)\n"
       "  merge OUT IN1 IN2 ...    merge disjoint-range stores into OUT\n"
       "  --no-verify              skip the digest check on open (read cmds)\n");
   return 2;
+}
+
+std::vector<exp::ArmConfig> all_arms() {
+  return {exp::ArmConfig::prr_arm(), exp::ArmConfig::rfc3517_arm(),
+          exp::ArmConfig::linux_arm()};
+}
+
+// Accepts the short names and the arms' display names ("PRR",
+// "RFC 3517", "Linux"): case-insensitive, spaces/underscores/hyphens
+// ignored; "all" (the three arms) only where `allow_all`. Empty on an
+// unknown name.
+std::vector<exp::ArmConfig> parse_arms(const char* name, bool allow_all) {
+  std::string key;
+  for (const char* p = name; *p != '\0'; ++p) {
+    if (*p == ' ' || *p == '_' || *p == '-') continue;
+    key.push_back(static_cast<char>(
+        std::tolower(static_cast<unsigned char>(*p))));
+  }
+  if (key == "prr") return {exp::ArmConfig::prr_arm()};
+  if (key == "rfc3517") return {exp::ArmConfig::rfc3517_arm()};
+  if (key == "linux") return {exp::ArmConfig::linux_arm()};
+  if (key == "all" && allow_all) return all_arms();
+  std::fprintf(stderr, "unknown arm '%s' (want prr, rfc3517, linux%s)\n",
+               name, allow_all ? " or all" : "");
+  return {};
 }
 
 bool open_store(const std::string& path, bool verify,
@@ -105,8 +143,10 @@ int cmd_info(const obs::StoreReader& reader, const std::string& path) {
   return 0;
 }
 
+// With `out_file`, the records shown are also written there as Perfetto
+// trace-event JSON (https://ui.perfetto.dev).
 int cmd_records(const obs::StoreReader& reader, int64_t conn,
-                uint64_t limit) {
+                uint64_t limit, const std::string& out_file) {
   std::vector<obs::TraceRecord> records;
   if (conn >= 0) {
     if (!reader.read_connection(static_cast<uint64_t>(conn), &records)) {
@@ -123,10 +163,15 @@ int cmd_records(const obs::StoreReader& reader, int64_t conn,
       }
     }
   }
-  uint64_t shown = 0;
+  if (limit != 0 && records.size() > limit) records.resize(limit);
   for (const obs::TraceRecord& r : records) {
-    if (limit != 0 && shown++ >= limit) break;
     std::printf("%s\n", obs::describe(r).c_str());
+  }
+  if (!out_file.empty() &&
+      !util::checked_write_json(out_file, obs::perfetto_trace_json(records))) {
+    std::fprintf(stderr, "prr_query: short write to %s\n",
+                 out_file.c_str());
+    return 1;
   }
   return 0;
 }
@@ -185,6 +230,100 @@ int cmd_episodes(const obs::StoreReader& reader, bool as_json,
                  out_file.c_str());
     return 1;
   }
+  return 0;
+}
+
+void print_episodes(const std::vector<obs::RecoveryEpisode>& episodes) {
+  for (std::size_t i = 0; i < episodes.size(); ++i) {
+    std::printf("---- episode %zu/%zu ----\n%s\n", i + 1, episodes.size(),
+                obs::describe(episodes[i]).c_str());
+  }
+}
+
+// One stored connection's episodes with their per-ACK ledgers: the
+// DeliveredData, sndcnt, pipe vs ssthresh and PRR internals of every ACK,
+// the exit, and the first post-recovery cwnd samples.
+int cmd_conn_episodes(const obs::StoreReader& reader, uint64_t conn) {
+  std::printf("connection %" PRIu64 " from store (arm %s, seed %" PRIu64
+              ")\n",
+              conn, reader.meta().arm.c_str(), reader.meta().seed);
+  std::vector<obs::TraceRecord> records;
+  if (!reader.read_connection(conn, &records)) {
+    std::fprintf(stderr, "prr_query: conn %" PRIu64 " failed to decode\n",
+                 conn);
+    return 1;
+  }
+  if (records.empty()) {
+    std::printf("connection %" PRIu64 " is not in this store — the "
+                "capture policy (%s) did not keep it. Try prr_query info.\n",
+                conn, reader.meta().policy.c_str());
+    return 0;
+  }
+  obs::EpisodeBuilder builder({.keep_ledgers = true});
+  for (const obs::TraceRecord& r : records) builder.on_record(r);
+  builder.finish();
+  std::printf("%zu stored records, %zu episode(s)\n\n", records.size(),
+              builder.episodes().size());
+  if (builder.episodes().empty()) {
+    std::printf("no recovery episodes in the stored slice.\n");
+  }
+  print_episodes(builder.episodes());
+  return 0;
+}
+
+// The same view re-run live: the connection runs again in isolation with
+// every record kept (trace_connection), so nothing is lost to the ring.
+int cmd_conn_episodes(const exp::ArmConfig& arm, const exp::RunOptions& opts,
+                      uint64_t conn) {
+  std::printf("connection %" PRIu64 " under arm %s (seed %" PRIu64 ")\n",
+              conn, arm.name.c_str(), opts.seed);
+  workload::WebWorkload pop;
+  const exp::TracedConnection t = exp::trace_connection(pop, arm, opts, conn);
+  std::printf("%zu trace records, %zu episode(s)%s%s\n\n", t.records.size(),
+              t.episodes.size(), t.aborted ? ", ABORTED" : "",
+              t.all_acked ? ", fully acked" : "");
+  if (t.episodes.empty()) {
+    std::printf("no recovery episodes: this connection never entered "
+                "fast recovery. Try another id.\n");
+  }
+  print_episodes(t.episodes);
+  return 0;
+}
+
+// Runs the SAME connection under two arms. Common random numbers make
+// the sample paths identical, so the streams match record for record
+// until the first divergent sender decision; prints that decision with
+// context and, with `out_file`, writes a paired Perfetto trace (arm A =
+// pid 1, arm B = pid 2) with FIRST DIVERGENCE markers.
+int cmd_diff(const exp::ArmConfig& arm_a, const exp::ArmConfig& arm_b,
+             const exp::RunOptions& opts, uint64_t conn,
+             const std::string& out_file) {
+  std::printf("connection %" PRIu64 ": %s vs %s (seed %" PRIu64
+              ", CRN-aligned)\n\n",
+              conn, arm_a.name.c_str(), arm_b.name.c_str(), opts.seed);
+  workload::WebWorkload pop;
+  const exp::TracedConnection a =
+      exp::trace_connection(pop, arm_a, opts, conn);
+  const exp::TracedConnection b =
+      exp::trace_connection(pop, arm_b, opts, conn);
+  std::printf("%-10s %zu records, %zu episode(s)\n", arm_a.name.c_str(),
+              a.records.size(), a.episodes.size());
+  std::printf("%-10s %zu records, %zu episode(s)\n\n", arm_b.name.c_str(),
+              b.records.size(), b.episodes.size());
+  const obs::DivergencePoint d = obs::first_divergence(a.records, b.records);
+  std::printf("%s\n",
+              obs::explain_divergence(d, arm_a.name, arm_b.name).c_str());
+  if (out_file.empty()) return 0;
+  if (!util::checked_write_json(
+          out_file, obs::perfetto_diff_json(a.records, b.records,
+                                            arm_a.name, arm_b.name))) {
+    std::fprintf(stderr, "prr_query: short write to %s\n",
+                 out_file.c_str());
+    return 1;
+  }
+  std::printf("wrote %s -- open it at https://ui.perfetto.dev "
+              "(%s = pid 1, %s = pid 2)\n",
+              out_file.c_str(), arm_a.name.c_str(), arm_b.name.c_str());
   return 0;
 }
 
@@ -271,8 +410,12 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
 
   // --- flag parsing (shared across subcommands) ---
-  std::string store_path, out_file, capture = "all", arm_name = "all";
+  std::string store_path, out_file, capture = "all";
   std::string field_name, group_name, type_name;
+  const bool sweep = cmd == "sweep";
+  std::vector<exp::ArmConfig> arms =
+      sweep ? all_arms() : std::vector{exp::ArmConfig::prr_arm()};
+  std::vector<exp::ArmConfig> arms_b = {exp::ArmConfig::rfc3517_arm()};
   std::vector<std::string> positional;
   int64_t conn = -1;
   uint64_t limit = 0;
@@ -331,8 +474,9 @@ int main(int argc, char** argv) {
       if (!(v = need(a))) return 2;
       capture = v;
     } else if (std::strcmp(a, "--arm") == 0) {
-      if (!(v = need(a))) return 2;
-      arm_name = v;
+      if (!(v = need(a)) || (arms = parse_arms(v, sweep)).empty()) return 2;
+    } else if (std::strcmp(a, "--arm-b") == 0) {
+      if (!(v = need(a)) || (arms_b = parse_arms(v, false)).empty()) return 2;
     } else if (std::strcmp(a, "--connections") == 0) {
       if (!(v = need(a)) || !util::parse_flag(a, v, opts.connections, 0)) {
         return 2;
@@ -353,27 +497,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cmd == "sweep") {
+  if (sweep) {
     if (out_file.empty()) {
       std::fprintf(stderr, "sweep requires --out PREFIX\n");
       return usage();
     }
     opts.store_path = out_file;
     opts.capture = capture;
-    std::vector<exp::ArmConfig> arms;
-    if (arm_name == "all") {
-      arms = {exp::ArmConfig::prr_arm(), exp::ArmConfig::rfc3517_arm(),
-              exp::ArmConfig::linux_arm()};
-    } else if (arm_name == "prr") {
-      arms = {exp::ArmConfig::prr_arm()};
-    } else if (arm_name == "rfc3517") {
-      arms = {exp::ArmConfig::rfc3517_arm()};
-    } else if (arm_name == "linux") {
-      arms = {exp::ArmConfig::linux_arm()};
-    } else {
-      std::fprintf(stderr, "unknown arm '%s'\n", arm_name.c_str());
-      return 2;
-    }
     workload::WebWorkload base;
     std::optional<exp::ChaosPopulation> chaos_pop;
     const workload::Population* pop = &base;
@@ -408,6 +538,22 @@ int main(int argc, char** argv) {
                      {positional.begin() + 1, positional.end()});
   }
 
+  // The live views re-run one connection of the web sweep.
+  if (cmd == "diff" || (cmd == "episodes" && positional.empty())) {
+    if (!positional.empty()) {
+      std::fprintf(stderr, "diff re-runs live and takes no STORE\n");
+      return usage();
+    }
+    if (conn < 0) {
+      std::fprintf(stderr, "%s requires --conn ID%s\n", cmd.c_str(),
+                   cmd == "diff" ? "" : " or a STORE path");
+      return usage();
+    }
+    const auto id = static_cast<uint64_t>(conn);
+    if (cmd == "episodes") return cmd_conn_episodes(arms[0], opts, id);
+    return cmd_diff(arms[0], arms_b[0], opts, id, out_file);
+  }
+
   // All remaining commands read one store.
   if (positional.empty()) {
     std::fprintf(stderr, "%s requires a STORE path\n", cmd.c_str());
@@ -427,7 +573,7 @@ int main(int argc, char** argv) {
   }
 
   if (cmd == "info") return cmd_info(reader, store_path);
-  if (cmd == "records") return cmd_records(reader, conn, limit);
+  if (cmd == "records") return cmd_records(reader, conn, limit, out_file);
   if (cmd == "agg") {
     obs::AggregateQuery q;
     q.filter = filter;
@@ -465,7 +611,12 @@ int main(int argc, char** argv) {
     }
     return cmd_series(reader, static_cast<uint64_t>(conn), type, field);
   }
-  if (cmd == "episodes") return cmd_episodes(reader, as_json, out_file);
+  if (cmd == "episodes") {
+    if (conn >= 0) {
+      return cmd_conn_episodes(reader, static_cast<uint64_t>(conn));
+    }
+    return cmd_episodes(reader, as_json, out_file);
+  }
   if (cmd == "table3") return cmd_table3(reader);
   if (cmd == "critpath") return cmd_critpath(reader, conn);
   return usage();

@@ -19,24 +19,18 @@
 //     registry (named counters/gauges/log-scale histograms, merged
 //     deterministically across worker shards); the example writes it as
 //     registry.json — and a columnar trace store (sweep.prr.prrstore)
-//     holding every connection's ring, ready for prr_query.
-//
-// With `--store FILE [--conn ID]` the walkthrough instead runs offline:
-// it opens a .prrstore written by a captured sweep (this example's own
-// Part 2, prr_query sweep, or RunOptions::store_path anywhere) and
-// renders one stored connection — record slice + Perfetto JSON — without
-// re-simulating anything.
+//     holding every connection's ring, ready for prr_query (which also
+//     renders any stored connection as Perfetto JSON: `prr_query records
+//     STORE --conn ID --out FILE`).
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/trace_explorer
-// Any other argument, or a flag without its value, exits 2.
+// It takes no arguments; any argument exits 2.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "exp/experiment.h"
 #include "net/loss_model.h"
@@ -44,9 +38,8 @@
 #include "obs/instrument.h"
 #include "obs/perfetto.h"
 #include "obs/snapshot.h"
-#include "obs/store/store_reader.h"
 #include "util/artifacts.h"
-#include "util/parse_number.h"
+#include "util/checked_write.h"
 #include "sim/simulator.h"
 #include "tcp/connection.h"
 #include "workload/web_workload.h"
@@ -59,88 +52,20 @@ namespace {
 // ./artifacts) so runs from a source checkout keep the tree clean.
 bool write_file(const char* name, const std::string& body,
                 std::string* path_out) {
-  const std::string path = util::artifact_path(name);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  ok = std::fclose(f) == 0 && ok;
-  *path_out = path;
-  return ok;
-}
-
-// --store mode: render one stored connection offline.
-int explore_store(const std::string& path, int64_t want_conn) {
-  obs::StoreReader reader;
-  std::string err;
-  if (!obs::StoreReader::open(path, &reader, &err)) {
-    std::printf("trace_explorer: %s\n", err.c_str());
-    return 1;
-  }
-  const std::vector<uint64_t> conns = reader.connections();
-  if (conns.empty()) {
-    std::printf("store %s holds no connections.\n", path.c_str());
-    return 0;
-  }
-  const uint64_t conn =
-      want_conn >= 0 ? static_cast<uint64_t>(want_conn) : conns.front();
-  std::vector<obs::TraceRecord> records;
-  if (!reader.read_connection(conn, &records)) {
-    std::printf("store decode failed for conn %llu\n",
-                (unsigned long long)conn);
-    return 1;
-  }
-  std::printf("store %s: arm %s, %zu connection(s); showing conn %llu "
-              "(%zu records)\n\n",
-              path.c_str(), reader.meta().arm.c_str(), conns.size(),
-              (unsigned long long)conn, records.size());
-  if (records.empty()) {
-    std::printf("conn %llu is not in this store (policy %s). Stored ids "
-                "start at %llu.\n",
-                (unsigned long long)conn, reader.meta().policy.c_str(),
-                (unsigned long long)conns.front());
-    return 0;
-  }
-  std::size_t shown = 0;
-  for (const obs::TraceRecord& r : records) {
-    if (r.type == obs::TraceType::kWireData ||
-        r.type == obs::TraceType::kWireAck) {
-      continue;
-    }
-    std::printf("  %s\n", obs::describe(r).c_str());
-    if (++shown >= 14) break;
-  }
-  std::string out_path;
-  if (write_file("trace.json", obs::perfetto_trace_json(records),
-                 &out_path)) {
-    std::printf("\nwrote %s from the stored records -- load it at "
-                "https://ui.perfetto.dev.\n",
-                out_path.c_str());
-  }
-  return 0;
+  *path_out = util::artifact_path(name);
+  return util::checked_write_file(*path_out, body);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string store_path;
-  int64_t store_conn = -1;
-  for (int i = 1; i < argc; ++i) {
-    const bool has_value = i + 1 < argc;
-    if (std::strcmp(argv[i], "--store") == 0 && has_value) {
-      store_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--conn") == 0 && has_value) {
-      if (!util::parse_flag("--conn", argv[++i], store_conn, int64_t{0})) {
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "trace_explorer: unknown flag or missing value '%s'\n"
-                   "usage: trace_explorer [--store FILE [--conn ID]]\n",
-                   argv[i]);
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "trace_explorer: unexpected argument '%s'\n"
+                 "usage: trace_explorer\n",
+                 argv[1]);
+    return 2;
   }
-  if (!store_path.empty()) return explore_store(store_path, store_conn);
 
   // ---- Part 1: one traced lossy transfer -------------------------------
   sim::Simulator sim;
@@ -224,7 +149,8 @@ int main(int argc, char** argv) {
   std::printf("wrote %s -- the whole sweep's trace rings, columnar.\n"
               "explore it offline:\n"
               "  ./examples/prr_query info %s\n"
-              "  ./examples/trace_explorer --store %s --conn 7\n",
+              "  ./examples/prr_query records %s --conn 7"
+              " --out conn7.trace.json\n",
               store_file.c_str(), store_file.c_str(), store_file.c_str());
   return 0;
 }

@@ -174,28 +174,6 @@ void fold_connection_registry(RegistryHandles& h, const tcp::Sender& sender,
   }
 }
 
-// The registry counters that shadow ArmResult totals, written once per
-// arm from the folded ledgers. Like the per-connection instruments, they
-// exist only once they have something to count: the totals once any
-// connection finished, the abort tally once one aborted.
-void write_registry_totals(ArmResult& r) {
-  if (r.connections_run == 0) return;
-  obs::MetricsRegistry& reg = r.registry;
-  const tcp::Metrics& m = r.metrics;
-  reg.counter("tcp.data_segments_sent")->add(m.data_segments_sent);
-  reg.counter("tcp.bytes_sent")->add(m.bytes_sent);
-  reg.counter("tcp.retransmits_total")->add(m.retransmits_total);
-  reg.counter("tcp.fast_retransmits")->add(m.fast_retransmits);
-  reg.counter("tcp.timeouts_total")->add(m.timeouts_total);
-  reg.counter("tcp.fast_recovery_events")->add(m.fast_recovery_events);
-  reg.counter("tcp.undo_events")->add(m.undo_events);
-  reg.counter("tcp.dsacks_received")->add(m.dsacks_received);
-  reg.counter("exp.connections_run")->add(r.connections_run);
-  if (m.connections_aborted > 0) {
-    reg.counter("exp.connections_aborted")->add(m.connections_aborted);
-  }
-}
-
 // Runs connection `id` of the (pop, arm, opts) experiment — the one place
 // the sweep, trace_connection and quarantine replay all go through, so a
 // replay is the exact computation the original run performed. The
@@ -629,7 +607,6 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
     std::optional<ConnArena> arena;
     run_connection_range(pop, arm, opts, first, first + n, result, arena,
                          capture, writer ? &*writer : nullptr);
-    write_registry_totals(result);
     finish_store();
     return result;
   }
@@ -680,7 +657,6 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
   pool.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
   for (auto& th : pool) th.join();
-  write_registry_totals(result);
   finish_store();
   return result;
 }

@@ -175,13 +175,12 @@ struct ArmResult {
   uint64_t store_payload_bytes = 0;
 
   // Named-instrument view of the arm (DESIGN.md §8): per-connection
-  // histograms and arm totals under "tcp." and "exp.", recorder
-  // accounting under "obs.trace." (only when tracing ran), wall-clock
-  // profiles under "profile." (only with RunOptions::self_profile). The
-  // "tcp." and "exp." sections are deterministic — identical at any
-  // thread count and with tracing on or off. The counters that shadow
-  // `metrics` and `connections_run` are written from them once per arm,
-  // so they agree by construction.
+  // instruments under "tcp." and "exp.", recorder accounting under
+  // "obs.trace." (only when tracing ran), wall-clock profiles under
+  // "profile." (only with RunOptions::self_profile). The "tcp." and
+  // "exp." sections are deterministic — identical at any thread count
+  // and with tracing on or off. Arm totals are read from `metrics` and
+  // `connections_run`; no registry counter copies them.
   obs::MetricsRegistry registry;
 
   // Folds a shard covering a higher connection-id range into this one.
@@ -331,7 +330,7 @@ struct ReplayResult {
 
 // One connection's full forensic capture: the (ring-capped) record
 // stream plus its episodes with per-ACK ledgers. The input to
-// examples/prr_inspect's single-connection views and the cross-arm diff
+// prr_query's live single-connection views and the cross-arm diff
 // (obs/trace_diff.h) — run the same id under two arms and compare.
 struct TracedConnection {
   std::vector<obs::TraceRecord> records;

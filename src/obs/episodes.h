@@ -128,8 +128,8 @@ struct RecoveryEpisode {
 };
 
 // Multi-line human-readable dump (episode header, ledger lines, exit and
-// post-recovery trajectory) for examples/prr_inspect and quarantine
-// forensics.
+// post-recovery trajectory) for `prr_query episodes --conn` and
+// quarantine forensics.
 std::string describe(const RecoveryEpisode& e);
 // One-line form of just the summary row.
 std::string describe(const EpisodeSummary& s);
@@ -227,7 +227,7 @@ class EpisodeTable {
 
   // {"episodes":N,...,"histograms":{...p50/p95/p99...}} — byte-stable.
   std::string to_json() const;
-  // Human-readable per-arm summary block for examples/prr_inspect.
+  // Human-readable per-arm summary block for `prr_query episodes`.
   std::string summary_string() const;
 
  private:

@@ -2,7 +2,7 @@
 // detectors beyond the per-ACK InvariantChecker, for bugs whose symptom
 // is *silence* (a wedged connection never delivers a bad ACK to check).
 // All findings are recorded through InvariantChecker::record_external,
-// so they ride the existing quarantine → replay → prr_inspect pipeline.
+// so they ride the existing quarantine → replay → prr_query pipeline.
 //
 // Oracle catalog:
 //   - ProgressWatchdog (kNoForwardProgress): snd_una stuck across K

@@ -740,11 +740,6 @@ std::vector<LiveInput> live_inputs(const std::string& store_name) {
           {"chaos", chaos_store::population(), chaos, true}};
 }
 
-uint64_t counter_value(const exp::ArmResult& r, const char* name) {
-  const obs::Counter* c = r.registry.find_counter(name);
-  return c == nullptr ? 0 : c->value();
-}
-
 TEST(StoreLive, EpisodesFromStoreReconcile) {
   const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
   for (LiveInput& in : live_inputs("episodes.prrstore")) {
@@ -866,7 +861,7 @@ TEST(StoreLive, AggregateAndSeriesQueries) {
     ASSERT_TRUE(StoreReader::open(path, &reader, &err)) << err;
 
     // Records grouped by type cover every record, and the per-type
-    // counts equal the registry counters of the same facts: one
+    // counts equal the arm's counters of the same facts: one
     // kEnterRecovery per fast-recovery event, one kRtoFired per timeout,
     // one kTransmit per data segment.
     obs::AggregateQuery q;
@@ -881,11 +876,11 @@ TEST(StoreLive, AggregateAndSeriesQueries) {
     }
     EXPECT_EQ(total, reader.total_records());
     EXPECT_EQ(by_type[static_cast<int>(TraceType::kEnterRecovery)],
-              counter_value(live, "tcp.fast_recovery_events"));
+              live.metrics.fast_recovery_events);
     EXPECT_EQ(by_type[static_cast<int>(TraceType::kRtoFired)],
-              counter_value(live, "tcp.timeouts_total"));
+              live.metrics.timeouts_total);
     EXPECT_EQ(by_type[static_cast<int>(TraceType::kTransmit)],
-              counter_value(live, "tcp.data_segments_sent"));
+              live.metrics.data_segments_sent);
     EXPECT_GT(by_type[static_cast<int>(TraceType::kEnterRecovery)], 0u);
 
     // A cwnd time-series from kAck records of the first connection.
