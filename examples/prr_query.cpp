@@ -20,6 +20,7 @@
 //
 // Aggregates: --field accepts at_ns|a|b|f0..f5 plus per-type aliases
 // (--type ack --field cwnd). --group conn|type|time (+--bucket-ms N).
+// A flag the command does not read exits 2 and names the flag.
 // Determinism: every byte printed (and every store written) is a pure
 // function of the input store bytes, or of (--seed, --conn, arm) live.
 #include <cctype>
@@ -104,6 +105,32 @@ std::vector<exp::ArmConfig> parse_arms(const char* name, bool allow_all) {
   return {};
 }
 
+// The flags each command reads, space-separated; null for an unknown
+// command. Without a STORE, `episodes` is the live view; with one, its
+// --conn view takes neither --json nor --out.
+const char* flags_read(const std::string& cmd, bool has_store,
+                       bool per_conn) {
+  if (cmd == "sweep") {
+    return "--out --capture --arm --connections --first --seed --threads "
+           "--chaos";
+  }
+  if (cmd == "merge") return "";
+  if (cmd == "diff") return "--conn --arm --arm-b --seed --out";
+  if (cmd == "episodes" && !has_store) return "--conn --arm --seed";
+  if (cmd == "episodes") {
+    return per_conn ? "--no-verify --conn" : "--no-verify --json --out";
+  }
+  if (cmd == "info" || cmd == "table3") return "--no-verify";
+  if (cmd == "records") return "--no-verify --conn --limit --out";
+  if (cmd == "agg") {
+    return "--no-verify --field --type --group --bucket-ms --conn-min "
+           "--conn-max --sampled-only --full-only --out";
+  }
+  if (cmd == "series") return "--no-verify --conn --type --field";
+  if (cmd == "critpath") return "--no-verify --conn";
+  return nullptr;
+}
+
 bool open_store(const std::string& path, bool verify,
                 obs::StoreReader* reader) {
   std::string err;
@@ -148,20 +175,20 @@ int cmd_info(const obs::StoreReader& reader, const std::string& path) {
 int cmd_records(const obs::StoreReader& reader, int64_t conn,
                 uint64_t limit, const std::string& out_file) {
   std::vector<obs::TraceRecord> records;
+  std::string err;
+  bool read = true;
   if (conn >= 0) {
-    if (!reader.read_connection(static_cast<uint64_t>(conn), &records)) {
-      std::fprintf(stderr, "prr_query: conn %lld failed to decode\n",
-                   static_cast<long long>(conn));
-      return 1;
-    }
+    read = reader.read_connection(static_cast<uint64_t>(conn), &records,
+                                  obs::kAllColumns, &err);
   } else {
-    for (std::size_t i = 0; i < reader.blocks().size(); ++i) {
+    for (std::size_t i = 0; read && i < reader.blocks().size(); ++i) {
       if (limit != 0 && records.size() >= limit) break;
-      if (!reader.read_block(i, &records)) {
-        std::fprintf(stderr, "prr_query: block %zu failed to decode\n", i);
-        return 1;
-      }
+      read = reader.read_block(i, &records, obs::kAllColumns, &err);
     }
+  }
+  if (!read) {
+    std::fprintf(stderr, "prr_query: %s\n", err.c_str());
+    return 1;
   }
   if (limit != 0 && records.size() > limit) records.resize(limit);
   for (const obs::TraceRecord& r : records) {
@@ -248,9 +275,9 @@ int cmd_conn_episodes(const obs::StoreReader& reader, uint64_t conn) {
               ")\n",
               conn, reader.meta().arm.c_str(), reader.meta().seed);
   std::vector<obs::TraceRecord> records;
-  if (!reader.read_connection(conn, &records)) {
-    std::fprintf(stderr, "prr_query: conn %" PRIu64 " failed to decode\n",
-                 conn);
+  std::string err;
+  if (!reader.read_connection(conn, &records, obs::kAllColumns, &err)) {
+    std::fprintf(stderr, "prr_query: %s\n", err.c_str());
     return 1;
   }
   if (records.empty()) {
@@ -417,6 +444,7 @@ int main(int argc, char** argv) {
       sweep ? all_arms() : std::vector{exp::ArmConfig::prr_arm()};
   std::vector<exp::ArmConfig> arms_b = {exp::ArmConfig::rfc3517_arm()};
   std::vector<std::string> positional;
+  std::vector<std::string> flags;  // every flag given, checked below
   int64_t conn = -1;
   uint64_t limit = 0;
   int64_t bucket_ms = 1000;
@@ -435,6 +463,7 @@ int main(int argc, char** argv) {
     };
     const char* a = argv[i];
     const char* v = nullptr;
+    if (a[0] == '-') flags.push_back(a);
     if (std::strcmp(a, "--no-verify") == 0) {
       verify = false;
     } else if (std::strcmp(a, "--json") == 0) {
@@ -497,6 +526,17 @@ int main(int argc, char** argv) {
     }
   }
 
+  // A flag the command does not read is refused, never ignored.
+  const char* reads = flags_read(cmd, !positional.empty(), conn >= 0);
+  if (reads == nullptr) return usage();
+  const std::string allowed = std::string(" ") + reads + " ";
+  for (const std::string& f : flags) {
+    if (allowed.find(" " + f + " ") == std::string::npos) {
+      std::fprintf(stderr, "%s does not take %s\n", cmd.c_str(), f.c_str());
+      return 2;
+    }
+  }
+
   if (sweep) {
     if (out_file.empty()) {
       std::fprintf(stderr, "sweep requires --out PREFIX\n");
@@ -515,10 +555,9 @@ int main(int argc, char** argv) {
       pop = &*chaos_pop;
     }
     const auto results = exp::run_arms(*pop, arms, opts);
-    // Summarize from the writers' own accounting (carried on ArmResult),
-    // not by reopening the files: StoreReader loads a store whole, which
-    // would make the sweep's peak RSS scale with the kept bytes and undo
-    // the streaming write path's flat-memory guarantee.
+    // Summarize from the writers' own accounting (carried on ArmResult):
+    // reopening the files would read every kept byte once more to check
+    // its digest, for counts the writers already have.
     for (std::size_t i = 0; i < results.size(); ++i) {
       const std::string path =
           obs::store_path_for_arm(out_file, arms[i].name);

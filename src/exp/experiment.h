@@ -168,8 +168,8 @@ struct ArmResult {
   // Final accounting of the arm's finished store file (only with
   // RunOptions::store_path; filled by run_arm after the writer closes).
   // Callers wanting a post-run summary should read these instead of
-  // reopening the file — StoreReader loads the whole store, which would
-  // undo the flat-RSS write path on a large sweep.
+  // reopening the file, which reads every kept byte again to check its
+  // digest.
   uint64_t store_connections = 0;
   uint64_t store_records = 0;
   uint64_t store_payload_bytes = 0;

@@ -114,16 +114,6 @@ ColumnMask field_column(QueryField f) {
   }
 }
 
-bool decode_failed(std::string* err, const StoreReader& reader,
-                   std::size_t block) {
-  if (err != nullptr) {
-    *err = "block " + std::to_string(block) + " (conn " +
-           std::to_string(reader.blocks()[block].conn) +
-           ") failed to decode";
-  }
-  return false;
-}
-
 }  // namespace
 
 bool run_aggregate(const StoreReader& reader, const AggregateQuery& q,
@@ -146,9 +136,7 @@ bool run_aggregate(const StoreReader& reader, const AggregateQuery& q,
   for (std::size_t i = 0; i < reader.blocks().size(); ++i) {
     if (!q.filter.matches_block(reader.blocks()[i])) continue;
     records.clear();
-    if (!reader.read_block(i, &records, columns)) {
-      return decode_failed(err, reader, i);
-    }
+    if (!reader.read_block(i, &records, columns, err)) return false;
     for (const TraceRecord& r : records) {
       if (!q.filter.matches_record(r)) continue;
       uint64_t key = 0;
@@ -212,12 +200,9 @@ bool extract_series(const StoreReader& reader, uint64_t conn,
                     TraceType type, QueryField field,
                     std::vector<SeriesPoint>* out, std::string* err) {
   std::vector<TraceRecord> records;
-  if (!reader.read_connection(conn, &records,
-                              kColumnType | kColumnAt |
-                                  field_column(field))) {
-    if (err != nullptr) {
-      *err = "conn " + std::to_string(conn) + " failed to decode";
-    }
+  if (!reader.read_connection(
+          conn, &records, kColumnType | kColumnAt | field_column(field),
+          err)) {
     return false;
   }
   for (const TraceRecord& r : records) {
@@ -245,17 +230,13 @@ bool episodes_from_store(const StoreReader& reader,
       uint32_t types = 0;
       for (std::size_t b = i; b < end; ++b) {
         uint32_t block_types = 0;
-        if (!reader.block_types(b, &block_types)) {
-          return decode_failed(err, reader, b);
-        }
+        if (!reader.block_types(b, &block_types, err)) return false;
         types |= block_types;
       }
       const ColumnMask columns = EpisodeBuilder::columns_read(types);
       records.clear();
       for (std::size_t b = i; b < end; ++b) {
-        if (!reader.read_block(b, &records, columns)) {
-          return decode_failed(err, reader, b);
-        }
+        if (!reader.read_block(b, &records, columns, err)) return false;
       }
       builder.reset();
       for (const TraceRecord& r : records) builder.on_record(r);
@@ -351,12 +332,7 @@ bool critical_path(const StoreReader& reader, uint64_t conn,
                                   kColumnB | (kColumnF0 << 1) |
                                   (kColumnF0 << 2);
   std::vector<TraceRecord> records;
-  if (!reader.read_connection(conn, &records, kColumns)) {
-    if (err != nullptr) {
-      *err = "conn " + std::to_string(conn) + " failed to decode";
-    }
-    return false;
-  }
+  if (!reader.read_connection(conn, &records, kColumns, err)) return false;
   *out = attribute_critical_path(records.data(), records.size());
   out->conn = conn;
   return true;

@@ -121,8 +121,10 @@ struct AggregateResult {
   std::string to_json() const;
 };
 
-// Runs `q` over every matching record. False only on a decode failure
-// (possible when the reader skipped digest verification).
+// Runs `q` over every matching record. False only on a failed block read
+// (a decode failure, possible when the reader skipped digest
+// verification, or a store changed since open); *err then names the
+// store, as it does for every store-backed query below.
 bool run_aggregate(const StoreReader& reader, const AggregateQuery& q,
                    AggregateResult* out, std::string* err);
 

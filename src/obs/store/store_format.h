@@ -191,6 +191,16 @@ inline bool skip_varints(const uint8_t** p, const uint8_t* end,
 // Raw-cursor form for the encoder's hot loop: the caller guarantees at
 // least kMaxVarintBytes of headroom, so no per-byte capacity check.
 inline constexpr std::size_t kMaxVarintBytes = 10;
+
+// Every record costs at most this many payload bytes: at_ns and the six
+// f columns as 10-byte varints, type and a as raw bytes, and b (at most
+// UINT16_MAX) as a varint of at most 3 bytes. So no block is longer
+// than kMaxBlockBytes, which bounds the encoder's scratch and the
+// reader's window, and the reader rejects an index entry claiming more
+// bytes than its records can take.
+inline constexpr std::size_t kMaxRecordBytes = 7 * kMaxVarintBytes + 5;
+inline constexpr std::size_t kMaxBlockBytes =
+    kMaxBlockRecords * kMaxRecordBytes;
 inline void put_varint_raw(uint8_t*& p, uint64_t v) {
   while (v >= 0x80) {
     *p++ = static_cast<uint8_t>(v) | 0x80;

@@ -1,6 +1,12 @@
 #include "obs/store/store_reader.h"
 
-#include <cstdio>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #include "obs/store/store_writer.h"
 
@@ -13,33 +19,94 @@ bool fail(std::string* err, const std::string& what) {
   return false;
 }
 
-// One read into a buffer sized from the file length: no regrowth, so
-// the reader's peak memory is the file size, not up to twice it.
-bool slurp(const std::string& path, std::string* out, std::string* err) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return fail(err, "cannot open " + path);
-  long size = -1;
-  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
-  bool clean = size >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
-  if (clean) {
-    out->resize(static_cast<std::size_t>(size));
-    clean = std::fread(out->data(), 1, out->size(), f) == out->size() &&
-            std::fgetc(f) == EOF && std::ferror(f) == 0;
+int64_t mtime_ns(const struct stat& st) {
+  return static_cast<int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
+         st.st_mtim.tv_nsec;
+}
+
+bool decode_failed(std::string* err, const std::string& path,
+                   std::size_t block, uint64_t conn) {
+  return fail(err, path + ": block " + std::to_string(block) + " (conn " +
+                       std::to_string(conn) + ") failed to decode");
+}
+
+// The header's fields from [p, end), which holds at least the whole
+// header. Sets *header_bytes to its length. Empty on success, else what
+// is wrong with it.
+std::string parse_header(const uint8_t* p, const uint8_t* end,
+                         StoreMeta* meta, uint64_t* header_bytes) {
+  const uint8_t* const begin = p;
+  if (end - p < 8 || std::memcmp(p, kStoreMagic, 8) != 0) {
+    return "bad header magic";
   }
-  std::fclose(f);
-  if (!clean) return fail(err, "read error on " + path);
-  return true;
+  p += 8;
+  if (end - p < 8) return "short header";
+  meta->version = get_u32le(p);
+  p += 4;
+  p += 4;  // header flags, reserved
+  if (meta->version != kStoreVersion) {
+    return "unsupported store version " + std::to_string(meta->version);
+  }
+  if (!get_varint(&p, end, &meta->seed) ||
+      !get_vstr(&p, end, &meta->arm) ||
+      !get_vstr(&p, end, &meta->policy) ||
+      !get_vstr(&p, end, &meta->scenario)) {
+    return "malformed header";
+  }
+  *header_bytes = static_cast<uint64_t>(p - begin);
+  return {};
 }
 
 }  // namespace
 
+StoreReader::File& StoreReader::File::operator=(File&& o) noexcept {
+  if (this != &o) {
+    if (fd >= 0) ::close(fd);
+    fd = o.fd;
+    o.fd = -1;
+  }
+  return *this;
+}
+
+StoreReader::File::~File() {
+  if (fd >= 0) ::close(fd);
+}
+
+bool StoreReader::read_at(uint8_t* p, std::size_t n, uint64_t offset,
+                          std::string* err) const {
+  while (n > 0) {
+    const ssize_t got = ::pread(file_.fd, p, n, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) {
+      return fail(err, path_ + ": read error: " + std::strerror(errno));
+    }
+    if (got == 0) break;
+    p += got;
+    n -= static_cast<std::size_t>(got);
+    offset += static_cast<uint64_t>(got);
+  }
+  // Checked after the read, so a change made before or during it shows.
+  struct stat st;
+  if (n > 0 || ::fstat(file_.fd, &st) != 0 ||
+      static_cast<uint64_t>(st.st_size) != size_ ||
+      mtime_ns(st) != mtime_ns_) {
+    return fail(err, path_ + ": store changed since open");
+  }
+  return true;
+}
+
 bool StoreReader::open(const std::string& path, StoreReader* out,
                        std::string* err, bool verify_digest) {
   StoreReader r;
-  if (!slurp(path, &r.file_, err)) return false;
-  const uint8_t* file =
-      reinterpret_cast<const uint8_t*>(r.file_.data());
-  const std::size_t size = r.file_.size();
+  r.path_ = path;
+  r.file_.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st;
+  if (r.file_.fd < 0 || ::fstat(r.file_.fd, &st) != 0) {
+    return fail(err, "cannot open " + path);
+  }
+  r.size_ = static_cast<uint64_t>(st.st_size);
+  r.mtime_ns_ = mtime_ns(st);
+  const uint64_t size = r.size_;
 
   // Structural floor: header magic + version + flags + one varint seed +
   // three empty vstrs would still exceed this, but the footer alone is
@@ -47,49 +114,67 @@ bool StoreReader::open(const std::string& path, StoreReader* out,
   if (size < 8 + kStoreFooterBytes) {
     return fail(err, path + ": too short to be a trace store");
   }
-  if (std::memcmp(file + size - 8, kStoreEndMagic, 8) != 0) {
+  // The footer says where the index starts, so it is read first; the
+  // pass below reads it again, and a footer that differs between the
+  // two reads is a file changing under the reader.
+  uint8_t footer[kStoreFooterBytes];
+  if (!r.read_at(footer, kStoreFooterBytes, size - kStoreFooterBytes, err)) {
+    return false;
+  }
+  if (std::memcmp(footer + 16, kStoreEndMagic, 8) != 0) {
     return fail(err, path + ": missing end magic (truncated store?)");
   }
-  const uint64_t digest = get_u64le(file + size - 16);
-  const uint64_t index_offset = get_u64le(file + size - kStoreFooterBytes);
-  // Everything before the digest field is under the digest.
-  if (verify_digest) {
-    StoreDigest d;
-    d.feed(file, size - 16);
-    if (d.value() != digest) {
-      return fail(err, path + ": digest mismatch (corrupted store)");
-    }
-  }
-
-  // Header.
-  if (std::memcmp(file, kStoreMagic, 8) != 0) {
-    return fail(err, path + ": bad header magic");
-  }
+  const uint64_t index_offset = get_u64le(footer);
   if (index_offset < 8 || index_offset > size - kStoreFooterBytes) {
     return fail(err, path + ": index offset out of range");
   }
-  const uint8_t* p = file + 8;
-  const uint8_t* header_end = file + index_offset;
-  if (header_end - p < 8) return fail(err, path + ": short header");
-  r.meta_.version = get_u32le(p);
-  p += 4;
-  p += 4;  // header flags, reserved
-  if (r.meta_.version != kStoreVersion) {
-    return fail(err, path + ": unsupported store version " +
-                         std::to_string(r.meta_.version));
-  }
-  if (!get_varint(&p, header_end, &r.meta_.seed) ||
-      !get_vstr(&p, header_end, &r.meta_.arm) ||
-      !get_vstr(&p, header_end, &r.meta_.policy) ||
-      !get_vstr(&p, header_end, &r.meta_.scenario)) {
-    return fail(err, path + ": malformed header");
-  }
-  const uint64_t blocks_begin =
-      static_cast<uint64_t>(p - file);  // blocks start after the header
 
-  // Index. Offsets are implied: blocks are contiguous from blocks_begin.
-  const uint8_t* ip = file + index_offset;
-  const uint8_t* index_end = file + size - kStoreFooterBytes;
+  // One pass front to back through the window. Everything before the
+  // digest field is under the digest; the header is parsed from the
+  // first read, and the index and footer are kept from the reads that
+  // reach them. Without the digest check only those reads are made.
+  const uint64_t digest_end = size - 16;
+  std::vector<uint8_t> tail(size - index_offset);  // index + footer
+  r.window_.resize(std::min<uint64_t>(kWindowBytes, size));
+  StoreDigest digest;
+  std::string header_error;
+  uint64_t header_bytes = 0;
+  for (uint64_t off = 0; off < size;) {
+    if (!verify_digest && off > 0 && off < index_offset) off = index_offset;
+    const std::size_t n =
+        static_cast<std::size_t>(std::min<uint64_t>(r.window_.size(),
+                                                    size - off));
+    uint8_t* chunk = r.window_.data();
+    if (!r.read_at(chunk, n, off, err)) return false;
+    if (verify_digest && off < digest_end) {
+      digest.feed(chunk, static_cast<std::size_t>(
+                             std::min<uint64_t>(n, digest_end - off)));
+    }
+    if (off == 0) {
+      header_error = parse_header(
+          chunk, chunk + std::min<uint64_t>(n, index_offset), &r.meta_,
+          &header_bytes);
+    }
+    if (off + n > index_offset) {
+      const uint64_t from = std::max(off, index_offset);
+      std::memcpy(tail.data() + (from - index_offset), chunk + (from - off),
+                  static_cast<std::size_t>(off + n - from));
+    }
+    off += n;
+  }
+  if (std::memcmp(tail.data() + tail.size() - kStoreFooterBytes, footer,
+                  kStoreFooterBytes) != 0) {
+    return fail(err, path + ": store changed since open");
+  }
+  if (verify_digest && digest.value() != get_u64le(footer + 8)) {
+    return fail(err, path + ": digest mismatch (corrupted store)");
+  }
+  if (!header_error.empty()) return fail(err, path + ": " + header_error);
+
+  // Index. Offsets are implied: blocks are contiguous from the end of
+  // the header.
+  const uint8_t* ip = tail.data();
+  const uint8_t* index_end = tail.data() + tail.size() - kStoreFooterBytes;
   uint64_t block_count = 0;
   if (!get_varint(&ip, index_end, &block_count)) {
     return fail(err, path + ": malformed index");
@@ -100,7 +185,7 @@ bool StoreReader::open(const std::string& path, StoreReader* out,
   }
   r.blocks_.reserve(static_cast<std::size_t>(block_count));
   uint64_t conn = 0;
-  uint64_t offset = blocks_begin;
+  uint64_t offset = header_bytes;
   for (uint64_t i = 0; i < block_count; ++i) {
     uint64_t conn_delta = 0, bytes = 0, records = 0;
     if (!get_varint(&ip, index_end, &conn_delta) ||
@@ -109,11 +194,13 @@ bool StoreReader::open(const std::string& path, StoreReader* out,
       return fail(err, path + ": malformed index entry");
     }
     const uint8_t flags = *ip++;
-    // A block holds at least one record of at least kMinRecordBytes, so
-    // a count the payload cannot hold is corrupt, and is refused here
-    // rather than sizing a decode buffer from it.
-    if (records == 0 || bytes > UINT32_MAX || records > UINT32_MAX ||
-        records * kMinRecordBytes > bytes) {
+    // A block holds 1 to kMaxBlockRecords records, each taking
+    // kMinRecordBytes to kMaxRecordBytes, so a count the payload cannot
+    // hold is corrupt, and is refused here rather than sizing a decode
+    // buffer or the read window from it.
+    if (records == 0 || records > kMaxBlockRecords ||
+        records * kMinRecordBytes > bytes ||
+        bytes > records * kMaxRecordBytes) {
       return fail(err, path + ": implausible block geometry in index");
     }
     conn += conn_delta;
@@ -136,28 +223,57 @@ bool StoreReader::open(const std::string& path, StoreReader* out,
   if (offset != index_offset) {
     return fail(err, path + ": block payloads do not span to the index");
   }
+  r.payload_end_ = index_offset;
   *out = std::move(r);
   return true;
 }
 
-bool StoreReader::read_block(std::size_t i, std::vector<TraceRecord>* out,
-                             ColumnMask columns) const {
+const uint8_t* StoreReader::block_data(std::size_t i,
+                                       std::string* err) const {
   const StoreBlockMeta& b = blocks_[i];
-  return decode_block(block_data(i), b.bytes, b.records, b.conn, out,
-                      columns);
+  if (b.offset < window_offset_ ||
+      b.offset + b.bytes > window_offset_ + window_len_) {
+    // Refill from this block on, as far as the window reaches: a forward
+    // scan then costs one pread per window.
+    const std::size_t n = static_cast<std::size_t>(std::max<uint64_t>(
+        b.bytes, std::min<uint64_t>(kWindowBytes, payload_end_ - b.offset)));
+    if (window_.size() < n) window_.resize(n);
+    window_len_ = 0;
+    if (!read_at(window_.data(), n, b.offset, err)) return nullptr;
+    window_offset_ = b.offset;
+    window_len_ = n;
+  }
+  return window_.data() + (b.offset - window_offset_);
 }
 
-bool StoreReader::block_types(std::size_t i, uint32_t* types) const {
+bool StoreReader::read_block(std::size_t i, std::vector<TraceRecord>* out,
+                             ColumnMask columns, std::string* err) const {
+  const StoreBlockMeta& b = blocks_[i];
+  const uint8_t* data = block_data(i, err);
+  if (data == nullptr) return false;
+  if (!decode_block(data, b.bytes, b.records, b.conn, out, columns)) {
+    return decode_failed(err, path_, i, b.conn);
+  }
+  return true;
+}
+
+bool StoreReader::block_types(std::size_t i, uint32_t* types,
+                              std::string* err) const {
   static_assert(static_cast<uint32_t>(TraceType::kCount) <= 32,
                 "a set of record types is one uint32_t");
   const StoreBlockMeta& b = blocks_[i];
-  const uint8_t* p = block_data(i);
+  const uint8_t* p = block_data(i, err);
+  if (p == nullptr) return false;
   const uint8_t* end = p + b.bytes;
-  if (!skip_varints(&p, end, b.records)) return false;  // at_ns
-  if (static_cast<std::size_t>(end - p) < b.records) return false;
+  if (!skip_varints(&p, end, b.records) ||  // at_ns
+      static_cast<std::size_t>(end - p) < b.records) {
+    return decode_failed(err, path_, i, b.conn);
+  }
   uint32_t seen = 0;
   for (uint32_t k = 0; k < b.records; ++k) {
-    if (p[k] >= static_cast<uint8_t>(TraceType::kCount)) return false;
+    if (p[k] >= static_cast<uint8_t>(TraceType::kCount)) {
+      return decode_failed(err, path_, i, b.conn);
+    }
     seen |= 1u << p[k];
   }
   *types = seen;
@@ -166,7 +282,8 @@ bool StoreReader::block_types(std::size_t i, uint32_t* types) const {
 
 bool StoreReader::read_connection(uint64_t conn,
                                   std::vector<TraceRecord>* out,
-                                  ColumnMask columns) const {
+                                  ColumnMask columns,
+                                  std::string* err) const {
   // Blocks are sorted by conn; binary-search the run.
   std::size_t lo = 0, hi = blocks_.size();
   while (lo < hi) {
@@ -179,7 +296,7 @@ bool StoreReader::read_connection(uint64_t conn,
   }
   for (std::size_t i = lo; i < blocks_.size() && blocks_[i].conn == conn;
        ++i) {
-    if (!read_block(i, out, columns)) return false;
+    if (!read_block(i, out, columns, err)) return false;
   }
   return true;
 }

@@ -48,11 +48,10 @@ void StoreEncoder::encode(const TraceRecord* records, std::size_t n,
   while (done < n) {
     const std::size_t count = std::min(n - done, kMaxBlockRecords);
     const TraceRecord* r = records + done;
-    // Worst case per record: at_ns + 6 fields as 10-byte varints, plus
-    // type, a and a 3-byte b. Sizing scratch once and writing through a
-    // raw cursor keeps the capture hot path free of per-byte capacity
-    // checks; scratch is bounded by kMaxBlockRecords and reused.
-    const std::size_t worst = count * (7 * kMaxVarintBytes + 5);
+    // Sizing scratch for the worst case once and writing through a raw
+    // cursor keeps the capture hot path free of per-byte capacity
+    // checks; scratch is bounded by kMaxBlockBytes and reused.
+    const std::size_t worst = count * kMaxRecordBytes;
     if (scratch_.size() < worst) scratch_.resize(worst);
     uint8_t* p = scratch_.data();
     // Column order: at_ns, type, a, b, f0..f5 (store_format.h).
@@ -333,21 +332,31 @@ bool merge_store_files(const std::vector<std::string>& inputs,
                      return a.conn < b.conn;
                    });
 
+  // OUT may name one of the inputs, which are read while the merge
+  // writes, so the merge goes to a temporary file next to OUT that
+  // replaces it only once finished; a failed merge leaves no partial OUT.
+  const std::string tmp_path = out_path + ".partial";
   StoreWriter writer;
-  if (!writer.open(out_path, readers[0].meta())) {
-    if (err != nullptr) *err = "cannot open " + out_path + " for write";
+  const auto abandon = [&](const std::string& what) {
+    std::remove(tmp_path.c_str());
+    if (err != nullptr) *err = what;
     return false;
+  };
+  if (!writer.open(tmp_path, readers[0].meta())) {
+    return abandon("cannot open " + tmp_path + " for write");
   }
+  std::string why;
   for (const Ref& ref : order) {
-    const StoreBlockMeta& b = readers[ref.input].blocks()[ref.block];
-    if (!writer.append_block(b, readers[ref.input].block_data(ref.block))) {
-      if (err != nullptr) *err = "write failure on " + out_path;
-      return false;
+    const StoreReader& reader = readers[ref.input];
+    const uint8_t* data = reader.block_data(ref.block, &why);
+    if (data == nullptr) return abandon(why);
+    if (!writer.append_block(reader.blocks()[ref.block], data)) {
+      return abandon("write failure on " + tmp_path);
     }
   }
-  if (!writer.finish()) {
-    if (err != nullptr) *err = "short write finishing " + out_path;
-    return false;
+  if (!writer.finish()) return abandon("short write finishing " + tmp_path);
+  if (std::rename(tmp_path.c_str(), out_path.c_str()) != 0) {
+    return abandon("cannot rename " + tmp_path + " to " + out_path);
   }
   return true;
 }

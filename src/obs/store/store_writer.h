@@ -118,7 +118,10 @@ class StoreWriter {
 // union: blocks are re-emitted in ascending (conn, stream) order under
 // the shared header meta. Inputs
 // must agree on StoreMeta; returns false (with *err set) on meta
-// mismatch, unreadable input, or IO failure.
+// mismatch, unreadable input, an input changed while merging, or IO
+// failure. OUT may be one of the inputs: the merge is written to
+// OUT.partial and renamed over OUT only once complete, so a failed merge
+// leaves OUT as it was.
 bool merge_store_files(const std::vector<std::string>& inputs,
                        const std::string& out_path, std::string* err);
 

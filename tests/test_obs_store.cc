@@ -7,8 +7,10 @@
 // field-exactly with the live-folded one.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <tuple>
@@ -459,8 +461,9 @@ TEST(StoreFile, RejectsCorruptedDigest) {
 // The index is only under the digest, so with --no-verify a corrupt
 // record or byte count reaches the reader as is. Open must refuse any
 // count the block's payload cannot hold (every record takes at least
-// kMinRecordBytes) and any count past 32 bits, instead of truncating it
-// or sizing a decode buffer from it.
+// kMinRecordBytes), any byte count its records cannot fill (at most
+// kMaxRecordBytes each) and any count past 32 bits, instead of
+// truncating it or sizing a decode buffer or the read window from it.
 TEST(StoreFile, RejectsImplausibleIndexCounts) {
   std::vector<TraceRecord> conn3, conn7;
   const std::string path = write_test_store("index_counts.prrstore",
@@ -506,6 +509,8 @@ TEST(StoreFile, RejectsImplausibleIndexCounts) {
            {b0.bytes, UINT32_MAX},
            {b0.bytes, (1ull << 32) + b0.records},  // truncates to b0's
            {b0.bytes + (1ull << 32), b0.records},
+           // Fewer records than the bytes need at kMaxRecordBytes each.
+           {b0.bytes, (b0.bytes - 1) / obs::kMaxRecordBytes},
        }) {
     spit(bad, patched(bytes, records));
     StoreReader r;
@@ -1006,6 +1011,330 @@ TEST(StoreLive, BadCaptureSpecThrowsBeforeRunning) {
   opts.capture = "sample=zero";
   EXPECT_THROW(exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts),
                std::invalid_argument);
+}
+
+// --- the read window ---------------------------------------------------
+//
+// StoreReader reads blocks through one window of kWindowBytes, refilled
+// from the first block it misses; these stores are built so that blocks
+// cross the window's end and one block is wider than the window.
+
+struct WindowStore {
+  std::string path;
+  std::vector<std::vector<TraceRecord>> conns;  // conns[i] is conn id i
+};
+
+// Writes conns [0, n) with `records` random records each.
+WindowStore write_window_store(const std::string& name, std::size_t n,
+                               std::size_t records) {
+  WindowStore ws;
+  ws.path = temp_path(name);
+  StoreWriter writer;
+  EXPECT_TRUE(writer.open(ws.path, test_meta()));
+  obs::StoreEncoder enc;
+  for (std::size_t c = 0; c < n; ++c) {
+    ws.conns.push_back(random_records(records, c, 1000 + c));
+    StoreShard shard;
+    enc.encode(ws.conns.back().data(), records, c, obs::kBlockFull, &shard);
+    EXPECT_TRUE(writer.append_shard(shard));
+  }
+  EXPECT_TRUE(writer.finish());
+  return ws;
+}
+
+void expect_every_block_reads_back(const StoreReader& reader,
+                                   const WindowStore& ws) {
+  const std::size_t n = reader.blocks().size();
+  // Forward, then backward (every read a refill), then by connection.
+  for (std::size_t k = 0; k < 2 * n; ++k) {
+    const std::size_t i = k < n ? k : 2 * n - 1 - k;
+    std::vector<TraceRecord> back;
+    std::string err;
+    ASSERT_TRUE(reader.read_block(i, &back, obs::kAllColumns, &err)) << err;
+    expect_records_equal(ws.conns[reader.blocks()[i].conn], back);
+  }
+  for (uint64_t c = 0; c < ws.conns.size(); ++c) {
+    std::vector<TraceRecord> back;
+    ASSERT_TRUE(reader.read_connection(c, &back));
+    expect_records_equal(ws.conns[c], back);
+  }
+}
+
+TEST(StoreWindow, BlocksStraddlingTheWindowEndReadBack) {
+  const WindowStore ws = write_window_store("straddle.prrstore", 120, 600);
+  StoreReader reader;
+  std::string err;
+  ASSERT_TRUE(StoreReader::open(ws.path, &reader, &err)) << err;
+  // The payload spans several windows, and some block starts inside the
+  // first window and ends past it.
+  const auto& blocks = reader.blocks();
+  const uint64_t first_end = blocks[0].offset + StoreReader::kWindowBytes;
+  ASSERT_GT(blocks.back().offset, 2 * StoreReader::kWindowBytes);
+  bool straddles = false;
+  for (const StoreBlockMeta& b : blocks) {
+    straddles |= b.offset < first_end && b.offset + b.bytes > first_end;
+  }
+  EXPECT_TRUE(straddles);
+  expect_every_block_reads_back(reader, ws);
+  std::remove(ws.path.c_str());
+}
+
+TEST(StoreWindow, BlockWiderThanTheWindowReadsBack) {
+  // Near-full-width values in every varint column make the largest
+  // block the encoder emits (kMaxBlockRecords records) wider than the
+  // window. Timestamps stay below 2^62, so their deltas fit an int64.
+  WindowStore ws;
+  ws.path = temp_path("wide.prrstore");
+  sim::Mt64 rng(5);
+  for (std::size_t c = 0; c < 3; ++c) {
+    ws.conns.push_back(random_records(c == 1 ? obs::kMaxBlockRecords : 50,
+                                      c, 40 + c));
+  }
+  for (TraceRecord& r : ws.conns[1]) {
+    r.at_ns = static_cast<int64_t>(rng() >> 2);
+    for (uint64_t& f : r.f) f = rng();
+  }
+  StoreShard shard;
+  obs::StoreEncoder enc;
+  for (std::size_t c = 0; c < 3; ++c) {
+    enc.encode(ws.conns[c].data(), ws.conns[c].size(), c, 0, &shard);
+  }
+  StoreWriter writer;
+  ASSERT_TRUE(writer.open(ws.path, test_meta()));
+  ASSERT_TRUE(writer.append_shard(shard));
+  ASSERT_TRUE(writer.finish());
+
+  StoreReader reader;
+  std::string err;
+  ASSERT_TRUE(StoreReader::open(ws.path, &reader, &err)) << err;
+  ASSERT_EQ(reader.blocks().size(), 3u);
+  EXPECT_GT(reader.blocks()[1].bytes, StoreReader::kWindowBytes);
+  EXPECT_LE(reader.blocks()[1].bytes, obs::kMaxBlockBytes);
+  expect_every_block_reads_back(reader, ws);
+  std::remove(ws.path.c_str());
+}
+
+// Every store-backed entry point fails, and says which store changed.
+void expect_reads_fail_naming_store(const StoreReader& reader,
+                                    const std::string& path) {
+  const std::string want = path + ": store changed since open";
+  std::string err;
+  std::vector<TraceRecord> records;
+  EXPECT_FALSE(reader.read_block(0, &records, obs::kAllColumns, &err));
+  EXPECT_EQ(err, want);
+  err.clear();
+  uint32_t types = 0;
+  EXPECT_FALSE(reader.block_types(0, &types, &err));
+  EXPECT_EQ(err, want);
+  err.clear();
+  EXPECT_FALSE(reader.read_connection(0, &records, obs::kAllColumns, &err));
+  EXPECT_EQ(err, want);
+  err.clear();
+  EXPECT_EQ(reader.block_data(0, &err), nullptr);
+  EXPECT_EQ(err, want);
+  err.clear();
+  obs::AggregateQuery q;
+  q.group = obs::GroupKey::kConn;
+  obs::AggregateResult rows;
+  EXPECT_FALSE(obs::run_aggregate(reader, q, &rows, &err));
+  EXPECT_EQ(err, want);
+  err.clear();
+  obs::EpisodeTable table;
+  EXPECT_FALSE(obs::episodes_from_store(reader, obs::QueryFilter{}, &table,
+                                        &err));
+  EXPECT_EQ(err, want);
+  err.clear();
+  obs::CriticalPathReport rep;
+  EXPECT_FALSE(obs::critical_path(reader, 0, &rep, &err));
+  EXPECT_EQ(err, want);
+  err.clear();
+  std::vector<obs::SeriesPoint> series;
+  EXPECT_FALSE(obs::extract_series(reader, 0, TraceType::kAck,
+                                   obs::QueryField::kF1, &series, &err));
+  EXPECT_EQ(err, want);
+}
+
+TEST(StoreWindow, TruncatedAfterOpenFailsLoudly) {
+  const WindowStore ws = write_window_store("cut_after.prrstore", 40, 300);
+  for (const bool verify : {true, false}) {
+    StoreReader reader;
+    std::string err;
+    ASSERT_TRUE(StoreReader::open(ws.path, &reader, &err, verify)) << err;
+    const std::string body = slurp(ws.path);
+    std::filesystem::resize_file(ws.path, body.size() / 2);
+    expect_reads_fail_naming_store(reader, ws.path);
+    spit(ws.path, body);
+  }
+  std::remove(ws.path.c_str());
+}
+
+TEST(StoreWindow, RewrittenInPlaceAfterOpenFailsLoudly) {
+  const WindowStore ws = write_window_store("rewrite.prrstore", 40, 300);
+  const std::string body = slurp(ws.path);
+  {
+    // Another store written over the same path (a sweep re-run into the
+    // file being queried): the writer truncates and rewrites the inode
+    // the reader holds, and the size changes.
+    StoreReader reader;
+    std::string err;
+    ASSERT_TRUE(StoreReader::open(ws.path, &reader, &err)) << err;
+    write_window_store("rewrite.prrstore", 30, 200);
+    expect_reads_fail_naming_store(reader, ws.path);
+  }
+  spit(ws.path, body);
+  {
+    // Same size, other bytes. The mtime is set past the open's
+    // explicitly: a rewrite this close to the open can land in the same
+    // filesystem timestamp tick, which no stat can tell apart.
+    StoreReader reader;
+    std::string err;
+    ASSERT_TRUE(StoreReader::open(ws.path, &reader, &err)) << err;
+    const auto opened = std::filesystem::last_write_time(ws.path);
+    std::fstream f(ws.path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(reader.blocks()[0].offset));
+    f.write("\xff\xff\xff\xff", 4);
+    f.close();
+    std::filesystem::last_write_time(ws.path,
+                                     opened + std::chrono::seconds(1));
+    expect_reads_fail_naming_store(reader, ws.path);
+  }
+  std::remove(ws.path.c_str());
+}
+
+// --no-verify skips the digest, and nothing else: every structural check
+// still refuses a malformed footer, header or index.
+TEST(StoreWindow, NoVerifyKeepsEveryStructuralCheck) {
+  std::vector<TraceRecord> conn3, conn7;
+  const std::string path = write_test_store("noverify.prrstore",
+                                            &conn3, &conn7);
+  const std::string body = slurp(path);
+  const std::string bad = temp_path("noverify_bad.prrstore");
+  const std::size_t size = body.size();
+  const std::size_t index_offset = static_cast<std::size_t>(obs::get_u64le(
+      reinterpret_cast<const uint8_t*>(body.data()) + size -
+      obs::kStoreFooterBytes));
+  const auto with_u64 = [&](std::size_t at, uint64_t v) {
+    std::string out = body;
+    std::vector<uint8_t> le;
+    obs::put_u64le(le, v);
+    out.replace(at, 8, std::string(le.begin(), le.end()));
+    return out;
+  };
+  const auto with_byte = [&](std::size_t at, char v) {
+    std::string out = body;
+    out[at] = v;
+    return out;
+  };
+  StoreReader good;
+  std::string err;
+  ASSERT_TRUE(StoreReader::open(path, &good, &err)) << err;
+  const StoreBlockMeta b0 = good.blocks()[0];
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"end magic", with_byte(size - 1, 'X')},
+      {"header magic", with_byte(0, 'X')},
+      {"version", with_byte(8, 2)},
+      {"index offset past the index", with_u64(size - 24, size)},
+      {"index offset inside the header", with_u64(size - 24, 4)},
+      {"index offset mid-block", with_u64(size - 24, index_offset - 1)},
+      {"trailing index byte", body.substr(0, size - 24) + '\0' +
+                                  body.substr(size - 24)},
+  };
+  for (const auto& [what, mutant] : cases) {
+    spit(bad, mutant);
+    StoreReader r;
+    err.clear();
+    EXPECT_FALSE(StoreReader::open(bad, &r, &err, false)) << what;
+    EXPECT_EQ(err.rfind(bad + ": ", 0), 0u) << what << ": " << err;
+  }
+  for (std::size_t keep = 0; keep < size; keep += 41) {
+    spit(bad, body.substr(0, keep));
+    StoreReader r;
+    EXPECT_FALSE(StoreReader::open(bad, &r, &err, false)) << "keep=" << keep;
+  }
+  // A payload byte is under the digest alone: the unverified open takes
+  // it and the verified one does not.
+  const std::size_t at = b0.offset + 1;
+  spit(bad, with_byte(at, static_cast<char>(body[at] ^ 1)));
+  StoreReader r;
+  EXPECT_TRUE(StoreReader::open(bad, &r, &err, false)) << err;
+  EXPECT_FALSE(StoreReader::open(bad, &r, &err, true));
+  std::remove(path.c_str());
+  std::remove(bad.c_str());
+}
+
+// One index entry claiming two full segments of a connection passes
+// every per-record bound and spans the payload exactly; only the
+// kMaxBlockRecords cap refuses it, which keeps the window within
+// kMaxBlockBytes.
+TEST(StoreWindow, NoVerifyRefusesBlocksPastTheRecordCap) {
+  const WindowStore ws =
+      write_window_store("cap.prrstore", 1, 2 * obs::kMaxBlockRecords);
+  const std::string body = slurp(ws.path);
+  StoreReader good;
+  std::string err;
+  ASSERT_TRUE(StoreReader::open(ws.path, &good, &err)) << err;
+  ASSERT_EQ(good.blocks().size(), 2u);
+  const StoreBlockMeta& b0 = good.blocks()[0];
+  const StoreBlockMeta& b1 = good.blocks()[1];
+  std::vector<uint8_t> index;
+  obs::put_varint(index, 1);
+  obs::put_varint(index, b0.conn);
+  obs::put_varint(index, b0.bytes + b1.bytes);
+  obs::put_varint(index, b0.records + b1.records);
+  index.push_back(b0.flags);
+  obs::put_u64le(index, b0.offset + b0.bytes + b1.bytes);
+  const std::string bad = temp_path("cap_bad.prrstore");
+  spit(bad, body.substr(0, b1.offset + b1.bytes) +
+                std::string(index.begin(), index.end()) +
+                body.substr(body.size() - 16));
+  StoreReader r;
+  EXPECT_FALSE(StoreReader::open(bad, &r, &err, false));
+  EXPECT_EQ(err, bad + ": implausible block geometry in index");
+  std::remove(ws.path.c_str());
+  std::remove(bad.c_str());
+}
+
+// OUT may name an input: merging two range shards into the first shard's
+// own path gives the single-process file, and leaves no temporary.
+TEST(StoreMerge, IntoAnInputPathIsByteIdentical) {
+  workload::WebWorkload pop;
+  const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
+  const exp::RunOptions full = store_opts("merge_full.prrstore");
+  exp::run_arm(pop, arm, full);
+  exp::RunOptions lo = full;
+  lo.connections = 50;
+  lo.store_path = temp_path("merge_lo.prrstore");
+  exp::RunOptions hi = full;
+  hi.first_connection = 50;
+  hi.connections = full.connections - 50;
+  hi.store_path = temp_path("merge_hi.prrstore");
+  exp::run_arm(pop, arm, lo);
+  exp::run_arm(pop, arm, hi);
+  const std::string full_path = obs::store_path_for_arm(full.store_path,
+                                                        arm.name);
+  const std::string lo_path = obs::store_path_for_arm(lo.store_path,
+                                                      arm.name);
+  const std::string hi_path = obs::store_path_for_arm(hi.store_path,
+                                                      arm.name);
+  std::string err;
+  ASSERT_TRUE(obs::merge_store_files({lo_path, hi_path}, lo_path, &err))
+      << err;
+  EXPECT_TRUE(slurp(lo_path) == slurp(full_path));  // binary: no dump
+  EXPECT_FALSE(std::filesystem::exists(lo_path + ".partial"));
+
+  // A failed merge leaves OUT as it was and no temporary.
+  const std::string before = slurp(hi_path);
+  StoreMeta other = test_meta();
+  const std::string odd = temp_path("merge_odd.prrstore");
+  StoreWriter writer;
+  ASSERT_TRUE(writer.open(odd, other));
+  ASSERT_TRUE(writer.finish());
+  EXPECT_FALSE(obs::merge_store_files({hi_path, odd}, hi_path, &err));
+  EXPECT_TRUE(slurp(hi_path) == before);
+  EXPECT_FALSE(std::filesystem::exists(hi_path + ".partial"));
+  for (const std::string& p : {full_path, lo_path, hi_path, odd}) {
+    std::remove(p.c_str());
+  }
 }
 
 }  // namespace
