@@ -16,9 +16,13 @@
 //                type   : raw u8 per record
 //                a      : raw u8 per record
 //                b      : varint per record
-//                f[0..5]: six columns, each zigzag-varint delta within
-//                         its own column (seq/cwnd-like fields grow
-//                         slowly, so deltas are short)
+//                f[0..5]: six columns, each zigzag-varint delta vs the
+//                         previous record of the same type in the
+//                         block (vs 0 for its first record); a field
+//                         means one thing within a type, and seq/cwnd-
+//                         like fields grow slowly, so deltas are short.
+//                         The type column precedes these, so a decoder
+//                         always knows each record's type here.
 //              Block geometry (conn id, byte length, record count, flags)
 //              lives only in the index — blocks carry zero framing bytes.
 //   index   := varint block_count, then per block:
@@ -56,7 +60,9 @@ inline constexpr char kStoreMagic[8] = {'P', 'R', 'R', 'S',
                                         'T', 'O', 'R', '1'};
 inline constexpr char kStoreEndMagic[8] = {'P', 'R', 'R', 'S',
                                            'T', 'E', 'N', 'D'};
-inline constexpr uint32_t kStoreVersion = 1;
+// The reader refuses any other version by number. Version 1 files
+// (f columns delta-coded across types) are not migrated.
+inline constexpr uint32_t kStoreVersion = 2;
 // Fixed footer: index_offset + digest + end magic.
 inline constexpr std::size_t kStoreFooterBytes = 8 + 8 + 8;
 

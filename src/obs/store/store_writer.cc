@@ -41,6 +41,22 @@ void StoreShard::merge(StoreShard&& other) {
   other.clear();
 }
 
+namespace {
+
+// Each f column is delta-coded against the previous record of the same
+// type, so the encoder keeps one previous value per type. A type byte
+// past kCount (never emitted by the simulator, and refused by
+// decode_block) shares the one extra slot, keeping the table in bounds
+// for any byte.
+constexpr std::size_t kTypeSlots =
+    static_cast<std::size_t>(TraceType::kCount) + 1;
+
+std::size_t type_slot(TraceType t) {
+  return std::min(static_cast<std::size_t>(t), kTypeSlots - 1);
+}
+
+}  // namespace
+
 void StoreEncoder::encode(const TraceRecord* records, std::size_t n,
                           uint64_t conn, uint8_t flags,
                           StoreShard* shard) {
@@ -57,7 +73,7 @@ void StoreEncoder::encode(const TraceRecord* records, std::size_t n,
     // Column order: at_ns, type, a, b, f0..f5 (store_format.h).
     int64_t prev_at = 0;
     for (std::size_t i = 0; i < count; ++i) {
-      put_zigzag_raw(p, r[i].at_ns - prev_at);
+      put_zigzag_raw(p, wrapping_sub(r[i].at_ns, prev_at));
       prev_at = r[i].at_ns;
     }
     for (std::size_t i = 0; i < count; ++i) {
@@ -66,10 +82,11 @@ void StoreEncoder::encode(const TraceRecord* records, std::size_t n,
     for (std::size_t i = 0; i < count; ++i) *p++ = r[i].a;
     for (std::size_t i = 0; i < count; ++i) put_varint_raw(p, r[i].b);
     for (int k = 0; k < 6; ++k) {
-      uint64_t prev = 0;
+      uint64_t prev[kTypeSlots] = {};
       for (std::size_t i = 0; i < count; ++i) {
-        put_zigzag_raw(p, static_cast<int64_t>(r[i].f[k] - prev));
-        prev = r[i].f[k];
+        uint64_t& last = prev[type_slot(r[i].type)];
+        put_zigzag_raw(p, static_cast<int64_t>(r[i].f[k] - last));
+        last = r[i].f[k];
       }
     }
     StoreBlockMeta meta;
@@ -173,12 +190,14 @@ bool decode_columns(const uint8_t* data, std::size_t bytes,
       if (!skip_varints(&p, end, records)) return false;
       continue;
     }
-    uint64_t prev = 0;
+    // Types were range-checked above, so every one indexes the table.
+    uint64_t prev[kTypeSlots] = {};
     for (std::size_t i = 0; i < records; ++i) {
       int64_t delta = 0;
       if (!get_zigzag(&p, end, &delta)) return false;
-      prev += static_cast<uint64_t>(delta);
-      r[i].f[k] = prev;
+      uint64_t& last = prev[static_cast<std::size_t>(r[i].type)];
+      last += static_cast<uint64_t>(delta);
+      r[i].f[k] = last;
     }
   }
   // Trailing garbage inside the block payload is as malformed as a

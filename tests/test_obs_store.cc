@@ -286,6 +286,21 @@ TEST(StoreCodec, RejectsInvalidTypeByte) {
   }
 }
 
+// `recs` as a decode under `mask` returns them: type and conn always,
+// every column outside the mask zero.
+std::vector<TraceRecord> projected(std::vector<TraceRecord> recs,
+                                   obs::ColumnMask mask) {
+  for (TraceRecord& r : recs) {
+    if ((mask & obs::kColumnAt) == 0) r.at_ns = 0;
+    if ((mask & obs::kColumnA) == 0) r.a = 0;
+    if ((mask & obs::kColumnB) == 0) r.b = 0;
+    for (int k = 0; k < 6; ++k) {
+      if ((mask & (obs::kColumnF0 << k)) == 0) r.f[k] = 0;
+    }
+  }
+  return recs;
+}
+
 // A projected decode fills in exactly the masked columns (type and conn
 // always) and leaves every other field zero.
 TEST(StoreCodec, ProjectedDecodeFillsOnlyMaskedColumns) {
@@ -300,19 +315,104 @@ TEST(StoreCodec, ProjectedDecodeFillsOnlyMaskedColumns) {
   for (int k = 0; k < 20; ++k) masks.push_back(rng() & obs::kAllColumns);
   for (obs::ColumnMask mask : masks) {
     SCOPED_TRACE(mask);
-    std::vector<TraceRecord> want = recs;
-    for (TraceRecord& r : want) {
-      if ((mask & obs::kColumnAt) == 0) r.at_ns = 0;
-      if ((mask & obs::kColumnA) == 0) r.a = 0;
-      if ((mask & obs::kColumnB) == 0) r.b = 0;
-      for (int k = 0; k < 6; ++k) {
-        if ((mask & (obs::kColumnF0 << k)) == 0) r.f[k] = 0;
-      }
-    }
     std::vector<TraceRecord> back;
     ASSERT_TRUE(obs::decode_block(shard.bytes.data(), b.bytes, b.records,
                                   4, &back, mask));
-    expect_records_equal(want, back);
+    expect_records_equal(projected(recs, mask), back);
+  }
+}
+
+std::size_t zigzag_bytes(int64_t v) {
+  std::vector<uint8_t> buf;
+  obs::put_zigzag(buf, v);
+  return buf.size();
+}
+
+// Format tripwire: the f columns are delta-coded against the previous
+// record of the same type. kAck and kTimerSchedule records alternate,
+// each type's fields growing slowly, so only the first record of each
+// type pays for its full values and every later field costs one byte.
+// Deltas against the neighbouring record of the other type would swing
+// between an ack number and a timer expiry on every record. A change to
+// the encoding has to change this count on purpose.
+TEST(StoreCodec, PerTypeDeltasHaveExactSize) {
+  constexpr std::size_t kPairs = 100;
+  const uint64_t ack_base[6] = {1u << 20, 14600, 7300, 1u << 30, 0,
+                                (1u << 20) + 5000};
+  const uint64_t ack_step[6] = {40, 3, 0, 0, 10, 40};
+  const uint64_t timer_base[6] = {1000000000, 0, 0, 0, 0, 0};
+  std::vector<TraceRecord> recs;
+  for (std::size_t j = 0; j < kPairs; ++j) {
+    TraceRecord ack;
+    ack.at_ns = static_cast<int64_t>(20 * j);
+    ack.conn = 6;
+    ack.type = TraceType::kAck;
+    ack.a = 3;
+    for (int k = 0; k < 6; ++k) ack.f[k] = ack_base[k] + ack_step[k] * j;
+    recs.push_back(ack);
+    TraceRecord timer;
+    timer.at_ns = ack.at_ns + 10;
+    timer.conn = 6;
+    timer.type = TraceType::kTimerSchedule;
+    timer.f[0] = timer_base[0] + 50 * j;
+    recs.push_back(timer);
+  }
+  // at_ns deltas of 0 or 10, type, a and b: one byte each per record.
+  std::size_t want = 4 * recs.size();
+  for (int k = 0; k < 6; ++k) {
+    want += zigzag_bytes(static_cast<int64_t>(ack_base[k])) +
+            zigzag_bytes(static_cast<int64_t>(timer_base[k])) +
+            2 * (kPairs - 1);
+  }
+  StoreShard shard;
+  obs::StoreEncoder enc;
+  enc.encode(recs.data(), recs.size(), 6, 0, &shard);
+  ASSERT_EQ(shard.blocks.size(), 1u);
+  const StoreBlockMeta& b = shard.blocks[0];
+  EXPECT_EQ(b.bytes, want);
+  for (obs::ColumnMask mask = 0; mask <= obs::kAllColumns; ++mask) {
+    SCOPED_TRACE(mask);
+    std::vector<TraceRecord> back;
+    ASSERT_TRUE(obs::decode_block(shard.bytes.data(), b.bytes, b.records,
+                                  6, &back, mask));
+    expect_records_equal(projected(recs, mask), back);
+  }
+}
+
+// Timestamps at opposite ends of int64 are neighbours a full 2^64 apart;
+// their delta wraps on both sides of the codec.
+TEST(StoreCodec, ExtremeTimestampNeighboursRoundTrip) {
+  std::vector<TraceRecord> recs(6);
+  const int64_t at[6] = {INT64_MIN, INT64_MAX, INT64_MIN, 0, INT64_MAX, -1};
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    recs[i].at_ns = at[i];
+    recs[i].conn = 2;
+  }
+  StoreShard shard;
+  obs::StoreEncoder enc;
+  enc.encode(recs.data(), recs.size(), 2, 0, &shard);
+  std::vector<TraceRecord> back;
+  ASSERT_TRUE(obs::decode_block(shard.bytes.data(), shard.blocks[0].bytes,
+                                shard.blocks[0].records, 2, &back));
+  expect_records_equal(recs, back);
+}
+
+// The simulator never records a type past kCount, but a caller can hand
+// the encoder one. Its per-type delta table stays in bounds, and the
+// block it writes is refused at decode under every mask.
+TEST(StoreCodec, OutOfRangeTypeEncodesAndIsRefused) {
+  auto recs = random_records(50, 1, 14);
+  recs[0].type = static_cast<TraceType>(0xEE);
+  recs[31].type = static_cast<TraceType>(0xFF);
+  StoreShard shard;
+  obs::StoreEncoder enc;
+  enc.encode(recs.data(), recs.size(), 1, 0, &shard);
+  ASSERT_EQ(shard.blocks.size(), 1u);
+  for (obs::ColumnMask mask = 0; mask <= obs::kAllColumns; ++mask) {
+    std::vector<TraceRecord> back;
+    EXPECT_FALSE(obs::decode_block(shard.bytes.data(), shard.blocks[0].bytes,
+                                   shard.blocks[0].records, 1, &back, mask))
+        << mask;
   }
 }
 
@@ -456,6 +556,33 @@ TEST(StoreFile, RejectsCorruptedDigest) {
   }
   std::remove(path.c_str());
   std::remove(bad.c_str());
+}
+
+// A store written in format version 1 (f columns delta-coded against
+// the previous record of any type) is refused by name, whether or not
+// its digest is checked. The file here has a v1 header and a digest
+// that matches it, as a real v1 file does.
+TEST(StoreFile, RefusesVersionOneByName) {
+  std::vector<TraceRecord> conn3, conn7;
+  const std::string path = write_test_store("v1.prrstore", &conn3, &conn7);
+  std::string body = slurp(path);
+  body[8] = 1;  // u32le version, after the 8-byte magic
+  obs::StoreDigest digest;
+  const std::size_t digest_at = body.size() - 16;
+  digest.feed(reinterpret_cast<const uint8_t*>(body.data()), digest_at);
+  std::vector<uint8_t> le;
+  obs::put_u64le(le, digest.value());
+  body.replace(digest_at, 8, std::string(le.begin(), le.end()));
+  const std::string v1 = temp_path("v1_header.prrstore");
+  spit(v1, body);
+  for (const bool verify : {true, false}) {
+    StoreReader reader;
+    std::string err;
+    EXPECT_FALSE(StoreReader::open(v1, &reader, &err, verify));
+    EXPECT_EQ(err, v1 + ": unsupported store version 1") << verify;
+  }
+  std::remove(path.c_str());
+  std::remove(v1.c_str());
 }
 
 // The index is only under the digest, so with --no-verify a corrupt
@@ -1080,9 +1207,8 @@ TEST(StoreWindow, BlocksStraddlingTheWindowEndReadBack) {
 }
 
 TEST(StoreWindow, BlockWiderThanTheWindowReadsBack) {
-  // Near-full-width values in every varint column make the largest
-  // block the encoder emits (kMaxBlockRecords records) wider than the
-  // window. Timestamps stay below 2^62, so their deltas fit an int64.
+  // Full-width values in every varint column make the largest block
+  // the encoder emits (kMaxBlockRecords records) wider than the window.
   WindowStore ws;
   ws.path = temp_path("wide.prrstore");
   sim::Mt64 rng(5);
@@ -1091,7 +1217,7 @@ TEST(StoreWindow, BlockWiderThanTheWindowReadsBack) {
                                       c, 40 + c));
   }
   for (TraceRecord& r : ws.conns[1]) {
-    r.at_ns = static_cast<int64_t>(rng() >> 2);
+    r.at_ns = static_cast<int64_t>(rng());
     for (uint64_t& f : r.f) f = rng();
   }
   StoreShard shard;
@@ -1232,7 +1358,7 @@ TEST(StoreWindow, NoVerifyKeepsEveryStructuralCheck) {
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"end magic", with_byte(size - 1, 'X')},
       {"header magic", with_byte(0, 'X')},
-      {"version", with_byte(8, 2)},
+      {"version", with_byte(8, static_cast<char>(obs::kStoreVersion + 1))},
       {"index offset past the index", with_u64(size - 24, size)},
       {"index offset inside the header", with_u64(size - 24, 4)},
       {"index offset mid-block", with_u64(size - 24, index_offset - 1)},

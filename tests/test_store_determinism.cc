@@ -126,5 +126,22 @@ TEST(StoreDeterminism, StoreCaptureDoesNotPerturbAggregates) {
   std::remove(path.c_str());
 }
 
+// Format tripwire: the exact payload of a fixed capture. Any change to
+// the encoding, or to the record stream, has to update these on purpose.
+TEST(StoreDeterminism, ExactPayloadOfAFixedWebCapture) {
+  workload::WebWorkload pop;
+  const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
+  exp::RunOptions opts;
+  opts.connections = 500;
+  opts.seed = 42;
+  opts.capture = "all";
+  opts.store_path = temp_path("exact.prrstore");
+  const exp::ArmResult r = exp::run_arm(pop, arm, opts);
+  std::remove(obs::store_path_for_arm(opts.store_path, arm.name).c_str());
+  EXPECT_EQ(r.store_connections, 500u);
+  EXPECT_EQ(r.store_records, 27905u);
+  EXPECT_EQ(r.store_payload_bytes, 372935u);  // 13.36 B per record
+}
+
 }  // namespace
 }  // namespace prr
