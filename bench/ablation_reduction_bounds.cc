@@ -11,7 +11,7 @@
 
 using namespace prr;
 
-int main() {
+int ablation_reduction_bounds() {
   bench::print_header(
       "Ablation: PRR reduction bounds (SSRB vs CRB vs UB)",
       "SSRB chosen for shipping: CRB is too conservative under heavy "

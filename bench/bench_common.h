@@ -1,4 +1,4 @@
-// Shared helpers for the experiment binaries in bench/: the standard
+// Shared helpers for the experiments and gates in bench/: the standard
 // three recovery arms, the aggregate digest the gates compare,
 // quantile-row formatting, and paper-vs-measured table printing.
 #pragma once

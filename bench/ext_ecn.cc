@@ -32,7 +32,7 @@ class AqmVideo final : public workload::Population {
 
 }  // namespace
 
-int main() {
+int ext_ecn() {
   bench::print_header(
       "Extension: ECN + PRR-paced CWR on bulk video",
       "expected: with AQM marking, congestion is signalled without "

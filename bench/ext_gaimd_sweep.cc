@@ -54,7 +54,7 @@ std::pair<double, std::size_t> realized_ratio(const Point& p,
 
 }  // namespace
 
-int main() {
+int ext_gaimd_sweep() {
   bench::print_header(
       "Extension: PRR realizes any congestion-control reduction "
       "(GAIMD beta sweep)",

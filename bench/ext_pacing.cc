@@ -32,7 +32,7 @@ class ShallowBufferWeb final : public workload::Population {
 
 }  // namespace
 
-int main() {
+int ext_pacing() {
   bench::print_header(
       "Extension: pacing vs bursts on shallow buffers",
       "expected: pacing removes self-inflicted queue-overflow losses "

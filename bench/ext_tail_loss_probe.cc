@@ -12,7 +12,7 @@
 
 using namespace prr;
 
-int main() {
+int ext_tail_loss_probe() {
   bench::print_header(
       "Extension: tail loss probe (TLP) on the Web population",
       "expected: probes convert a chunk of Open-state timeouts into "

@@ -15,7 +15,7 @@
 
 using namespace prr;
 
-int main() {
+int fig1_latency_vs_rtt() {
   bench::print_header(
       "Figure 1: TCP latency of 4-8 kB responses by RTT bucket",
       "responses with retransmits last 7-10x the ideal; CDF spread for "

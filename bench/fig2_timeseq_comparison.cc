@@ -40,7 +40,7 @@ void run_and_print(const char* label, tcp::RecoveryKind kind) {
 
 }  // namespace
 
-int main() {
+int fig2_timeseq_comparison() {
   bench::print_header(
       "Figure 2: PRR vs Linux fast recovery vs RFC 3517 time-sequence",
       "PRR finishes recovery at ~460 ms with cwnd=ssthresh=10 and sends "

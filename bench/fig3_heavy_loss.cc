@@ -10,7 +10,7 @@
 
 using namespace prr;
 
-int main() {
+int fig3_heavy_loss() {
   bench::print_header(
       "Figure 3: PRR under heavy losses (drop segments 1-4 and 11-16)",
       "proportional part on alternate ACKs, then slow-start part at two "

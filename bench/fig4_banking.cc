@@ -9,7 +9,7 @@
 
 using namespace prr;
 
-int main() {
+int fig4_banking() {
   bench::print_header(
       "Figure 4: PRR banks sending opportunities across an app stall",
       "on catch-up the sender may burst ratio*(prr_delivered - prr_out) "

@@ -12,7 +12,7 @@
 
 using namespace prr;
 
-int main() {
+int fig5_recovery_time() {
   bench::print_header(
       "Figure 5: time spent in recovery (quantiles, ms)",
       "PRR < RFC 3517 < Linux at every quantile; PRR shorter mainly via "

@@ -42,7 +42,7 @@ double mean_exit_error_segs(const exp::ArmResult& r) {
 
 }  // namespace
 
-int main() {
+int prop_robustness() {
   bench::print_header(
       "§4.3 robustness: DeliveredData vs ACK counting under ACK loss and "
       "stretch ACKs",

@@ -15,8 +15,8 @@
 //
 // The population is fixed (300 connections per arm, seed 42): the
 // property is combo-invariance, not scale. Its stdout is deterministic
-// and pinned as a golden (ctest -L tables). Any argument is rejected
-// with exit 2.
+// and pinned as a golden (ctest -L tables). Run it with
+// `reproduce scheduler_equivalence_gate`.
 #include <cinttypes>
 #include <cstdio>
 #include <vector>
@@ -33,13 +33,7 @@ constexpr uint64_t kSeed = 42;
 
 }  // namespace
 
-int main(int argc, char** /*argv*/) {
-  if (argc > 1) {
-    std::fprintf(stderr,
-                 "scheduler_equivalence_gate: takes no arguments\n");
-    return 2;
-  }
-
+int scheduler_equivalence_gate() {
   workload::WebWorkload pop;
   const std::vector<exp::ArmConfig> arms = bench::three_way_arms();
 

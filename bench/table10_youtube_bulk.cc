@@ -13,7 +13,7 @@
 
 using namespace prr;
 
-int main() {
+int table10_youtube_bulk() {
   bench::print_header(
       "Table 10: YouTube-India bulk transfers (per-arm averages)",
       "RFC 3517 fastest but loses 16.4% of its fast retransmits (bursts); "

@@ -15,7 +15,7 @@
 
 using namespace prr;
 
-int main() {
+int table11_early_retransmit() {
   bench::print_header(
       "Table 11 / §6.1: early retransmit 4-way",
       "naive ER: fast retx +31%, undo +27%; ER+M1+M2: timeouts in "

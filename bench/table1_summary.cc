@@ -10,7 +10,7 @@
 
 using namespace prr;
 
-int main() {
+int table1_summary() {
   bench::print_header(
       "Table 1: Summary of TCP and HTTP statistics (Web population)",
       "avg 3.1 requests/conn; avg response 7.5 kB; avg retransmission "

@@ -55,7 +55,7 @@ void print_dc(const char* name, const exp::ArmResult& r,
 
 }  // namespace
 
-int main() {
+int table2_retx_breakdown() {
   bench::print_header(
       "Table 2: Breakdown of retransmission types, DC1 (Web) and DC2 "
       "(YouTube India)",

@@ -54,7 +54,7 @@ void print_dc(const char* name, const exp::ArmResult& r,
 
 }  // namespace
 
-int main() {
+int table3_recovery_stats() {
   bench::print_header(
       "Table 3: Fast-recovery statistics (per FR event / per retransmit)",
       "DC1: 3.15 fast retx per FR, DSACKs/FR 12%, DSACKs/retx 3.8%, lost "

@@ -9,7 +9,7 @@
 
 using namespace prr;
 
-int main() {
+int table4_features() {
   bench::print_header(
       "Table 4: loss-recovery features and defaults",
       "Linux 2.6 defaults: IW10, CUBIC, SACK/D-SACK/FACK on, rate "

@@ -12,7 +12,7 @@
 
 using namespace prr;
 
-int main() {
+int table5_pipe_vs_ssthresh() {
   bench::print_header(
       "Table 5: pipe - ssthresh at the start of recovery (PRR arm)",
       "32% start below ssthresh (slow start part), 13% equal, 45% above "

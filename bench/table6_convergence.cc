@@ -11,7 +11,7 @@
 
 using namespace prr;
 
-int main() {
+int table6_convergence() {
   bench::print_header(
       "Table 6: cwnd - ssthresh just prior to exiting recovery (PRR)",
       "~90% of recoveries converge to exactly ssthresh; the tail is "

@@ -10,7 +10,7 @@
 
 using namespace prr;
 
-int main() {
+int table7_cwnd_after_recovery() {
   bench::print_header(
       "Table 7: cwnd after recovery (segments)",
       "PRR ~= RFC 3517 (exit at ssthresh); Linux about half (pipe+1), "

@@ -27,7 +27,7 @@ std::string delta(uint64_t v, uint64_t base) {
 
 }  // namespace
 
-int main() {
+int table8_retx_comparison() {
   bench::print_header(
       "Table 8: retransmission statistics vs the Linux baseline",
       "PRR: total +2.5%, fast +13%, timeouts-in-recovery -5.0%, lost "

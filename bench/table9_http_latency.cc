@@ -65,7 +65,7 @@ void run_service(const char* name, const workload::WebWorkloadParams& p,
 
 }  // namespace
 
-int main() {
+int table9_http_latency() {
   bench::print_header(
       "Table 9: TCP latency for two Web services (lossy responses)",
       "PRR and RFC 3517 cut lossy-response latency 3-10% vs Linux; "

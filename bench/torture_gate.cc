@@ -5,7 +5,7 @@
 // non-zero if any failure was found — each one shipped as a
 // self-contained .repro file ready to check into tests/corpus/.
 //
-// Fixed configuration, no arguments (any argument exits 2): 200 seeds x
+// `reproduce torture_gate`, fixed configuration: 200 seeds x
 // 6 connections x 3 arms from base seed 1, 2 worker threads, a 300 s
 // per-connection limit, watchdog after 4 no-progress RTOs, shrinking on.
 // The campaign is deterministic, so stdout is a `ctest -L tables`
@@ -24,11 +24,7 @@
 
 using namespace prr;
 
-int main(int argc, char**) {
-  if (argc > 1) {
-    std::fprintf(stderr, "torture_gate takes no arguments\n");
-    return 2;
-  }
+int torture_gate() {
   torture::CampaignConfig cfg;
   cfg.seeds = 200;
   cfg.base_seed = 1;

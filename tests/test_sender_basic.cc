@@ -121,18 +121,21 @@ TEST_F(SenderTest, LimitedTransmitSendsNewDataOnFirstTwoDupacks) {
 }
 
 TEST_F(SenderTest, ReorderingRaisesDupthreshAndDisablesFack) {
-  SenderConfig cfg = base_config();
-  cfg.use_fack = false;  // avoid immediate threshold retransmission
-  make(cfg);
   sender->write(10 * kMss);
-  // SACK of a later segment, then the earlier data arrives in order:
-  // classic reordering signature.
+  ASSERT_TRUE(sender->scoreboard().fack_enabled());
+  // SACK of segment 5: FACK marks segments 0-2 lost and recovery
+  // retransmits segment 0 only.
+  wire.clear();
   sender->on_ack_segment(ack(0, {{5 * kMss, 6 * kMss}}));
-  EXPECT_EQ(sender->state(), TcpState::kDisorder);
+  ASSERT_EQ(sender->state(), TcpState::kRecovery);
+  ASSERT_EQ(wire, (std::vector<Sent>{{0, kMss, true}}));
+  // Segment 1, never retransmitted, is then cumulatively ACKed: its
+  // original arrived after segment 5, the reordering signature.
   sender->on_ack_segment(ack(2 * kMss));
   EXPECT_TRUE(sender->scoreboard().reordering_seen());
   EXPECT_FALSE(sender->scoreboard().fack_enabled());
-  EXPECT_GE(sender->scoreboard().dupthresh(), Scoreboard::kInitialDupthresh);
+  // Distance from segment 1 to the SACK frontier (6 * kMss).
+  EXPECT_EQ(sender->scoreboard().dupthresh(), 5);
 }
 
 TEST_F(SenderTest, RtoRetransmitsHeadAndCollapsesWindow) {
