@@ -37,7 +37,8 @@ std::pair<double, std::size_t> realized_ratio(const Point& p,
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(8),
                                           sim::Time::milliseconds(80), 300);
   stats::RecoveryLog rlog;
-  tcp::Connection conn(sim, cfg, sim::Rng(seed), &rlog);
+  tcp::Connection conn(sim, cfg, sim::Rng(seed));
+  conn.sender().add_listener(&rlog);
   conn.path().data_link().set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.004, sim::Rng(seed + 1)));
   conn.write(3'000'000);

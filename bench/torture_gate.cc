@@ -17,9 +17,9 @@
 #include <filesystem>
 #include <string>
 
+#include "obs/json.h"
 #include "torture/campaign.h"
 #include "util/artifacts.h"
-#include "util/checked_write.h"
 #include "workload/web_workload.h"
 
 using namespace prr;
@@ -54,7 +54,7 @@ int torture_gate() {
       ++write_failures;
     }
   };
-  written(util::checked_write_json(dir + "/summary.json", summary),
+  written(obs::checked_write_json(dir + "/summary.json", summary),
           "summary.json");
   for (const torture::CampaignFailure& fail : result.failures) {
     const std::string repro = fail.repro.name + ".repro";
@@ -62,7 +62,7 @@ int torture_gate() {
             repro);
     if (!fail.trace_json.empty()) {
       const std::string trace = fail.repro.name + ".trace.json";
-      written(util::checked_write_json(dir + "/" + trace, fail.trace_json),
+      written(obs::checked_write_json(dir + "/" + trace, fail.trace_json),
               trace);
     }
   }

@@ -35,12 +35,12 @@
 #include "exp/scenarios.h"
 #include "obs/episodes.h"
 #include "obs/flight_recorder.h"
+#include "obs/json.h"
 #include "obs/perfetto.h"
 #include "obs/query.h"
 #include "obs/store/store_reader.h"
 #include "obs/store/store_writer.h"
 #include "obs/trace_diff.h"
-#include "util/checked_write.h"
 #include "util/parse_number.h"
 #include "util/table.h"
 #include "workload/web_workload.h"
@@ -195,7 +195,7 @@ int cmd_records(const obs::StoreReader& reader, int64_t conn,
     std::printf("%s\n", obs::describe(r).c_str());
   }
   if (!out_file.empty() &&
-      !util::checked_write_json(out_file, obs::perfetto_trace_json(records))) {
+      !obs::checked_write_json(out_file, obs::perfetto_trace_json(records))) {
     std::fprintf(stderr, "prr_query: short write to %s\n",
                  out_file.c_str());
     return 1;
@@ -213,7 +213,7 @@ int cmd_agg(const obs::StoreReader& reader, const obs::AggregateQuery& q,
   }
   const std::string json = result.to_json();
   std::printf("%s\n", json.c_str());
-  if (!out_file.empty() && !util::checked_write_json(out_file, json)) {
+  if (!out_file.empty() && !obs::checked_write_json(out_file, json)) {
     std::fprintf(stderr, "prr_query: short write to %s\n",
                  out_file.c_str());
     return 1;
@@ -252,7 +252,7 @@ int cmd_episodes(const obs::StoreReader& reader, bool as_json,
     std::printf("%s\n", table.summary_string().c_str());
   }
   if (!out_file.empty() &&
-      !util::checked_write_json(out_file, table.to_json())) {
+      !obs::checked_write_json(out_file, table.to_json())) {
     std::fprintf(stderr, "prr_query: short write to %s\n",
                  out_file.c_str());
     return 1;
@@ -341,7 +341,7 @@ int cmd_diff(const exp::ArmConfig& arm_a, const exp::ArmConfig& arm_b,
   std::printf("%s\n",
               obs::explain_divergence(d, arm_a.name, arm_b.name).c_str());
   if (out_file.empty()) return 0;
-  if (!util::checked_write_json(
+  if (!obs::checked_write_json(
           out_file, obs::perfetto_diff_json(a.records, b.records,
                                             arm_a.name, arm_b.name))) {
     std::fprintf(stderr, "prr_query: short write to %s\n",

@@ -29,10 +29,10 @@
 
 #include "exp/experiment.h"
 #include "exp/scenarios.h"
+#include "obs/json.h"
 #include "obs/trace_diff.h"
 #include "obs/trace_record.h"
 #include "util/artifacts.h"
-#include "util/checked_write.h"
 #include "workload/web_workload.h"
 
 using namespace prr;
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
         std::snprintf(name, sizeof(name), "quarantine_conn%llu_trace.json",
                       (unsigned long long)rec.connection_id);
         const std::string path = util::artifact_path(name);
-        if (util::checked_write_json(path, rec.trace_json())) {
+        if (obs::checked_write_json(path, rec.trace_json())) {
           std::printf("wrote %s -- open it at https://ui.perfetto.dev\n",
                       path.c_str());
         } else {

@@ -240,13 +240,15 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
 
     if (!arena.conn) {
       arena.conn.emplace(sim, make_connection_config(sample, arm),
-                         conn_rng.fork(101), &result.recovery_log);
+                         conn_rng.fork(101));
     } else {
       arena.conn->reset(make_connection_config(sample, arm),
-                        conn_rng.fork(101), &result.recovery_log);
+                        conn_rng.fork(101));
       arena.check_reset_state();
     }
     tcp::Connection& conn = *arena.conn;
+    // Each closed recovery episode becomes one row of the arm's log.
+    conn.sender().add_listener(&result.recovery_log);
     // The sender's ledger is folded into the arm once, when the
     // connection ends, normally or by throwing: a throwing connection
     // keeps the counts it reached.

@@ -56,7 +56,8 @@ FigureRun run_figure_scenario(const FigureScenario& scenario) {
       util::DataRate::mbps(scenario.link_mbps), scenario.rtt,
       /*queue_packets=*/200);
 
-  tcp::Connection conn(sim, cfg, sim::Rng(1), &run.recovery_log);
+  tcp::Connection conn(sim, cfg, sim::Rng(1));
+  conn.sender().add_listener(&run.recovery_log);
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(scenario.original_drops,
                                                scenario.retransmit_drops));

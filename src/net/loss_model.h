@@ -53,7 +53,6 @@ class GilbertElliottLoss final : public LossModel {
   };
   GilbertElliottLoss(Params p, sim::Rng rng) : p_(p), rng_(rng) {}
   bool should_drop(const Segment&) override;
-  bool in_bad_state() const { return bad_; }
 
  private:
   Params p_;

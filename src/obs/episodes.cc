@@ -179,9 +179,9 @@ void EpisodeBuilder::on_record(const TraceRecord& r) {
     case TraceType::kRtoFired:
       ++stream_.timeouts_total;
       if (in_episode_) {
-        // Mirrors Sender::close_episode on the RTO path: cwnd is still
-        // the pre-reset value and ssthresh still the entry value, and
-        // the exit-window fields stay unset.
+        // Mirrors the RecoveryLog row of an RTO close: cwnd is still the
+        // pre-reset value and ssthresh still the entry value, and the
+        // exit-window fields stay unset.
         s.max_burst_segments = r.f[5];
         s.slow_start_after = r.f[2] < s.ssthresh;
         close(EpisodeExit::kRtoInterrupted, r.at_ns);
@@ -252,35 +252,25 @@ void EpisodeTable::merge(const EpisodeTable& other) {
   sndcnt_.merge(other.sndcnt_);
 }
 
-namespace {
-
-// A finished row as the sender's stats::RecoveryLog records it.
-stats::RecoveryEvent recovery_event(const EpisodeSummary& s) {
-  stats::RecoveryEvent e;
-  e.start = sim::Time::nanoseconds(s.start_ns);
-  e.end = sim::Time::nanoseconds(s.end_ns);
-  e.pipe_at_start = s.pipe_at_start;
-  e.ssthresh = s.ssthresh;
-  e.cwnd_at_start = s.cwnd_at_start;
-  e.cwnd_at_exit = s.cwnd_at_exit;
-  e.cwnd_after_exit = s.cwnd_after_exit;
-  e.pipe_at_exit = s.pipe_at_exit;
-  e.mss = s.mss;
-  e.retransmits = s.retransmits;
-  e.bytes_sent_during = s.bytes_sent_during;
-  e.max_burst_segments = s.max_burst_segments;
-  e.interrupted_by_timeout = s.interrupted_by_timeout();
-  e.completed = s.completed();
-  e.slow_start_after = s.slow_start_after;
-  return e;
-}
-
-}  // namespace
-
 stats::RecoveryLog EpisodeTable::finished_log() const {
+  // Each finished row as a stats::RecoveryLog listening on the sender
+  // records it.
   stats::RecoveryLog log;
   for (const auto& s : rows_) {
-    if (s.finished()) log.add(recovery_event(s));
+    if (!s.finished()) continue;
+    log.add({.start = sim::Time::nanoseconds(s.start_ns),
+             .end = sim::Time::nanoseconds(s.end_ns),
+             .pipe_at_start = s.pipe_at_start, .ssthresh = s.ssthresh,
+             .cwnd_at_start = s.cwnd_at_start,
+             .cwnd_at_exit = s.cwnd_at_exit,
+             .cwnd_after_exit = s.cwnd_after_exit,
+             .pipe_at_exit = s.pipe_at_exit, .mss = s.mss,
+             .retransmits = s.retransmits,
+             .bytes_sent_during = s.bytes_sent_during,
+             .max_burst_segments = s.max_burst_segments,
+             .interrupted_by_timeout = s.interrupted_by_timeout(),
+             .completed = s.completed(),
+             .slow_start_after = s.slow_start_after});
   }
   return log;
 }

@@ -215,15 +215,9 @@ class EpisodeTable {
   std::size_t truncated() const { return rows_.size() - finished_; }
 
   // The finished rows, in order, as the (unbounded) stats::RecoveryLog
-  // the sender appends them to: the paper tables read its accessors.
+  // that listens on the sender builds them: the paper tables read its
+  // accessors.
   stats::RecoveryLog finished_log() const;
-
-  // Log2 summaries (built incrementally; percentiles via
-  // LogHistogram::quantile interpolation).
-  const LogHistogram& duration_us() const { return duration_us_; }
-  const LogHistogram& retransmits_per_episode() const { return retx_; }
-  const LogHistogram& acks_per_episode() const { return acks_; }
-  const LogHistogram& sndcnt_per_episode() const { return sndcnt_; }
 
   // {"episodes":N,...,"histograms":{...p50/p95/p99...}} — byte-stable.
   std::string to_json() const;

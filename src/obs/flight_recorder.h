@@ -100,7 +100,6 @@ class FlightRecorder {
   void pop_listener() {
     if (!listeners_.empty()) listeners_.pop_back();
   }
-  std::size_t listener_count() const { return listeners_.size(); }
 
   void clear();
 

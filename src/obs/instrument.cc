@@ -28,19 +28,17 @@ Instrument::Instrument(sim::Simulator& sim, tcp::Connection& conn,
 Instrument::~Instrument() {
   conn_.sender().set_recorder(nullptr, 0);
   conn_.path().set_recorder(nullptr, 0);
-  if (tap_installed_) conn_.path().wire_tap = std::move(prev_tap_);
+  if (!wire_listeners_.empty()) conn_.path().wire_tap = nullptr;
 }
 
 void Instrument::add_wire_listener(WireListener l) {
+  if (wire_listeners_.empty()) {
+    conn_.path().wire_tap = [this](const net::Segment& seg, bool is_ack,
+                                   sim::Time at) {
+      for (const WireListener& wl : wire_listeners_) wl(seg, is_ack, at);
+    };
+  }
   wire_listeners_.push_back(std::move(l));
-  if (tap_installed_) return;
-  tap_installed_ = true;
-  prev_tap_ = std::move(conn_.path().wire_tap);
-  conn_.path().wire_tap = [this](const net::Segment& seg, bool is_ack,
-                                 sim::Time at) {
-    if (prev_tap_) prev_tap_(seg, is_ack, at);
-    for (const WireListener& wl : wire_listeners_) wl(seg, is_ack, at);
-  };
 }
 
 }  // namespace prr::obs

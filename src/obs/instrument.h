@@ -4,10 +4,11 @@
 // the single subscription point downstream consumers share. trace/
 // timeseq and trace/pcap attach HERE instead of installing their own
 // sender hooks and wire taps — one set of instrumentation points, many
-// consumers (satellite: the bespoke taps they used to install are gone).
+// consumers; the bespoke taps they used to install are gone.
 //
 // The Instrument must outlive the connection's traffic; destroying it
-// detaches the recorder from the sender and the tap from the path.
+// detaches the recorder from the sender and clears the path's tap. The
+// tap it installs is the path's only one.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +24,6 @@ namespace prr::obs {
 
 class Instrument {
  public:
-  // Chains onto (and preserves) any wire tap already installed on the
-  // path.
   Instrument(sim::Simulator& sim, tcp::Connection& conn,
              FlightRecorder& recorder, uint32_t conn_id = 0);
   ~Instrument();
@@ -61,8 +60,6 @@ class Instrument {
   tcp::Connection& conn_;
   FlightRecorder& recorder_;
   uint32_t conn_id_;
-  bool tap_installed_ = false;
-  std::function<void(const net::Segment&, bool, sim::Time)> prev_tap_;
   std::vector<WireListener> wire_listeners_;
 };
 

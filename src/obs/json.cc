@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/checked_write.h"
+
 namespace prr::obs {
 
 std::string json_escape(std::string_view s) {
@@ -180,5 +182,9 @@ class Parser {
 }  // namespace
 
 bool json_valid(std::string_view s) { return Parser(s).parse(); }
+
+bool checked_write_json(const std::string& path, std::string_view body) {
+  return json_valid(body) && util::checked_write_file(path, body);
+}
 
 }  // namespace prr::obs

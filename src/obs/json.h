@@ -1,9 +1,9 @@
 // Minimal JSON helpers for the exporters: string escaping for emission
 // and a strict recursive-descent validator used by the golden-file test,
-// the registry reconciliation test and the checked artifact writers
-// (util/checked_write.h). Emission here is string building, not a DOM —
-// exports are write-only and the formats (Perfetto trace-event, registry
-// dump) are flat enough that a serializer library would be dead weight.
+// the registry reconciliation test and checked_write_json. Emission
+// here is string building, not a DOM — exports are write-only and the
+// formats (Perfetto trace-event, registry dump) are flat enough that a
+// serializer library would be dead weight.
 #pragma once
 
 #include <string>
@@ -27,5 +27,10 @@ std::string json_double(double v);
 // string, number, true/false/null) with nothing but whitespace after
 // it. Validates structure only — no limits on depth or duplicate keys.
 bool json_valid(std::string_view s);
+
+// util::checked_write_file after a structural validation of `body`
+// (json_valid): malformed JSON is refused at the producer, before any
+// byte reaches the file.
+bool checked_write_json(const std::string& path, std::string_view body);
 
 }  // namespace prr::obs

@@ -51,7 +51,6 @@ class LatencyTracker {
   // Switches to bounded (counters only) storage. Only valid
   // before the first add(); records already kept are not re-folded.
   void set_bounded(bool bounded) { bounded_ = bounded; }
-  bool bounded() const { return bounded_; }
 
   // Total responses observed, in either mode (== responses().size() in
   // unbounded mode). The sweep fingerprints hash this, not the vector.

@@ -28,7 +28,23 @@ void RecoveryLog::add(RecoveryEvent e) {
   if (!bounded_) events_.push_back(e);
 }
 
-void RecoveryLog::append(const RecoveryLog& other) {
+void RecoveryLog::on_recovery_closed(const tcp::RecoveryEntry& entry,
+                                     const tcp::RecoveryClose& close) {
+  // An RTO ends the episode with no exit windows.
+  const bool completed = close.how != tcp::RecoveryExit::kRto;
+  add({.start = entry.start, .end = close.end, .pipe_at_start = entry.pipe,
+       .ssthresh = entry.ssthresh, .cwnd_at_start = entry.prior_cwnd,
+       .cwnd_at_exit = completed ? close.cwnd_at_exit : 0,
+       .cwnd_after_exit = completed ? close.cwnd_after_exit : 0,
+       .pipe_at_exit = completed ? close.pipe_at_exit : 0,
+       .mss = entry.mss, .retransmits = close.retransmits,
+       .bytes_sent_during = close.bytes_sent,
+       .max_burst_segments = close.max_burst_segments,
+       .interrupted_by_timeout = !completed, .completed = completed,
+       .slow_start_after = close.cwnd_after_exit < close.ssthresh});
+}
+
+void RecoveryLog::merge(const RecoveryLog& other) {
   total_ += other.total_;
   below_ += other.below_;
   equal_ += other.equal_;

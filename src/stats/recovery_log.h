@@ -1,5 +1,6 @@
 // Per-recovery-event instrumentation: everything Tables 5, 6, 7, Fig 5 and
-// Table 10 need. The sender appends one record per fast-recovery episode.
+// Table 10 need. Registered as a sender listener, the log folds each
+// episode's close event into one row.
 //
 // Like LatencyTracker, the log has an unbounded mode (every event kept,
 // exact quantiles) and a bounded mode for streaming sweeps (counters
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "sim/time.h"
+#include "tcp/sender_events.h"
 #include "util/quantiles.h"
 
 namespace prr::stats {
@@ -51,14 +53,17 @@ struct RecoveryEvent {
   }
 };
 
-class RecoveryLog {
+class RecoveryLog : public tcp::SenderEvents {
  public:
   void add(RecoveryEvent e);
-  void append(const RecoveryLog& other);
+  // One row per closed episode (undo counts as completed). An episode
+  // the run cut off never closes, so it has no row.
+  void on_recovery_closed(const tcp::RecoveryEntry& entry,
+                          const tcp::RecoveryClose& close) override;
   // Deterministic shard merge: callers merge shards in connection-id
   // order, so the concatenated event list is byte-identical to a serial
   // run (events within a shard are already in emission order).
-  void merge(const RecoveryLog& other) { append(other); }
+  void merge(const RecoveryLog& other);
   const std::vector<RecoveryEvent>& events() const { return events_; }
   // Total events observed in either mode (== events().size() when
   // unbounded).
@@ -69,7 +74,6 @@ class RecoveryLog {
   // Switches to bounded (counters only) storage. Only valid
   // before the first add().
   void set_bounded(bool bounded) { bounded_ = bounded; }
-  bool bounded() const { return bounded_; }
 
   // Table 5: fraction of events starting in each PRR mode.
   double fraction_start_below_ssthresh() const;   // pipe < ssthresh

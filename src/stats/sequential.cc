@@ -44,10 +44,6 @@ double ConfidenceSequence::log_e_value() const {
          (n * n * mean_ * mean_ * r) / (2.0 * var * denom);
 }
 
-double ConfidenceSequence::e_value() const {
-  return std::exp(std::min(log_e_value(), 700.0));
-}
-
 double ConfidenceSequence::radius() const {
   const double var = variance();
   if (n_ < cfg_.min_n || var <= kVarFloor) {

@@ -64,7 +64,6 @@ class ConfidenceSequence {
   // log of the current mixture likelihood ratio Lambda_n (an e-process
   // sample path). 0 while underpowered (n < min_n or zero variance).
   double log_e_value() const;
-  double e_value() const;
   // Always-valid p-value: running minimum of 1/Lambda, clamped to 1.
   double p_value() const { return p_; }
 

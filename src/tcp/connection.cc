@@ -5,13 +5,12 @@
 namespace prr::tcp {
 
 Connection::Connection(sim::Simulator& sim, ConnectionConfig config,
-                       sim::Rng rng, stats::RecoveryLog* recovery_log)
+                       sim::Rng rng)
     : config_(config) {
   path_ = std::make_unique<net::Path>(sim, config.path, rng);
   sender_ = std::make_unique<Sender>(
       sim, config.sender,
-      [this](net::Segment&& seg) { path_->send_data(std::move(seg)); },
-      recovery_log);
+      [this](net::Segment&& seg) { path_->send_data(std::move(seg)); });
   receiver_ = std::make_unique<Receiver>(
       sim, config.receiver,
       [this](net::Segment&& seg) { path_->send_ack(std::move(seg)); });
@@ -21,14 +20,13 @@ Connection::Connection(sim::Simulator& sim, ConnectionConfig config,
       [this](net::Segment&& seg) { sender_->on_ack_segment(seg); });
 }
 
-void Connection::reset(ConnectionConfig config, sim::Rng rng,
-                       stats::RecoveryLog* recovery_log) {
+void Connection::reset(ConnectionConfig config, sim::Rng rng) {
   config_ = config;
   // Same sub-object order as the constructor. The data/ACK sinks and the
   // send callbacks capture `this`/path_ which are stable across
   // recycling, so no rewiring is needed.
   path_->reset(config.path, rng);
-  sender_->reset(config.sender, recovery_log);
+  sender_->reset(config.sender);
   receiver_->reset(config.receiver);
 }
 

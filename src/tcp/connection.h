@@ -8,7 +8,6 @@
 #include "net/path.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
-#include "stats/recovery_log.h"
 #include "tcp/receiver.h"
 #include "tcp/sender.h"
 
@@ -22,18 +21,17 @@ struct ConnectionConfig {
 
 class Connection {
  public:
-  // Counters land in sender().metrics(); recovery episodes are appended
-  // to `recovery_log` when it is set.
-  Connection(sim::Simulator& sim, ConnectionConfig config, sim::Rng rng,
-             stats::RecoveryLog* recovery_log = nullptr);
+  // Counters land in sender().metrics(); recovery episodes reach the
+  // listeners registered on sender().
+  Connection(sim::Simulator& sim, ConnectionConfig config, sim::Rng rng);
 
   // Pool-recycle: rewires the whole connection (path, sender, receiver)
   // to the state a fresh construction with these arguments would
   // produce, keeping every buffer/timer/event-slot capacity. Must run
   // after the owning Simulator was reset and before any per-connection
-  // wiring (recorder, loss models, checker, app) is attached.
-  void reset(ConnectionConfig config, sim::Rng rng,
-             stats::RecoveryLog* recovery_log);
+  // wiring (recorder, loss models, checker, app, recovery log) is
+  // attached.
+  void reset(ConnectionConfig config, sim::Rng rng);
 
   // Application write on the server side.
   void write(uint64_t bytes) { sender_->write(bytes); }

@@ -28,9 +28,7 @@ void Receiver::reset(Config config) {
   ts_recent_ = 0;
   quickack_left_ = config_.quickack_segments;
   ece_pending_ = false;
-  segments_received_ = 0;
   duplicate_segments_ = 0;
-  acks_sent_ = 0;
   reneged_bytes_ = 0;
   if (!config_.renege_at.is_zero()) {
     renege_timer_.start(config_.renege_at - sim_.now());
@@ -71,7 +69,6 @@ void Receiver::merge_ooo(uint64_t start, uint64_t end) {
 }
 
 void Receiver::on_data(const net::Segment& seg) {
-  ++segments_received_;
   if (config_.ecn) {
     // RFC 3168: latch ECE on CE-marked data; clear it when the sender
     // confirms its reduction with CWR.
@@ -175,7 +172,6 @@ void Receiver::send_ack_now(std::optional<net::SackBlock> dsack) {
       ack.sacks.push_back({top[i]->start, top[i]->end});
     }
   }
-  ++acks_sent_;
   send_ack_(std::move(ack));
 }
 

@@ -45,14 +45,8 @@ class Receiver {
 
   void on_data(const net::Segment& seg);
 
-  // Forces the advertised window to a value (0 stalls the sender); used
-  // by experiments that exercise PRR's banking under rwnd stalls.
-  void set_rwnd(uint64_t rwnd) { config_.rwnd = rwnd; }
-
   uint64_t rcv_nxt() const { return rcv_nxt_; }
-  uint64_t segments_received() const { return segments_received_; }
   uint64_t duplicate_segments() const { return duplicate_segments_; }
-  uint64_t acks_sent() const { return acks_sent_; }
   uint64_t reneged_bytes() const { return reneged_bytes_; }
 
  private:
@@ -81,9 +75,7 @@ class Receiver {
   uint32_t ts_recent_ = 0;  // RFC 7323 TS.Recent to echo
   int quickack_left_ = 0;
   bool ece_pending_ = false;  // echo ECE until the sender's CWR arrives
-  uint64_t segments_received_ = 0;
   uint64_t duplicate_segments_ = 0;
-  uint64_t acks_sent_ = 0;
   uint64_t reneged_bytes_ = 0;
 };
 

@@ -190,7 +190,6 @@ class Scoreboard {
 
   bool has_records() const { return !records_.empty(); }
   bool any_sacked() const { return sacked_segs_ > 0; }
-  bool all_acked_up_to(uint64_t seq) const { return snd_una_ >= seq; }
   uint64_t snd_una() const { return snd_una_; }
   uint64_t highest_sacked_end() const { return highest_sacked_end_; }
   uint64_t total_sacked_bytes() const { return sacked_bytes_; }

@@ -37,25 +37,22 @@ constexpr sim::Time kTlpDelackBound = sim::Time::milliseconds(50);
 constexpr double kPacingGain = 1.25;
 }  // namespace
 
-Sender::Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
-               stats::RecoveryLog* recovery_log)
+Sender::Sender(sim::Simulator& sim, SenderConfig config, SendFn send)
     : SenderState(config),
       sim_(sim),
       config_(config),
       send_(std::move(send)),
-      recovery_log_(recovery_log),
       scoreboard_(config.mss),
       rto_timer_(sim, [this] { on_rto(); }),
       er_timer_(sim, [this] { on_er_timer(); }),
       tlp_timer_(sim, [this] { on_tlp_timer(); }),
       pacing_timer_(sim, [this] { try_send(); }),
       persist_timer_(sim, [this] { on_persist_timer(); }) {
-  reset(config, recovery_log);
+  reset(config);
 }
 
-void Sender::reset(SenderConfig config, stats::RecoveryLog* recovery_log) {
+void Sender::reset(SenderConfig config) {
   config_ = config;
-  recovery_log_ = recovery_log;
   scoreboard_.reset(0, config.mss, config.use_fack, config.sack_enabled);
   rto_est_ = RtoEstimator();
   if (!config.handshake_rtt.is_zero()) {
@@ -214,8 +211,7 @@ void Sender::transmit(uint64_t start, uint64_t end, bool retx) {
     switch (state_) {
       case TcpState::kRecovery:
         ++metrics_.fast_retransmits;
-        ++current_event_.retransmits;
-        retransmitted_this_event_ = true;
+        ++episode_retransmits_;
         break;
       case TcpState::kLoss:
         if (rto_head_retransmit_pending_) {
@@ -234,10 +230,9 @@ void Sender::transmit(uint64_t start, uint64_t end, bool retx) {
   }
   if (state_ == TcpState::kRecovery) {
     std::visit([len](auto& policy) { policy.on_sent(len); }, policy_);
-    current_event_.bytes_sent_during += len;
+    episode_bytes_sent_ += len;
     ++burst_in_progress_;
-    current_event_.max_burst_segments =
-        std::max(current_event_.max_burst_segments, burst_in_progress_);
+    episode_max_burst_ = std::max(episode_max_burst_, burst_in_progress_);
   }
 
   last_transmit_ = sim_.now();
@@ -595,9 +590,7 @@ void Sender::enter_recovery(uint64_t delivered_on_trigger, bool via_er) {
   tlp_timer_.stop();
   ++metrics_.fast_recovery_events;
   if (via_er) ++metrics_.er_triggered;
-  recovery_via_er_ = via_er;
   recovery_point_ = snd_nxt_;
-  retransmitted_this_event_ = false;
 
   prior_cwnd_ = cwnd_;
   prior_ssthresh_ = ssthresh_;
@@ -614,22 +607,19 @@ void Sender::enter_recovery(uint64_t delivered_on_trigger, bool via_er) {
   }
 
   const uint64_t pipe = effective_pipe();
-  const uint64_t flight = snd_nxt_ - snd_una_;
+  episode_ = RecoveryEntry{sim_.now(), via_er, config_.mss,
+                           snd_nxt_ - snd_una_, ssthresh_, pipe,
+                           prior_cwnd_, recovery_point_};
+  episode_retransmits_ = episode_bytes_sent_ = episode_max_burst_ = 0;
   std::visit(
-      [this, flight](auto& policy) {
-        policy.on_enter(flight, ssthresh_, cwnd_, config_.mss);
+      [this](auto& policy) {
+        policy.on_enter(episode_.recover_fs, ssthresh_, cwnd_, config_.mss);
       },
       policy_);
   PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kEnterRecovery,
-            via_er ? 1 : 0, static_cast<uint16_t>(config_.mss), flight,
-            ssthresh_, pipe, prior_cwnd_, recovery_point_);
-
-  current_event_ = stats::RecoveryEvent{};
-  current_event_.start = sim_.now();
-  current_event_.pipe_at_start = pipe;
-  current_event_.ssthresh = ssthresh_;
-  current_event_.cwnd_at_start = cwnd_;
-  current_event_.mss = config_.mss;
+            via_er ? 1 : 0, static_cast<uint16_t>(episode_.mss),
+            episode_.recover_fs, episode_.ssthresh, episode_.pipe,
+            episode_.prior_cwnd, episode_.recovery_point);
 
   // The triggering ACK also clocks the policy. Without SACK the
   // trigger dupack is known to have delivered one segment (RFC 6937's
@@ -644,7 +634,7 @@ void Sender::enter_recovery(uint64_t delivered_on_trigger, bool via_er) {
       policy_);
 
   try_send();
-  if (!retransmitted_this_event_) {
+  if (episode_retransmits_ == 0) {
     // RFC 3517's explicit fast_retransmit(): the first retransmission is
     // sent even when pipe exceeds the reduced window.
     if (const SegRecord* cand = scoreboard_.next_retransmit_candidate()) {
@@ -688,26 +678,22 @@ void Sender::exit_recovery() {
       [this, pipe](auto& policy) { return policy.exit_cwnd(pipe, cwnd_); },
       policy_);
   cwnd_ = std::max<uint64_t>(exit_cwnd, config_.mss);
+  const RecoveryClose close =
+      episode_close(RecoveryExit::kCompleted, cwnd_at_exit, pipe);
   PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kExitRecovery,
-            0, 0, cwnd_, pipe,
-            static_cast<uint64_t>(current_event_.retransmits),
-            current_event_.bytes_sent_during, cwnd_at_exit,
-            static_cast<uint64_t>(current_event_.max_burst_segments));
-  close_episode(/*completed=*/true, cwnd_at_exit, pipe);
+            0, 0, close.cwnd_after_exit, close.pipe_at_exit,
+            close.retransmits, close.bytes_sent, close.cwnd_at_exit,
+            close.max_burst_segments);
+  notify(&SenderEvents::on_recovery_closed, episode_, close);
   set_state(scoreboard_.any_sacked() ? TcpState::kDisorder : TcpState::kOpen);
   scoreboard_.clear_dupacks();
 }
 
-void Sender::close_episode(bool completed, uint64_t cwnd_at_exit,
-                           uint64_t pipe_at_exit) {
-  current_event_.end = sim_.now();
-  current_event_.completed = completed;
-  current_event_.interrupted_by_timeout = !completed;
-  current_event_.cwnd_at_exit = cwnd_at_exit;
-  current_event_.pipe_at_exit = pipe_at_exit;
-  if (completed) current_event_.cwnd_after_exit = cwnd_;
-  current_event_.slow_start_after = cwnd_ < ssthresh_;
-  if (recovery_log_) recovery_log_->add(current_event_);
+RecoveryClose Sender::episode_close(RecoveryExit how, uint64_t cwnd_at_exit,
+                                   uint64_t pipe_at_exit) const {
+  return RecoveryClose{sim_.now(), how, cwnd_at_exit, cwnd_, pipe_at_exit,
+                       ssthresh_, episode_retransmits_, episode_bytes_sent_,
+                       episode_max_burst_};
 }
 
 void Sender::handle_dsack(const AckOutcome& out) {
@@ -772,14 +758,16 @@ void Sender::try_undo() {
   cwnd_ = std::max(cwnd_, prior_cwnd_);
   ssthresh_ = prior_ssthresh_;
   ++metrics_.undo_events;
+  const RecoveryClose close =
+      episode_close(RecoveryExit::kUndo, cwnd_, scoreboard_.pipe());
   PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kUndo, 0, 0,
-            cwnd_, ssthresh_, scoreboard_.pipe(),
-            static_cast<uint64_t>(current_event_.max_burst_segments));
-  if (recovery_via_er_) ++metrics_.er_spurious;
+            close.cwnd_after_exit, close.ssthresh, close.pipe_at_exit,
+            close.max_burst_segments);
+  if (episode_.via_er) ++metrics_.er_spurious;
   undo_valid_ = false;
   spurious_seen_ = false;
   if (state_ == TcpState::kRecovery) {
-    close_episode(/*completed=*/true, cwnd_, scoreboard_.pipe());
+    notify(&SenderEvents::on_recovery_closed, episode_, close);
     set_state(TcpState::kOpen);
     scoreboard_.clear_dupacks();
   }
@@ -822,9 +810,7 @@ void Sender::on_rto() {
             static_cast<uint8_t>(state_), 0, snd_una_, snd_nxt_, cwnd_,
             static_cast<uint64_t>(rto_est_.backoff_count()),
             static_cast<uint64_t>(rto_est_.rto().ns()),
-            state_ == TcpState::kRecovery
-                ? static_cast<uint64_t>(current_event_.max_burst_segments)
-                : 0);
+            state_ == TcpState::kRecovery ? episode_max_burst_ : 0);
   ++metrics_.timeouts_total;
   switch (state_) {
     case TcpState::kOpen:
@@ -835,7 +821,8 @@ void Sender::on_rto() {
       break;
     case TcpState::kRecovery:
       ++metrics_.timeouts_in_recovery;
-      close_episode(/*completed=*/false, 0, 0);
+      notify(&SenderEvents::on_recovery_closed, episode_,
+             episode_close(RecoveryExit::kRto, cwnd_, effective_pipe()));
       break;
     case TcpState::kLoss:
       ++metrics_.timeouts_exp_backoff;

@@ -11,11 +11,12 @@
 // when fast recovery should start, and reports each ACK as one AckOutcome.
 // The sender is the window regulator. It owns the recovery state machine,
 // cwnd/ssthresh (through its CongestionControl and RecoveryPolicy
-// values), the timers, undo, and the per-connection Metrics ledger and
-// RecoveryLog entry. The paper's split is the same: loss detection picks
-// *which* data to send, PRR decides *how much*. Observers register as
-// SenderEvents listeners; trace records go to the flight recorder
-// directly.
+// values), the timers, undo, the per-connection Metrics ledger and the
+// open episode's RecoveryEntry. The paper's split is the same: loss
+// detection picks *which* data to send, PRR decides *how much*.
+// Observers register as SenderEvents listeners (tcp/sender_events.h) and
+// hear each episode once, when it closes; trace records go to the flight
+// recorder directly.
 #pragma once
 
 #include <cstddef>
@@ -30,12 +31,12 @@
 #include "net/segment.h"
 #include "obs/flight_recorder.h"
 #include "sim/simulator.h"
-#include "stats/recovery_log.h"
 #include "tcp/cc/congestion_control.h"
 #include "tcp/metrics.h"
 #include "tcp/recovery/recovery.h"
 #include "tcp/rto.h"
 #include "tcp/scoreboard.h"
+#include "tcp/sender_events.h"
 #include "util/log2_hist.h"
 
 namespace prr::tcp {
@@ -183,16 +184,17 @@ struct SenderState {
   // before the reduction that undo reverts: set on entering Recovery
   // (DSACK/Eifel undo) or Loss (F-RTO/Eifel undo of a spurious RTO).
   uint64_t recovery_point_ = 0;
-  bool recovery_via_er_ = false;
-  bool retransmitted_this_event_ = false;
   uint64_t prior_cwnd_ = 0;
   uint64_t prior_ssthresh_ = 0;
   bool undo_valid_ = false;
   int undo_retrans_ = 0;
   bool spurious_seen_ = false;
-  // The open episode's RecoveryLog entry, filled in place and added to
-  // the log when the episode closes (Sender::close_episode).
-  stats::RecoveryEvent current_event_;
+  // The open episode: its entry, and the tallies its RecoveryClose
+  // carries.
+  RecoveryEntry episode_;
+  uint64_t episode_retransmits_ = 0;
+  uint64_t episode_bytes_sent_ = 0;
+  uint64_t episode_max_burst_ = 0;
   uint64_t burst_in_progress_ = 0;
 
   // Loss (RTO) episode state. The flags follow the counters so they
@@ -214,46 +216,21 @@ struct SenderState {
   TcpState traced_state_ = TcpState::kOpen;
 };
 
-// What the sender reports to its observers (the app, the invariant
-// checker, the progress watchdog). Every method is a no-op by default.
-// A listener may call back into the sender: ServerApp::on_una_advance
-// writes the next response, which transmits.
-class SenderEvents {
- public:
-  // Every segment put on the wire.
-  virtual void on_transmit(uint64_t /*seq*/, uint32_t /*len*/,
-                           bool /*retx*/) {}
-  // snd.una advanced to `una`.
-  virtual void on_una_advance(uint64_t /*una*/) {}
-  // An ACK was fully processed: state machine, window regulation and
-  // transmissions done. Ignored ACKs (aborted, invalid, ancient) never
-  // get here.
-  virtual void on_ack_processed(const net::Segment& /*ack*/) {}
-  // An RTO fired; `backoffs` already counts this one. During a
-  // blackhole no ACKs arrive, so only this event sees the stall.
-  virtual void on_rto(uint64_t /*una*/, int /*backoffs*/) {}
-  // The sender gave up (max RTO backoffs exceeded).
-  virtual void on_abort() {}
-
- protected:
-  ~SenderEvents() = default;
-};
-
 class Sender : private SenderState {
  public:
   using SendFn = std::function<void(net::Segment&&)>;
 
-  Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
-         stats::RecoveryLog* recovery_log);
+  Sender(sim::Simulator& sim, SenderConfig config, SendFn send);
 
   // Pool-recycle: returns the sender to the state a fresh construction
-  // with (config, recovery_log) would produce (the constructor runs
+  // with `config` would produce (the constructor runs
   // reset() too), keeping the send callback and all container/timer
   // capacity. The listener list, the profiling tap and the flight-
   // recorder attachment are cleared: they point at per-connection objects
-  // (invariant checker, watchdog, app) that die with the connection.
+  // (invariant checker, watchdog, app, log) that die with the connection
+  // or are attached to it again. An episode still open is dropped.
   // Precondition: the owning Simulator has been reset.
-  void reset(SenderConfig config, stats::RecoveryLog* recovery_log);
+  void reset(SenderConfig config);
 
   // ---- application interface ----
   // Appends `bytes` to the send buffer and transmits what the window
@@ -270,7 +247,7 @@ class Sender : private SenderState {
   // ---- observers ----
   // Registers `listener` until the next reset(). Listeners run in
   // registration order; room for the checker, the watchdog, the app and
-  // one spare, and one more throws std::length_error.
+  // the recovery log, and one more throws std::length_error.
   static constexpr std::size_t kMaxListeners = 4;
   void add_listener(SenderEvents* listener);
   // Self-profiling tap (obs::SelfProfiler): each on_ack_segment call's
@@ -336,10 +313,9 @@ class Sender : private SenderState {
 
   void enter_recovery(uint64_t delivered_on_trigger, bool via_er);
   void exit_recovery();
-  // Closes the open Recovery episode into the RecoveryLog: completed (exit
-  // or undo) or interrupted by an RTO.
-  void close_episode(bool completed, uint64_t cwnd_at_exit,
-                     uint64_t pipe_at_exit);
+  // The open episode's close at this instant, with the windows given.
+  RecoveryClose episode_close(RecoveryExit how, uint64_t cwnd_at_exit,
+                              uint64_t pipe_at_exit) const;
 
   void check_early_retransmit(const AckOutcome& out);
   void on_er_timer();
@@ -383,7 +359,6 @@ class Sender : private SenderState {
   sim::Simulator& sim_;
   SenderConfig config_;
   SendFn send_;
-  stats::RecoveryLog* recovery_log_;  // may be null
 
   Scoreboard scoreboard_;
   RtoEstimator rto_est_;

@@ -53,8 +53,6 @@ class ProgressWatchdog : private tcp::SenderEvents {
   ProgressWatchdog(tcp::Sender& sender, tcp::InvariantChecker& checker,
                    Config config, std::function<bool()> path_up);
 
-  int stuck_count() const { return stuck_; }
-  bool fired() const { return fired_; }
 
  private:
   void on_rto(uint64_t snd_una, int backoff_count) override;

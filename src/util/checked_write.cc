@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "obs/json.h"
-
 namespace prr::util {
 
 bool checked_write_file(const std::string& path, std::string_view body) {
@@ -16,11 +14,6 @@ bool checked_write_file(const std::string& path, std::string_view body) {
   const bool clean = std::ferror(f) == 0;
   const bool closed = std::fclose(f) == 0;
   return wrote && clean && closed;
-}
-
-bool checked_write_json(const std::string& path, std::string_view body) {
-  if (!obs::json_valid(body)) return false;
-  return checked_write_file(path, body);
 }
 
 }  // namespace prr::util

@@ -15,13 +15,8 @@ namespace prr::util {
 
 // Writes `body` to `path` (truncating). Returns true iff every byte was
 // durably handed to the OS (fwrite complete, no stream error, fclose
-// clean). The body is not required to be JSON — the name records the
-// dominant use — but see checked_write_json for the validating form.
+// clean). See obs::checked_write_json (obs/json.h) for the form that
+// validates JSON first.
 bool checked_write_file(const std::string& path, std::string_view body);
-
-// checked_write_file + a structural JSON validation of `body` first
-// (obs::json_valid): malformed JSON is refused at the producer, before
-// any byte reaches the file.
-bool checked_write_json(const std::string& path, std::string_view body);
 
 }  // namespace prr::util

@@ -11,6 +11,7 @@
 #include "net/loss_model.h"
 #include "net/reorder_model.h"
 #include "sim/simulator.h"
+#include "stats/recovery_log.h"
 #include "tcp/connection.h"
 
 namespace prr::tcp {
@@ -180,7 +181,8 @@ TEST(ConnectionIntegration2, RecoveryLogAndMetricsConsistent) {
   cfg.sender.handshake_rtt = 60_ms;
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(3), 60_ms);
   stats::RecoveryLog rlog;
-  Connection conn(sim, cfg, rng, &rlog);
+  Connection conn(sim, cfg, rng);
+  conn.sender().add_listener(&rlog);
   const Metrics& metrics = conn.sender().metrics();
   conn.path().data_link().set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.03, rng.fork(9)));

@@ -10,6 +10,7 @@
 
 #include "net/loss_model.h"
 #include "sim/simulator.h"
+#include "stats/recovery_log.h"
 #include "tcp/connection.h"
 
 namespace prr::tcp {
@@ -66,7 +67,8 @@ TEST_P(CrossCcTest, PrrExitsAtWhateverSsthreshTheCcChose) {
   cfg.path =
       net::Path::Config::symmetric(util::DataRate::mbps(6), 60_ms, 150);
   stats::RecoveryLog rlog;
-  Connection conn(sim, cfg, sim::Rng(23), &rlog);
+  Connection conn(sim, cfg, sim::Rng(23));
+  conn.sender().add_listener(&rlog);
   conn.path().data_link().set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.02, sim::Rng(24)));
   conn.write(800'000);
@@ -114,7 +116,8 @@ TEST(CubicPrrIntegration, ProportionalRatioRoughlySevenOfTen) {
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(2.4),
                                           100_ms, 300);
   stats::RecoveryLog rlog;
-  Connection conn(sim, cfg, sim::Rng(31), &rlog);
+  Connection conn(sim, cfg, sim::Rng(31));
+  conn.sender().add_listener(&rlog);
   // Drop exactly one early segment from a 30-segment window.
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{2}));

@@ -7,6 +7,7 @@
 
 #include "net/loss_model.h"
 #include "sim/simulator.h"
+#include "stats/recovery_log.h"
 #include "tcp/connection.h"
 
 namespace prr::tcp {
@@ -27,7 +28,8 @@ ConnectionConfig base_config() {
 TEST(FailureInjection, ClientDiesDuringRecovery) {
   sim::Simulator sim;
   stats::RecoveryLog rlog;
-  Connection conn(sim, base_config(), sim::Rng(1), &rlog);
+  Connection conn(sim, base_config(), sim::Rng(1));
+  conn.sender().add_listener(&rlog);
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{1, 2}));
   conn.write(20'000);

@@ -40,7 +40,7 @@ class NewRenoRecoveryTest : public ::testing::Test {
         sim, cfg,
         [this](net::Segment s) {
           wire.push_back({s.seq, s.len, s.is_retransmit});
-        }, &rlog);
+        });
   }
 
   // Pure duplicate ACK (no SACK blocks, as a non-SACK client sends).
@@ -59,7 +59,6 @@ class NewRenoRecoveryTest : public ::testing::Test {
   }
 
   sim::Simulator sim;
-  stats::RecoveryLog rlog;
   std::unique_ptr<Sender> sender;
   std::vector<Sent> wire;
 };

@@ -33,7 +33,8 @@ class EpisodeBuilderTest : public ::testing::Test {
     cfg.cc = tcp::CcKind::kNewReno;
     cfg.recovery = kind;
     sender = std::make_unique<tcp::Sender>(
-        sim, cfg, [](net::Segment) {}, &rlog);
+        sim, cfg, [](net::Segment) {});
+    sender->add_listener(&rlog);
     recorder = std::make_unique<FlightRecorder>(1u << 12);
     recorder->add_listener(
         [this](const TraceRecord& r) { builder.on_record(r); });

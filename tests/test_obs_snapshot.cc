@@ -36,7 +36,7 @@ class SnapshotTest : public ::testing::Test {
     cfg.cc = cc;
     cfg.recovery = kind;
     sender = std::make_unique<tcp::Sender>(
-        sim, cfg, [](net::Segment) {}, &rlog);
+        sim, cfg, [](net::Segment) {});
   }
 
   void ack(uint64_t cum, std::vector<net::SackBlock> sacks = {},
@@ -62,7 +62,6 @@ class SnapshotTest : public ::testing::Test {
 
   sim::Simulator sim;
   const tcp::Metrics& metrics() const { return sender->metrics(); }
-  stats::RecoveryLog rlog;
   std::unique_ptr<tcp::Sender> sender;
 };
 

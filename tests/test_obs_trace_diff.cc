@@ -31,7 +31,7 @@ class ScriptedArm {
     cfg.cc = tcp::CcKind::kNewReno;
     cfg.recovery = kind;
     sender_ = std::make_unique<tcp::Sender>(
-        sim_, cfg, [](net::Segment) {}, &rlog_);
+        sim_, cfg, [](net::Segment) {});
     recorder_ = std::make_unique<FlightRecorder>(1u << 12);
     recorder_->add_listener(
         [this](const TraceRecord& r) { records_.push_back(r); });
@@ -68,7 +68,6 @@ class ScriptedArm {
   // which traces through the recorder into records_, so it must be
   // destroyed before either of them.
   sim::Simulator sim_;
-  stats::RecoveryLog rlog_;
   std::vector<TraceRecord> records_;
   std::unique_ptr<FlightRecorder> recorder_;
   std::unique_ptr<tcp::Sender> sender_;

@@ -52,7 +52,7 @@ class SenderTest : public ::testing::Test {
     sender = std::make_unique<Sender>(
         sim, cfg,
         [this](net::Segment s) { wire.push_back({s.seq, s.len,
-                                                 s.is_retransmit}); }, &rlog);
+                                                 s.is_retransmit}); });
   }
 
   // Builds an ACK with optional SACK blocks.
@@ -65,7 +65,6 @@ class SenderTest : public ::testing::Test {
 
   sim::Simulator sim;
   const Metrics& metrics() const { return sender->metrics(); }
-  stats::RecoveryLog rlog;
   std::unique_ptr<Sender> sender;
   std::vector<Sent> wire;
 };
@@ -291,16 +290,15 @@ TEST(SenderReset, RecycledAcrossKindsEqualsFresh) {
 
   sim::Simulator pooled_sim;
   std::vector<Sent> pooled_wire;
-  stats::RecoveryLog pooled_log;
   Sender pooled(pooled_sim, config(kinds[0].cc, kinds[0].recovery),
-                capture(pooled_wire), &pooled_log);
+                capture(pooled_wire));
   bool first = true;
   for (const auto& [cc, recovery] : kinds) {
     SCOPED_TRACE(static_cast<int>(cc));
     const SenderConfig cfg = config(cc, recovery);
     if (!first) {
       pooled_sim.reset();
-      pooled.reset(cfg, &pooled_log);
+      pooled.reset(cfg);
     }
     first = false;
     pooled_wire.clear();
@@ -308,8 +306,7 @@ TEST(SenderReset, RecycledAcrossKindsEqualsFresh) {
 
     sim::Simulator fresh_sim;
     std::vector<Sent> fresh_wire;
-    stats::RecoveryLog fresh_log;
-    Sender fresh(fresh_sim, cfg, capture(fresh_wire), &fresh_log);
+    Sender fresh(fresh_sim, cfg, capture(fresh_wire));
     run_loss_script(fresh_sim, fresh);
 
     EXPECT_GE(fresh.metrics().fast_recovery_events, 1u);

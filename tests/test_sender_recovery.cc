@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "stats/recovery_log.h"
 #include "tcp/sender.h"
 
 namespace prr::tcp {
@@ -38,7 +39,8 @@ class SenderRecoveryTest : public ::testing::Test {
         sim, cfg,
         [this](net::Segment s) {
           wire.push_back({s.seq, s.len, s.is_retransmit});
-        }, &rlog);
+        });
+    sender->add_listener(&rlog);
   }
 
   net::Segment ack(uint64_t cum, std::vector<net::SackBlock> sacks = {},

@@ -36,7 +36,7 @@ class TlpTest : public ::testing::Test {
         sim, cfg,
         [this](net::Segment s) {
           wire.push_back({s.seq, s.len, s.is_retransmit});
-        }, nullptr);
+        });
   }
 
   net::Segment ack(uint64_t cum, std::vector<net::SackBlock> sacks = {}) {

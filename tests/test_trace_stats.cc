@@ -103,7 +103,7 @@ TEST(RecoveryLogStats, AppendMerges) {
   a.add(e);
   b.add(e);
   b.add(e);
-  a.append(b);
+  a.merge(b);
   EXPECT_EQ(a.count(), 3u);
 }
 

@@ -26,7 +26,7 @@ class WindowValidationTest : public ::testing::Test {
     cfg.cc = CcKind::kNewReno;
     cfg.handshake_rtt = 100_ms;
     sender = std::make_unique<Sender>(
-        sim, cfg, [](net::Segment) {}, nullptr);
+        sim, cfg, [](net::Segment) {});
   }
 
   net::Segment ack(uint64_t cum) {
