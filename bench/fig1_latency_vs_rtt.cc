@@ -39,15 +39,15 @@ int fig1_latency_vs_rtt() {
   std::vector<Bucket> buckets(5);  // 0-200, ..., 800-1000 ms
 
   for (const auto& resp : r.latency.responses()) {
-    if (!resp.completed) continue;
-    if (resp.bytes < 4000 || resp.bytes > 8000) continue;
-    int b = static_cast<int>(resp.path_rtt_ms / 200.0);
+    if (!resp.completed()) continue;
+    if (resp.bytes() < 4000 || resp.bytes() > 8000) continue;
+    int b = static_cast<int>(resp.path_rtt_ms() / 200.0);
     if (b < 0) b = 0;
     if (b > 4) continue;
-    (resp.had_retransmit ? buckets[b].with_retx
-                         : buckets[b].without_retx)
+    (resp.had_retransmit() ? buckets[b].with_retx
+                           : buckets[b].without_retx)
         .add(resp.latency_ms());
-    buckets[b].ideal.add(resp.path_rtt_ms);
+    buckets[b].ideal.add(resp.path_rtt_ms());
   }
 
   util::Table t({"RTT bucket [ms]", "avg w/ retx [ms]", "avg w/o retx [ms]",

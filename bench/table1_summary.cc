@@ -26,9 +26,9 @@ int table1_summary() {
 
   double total_requests = 0, total_bytes = 0, completed = 0;
   for (const auto& resp : r.latency.responses()) {
-    if (!resp.completed) continue;
+    if (!resp.completed()) continue;
     ++completed;
-    total_bytes += static_cast<double>(resp.bytes);
+    total_bytes += static_cast<double>(resp.bytes());
   }
   total_requests = completed;
 

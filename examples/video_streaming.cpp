@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
               sample.bandwidth.mbps_d(), (long long)sample.rtt.ms(),
               sample.queue_packets, sample.loss.p_good_to_bad);
   std::printf("  transfer: %llu bytes in %.1f s (goodput %.0f kbps)\n",
-              (unsigned long long)resp.bytes, resp.latency_ms() / 1000.0,
-              resp.bytes * 8.0 / resp.latency_ms());
+              (unsigned long long)resp.bytes(), resp.latency_ms() / 1000.0,
+              resp.bytes() * 8.0 / resp.latency_ms());
   std::printf("  network transmit time: %.1f s, in loss recovery: %.1f s "
               "(%.0f%%)\n",
               r.total_network_transmit_time.seconds_d(),

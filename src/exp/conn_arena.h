@@ -17,48 +17,11 @@
 #include <optional>
 
 #include "http/server_app.h"
-#include "obs/metrics_registry.h"
 #include "sim/simulator.h"
 #include "tcp/connection.h"
 #include "workload/population.h"
 
 namespace prr::exp {
-
-// Cached instrument pointers for one ArmResult's MetricsRegistry: the
-// per-connection instruments (histograms, the completion tally, trace
-// accounting). The registry is a name-keyed map with pointer-stable
-// instruments; folding a connection through cached handles replaces
-// string-keyed lookups (several past SSO size) per connection with
-// pointer dereferences. The counters that shadow ArmResult totals are
-// not here: run_arm writes them once per arm. Conditionally-created
-// instruments (completion tally, trace accounting) stay lazy so a
-// registry never grows an instrument the uncached path would not have
-// created.
-struct RegistryHandles {
-  obs::MetricsRegistry* owner = nullptr;
-
-  obs::LogHistogram* retransmits_per_conn = nullptr;
-  obs::LogHistogram* timeouts_per_conn = nullptr;
-  obs::LogHistogram* final_cwnd_bytes = nullptr;
-  obs::LogHistogram* conn_sim_time_ns = nullptr;
-  obs::Gauge* max_conn_sim_time_ns = nullptr;
-
-  // Lazily bound (see above).
-  obs::Counter* connections_completed = nullptr;
-  obs::Counter* trace_records_written = nullptr;
-  obs::Counter* trace_records_dropped = nullptr;
-
-  // (Re)binds the unconditional handles to `reg` and clears the lazy
-  // ones. Cheap relative to a chunk of connections; called whenever the
-  // arena crosses into a new shard's registry.
-  void bind(obs::MetricsRegistry& reg);
-
-  // Drops every cached pointer. Must be called when the previously bound
-  // registry may have been destroyed: a successor registry can reuse its
-  // address (worker shards live in the same stack slot each chunk), so
-  // the owner-pointer comparison alone cannot detect the swap.
-  void invalidate() { *this = RegistryHandles{}; }
-};
 
 // One worker's arena. The Connection and ServerApp are constructed on
 // the first connection (their internal wiring captures stable `this`
@@ -70,7 +33,6 @@ class ConnArena {
   workload::ConnectionSample sample;  // filled in place by sample_into()
   std::optional<tcp::Connection> conn;
   std::optional<http::ServerApp> app;
-  RegistryHandles handles;
 
   // Debug-only poison check that the recycled objects are back to their
   // freshly-constructed observable state (compiled out under NDEBUG).

@@ -148,6 +148,42 @@ struct ConnectionOutcome {
   std::vector<obs::TraceRecord> trace_tail;  // captured only on failure
 };
 
+// Cached instrument pointers for one ArmResult's MetricsRegistry: the
+// per-connection instruments (histograms, the completion tally, trace
+// accounting). The registry is a name-keyed map with pointer-stable
+// instruments; folding a connection through cached handles replaces
+// string-keyed lookups (several past SSO size) per connection with
+// pointer dereferences. The counters that shadow ArmResult totals are
+// not here: run_arm writes them once per arm. Conditionally-created
+// instruments (completion tally, trace accounting) stay lazy so a
+// registry never grows an instrument the uncached path would not have
+// created. A connection range binds one set for its result's registry,
+// which outlives the range.
+struct RegistryHandles {
+  obs::MetricsRegistry* owner = nullptr;
+
+  obs::LogHistogram* retransmits_per_conn = nullptr;
+  obs::LogHistogram* timeouts_per_conn = nullptr;
+  obs::LogHistogram* final_cwnd_bytes = nullptr;
+  obs::LogHistogram* conn_sim_time_ns = nullptr;
+  obs::Gauge* max_conn_sim_time_ns = nullptr;
+
+  // Lazily bound (see above).
+  obs::Counter* connections_completed = nullptr;
+  obs::Counter* trace_records_written = nullptr;
+  obs::Counter* trace_records_dropped = nullptr;
+
+  // Binds the unconditional handles to `reg`.
+  void bind(obs::MetricsRegistry& reg) {
+    owner = &reg;
+    retransmits_per_conn = reg.histogram("tcp.retransmits_per_conn");
+    timeouts_per_conn = reg.histogram("tcp.timeouts_per_conn");
+    final_cwnd_bytes = reg.histogram("tcp.final_cwnd_bytes");
+    conn_sim_time_ns = reg.histogram("exp.conn_sim_time_ns");
+    max_conn_sim_time_ns = reg.gauge("exp.max_conn_sim_time_ns");
+  }
+};
+
 // Folds one finished connection's distributions into the arm's
 // named-instrument view, through pre-bound handles (RegistryHandles) so
 // the sweep hot path pays pointer dereferences instead of string-keyed
@@ -179,10 +215,11 @@ void fold_connection_registry(RegistryHandles& h, const tcp::Sender& sender,
 // replay is the exact computation the original run performed. The
 // simulator, connection and app live in `arena`: constructed on its first
 // connection, recycled through the reset() protocol after that ("fresh ==
-// reset by construction"). Every aggregate folds into `result`; one-off
-// callers pass a scratch one. `recorder` is non-null exactly when the run
-// traces (opts.trace, invariant checking, episode collection or capture);
-// it is cleared first. Exceptions are caught here (not in the caller) so
+// reset by construction"). Every aggregate folds into `result`, whose
+// registry `handles` is bound to; one-off callers pass a scratch one.
+// `recorder` is non-null exactly when the run traces (opts.trace,
+// invariant checking, episode collection or capture); it is cleared
+// first. Exceptions are caught here (not in the caller) so
 // the flight-recorder tail can be captured after the stack unwinds.
 //
 // `capture`/`encoder` (both set or both null) enable trace-store capture:
@@ -192,6 +229,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
                                      const ArmConfig& arm,
                                      const RunOptions& opts, uint64_t id,
                                      ConnArena& arena, ArmResult& result,
+                                     RegistryHandles& handles,
                                      obs::FlightRecorder* recorder,
                                      const obs::CapturePolicy* capture,
                                      obs::StoreEncoder* encoder) {
@@ -405,8 +443,6 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
           static_cast<double>(conn.sender().loss_recovery_time().ms());
       cap.aborted = conn.sender().aborted();
     }
-    RegistryHandles& handles = arena.handles;
-    if (handles.owner != &result.registry) handles.bind(result.registry);
     fold_connection_registry(handles, conn.sender(), sim.now());
     if (recorder) {
       if (!handles.trace_records_written) {
@@ -471,15 +507,16 @@ void run_connection_range(const workload::Population& pop,
   // the capture path allocates nothing once warm.
   std::optional<obs::StoreEncoder> encoder;
   if (capture != nullptr) encoder.emplace();
-  // The previous range's shard (and its registry) is gone by now, and its
-  // successor may occupy the same address — cached instrument handles
-  // must not survive the boundary.
-  if (arena) arena->handles.invalidate();
+  // One set of instrument handles per range, bound to this range's
+  // result (an empty range binds none, so its registry stays empty).
+  RegistryHandles handles;
+  if (begin < end) handles.bind(result.registry);
   for (uint64_t id = begin; id < end; ++id) {
     if (!arena || !opts.pool_connections) arena.emplace();
     ConnectionOutcome outcome = run_one_connection(
-        pop, arm, opts, id, *arena, result, recorder ? &*recorder : nullptr,
-        capture, encoder ? &*encoder : nullptr);
+        pop, arm, opts, id, *arena, result, handles,
+        recorder ? &*recorder : nullptr, capture,
+        encoder ? &*encoder : nullptr);
     // Serial mode streams captured blocks straight to disk, connection by
     // connection, so the in-memory shard never grows with the sweep.
     // Worker shards have no writer: their blocks ride in result.store
@@ -550,9 +587,11 @@ TracedConnection trace_connection(const workload::Population& pop,
   traced.collect_episodes = false;  // the local builder handles episodes
   ConnArena arena;
   ArmResult scratch;
+  RegistryHandles handles;
+  handles.bind(scratch.registry);
   ConnectionOutcome outcome =
-      run_one_connection(pop, arm, traced, id, arena, scratch, &recorder,
-                         /*capture=*/nullptr, /*encoder=*/nullptr);
+      run_one_connection(pop, arm, traced, id, arena, scratch, handles,
+                         &recorder, /*capture=*/nullptr, /*encoder=*/nullptr);
   builder.finish();
   out.episodes = builder.episodes();
   out.aborted = outcome.aborted;
@@ -689,9 +728,11 @@ ReplayResult replay(const workload::Population& pop, const ArmConfig& arm,
   obs::FlightRecorder recorder(opts.trace_ring_records);
   ConnArena arena;
   ArmResult scratch;
+  RegistryHandles handles;
+  handles.bind(scratch.registry);
   ConnectionOutcome outcome = run_one_connection(
-      pop, arm, opts, record.connection_id, arena, scratch, &recorder,
-      /*capture=*/nullptr, /*encoder=*/nullptr);
+      pop, arm, opts, record.connection_id, arena, scratch, handles,
+      &recorder, /*capture=*/nullptr, /*encoder=*/nullptr);
   ReplayResult replay;
   replay.violations = std::move(outcome.violations);
   replay.exception = std::move(outcome.exception);

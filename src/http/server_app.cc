@@ -13,9 +13,8 @@ ServerApp::ServerApp(sim::Simulator& sim, tcp::Connection& conn,
       responses_(std::move(responses)),
       latency_(latency),
       chunk_timer_(sim, [this] { write_chunk(); }) {
-  path_rtt_ms_ = (conn.config().path.data_link.propagation_delay +
-                  conn.config().path.ack_link.propagation_delay)
-                     .ms_d();
+  path_rtt_ = conn.config().path.data_link.propagation_delay +
+              conn.config().path.ack_link.propagation_delay;
   conn_.sender().add_listener(this);
 }
 
@@ -23,9 +22,8 @@ void ServerApp::reset(const std::vector<ResponseSpec>& responses,
                       stats::LatencyTracker* latency) {
   responses_ = responses;  // copy-assign: the spec vector keeps capacity
   latency_ = latency;
-  path_rtt_ms_ = (conn_.config().path.data_link.propagation_delay +
-                  conn_.config().path.ack_link.propagation_delay)
-                     .ms_d();
+  path_rtt_ = conn_.config().path.data_link.propagation_delay +
+              conn_.config().path.ack_link.propagation_delay;
   next_ = 0;
   completed_ = 0;
   finished_ = false;
@@ -57,8 +55,8 @@ void ServerApp::begin_response(std::size_t idx) {
     cur_end_ = cur_start_ + spec.bytes;
     cur_written_ = 0;
     cur_record_ = stats::ResponseRecord{};
-    cur_record_.bytes = spec.bytes;
-    cur_record_.path_rtt_ms = path_rtt_ms_;
+    cur_record_.set_bytes(spec.bytes);
+    cur_record_.set_path_rtt(path_rtt_);
     write_chunk();
   };
   if (spec.gap_before.is_zero()) {
@@ -92,17 +90,17 @@ void ServerApp::on_transmit(uint64_t seq, uint32_t len, bool retx) {
   if (end <= cur_start_ || seq >= cur_end_) return;  // other response
   if (!first_byte_seen_ && !retx && seq <= cur_start_ && end > cur_start_) {
     first_byte_seen_ = true;
-    cur_record_.first_byte_sent = sim_.now();
+    cur_record_.set_first_byte_sent(sim_.now());
   }
-  if (retx) cur_record_.had_retransmit = true;
+  if (retx) cur_record_.set_had_retransmit(true);
 }
 
 void ServerApp::on_una_advance(uint64_t una) {
   if (!active_ || una < cur_end_) return;
   active_ = false;
   chunk_timer_.stop();
-  cur_record_.last_byte_acked = sim_.now();
-  cur_record_.completed = true;
+  cur_record_.set_last_byte_acked(sim_.now());
+  cur_record_.set_completed(true);
   if (latency_) latency_->add(cur_record_);
   ++completed_;
   if (next_ + 1 < responses_.size()) {
@@ -116,7 +114,7 @@ void ServerApp::on_abort() {
   if (active_) {
     active_ = false;
     chunk_timer_.stop();
-    cur_record_.completed = false;
+    cur_record_.set_completed(false);
     if (latency_) latency_->add(cur_record_);
   }
   finish();

@@ -69,7 +69,7 @@ class ServerApp : private tcp::SenderEvents {
   tcp::Connection& conn_;
   std::vector<ResponseSpec> responses_;
   stats::LatencyTracker* latency_;
-  double path_rtt_ms_;
+  sim::Time path_rtt_;  // two-way propagation delay, stamped on each record
 
   std::size_t next_ = 0;
   std::size_t completed_ = 0;

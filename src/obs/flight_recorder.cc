@@ -14,8 +14,15 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity_records) {
-  ring_.resize(round_up_pow2(std::max<std::size_t>(capacity_records, 2)));
-  mask_ = ring_.size() - 1;
+  const std::size_t n =
+      round_up_pow2(std::max<std::size_t>(capacity_records, 2));
+  // Raw storage, not a value-initialized vector: zero-filling would make
+  // the whole ring resident up front. TraceRecord is an implicit-lifetime
+  // aggregate, so the allocation itself provides the records, and every
+  // slot is written before it is read.
+  ring_.reset(
+      static_cast<TraceRecord*>(::operator new(n * sizeof(TraceRecord))));
+  mask_ = n - 1;
 }
 
 std::vector<TraceRecord> FlightRecorder::tail(std::size_t max_records) const {

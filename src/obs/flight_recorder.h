@@ -1,11 +1,14 @@
 // Flight recorder: a preallocated power-of-two ring of fixed-size
 // TraceRecords (DESIGN.md §8). Writers pay a null check when tracing is
 // off and a bounds-masked store when on — never a heap allocation, so
-// the PR 3 steady-state zero-alloc invariant holds with tracing enabled
+// the steady-state zero-alloc invariant holds with tracing enabled
 // (tests/test_alloc_free.cc). When the ring wraps, the oldest records
 // are overwritten; `dropped()` counts them. Readers (Perfetto export,
 // quarantine tail capture, trace/timeseq) walk `size()` records oldest
-// first via `operator[]` or take the last N via `tail()`.
+// first via `operator[]` or take the last N via `tail()`. The ring is
+// left uninitialized: no reader looks past the records written since
+// the last clear(), so a page of it becomes resident only when a record
+// is first written there.
 //
 // Instrumentation sites use the PRR_TRACE macro rather than calling
 // write() directly: the record's arguments are evaluated only when a
@@ -15,6 +18,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "obs/trace_record.h"
@@ -31,7 +36,7 @@ namespace prr::obs {
 class FlightRecorder {
  public:
   // Capacity is rounded up to a power of two; the ring is allocated
-  // once here and never resized.
+  // (uninitialized) once here and never resized.
   explicit FlightRecorder(std::size_t capacity_records = 4096);
 
   void write(const TraceRecord& r) {
@@ -43,15 +48,15 @@ class FlightRecorder {
     }
   }
 
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return mask_ + 1; }
   // Records currently held (≤ capacity).
   std::size_t size() const {
-    return next_ < ring_.size() ? next_ : ring_.size();
+    return next_ < capacity() ? next_ : capacity();
   }
   // Records ever written, including overwritten ones.
   uint64_t total_written() const { return next_; }
   uint64_t dropped() const {
-    return next_ < ring_.size() ? 0 : next_ - ring_.size();
+    return next_ < capacity() ? 0 : next_ - capacity();
   }
   uint64_t count(TraceType t) const {
     return counts_[static_cast<std::size_t>(t)];
@@ -77,8 +82,8 @@ class FlightRecorder {
     const std::size_t oldest =
         static_cast<std::size_t>((next_ - n) & mask_);
     const std::size_t first =
-        n < ring_.size() - oldest ? n : ring_.size() - oldest;
-    return {{ring_.data() + oldest, ring_.data()}, {first, n - first}};
+        n < capacity() - oldest ? n : capacity() - oldest;
+    return {{ring_.get() + oldest, ring_.get()}, {first, n - first}};
   }
 
   // Last min(max_records, size()) records, oldest first. Copies; for
@@ -104,7 +109,10 @@ class FlightRecorder {
   void clear();
 
  private:
-  std::vector<TraceRecord> ring_;
+  struct RingFree {
+    void operator()(TraceRecord* p) const { ::operator delete(p); }
+  };
+  std::unique_ptr<TraceRecord[], RingFree> ring_;
   uint64_t mask_ = 0;
   uint64_t next_ = 0;
   uint64_t counts_[static_cast<std::size_t>(TraceType::kCount)] = {};

@@ -242,10 +242,12 @@ bool StoreWriter::open(const std::string& path, const StoreMeta& meta) {
   }
   // Blocks are ~1-2 kB; stdio's default buffer would turn nearly every
   // append into a write(2). One big buffer makes the per-connection
-  // flush path syscall-free until it fills.
-  buf_.resize(1u << 20);
-  std::setvbuf(f_, reinterpret_cast<char*>(buf_.data()), _IOFBF,
-               buf_.size());
+  // flush path syscall-free until it fills. It is left uninitialized:
+  // stdio writes before it reads, so a page becomes resident only once
+  // the store has grown into it.
+  constexpr std::size_t kBufBytes = std::size_t{1} << 20;
+  buf_ = std::make_unique_for_overwrite<char[]>(kBufBytes);
+  std::setvbuf(f_, buf_.get(), _IOFBF, kBufBytes);
   path_ = path;
   std::vector<uint8_t> header;
   header.insert(header.end(), kStoreMagic, kStoreMagic + 8);

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -100,7 +101,7 @@ class StoreWriter {
   bool write(const uint8_t* p, std::size_t n);
 
   std::FILE* f_ = nullptr;
-  std::vector<uint8_t> buf_;  // stdio buffer; must outlive f_
+  std::unique_ptr<char[]> buf_;  // stdio buffer; must outlive f_
   std::string path_;
   StoreDigest digest_;
   std::vector<StoreBlockMeta> index_;

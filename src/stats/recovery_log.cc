@@ -1,5 +1,7 @@
 #include "stats/recovery_log.h"
 
+#include <stdexcept>
+
 namespace prr::stats {
 
 namespace {
@@ -44,7 +46,18 @@ void RecoveryLog::on_recovery_closed(const tcp::RecoveryEntry& entry,
        .slow_start_after = close.cwnd_after_exit < close.ssthresh});
 }
 
+void RecoveryLog::set_bounded(bool bounded) {
+  if (total_ > 0) {
+    throw std::logic_error("RecoveryLog::set_bounded after the first add()");
+  }
+  bounded_ = bounded;
+}
+
 void RecoveryLog::merge(const RecoveryLog& other) {
+  if (bounded_ != other.bounded_) {
+    throw std::logic_error(
+        "RecoveryLog::merge between bounded and unbounded logs");
+  }
   total_ += other.total_;
   below_ += other.below_;
   equal_ += other.equal_;

@@ -62,7 +62,8 @@ class RecoveryLog : public tcp::SenderEvents {
                           const tcp::RecoveryClose& close) override;
   // Deterministic shard merge: callers merge shards in connection-id
   // order, so the concatenated event list is byte-identical to a serial
-  // run (events within a shard are already in emission order).
+  // run (events within a shard are already in emission order). Both logs
+  // must be in the same storage mode (std::logic_error otherwise).
   void merge(const RecoveryLog& other);
   const std::vector<RecoveryEvent>& events() const { return events_; }
   // Total events observed in either mode (== events().size() when
@@ -71,9 +72,9 @@ class RecoveryLog : public tcp::SenderEvents {
   // Sum of RecoveryEvent::bytes_sent_during over every event.
   uint64_t bytes_sent_during() const { return bytes_sent_during_; }
 
-  // Switches to bounded (counters only) storage. Only valid
-  // before the first add().
-  void set_bounded(bool bounded) { bounded_ = bounded; }
+  // Switches to bounded (counters only) storage. Throws
+  // std::logic_error once an event has been added.
+  void set_bounded(bool bounded);
 
   // Table 5: fraction of events starting in each PRR mode.
   double fraction_start_below_ssthresh() const;   // pipe < ssthresh

@@ -58,11 +58,11 @@ void expect_identical(const ArmResult& fresh, const ArmResult& pooled) {
   ASSERT_EQ(fr.size(), pr.size());
   for (std::size_t i = 0; i < fr.size(); ++i) {
     SCOPED_TRACE("response " + std::to_string(i));
-    EXPECT_EQ(fr[i].bytes, pr[i].bytes);
-    EXPECT_EQ(fr[i].first_byte_sent, pr[i].first_byte_sent);
-    EXPECT_EQ(fr[i].last_byte_acked, pr[i].last_byte_acked);
-    EXPECT_EQ(fr[i].had_retransmit, pr[i].had_retransmit);
-    EXPECT_EQ(fr[i].completed, pr[i].completed);
+    EXPECT_EQ(fr[i].bytes(), pr[i].bytes());
+    EXPECT_EQ(fr[i].first_byte_sent(), pr[i].first_byte_sent());
+    EXPECT_EQ(fr[i].last_byte_acked(), pr[i].last_byte_acked());
+    EXPECT_EQ(fr[i].had_retransmit(), pr[i].had_retransmit());
+    EXPECT_EQ(fr[i].completed(), pr[i].completed());
   }
 
   ASSERT_EQ(fresh.quarantined.size(), pooled.quarantined.size());

@@ -44,8 +44,8 @@ uint64_t fingerprint(const exp::ArmResult& r) {
   f.mix(m.undo_events);
   f.mix(m.connections_aborted);
   for (const auto& resp : r.latency.responses()) {
-    f.mix(resp.bytes);
-    f.mix(static_cast<uint64_t>(resp.last_byte_acked.ns()));
+    f.mix(resp.bytes());
+    f.mix(static_cast<uint64_t>(resp.last_byte_acked().ns()));
   }
   for (const auto& ev : r.recovery_log.events()) {
     f.mix(static_cast<uint64_t>(ev.start.ns()));

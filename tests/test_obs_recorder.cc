@@ -3,9 +3,13 @@
 // listener fan-out, and the PRR_TRACE macro's null-recorder gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "obs/flight_recorder.h"
+#include "obs/store/store_writer.h"
 
 namespace prr::obs {
 namespace {
@@ -97,6 +101,108 @@ TEST(FlightRecorder, ClearResetsEverything) {
   r.write(rec_at(42));
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0].at_ns, 42);
+}
+
+// A record with every field set, distinct per i, so a stale or unwritten
+// slot read by mistake would change the encoded bytes.
+TraceRecord full_rec(uint64_t i) {
+  return make_record(sim::Time::nanoseconds(static_cast<int64_t>(1000 * i)),
+                     /*conn=*/9,
+                     i % 3 == 0 ? TraceType::kAck : TraceType::kTransmit,
+                     static_cast<uint8_t>(i), static_cast<uint16_t>(7 * i),
+                     i, 2 * i, 1460 * i, i * i, 100 + i, 3);
+}
+
+std::vector<TraceRecord> held(const FlightRecorder& r) {
+  std::vector<TraceRecord> out;
+  const FlightRecorder::Runs runs = r.runs();
+  for (int k = 0; k < 2; ++k) {
+    out.insert(out.end(), runs.ptr[k], runs.ptr[k] + runs.len[k]);
+  }
+  return out;
+}
+
+std::vector<uint8_t> encoded(const FlightRecorder& r) {
+  StoreEncoder enc;
+  StoreShard shard;
+  enc.encode(r, /*conn=*/9, kBlockFull, &shard);
+  return shard.bytes;
+}
+
+std::vector<uint8_t> encoded(const std::vector<TraceRecord>& recs,
+                             uint8_t flags) {
+  StoreEncoder enc;
+  StoreShard shard;
+  enc.encode(recs.data(), recs.size(), /*conn=*/9, flags, &shard);
+  return shard.bytes;
+}
+
+bool same_record(const TraceRecord& a, const TraceRecord& b) {
+  return a.at_ns == b.at_ns && a.conn == b.conn && a.type == b.type &&
+         a.a == b.a && a.b == b.b &&
+         std::equal(std::begin(a.f), std::end(a.f), std::begin(b.f));
+}
+
+void expect_holds(const FlightRecorder& r,
+                  const std::vector<TraceRecord>& want) {
+  ASSERT_EQ(r.size(), want.size());
+  const std::vector<TraceRecord> runs = held(r);
+  const std::vector<TraceRecord> tail = r.tail(want.size() + 5);
+  ASSERT_EQ(runs.size(), want.size());
+  ASSERT_EQ(tail.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(same_record(r[i], want[i])) << i;
+    EXPECT_TRUE(same_record(runs[i], want[i])) << i;
+    EXPECT_TRUE(same_record(tail[i], want[i])) << i;
+  }
+}
+
+// The ring is uninitialized storage: every read path (operator[], runs(),
+// tail(), the store encoder) must see exactly the records written since
+// the last clear(), never an unwritten slot or one left from before it.
+// Under ASan/UBSan this also checks that no path reads past the ring.
+TEST(FlightRecorder, UninitializedRingReadsOnlyWrittenRecords) {
+  FlightRecorder r(8);
+  EXPECT_TRUE(held(r).empty());
+  EXPECT_TRUE(r.tail(4).empty());
+  EXPECT_TRUE(encoded(r).empty());
+
+  // Partly filled: one run over the written prefix.
+  std::vector<TraceRecord> want;
+  for (uint64_t i = 0; i < 5; ++i) {
+    want.push_back(full_rec(i));
+    r.write(want.back());
+  }
+  EXPECT_EQ(r.runs().len[1], 0u);
+  expect_holds(r, want);
+  EXPECT_EQ(encoded(r), encoded(want, kBlockFull));
+
+  // Wrapped: two runs holding the newest 8, encoded as truncated.
+  for (uint64_t i = 5; i < 19; ++i) {
+    want.push_back(full_rec(i));
+    r.write(want.back());
+  }
+  want.erase(want.begin(), want.end() - 8);
+  EXPECT_GT(r.runs().len[1], 0u);
+  EXPECT_EQ(r.dropped(), 11u);
+  expect_holds(r, want);
+  EXPECT_EQ(encoded(r), encoded(want, kBlockFull | kBlockTruncated));
+
+  // After clear() the old records are unreachable, and a refill encodes
+  // byte-identically to a fresh recorder holding the same records.
+  r.clear();
+  EXPECT_TRUE(held(r).empty());
+  EXPECT_TRUE(encoded(r).empty());
+  FlightRecorder fresh(8);
+  want.clear();
+  for (uint64_t i = 100; i < 103; ++i) {
+    want.push_back(full_rec(i));
+    r.write(want.back());
+    fresh.write(want.back());
+  }
+  expect_holds(r, want);
+  EXPECT_EQ(encoded(r), encoded(fresh));
+  EXPECT_EQ(encoded(r), encoded(want, kBlockFull));
 }
 
 TEST(TraceMacro, NullRecorderIsANoOpAndSkipsArgumentEvaluation) {

@@ -74,11 +74,11 @@ void expect_identical(const ArmResult& serial, const ArmResult& par,
   ASSERT_EQ(sr.size(), pr.size());
   for (std::size_t i = 0; i < sr.size(); ++i) {
     SCOPED_TRACE("response " + std::to_string(i));
-    EXPECT_EQ(sr[i].bytes, pr[i].bytes);
-    EXPECT_EQ(sr[i].first_byte_sent, pr[i].first_byte_sent);
-    EXPECT_EQ(sr[i].last_byte_acked, pr[i].last_byte_acked);
-    EXPECT_EQ(sr[i].had_retransmit, pr[i].had_retransmit);
-    EXPECT_EQ(sr[i].completed, pr[i].completed);
+    EXPECT_EQ(sr[i].bytes(), pr[i].bytes());
+    EXPECT_EQ(sr[i].first_byte_sent(), pr[i].first_byte_sent());
+    EXPECT_EQ(sr[i].last_byte_acked(), pr[i].last_byte_acked());
+    EXPECT_EQ(sr[i].had_retransmit(), pr[i].had_retransmit());
+    EXPECT_EQ(sr[i].completed(), pr[i].completed());
   }
   const util::Samples sq = serial.latency.latency_ms();
   const util::Samples pq = par.latency.latency_ms();

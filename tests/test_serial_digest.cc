@@ -65,11 +65,11 @@ uint64_t fingerprint(const std::vector<exp::ArmResult>& results) {
     f.mix(m.connections_aborted);
     // The full per-response latency sequence (ns-exact).
     for (const auto& resp : r.latency.responses()) {
-      f.mix(resp.bytes);
-      f.mix_time(resp.first_byte_sent);
-      f.mix_time(resp.last_byte_acked);
-      f.mix(resp.had_retransmit ? 1 : 0);
-      f.mix(resp.completed ? 1 : 0);
+      f.mix(resp.bytes());
+      f.mix_time(resp.first_byte_sent());
+      f.mix_time(resp.last_byte_acked());
+      f.mix(resp.had_retransmit() ? 1 : 0);
+      f.mix(resp.completed() ? 1 : 0);
     }
     // The full per-recovery-event sequence.
     for (const auto& ev : r.recovery_log.events()) {

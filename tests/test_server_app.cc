@@ -43,13 +43,13 @@ TEST_F(ServerAppTest, SingleResponseMeasured) {
   ASSERT_TRUE(app.finished());
   ASSERT_EQ(latency.responses().size(), 1u);
   const auto& r = latency.responses()[0];
-  EXPECT_TRUE(r.completed);
-  EXPECT_FALSE(r.had_retransmit);
-  EXPECT_EQ(r.bytes, 5000u);
+  EXPECT_TRUE(r.completed());
+  EXPECT_FALSE(r.had_retransmit());
+  EXPECT_EQ(r.bytes(), 5000u);
   // 5 segments at 4 Mbps (~2ms each) + 100 ms RTT: roughly one RTT.
   EXPECT_GT(r.latency_ms(), 100);
   EXPECT_LT(r.latency_ms(), 220);
-  EXPECT_DOUBLE_EQ(r.path_rtt_ms, 100);
+  EXPECT_DOUBLE_EQ(r.path_rtt_ms(), 100);
 }
 
 TEST_F(ServerAppTest, MultipleResponsesSequencedWithGaps) {
@@ -67,7 +67,7 @@ TEST_F(ServerAppTest, MultipleResponsesSequencedWithGaps) {
   // Second response starts ~500 ms after the first completes.
   const auto& r0 = latency.responses()[0];
   const auto& r1 = latency.responses()[1];
-  EXPECT_GE((r1.first_byte_sent - r0.last_byte_acked).ms(), 499);
+  EXPECT_GE((r1.first_byte_sent() - r0.last_byte_acked()).ms(), 499);
 }
 
 TEST_F(ServerAppTest, RetransmitFlagSetOnLossyResponse) {
@@ -79,7 +79,7 @@ TEST_F(ServerAppTest, RetransmitFlagSetOnLossyResponse) {
   sim.run(sim::Time::seconds(120));
   ASSERT_TRUE(app.finished());
   ASSERT_EQ(latency.responses().size(), 2u);
-  EXPECT_TRUE(latency.responses()[0].had_retransmit);
+  EXPECT_TRUE(latency.responses()[0].had_retransmit());
 }
 
 TEST_F(ServerAppTest, RetransmitFlagPerResponseNotGlobal) {
@@ -95,8 +95,8 @@ TEST_F(ServerAppTest, RetransmitFlagPerResponseNotGlobal) {
   app.start();
   sim.run(sim::Time::seconds(60));
   ASSERT_EQ(latency.responses().size(), 2u);
-  EXPECT_TRUE(latency.responses()[0].had_retransmit);
-  EXPECT_FALSE(latency.responses()[1].had_retransmit);
+  EXPECT_TRUE(latency.responses()[0].had_retransmit());
+  EXPECT_FALSE(latency.responses()[1].had_retransmit());
 }
 
 TEST_F(ServerAppTest, ThrottledWriteSpreadsTransfer) {
@@ -111,7 +111,7 @@ TEST_F(ServerAppTest, ThrottledWriteSpreadsTransfer) {
   sim.run(sim::Time::seconds(60));
   ASSERT_TRUE(app.finished());
   const auto& r = latency.responses()[0];
-  EXPECT_TRUE(r.completed);
+  EXPECT_TRUE(r.completed());
   // 8 chunks after the burst at 100 ms each: at least 800 ms total.
   EXPECT_GE(r.latency_ms(), 800);
 }
@@ -130,7 +130,7 @@ TEST_F(ServerAppTest, AbortRecordsIncompleteResponse) {
   sim.run(sim::Time::seconds(120));
   ASSERT_TRUE(app.finished());
   ASSERT_EQ(latency.responses().size(), 1u);
-  EXPECT_FALSE(latency.responses()[0].completed);
+  EXPECT_FALSE(latency.responses()[0].completed());
 }
 
 TEST_F(ServerAppTest, EmptyResponseListFinishesImmediately) {
@@ -149,7 +149,7 @@ TEST_F(ServerAppTest, LatencyExcludesRequestGap) {
   const auto& r = latency.responses()[0];
   // The 300 ms gap happens before the first byte: latency is still ~RTT.
   EXPECT_LT(r.latency_ms(), 250);
-  EXPECT_GE(r.first_byte_sent.ms(), 300);
+  EXPECT_GE(r.first_byte_sent().ms(), 300);
 }
 
 }  // namespace

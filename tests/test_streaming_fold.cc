@@ -124,8 +124,8 @@ uint64_t digest(const ArmResult& r) {
     mix(e.retransmits);
   }
   for (const auto& resp : r.latency.responses()) {
-    mix(resp.bytes);
-    mix(static_cast<uint64_t>(resp.last_byte_acked.ns()));
+    mix(resp.bytes());
+    mix(static_cast<uint64_t>(resp.last_byte_acked().ns()));
   }
   return h;
 }

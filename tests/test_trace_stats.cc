@@ -2,7 +2,9 @@
 // LatencyTracker, Metrics arithmetic).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
 
 #include "stats/latency.h"
 #include "stats/recovery_log.h"
@@ -122,16 +124,16 @@ TEST(RecoveryLogStats, SegmentViews) {
 TEST(LatencyTrackerStats, FiltersBySizeAndRetransmit) {
   stats::LatencyTracker t;
   stats::ResponseRecord r;
-  r.completed = true;
-  r.path_rtt_ms = 100;
-  r.bytes = 5000;
-  r.first_byte_sent = sim::Time::zero();
-  r.last_byte_acked = 200_ms;
-  r.had_retransmit = true;
+  r.set_completed(true);
+  r.set_path_rtt(100_ms);
+  r.set_bytes(5000);
+  r.set_first_byte_sent(sim::Time::zero());
+  r.set_last_byte_acked(200_ms);
+  r.set_had_retransmit(true);
   t.add(r);
-  r.bytes = 900;
-  r.had_retransmit = false;
-  r.last_byte_acked = 110_ms;
+  r.set_bytes(900);
+  r.set_had_retransmit(false);
+  r.set_last_byte_acked(110_ms);
   t.add(r);
 
   EXPECT_EQ(t.latency_ms().count(), 2u);
@@ -149,11 +151,11 @@ TEST(LatencyTrackerStats, FiltersBySizeAndRetransmit) {
 TEST(LatencyTrackerStats, RttsTakenUsesPathRtt) {
   stats::LatencyTracker t;
   stats::ResponseRecord r;
-  r.completed = true;
-  r.path_rtt_ms = 100;
-  r.bytes = 1000;
-  r.first_byte_sent = sim::Time::zero();
-  r.last_byte_acked = 450_ms;
+  r.set_completed(true);
+  r.set_path_rtt(100_ms);
+  r.set_bytes(1000);
+  r.set_first_byte_sent(sim::Time::zero());
+  r.set_last_byte_acked(450_ms);
   t.add(r);
   util::Samples s = t.rtts_taken();
   EXPECT_DOUBLE_EQ(s.quantile(0.5), 4.5);
@@ -162,9 +164,121 @@ TEST(LatencyTrackerStats, RttsTakenUsesPathRtt) {
 TEST(LatencyTrackerStats, IncompleteExcluded) {
   stats::LatencyTracker t;
   stats::ResponseRecord r;
-  r.completed = false;
+  r.set_completed(false);
   t.add(r);
   EXPECT_EQ(t.latency_ms().count(), 0u);
+}
+
+// The record is what an unbounded sweep keeps per response; its size is
+// the per-response memory cost DESIGN.md §11 quotes.
+static_assert(sizeof(stats::ResponseRecord) == 24);
+
+TEST(ResponseRecordPacking, EveryAccessorRoundTripsAtItsLimits) {
+  const sim::Time max_rtt = sim::Time::seconds(4.0);  // video's RTT clamp
+  stats::ResponseRecord r;
+  r.set_bytes(stats::ResponseRecord::kMaxBytes);
+  r.set_path_rtt(max_rtt);
+  r.set_first_byte_sent(sim::Time::nanoseconds(INT64_MIN));
+  r.set_last_byte_acked(sim::Time::nanoseconds(INT64_MAX));
+  r.set_completed(true);
+  r.set_had_retransmit(true);
+  EXPECT_EQ(r.bytes(), (uint64_t{1} << 30) - 1);
+  EXPECT_EQ(r.path_rtt(), max_rtt);
+  EXPECT_DOUBLE_EQ(r.path_rtt_ms(), 4000.0);
+  EXPECT_EQ(r.first_byte_sent().ns(), INT64_MIN);
+  EXPECT_EQ(r.last_byte_acked().ns(), INT64_MAX);
+  EXPECT_TRUE(r.completed());
+  EXPECT_TRUE(r.had_retransmit());
+
+  // The flags share the byte count's word: clearing one leaves the rest.
+  r.set_completed(false);
+  EXPECT_FALSE(r.completed());
+  EXPECT_TRUE(r.had_retransmit());
+  EXPECT_EQ(r.bytes(), stats::ResponseRecord::kMaxBytes);
+  r.set_had_retransmit(false);
+  r.set_completed(true);
+  EXPECT_TRUE(r.completed());
+  EXPECT_FALSE(r.had_retransmit());
+  EXPECT_EQ(r.bytes(), stats::ResponseRecord::kMaxBytes);
+  r.set_bytes(0);
+  EXPECT_EQ(r.bytes(), 0u);
+  EXPECT_TRUE(r.completed());
+
+  // The largest uint32 of ns is the last RTT that fits.
+  r.set_path_rtt(stats::ResponseRecord::kMaxPathRtt);
+  EXPECT_EQ(r.path_rtt().ns(), int64_t{UINT32_MAX});
+  r.set_path_rtt(sim::Time::zero());
+  EXPECT_EQ(r.rtts_taken(), 0);
+}
+
+TEST(ResponseRecordPacking, ValuesPastTheLimitsThrowAndLeaveTheRecord) {
+  stats::ResponseRecord r;
+  r.set_bytes(1234);
+  r.set_path_rtt(100_ms);
+  r.set_completed(true);
+  EXPECT_THROW(r.set_bytes(stats::ResponseRecord::kMaxBytes + 1),
+               std::out_of_range);
+  EXPECT_THROW(r.set_path_rtt(stats::ResponseRecord::kMaxPathRtt +
+                              sim::Time::nanoseconds(1)),
+               std::out_of_range);
+  EXPECT_THROW(r.set_path_rtt(sim::Time::nanoseconds(-1)), std::out_of_range);
+  EXPECT_EQ(r.bytes(), 1234u);
+  EXPECT_EQ(r.path_rtt(), 100_ms);
+  EXPECT_TRUE(r.completed());
+  EXPECT_FALSE(r.had_retransmit());
+}
+
+TEST(LatencyTrackerStats, SetBoundedAfterTheFirstAddThrows) {
+  stats::LatencyTracker t;
+  t.set_bounded(true);
+  t.set_bounded(false);  // still empty: the mode may change
+  t.add(stats::ResponseRecord{});
+  EXPECT_THROW(t.set_bounded(true), std::logic_error);
+  EXPECT_THROW(t.set_bounded(false), std::logic_error);
+  EXPECT_EQ(t.responses().size(), 1u);
+}
+
+TEST(LatencyTrackerStats, MergeAcrossStorageModesThrows) {
+  stats::LatencyTracker bounded, unbounded;
+  bounded.set_bounded(true);
+  bounded.add(stats::ResponseRecord{});
+  unbounded.add(stats::ResponseRecord{});
+  EXPECT_THROW(unbounded.merge(bounded), std::logic_error);
+  EXPECT_THROW(bounded.merge(unbounded), std::logic_error);
+  // A failed merge folds nothing: count() still matches the kept records.
+  EXPECT_EQ(unbounded.count(), unbounded.responses().size());
+  EXPECT_EQ(bounded.count(), 1u);
+
+  stats::LatencyTracker same;
+  same.merge(unbounded);
+  EXPECT_EQ(same.count(), 1u);
+  EXPECT_EQ(same.responses().size(), 1u);
+}
+
+stats::RecoveryEvent one_segment_event() {
+  stats::RecoveryEvent e;
+  e.mss = 1000;
+  return e;
+}
+
+TEST(RecoveryLogStats, SetBoundedAfterTheFirstAddThrows) {
+  stats::RecoveryLog log;
+  log.set_bounded(true);
+  log.set_bounded(false);
+  log.add(one_segment_event());
+  EXPECT_THROW(log.set_bounded(true), std::logic_error);
+  EXPECT_EQ(log.events().size(), 1u);
+}
+
+TEST(RecoveryLogStats, MergeAcrossStorageModesThrows) {
+  stats::RecoveryLog bounded, unbounded;
+  bounded.set_bounded(true);
+  bounded.add(one_segment_event());
+  unbounded.add(one_segment_event());
+  EXPECT_THROW(unbounded.merge(bounded), std::logic_error);
+  EXPECT_THROW(bounded.merge(unbounded), std::logic_error);
+  EXPECT_EQ(unbounded.count(), unbounded.events().size());
+  EXPECT_EQ(bounded.count(), 1u);
 }
 
 TEST(MetricsArithmetic, PlusEqualsAggregatesAllFields) {
