@@ -1,11 +1,16 @@
 // prr_query: the inspection CLI (DESIGN.md §9, §14.4). Store commands
 // work offline from .prrstore files — the paper's own workflow, where
 // tables are mined from persisted traces of production flows rather
-// than recomputed; `episodes --conn` without a STORE and `diff` re-run
-// one connection live.
+// than recomputed; `scenario`, `episodes --conn` without a STORE and
+// `diff` run live.
 //
-//   prr_query sweep --out PREFIX [...]      run a sweep with capture on,
-//                                           writing one store per arm
+//   prr_query scenario [fig2|fig3|fig4]     one §4.1 testbed run (Figs 2-4):
+//                                           ASCII time-sequence, --csv,
+//                                           --pcap F, --out F (Perfetto)
+//   prr_query sweep [--out PREFIX] [...]    run a sweep, print one summary
+//                                           row per arm; --out captures a
+//                                           store and registry per arm
+//   prr_query replay [--no-inject]          chaos sweep, quarantine, replay
 //   prr_query info STORE                    header meta + block geometry
 //   prr_query records STORE [--conn ID]     record dump (--out F: Perfetto)
 //   prr_query agg STORE --field F [...]     filter/group-by/aggregate JSON
@@ -20,13 +25,15 @@
 //
 // Aggregates: --field accepts at_ns|a|b|f0..f5 plus per-type aliases
 // (--type ack --field cwnd). --group conn|type|time (+--bucket-ms N).
-// A flag the command does not read exits 2 and names the flag.
-// Determinism: every byte printed (and every store written) is a pure
+// A flag the command does not read exits 2 and names the flag; so does a
+// rejected invocation of any kind, with the usage text on stderr.
+// Determinism: every byte printed (and every file written) is a pure
 // function of the input store bytes, or of (--seed, --conn, arm) live.
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,6 +50,7 @@
 #include "obs/trace_diff.h"
 #include "util/parse_number.h"
 #include "util/table.h"
+#include "workload/video_workload.h"
 #include "workload/web_workload.h"
 
 using namespace prr;
@@ -50,14 +58,26 @@ using namespace prr;
 namespace {
 
 int usage() {
-  std::printf(
+  std::fprintf(
+      stderr,
       "usage: prr_query <command> [options]\n"
-      "  sweep --out PREFIX       run a web sweep with capture on; writes\n"
-      "                           PREFIX.<arm>.prrstore per arm\n"
+      "  scenario [fig2|fig3|fig4]  one testbed run (default fig2) under --arm\n"
+      "                           as an ASCII time-sequence, counters and\n"
+      "                           snapshot; --csv (trace CSV) or --pcap F\n"
+      "                           (capture); --out F (Perfetto JSON)\n"
+      "  sweep                    run a sweep, one summary row per arm\n"
+      "    --workload web|video   DC1 Web or DC2 video population (default web)\n"
+      "    --out PREFIX           capture PREFIX.<arm>.prrstore and write\n"
+      "                           PREFIX.<arm>.registry.json per arm\n"
       "    --capture SPEC         all | none | sample=N | full=TRIG|TRIG...\n"
       "                           | recovery_ms>=X | retx>=N   (default all)\n"
-      "    --arm NAME             prr | rfc3517 | linux | all  (default all)\n"
+      "    --arm NAME             prr | prr-crb | prr-ub | rfc3517 | linux |\n"
+      "                           all  (default all)\n"
       "    --connections N --first ID --seed S --threads T --chaos\n"
+      "  replay                   chaos sweep with one planted violation:\n"
+      "                           quarantine, triage and replay each record\n"
+      "                           (--no-inject: honest sweep, must be clean;\n"
+      "                           --out PREFIX: quarantine Perfetto JSON)\n"
       "  info STORE               header meta + block/record accounting\n"
       "  records STORE            dump records (--conn ID, --limit N;\n"
       "                           --out FILE also writes Perfetto JSON)\n"
@@ -69,10 +89,12 @@ int usage() {
       "  series STORE --conn ID   TSV time-series (--type ack --field cwnd)\n"
       "  episodes STORE           rebuild the episode table (--json, --out F)\n"
       "  episodes [STORE] --conn ID  one connection's episodes + ACK\n"
-      "                           ledgers (no STORE: live, --arm --seed)\n"
+      "                           ledgers (no STORE: live, --arm --seed\n"
+      "                           --workload)\n"
       "  diff --conn ID           first divergent decision, re-run live under\n"
       "                           --arm and --arm-b (default prr, rfc3517);\n"
-      "                           --seed S, --out F (paired Perfetto JSON)\n"
+      "                           --seed S, --workload W, --out F (paired\n"
+      "                           Perfetto JSON)\n"
       "  table3 STORE             Table 3 counters + ratios from the store\n"
       "  critpath STORE           recovery-latency attribution (--conn ID)\n"
       "  merge OUT IN1 IN2 ...    merge disjoint-range stores into OUT\n"
@@ -87,8 +109,9 @@ std::vector<exp::ArmConfig> all_arms() {
 
 // Accepts the short names and the arms' display names ("PRR",
 // "RFC 3517", "Linux"): case-insensitive, spaces/underscores/hyphens
-// ignored; "all" (the three arms) only where `allow_all`. Empty on an
-// unknown name.
+// ignored; "all" (the three arms) only where `allow_all`. "prr-crb" and
+// "prr-ub" are PRR under the conservative and the unlimited reduction
+// bound. Empty on an unknown name.
 std::vector<exp::ArmConfig> parse_arms(const char* name, bool allow_all) {
   std::string key;
   for (const char* p = name; *p != '\0'; ++p) {
@@ -97,26 +120,40 @@ std::vector<exp::ArmConfig> parse_arms(const char* name, bool allow_all) {
         std::tolower(static_cast<unsigned char>(*p))));
   }
   if (key == "prr") return {exp::ArmConfig::prr_arm()};
+  if (key == "prrcrb" || key == "prrub") {
+    exp::ArmConfig arm = exp::ArmConfig::prr_arm();
+    arm.name = key == "prrcrb" ? "PRR-CRB" : "PRR-UB";
+    arm.prr_bound = key == "prrcrb" ? core::ReductionBound::kConservative
+                                    : core::ReductionBound::kUnlimited;
+    return {arm};
+  }
   if (key == "rfc3517") return {exp::ArmConfig::rfc3517_arm()};
   if (key == "linux") return {exp::ArmConfig::linux_arm()};
   if (key == "all" && allow_all) return all_arms();
-  std::fprintf(stderr, "unknown arm '%s' (want prr, rfc3517, linux%s)\n",
+  std::fprintf(stderr,
+               "unknown arm '%s' (want prr, prr-crb, prr-ub, rfc3517, "
+               "linux%s)\n",
                name, allow_all ? " or all" : "");
   return {};
 }
 
 // The flags each command reads, space-separated; null for an unknown
-// command. Without a STORE, `episodes` is the live view; with one, its
-// --conn view takes neither --json nor --out.
+// command. `has_store`: a store is read (a STORE argument) or, for
+// `sweep`, written (--out). Without a STORE, `episodes` is the live view;
+// with one, its --conn view takes neither --json nor --out.
 const char* flags_read(const std::string& cmd, bool has_store,
                        bool per_conn) {
+  if (cmd == "scenario") return "--arm --csv --pcap --out";
   if (cmd == "sweep") {
-    return "--out --capture --arm --connections --first --seed --threads "
-           "--chaos";
+    return has_store ? "--workload --out --capture --arm --connections "
+                       "--first --seed --threads --chaos"
+                     : "--workload --arm --connections --first --seed "
+                       "--threads --chaos";
   }
+  if (cmd == "replay") return "--no-inject --out";
   if (cmd == "merge") return "";
-  if (cmd == "diff") return "--conn --arm --arm-b --seed --out";
-  if (cmd == "episodes" && !has_store) return "--conn --arm --seed";
+  if (cmd == "diff") return "--conn --arm --arm-b --seed --workload --out";
+  if (cmd == "episodes" && !has_store) return "--conn --arm --seed --workload";
   if (cmd == "episodes") {
     return per_conn ? "--no-verify --conn" : "--no-verify --json --out";
   }
@@ -129,6 +166,20 @@ const char* flags_read(const std::string& cmd, bool has_store,
   if (cmd == "series") return "--no-verify --conn --type --field";
   if (cmd == "critpath") return "--no-verify --conn";
   return nullptr;
+}
+
+// PREFIX.<arm>: the stem of every file a command writes for one arm, the
+// same one its store gets (obs::store_path_for_arm).
+std::string arm_stem(const std::string& prefix, const std::string& arm) {
+  std::string path = obs::store_path_for_arm(prefix, arm);
+  path.resize(path.size() - std::strlen(".prrstore"));
+  return path;
+}
+
+bool write_json(const std::string& path, const std::string& json) {
+  if (obs::checked_write_json(path, json)) return true;
+  std::fprintf(stderr, "prr_query: short write to %s\n", path.c_str());
+  return false;
 }
 
 bool open_store(const std::string& path, bool verify,
@@ -195,9 +246,7 @@ int cmd_records(const obs::StoreReader& reader, int64_t conn,
     std::printf("%s\n", obs::describe(r).c_str());
   }
   if (!out_file.empty() &&
-      !obs::checked_write_json(out_file, obs::perfetto_trace_json(records))) {
-    std::fprintf(stderr, "prr_query: short write to %s\n",
-                 out_file.c_str());
+      !write_json(out_file, obs::perfetto_trace_json(records))) {
     return 1;
   }
   return 0;
@@ -213,11 +262,7 @@ int cmd_agg(const obs::StoreReader& reader, const obs::AggregateQuery& q,
   }
   const std::string json = result.to_json();
   std::printf("%s\n", json.c_str());
-  if (!out_file.empty() && !obs::checked_write_json(out_file, json)) {
-    std::fprintf(stderr, "prr_query: short write to %s\n",
-                 out_file.c_str());
-    return 1;
-  }
+  if (!out_file.empty() && !write_json(out_file, json)) return 1;
   return 0;
 }
 
@@ -251,12 +296,7 @@ int cmd_episodes(const obs::StoreReader& reader, bool as_json,
   } else {
     std::printf("%s\n", table.summary_string().c_str());
   }
-  if (!out_file.empty() &&
-      !obs::checked_write_json(out_file, table.to_json())) {
-    std::fprintf(stderr, "prr_query: short write to %s\n",
-                 out_file.c_str());
-    return 1;
-  }
+  if (!out_file.empty() && !write_json(out_file, table.to_json())) return 1;
   return 0;
 }
 
@@ -298,13 +338,25 @@ int cmd_conn_episodes(const obs::StoreReader& reader, uint64_t conn) {
   return 0;
 }
 
+// The live views' header line: the path connection `id` draws, from
+// the same (seed, id) stream the harness uses (exp/experiment.cc).
+void print_path(const workload::Population& pop, uint64_t seed, uint64_t id) {
+  const workload::ConnectionSample sample =
+      pop.sample(sim::Rng(seed).fork(id).fork(100));
+  std::printf("  path: %.2f Mbps, RTT %lld ms, queue %zu pkts, burst "
+              "loss p=%.4f\n",
+              sample.bandwidth.mbps_d(), (long long)sample.rtt.ms(),
+              sample.queue_packets, sample.loss.p_good_to_bad);
+}
+
 // The same view re-run live: the connection runs again in isolation with
 // every record kept (trace_connection), so nothing is lost to the ring.
-int cmd_conn_episodes(const exp::ArmConfig& arm, const exp::RunOptions& opts,
+int cmd_conn_episodes(const workload::Population& pop,
+                      const exp::ArmConfig& arm, const exp::RunOptions& opts,
                       uint64_t conn) {
   std::printf("connection %" PRIu64 " under arm %s (seed %" PRIu64 ")\n",
               conn, arm.name.c_str(), opts.seed);
-  workload::WebWorkload pop;
+  print_path(pop, opts.seed, conn);
   const exp::TracedConnection t = exp::trace_connection(pop, arm, opts, conn);
   std::printf("%zu trace records, %zu episode(s)%s%s\n\n", t.records.size(),
               t.episodes.size(), t.aborted ? ", ABORTED" : "",
@@ -322,13 +374,14 @@ int cmd_conn_episodes(const exp::ArmConfig& arm, const exp::RunOptions& opts,
 // until the first divergent sender decision; prints that decision with
 // context and, with `out_file`, writes a paired Perfetto trace (arm A =
 // pid 1, arm B = pid 2) with FIRST DIVERGENCE markers.
-int cmd_diff(const exp::ArmConfig& arm_a, const exp::ArmConfig& arm_b,
-             const exp::RunOptions& opts, uint64_t conn,
-             const std::string& out_file) {
+int cmd_diff(const workload::Population& pop, const exp::ArmConfig& arm_a,
+             const exp::ArmConfig& arm_b, const exp::RunOptions& opts,
+             uint64_t conn, const std::string& out_file) {
   std::printf("connection %" PRIu64 ": %s vs %s (seed %" PRIu64
-              ", CRN-aligned)\n\n",
+              ", CRN-aligned)\n",
               conn, arm_a.name.c_str(), arm_b.name.c_str(), opts.seed);
-  workload::WebWorkload pop;
+  print_path(pop, opts.seed, conn);
+  std::printf("\n");
   const exp::TracedConnection a =
       exp::trace_connection(pop, arm_a, opts, conn);
   const exp::TracedConnection b =
@@ -341,16 +394,215 @@ int cmd_diff(const exp::ArmConfig& arm_a, const exp::ArmConfig& arm_b,
   std::printf("%s\n",
               obs::explain_divergence(d, arm_a.name, arm_b.name).c_str());
   if (out_file.empty()) return 0;
-  if (!obs::checked_write_json(
-          out_file, obs::perfetto_diff_json(a.records, b.records,
-                                            arm_a.name, arm_b.name))) {
-    std::fprintf(stderr, "prr_query: short write to %s\n",
-                 out_file.c_str());
+  if (!write_json(out_file, obs::perfetto_diff_json(a.records, b.records,
+                                                    arm_a.name, arm_b.name))) {
     return 1;
   }
   std::printf("wrote %s -- open it at https://ui.perfetto.dev "
               "(%s = pid 1, %s = pid 2)\n",
               out_file.c_str(), arm_a.name.c_str(), arm_b.name.c_str());
+  return 0;
+}
+
+// One §4.1 testbed run (Figs. 2-4) under `arm`'s recovery and reduction
+// bound: the time-sequence trace as ASCII (with the counters, recovery
+// events and a sender snapshot) or as CSV, optionally a pcap capture and
+// the recorder's records as Perfetto JSON.
+int cmd_scenario(const std::string& fig, const exp::ArmConfig& arm, bool csv,
+                 const std::string& pcap, const std::string& out_file) {
+  exp::FigureScenario scenario =
+      fig == "fig3" ? exp::FigureScenario::fig3(arm.recovery)
+      : fig == "fig4" ? exp::FigureScenario::fig4(arm.recovery)
+                      : exp::FigureScenario::fig2(arm.recovery);
+  scenario.prr_bound = arm.prr_bound;
+  scenario.pcap_path = pcap;
+  const exp::FigureRun run = exp::run_figure_scenario(scenario);
+  if (csv) {
+    run.trace.write_csv(std::cout);
+  } else {
+    if (!pcap.empty()) std::printf("wrote capture to %s\n", pcap.c_str());
+    std::printf("%s on %s\n\n%s\n", arm.name.c_str(), fig.c_str(),
+                run.trace.render_ascii().c_str());
+    std::printf("segments=%llu retransmits=%llu fast=%llu timeouts=%llu "
+                "recoveries=%llu\nall data ACKed at %lld ms\n",
+                (unsigned long long)run.metrics.data_segments_sent,
+                (unsigned long long)run.metrics.retransmits_total,
+                (unsigned long long)run.metrics.fast_retransmits,
+                (unsigned long long)run.metrics.timeouts_total,
+                (unsigned long long)run.metrics.fast_recovery_events,
+                (long long)run.all_acked_at.ms());
+    for (const auto& e : run.recovery_log.events()) {
+      std::printf("recovery event: %lld..%lld ms, pipe@start=%llu B, "
+                  "ssthresh=%llu B, cwnd after exit=%.0f segments\n",
+                  (long long)e.start.ms(), (long long)e.end.ms(),
+                  (unsigned long long)e.pipe_at_start,
+                  (unsigned long long)e.ssthresh, e.cwnd_after_exit_segs());
+    }
+    std::printf("sender snapshot (ss -i style):\n  %s",
+                run.snapshot.c_str());
+  }
+  if (out_file.empty()) return 0;
+  if (!write_json(out_file, obs::perfetto_trace_json(run.records))) return 1;
+  if (!csv) {
+    std::printf("wrote %s -- open it at https://ui.perfetto.dev\n",
+                out_file.c_str());
+  }
+  return 0;
+}
+
+// Runs the arms over identical sample paths and prints one summary row
+// per arm: the §5 response-latency race, plus network transmit time and
+// time in loss recovery (Table 10's columns). With `out_prefix` each
+// arm's store was captured by the run; its registry is written beside it.
+int cmd_sweep(const workload::Population& pop,
+              const std::vector<exp::ArmConfig>& arms,
+              const exp::RunOptions& opts, const std::string& out_prefix) {
+  const auto results = exp::run_arms(pop, arms, opts);
+  util::Table t({"arm", "lossy median [ms]", "lossy mean [ms]",
+                 "overall mean [ms]", "timeouts", "fast recoveries",
+                 "retransmission rate", "transmit time [s]",
+                 "in loss recovery [s]"});
+  for (const auto& r : results) {
+    const util::Samples lossy = r.latency.latency_ms(
+        stats::LatencyTracker::Filter::kWithRetransmit);
+    t.add_row({r.name, util::Table::fmt(lossy.quantile(0.5), 0),
+               util::Table::fmt(lossy.mean(), 0),
+               util::Table::fmt(r.latency.latency_ms().mean(), 0),
+               std::to_string(r.metrics.timeouts_total),
+               std::to_string(r.metrics.fast_recovery_events),
+               util::Table::fmt_pct(r.retransmission_rate()),
+               util::Table::fmt(r.total_network_transmit_time.seconds_d()),
+               util::Table::fmt(r.total_loss_recovery_time.seconds_d()) +
+                   " (" +
+                   util::Table::fmt_pct(r.fraction_time_in_loss_recovery(),
+                                        0) +
+                   ")"});
+  }
+  std::printf("%s", t.to_string().c_str());
+  if (out_prefix.empty()) return 0;
+  // Summarize from the writers' own accounting (carried on ArmResult):
+  // reopening the files would read every kept byte once more to check
+  // its digest, for counts the writers already have.
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const std::string path = obs::store_path_for_arm(out_prefix, arms[i].name);
+    std::printf("%-10s %s: %" PRIu64 " conns, %" PRIu64 " records\n",
+                arms[i].name.c_str(), path.c_str(),
+                results[i].store_connections, results[i].store_records);
+    const std::string registry =
+        arm_stem(out_prefix, arms[i].name) + ".registry.json";
+    if (!write_json(registry, results[i].registry.to_json())) return 1;
+    std::printf("%-10s %s: metrics registry\n", arms[i].name.c_str(),
+                registry.c_str());
+  }
+  return 0;
+}
+
+// The quarantine round trip: a 150-connection chaos sweep with invariant
+// checking on, then every quarantined connection is shown (summary,
+// flight-recorder tail, culprit episode), triaged against another arm
+// (CRN makes the first divergent record the first decision this arm made
+// differently), and replayed in isolation, which must reproduce it. By
+// default connection 7 records one synthetic violation on its third ACK;
+// with `inject` off the sweep must quarantine nothing. Exits 1 when a
+// check fails. With `out_prefix` each tail is also written as Perfetto
+// JSON to PREFIX.<arm>.conn<ID>.trace.json.
+int cmd_replay(bool inject, const std::string& out_prefix) {
+  workload::WebWorkload base;
+  exp::ChaosSpec spec = exp::ChaosSpec::everything();
+  exp::ChaosPopulation pop(base, spec.profile);
+
+  exp::RunOptions opts;
+  opts.connections = 150;
+  opts.seed = 7;
+  opts.check_invariants = true;
+  opts.threads = 0;  // parallel sweep: byte-identical to serial
+  opts.scenario = spec.name;
+  // Checked runs always carry a flight recorder; size the ring so the
+  // injected early-ACK violation is still in the end-of-run tail.
+  opts.trace = true;
+  opts.trace_ring_records = 1u << 16;
+  opts.trace_tail_records = 1u << 16;
+  if (inject) {
+    opts.inject_violation_connection = 7;
+    opts.inject_violation_on_ack = 3;
+  }
+  const std::vector<exp::ArmConfig> arms = all_arms();
+
+  std::printf("chaos sweep: scenario '%s', %d connections x %zu arms%s\n\n",
+              spec.name.c_str(), opts.connections, arms.size(),
+              inject ? " (one synthetic violation injected)" : "");
+  const std::vector<exp::ArmResult> results = exp::run_arms(pop, arms, opts);
+  for (const exp::ArmResult& r : results) {
+    std::printf("arm %-10s acks checked %-8llu violations %-4llu "
+                "quarantined %zu\n",
+                r.name.c_str(), (unsigned long long)r.acks_checked,
+                (unsigned long long)r.invariant_violations,
+                r.quarantined.size());
+  }
+
+  int failures = 0;
+  bool quarantined = false;
+  for (std::size_t a = 0; a < arms.size(); ++a) {
+    for (const exp::QuarantineRecord& rec : results[a].quarantined) {
+      quarantined = true;
+      std::printf("\nquarantined: %s\n", rec.summary().c_str());
+      const std::size_t tail = rec.trace_tail.size();
+      const std::size_t show = tail < 12 ? tail : std::size_t{12};
+      if (tail != 0) {
+        std::printf("flight-recorder tail (%zu records, last %zu shown):\n",
+                    tail, show);
+      }
+      for (std::size_t i = tail - show; i < tail; ++i) {
+        std::printf("  %s\n", obs::describe(rec.trace_tail[i]).c_str());
+      }
+      if (tail != 0 && !out_prefix.empty()) {
+        const std::string path = arm_stem(out_prefix, arms[a].name) +
+                                 ".conn" + std::to_string(rec.connection_id) +
+                                 ".trace.json";
+        if (!write_json(path, rec.trace_json())) return 1;
+        std::printf("wrote %s -- open it at https://ui.perfetto.dev\n",
+                    path.c_str());
+      }
+      const std::string culprit = rec.episode_summary();
+      if (culprit.empty()) {
+        std::printf("no recovery episode in the captured tail\n");
+      } else {
+        std::printf("culprit episode:\n%s\n", culprit.c_str());
+      }
+
+      const exp::ArmConfig& ref = arms[(a + 1) % arms.size()];
+      exp::RunOptions honest = opts;
+      honest.inject_violation_connection = -1;
+      const obs::DivergencePoint d = obs::first_divergence(
+          exp::trace_connection(pop, arms[a], honest, rec.connection_id)
+              .records,
+          exp::trace_connection(pop, ref, honest, rec.connection_id).records);
+      std::printf("%s",
+                  obs::explain_divergence(d, arms[a].name, ref.name).c_str());
+
+      const exp::ReplayResult replay = exp::replay(pop, arms[a], opts, rec);
+      const bool ok = replay.reproduced(rec);
+      std::printf("replay: %zu violation(s), %llu ACKs checked -> %s\n",
+                  replay.violations.size(),
+                  (unsigned long long)replay.acks_checked,
+                  ok ? "reproduced" : "DID NOT REPRODUCE");
+      if (!ok) ++failures;
+    }
+  }
+
+  if (inject && !quarantined) {
+    std::printf("\nERROR: injected violation was not quarantined\n");
+    return 1;
+  }
+  if (!inject && quarantined) {
+    std::printf("\nERROR: the honest sweep quarantined a connection\n");
+    return 1;
+  }
+  if (failures > 0) {
+    std::printf("\n%d quarantined connection(s) failed to replay\n", failures);
+    return 1;
+  }
+  std::printf("\nall quarantined connections replayed deterministically\n");
   return 0;
 }
 
@@ -437,8 +689,8 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
 
   // --- flag parsing (shared across subcommands) ---
-  std::string store_path, out_file, capture = "all";
-  std::string field_name, group_name, type_name;
+  std::string store_path, out_file, capture = "all", pcap_path;
+  std::string field_name, group_name, type_name, workload_name = "web";
   const bool sweep = cmd == "sweep";
   std::vector<exp::ArmConfig> arms =
       sweep ? all_arms() : std::vector{exp::ArmConfig::prr_arm()};
@@ -449,7 +701,8 @@ int main(int argc, char** argv) {
   uint64_t limit = 0;
   int64_t bucket_ms = 1000;
   obs::QueryFilter filter;
-  bool verify = true, as_json = false, chaos = false;
+  bool verify = true, as_json = false, chaos = false, csv = false;
+  bool inject = true;
   exp::RunOptions opts;
   opts.threads = 0;  // parallel sweep: byte-identical to serial
 
@@ -470,6 +723,10 @@ int main(int argc, char** argv) {
       as_json = true;
     } else if (std::strcmp(a, "--chaos") == 0) {
       chaos = true;
+    } else if (std::strcmp(a, "--csv") == 0) {
+      csv = true;
+    } else if (std::strcmp(a, "--no-inject") == 0) {
+      inject = false;
     } else if (std::strcmp(a, "--sampled-only") == 0) {
       filter.include_full = false;
     } else if (std::strcmp(a, "--full-only") == 0) {
@@ -499,6 +756,17 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--out") == 0) {
       if (!(v = need(a))) return 2;
       out_file = v;
+    } else if (std::strcmp(a, "--pcap") == 0) {
+      if (!(v = need(a))) return 2;
+      pcap_path = v;
+    } else if (std::strcmp(a, "--workload") == 0) {
+      if (!(v = need(a))) return 2;
+      workload_name = v;
+      if (workload_name != "web" && workload_name != "video") {
+        std::fprintf(stderr, "unknown workload '%s' (want web or video)\n",
+                     v);
+        return 2;
+      }
     } else if (std::strcmp(a, "--capture") == 0) {
       if (!(v = need(a))) return 2;
       capture = v;
@@ -527,45 +795,61 @@ int main(int argc, char** argv) {
   }
 
   // A flag the command does not read is refused, never ignored.
-  const char* reads = flags_read(cmd, !positional.empty(), conn >= 0);
+  const char* reads = flags_read(
+      cmd, sweep ? !out_file.empty() : !positional.empty(), conn >= 0);
   if (reads == nullptr) return usage();
   const std::string allowed = std::string(" ") + reads + " ";
   for (const std::string& f : flags) {
     if (allowed.find(" " + f + " ") == std::string::npos) {
-      std::fprintf(stderr, "%s does not take %s\n", cmd.c_str(), f.c_str());
+      std::fprintf(stderr, "%s does not take %s%s\n", cmd.c_str(), f.c_str(),
+                   sweep && f == "--capture" ? " without --out" : "");
       return 2;
     }
   }
 
-  if (sweep) {
-    if (out_file.empty()) {
-      std::fprintf(stderr, "sweep requires --out PREFIX\n");
+  if (cmd == "scenario") {
+    const std::string fig = positional.empty() ? "fig2" : positional[0];
+    if (positional.size() > 1 ||
+        (fig != "fig2" && fig != "fig3" && fig != "fig4")) {
+      std::fprintf(stderr, "scenario takes one of fig2, fig3, fig4\n");
       return usage();
     }
-    opts.store_path = out_file;
-    opts.capture = capture;
-    workload::WebWorkload base;
+    if (csv && !pcap_path.empty()) {
+      std::fprintf(stderr, "scenario takes --csv or --pcap, not both\n");
+      return usage();
+    }
+    return cmd_scenario(fig, arms[0], csv, pcap_path, out_file);
+  }
+  if ((sweep || cmd == "replay") && !positional.empty()) {
+    std::fprintf(stderr, "%s takes no positional argument ('%s')\n",
+                 cmd.c_str(), positional[0].c_str());
+    return usage();
+  }
+  if (cmd == "replay") return cmd_replay(inject, out_file);
+
+  // The population the sweep and the live views draw from: DC1 Web or
+  // DC2 video, optionally under the chaos fault profile.
+  workload::WebWorkload web;
+  workload::VideoWorkload video;
+  const bool is_video = workload_name == "video";
+  const workload::Population& base =
+      is_video ? static_cast<const workload::Population&>(video) : web;
+  if (sweep) {
     std::optional<exp::ChaosPopulation> chaos_pop;
     const workload::Population* pop = &base;
+    // The store meta names the workload: "video", "video/chaos/everything";
+    // web stores keep the scenario they always had ("", "chaos/everything").
+    if (is_video) opts.scenario = "video";
     if (chaos) {
       exp::ChaosSpec spec = exp::ChaosSpec::everything();
-      opts.scenario = "chaos/" + spec.name;
+      opts.scenario = (is_video ? "video/chaos/" : "chaos/") + spec.name;
       opts.check_invariants = true;
       chaos_pop.emplace(base, std::move(spec.profile));
       pop = &*chaos_pop;
     }
-    const auto results = exp::run_arms(*pop, arms, opts);
-    // Summarize from the writers' own accounting (carried on ArmResult):
-    // reopening the files would read every kept byte once more to check
-    // its digest, for counts the writers already have.
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const std::string path =
-          obs::store_path_for_arm(out_file, arms[i].name);
-      std::printf("%-10s %s: %" PRIu64 " conns, %" PRIu64 " records\n",
-                  arms[i].name.c_str(), path.c_str(),
-                  results[i].store_connections, results[i].store_records);
-    }
-    return 0;
+    opts.store_path = out_file;
+    opts.capture = capture;
+    return cmd_sweep(*pop, arms, opts, out_file);
   }
 
   if (cmd == "merge") {
@@ -577,7 +861,7 @@ int main(int argc, char** argv) {
                      {positional.begin() + 1, positional.end()});
   }
 
-  // The live views re-run one connection of the web sweep.
+  // The live views re-run one connection of the sweep.
   if (cmd == "diff" || (cmd == "episodes" && positional.empty())) {
     if (!positional.empty()) {
       std::fprintf(stderr, "diff re-runs live and takes no STORE\n");
@@ -589,8 +873,8 @@ int main(int argc, char** argv) {
       return usage();
     }
     const auto id = static_cast<uint64_t>(conn);
-    if (cmd == "episodes") return cmd_conn_episodes(arms[0], opts, id);
-    return cmd_diff(arms[0], arms_b[0], opts, id, out_file);
+    if (cmd == "episodes") return cmd_conn_episodes(base, arms[0], opts, id);
+    return cmd_diff(base, arms[0], arms_b[0], opts, id, out_file);
   }
 
   // All remaining commands read one store.

@@ -4,6 +4,7 @@
 
 #include "net/loss_model.h"
 #include "obs/instrument.h"
+#include "obs/snapshot.h"
 #include "sim/simulator.h"
 #include "tcp/connection.h"
 #include "trace/pcap.h"
@@ -111,6 +112,8 @@ FigureRun run_figure_scenario(const FigureScenario& scenario) {
   run.final_cwnd_bytes = conn.sender().cwnd_bytes();
   run.final_ssthresh_bytes = conn.sender().ssthresh_bytes();
   run.final_state = conn.sender().state();
+  run.records = recorder.tail(recorder.size());
+  run.snapshot = obs::snapshot(conn.sender(), /*conn_id=*/0);
   return run;
 }
 

@@ -13,6 +13,7 @@
 
 #include "core/prr.h"
 #include "net/fault_schedule.h"
+#include "obs/trace_record.h"
 #include "sim/time.h"
 #include "stats/recovery_log.h"
 #include "tcp/invariants.h"
@@ -69,6 +70,10 @@ struct FigureRun {
   // Populated when FigureScenario::check_invariants is set.
   std::vector<tcp::InvariantViolation> violations;
   uint64_t acks_checked = 0;
+  // What the run's flight recorder holds at the end, oldest first, and
+  // an `ss -i`-style snapshot of the sender (obs/snapshot.h).
+  std::vector<obs::TraceRecord> records;
+  std::string snapshot;
 };
 
 FigureRun run_figure_scenario(const FigureScenario& scenario);
